@@ -12,10 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .field import FieldParams
 from .spectral import DenseFunction, Spectrum, dft
 
 TAIL_TOLERANCE = 1e-9
 DOMINATION_TOLERANCE = 1e-12
+DENSITY_FLOOR_COEFF = 8.0
 
 
 class HypothesisRefusal(RuntimeError):
@@ -25,6 +27,11 @@ class HypothesisRefusal(RuntimeError):
 def pair_count(k: int) -> int:
     """C(k, 2), the number of unordered pairs of top places."""
     return k * (k - 1) // 2
+
+
+def density_floor(params: FieldParams, k: int) -> float:
+    """E(g) must reach 8 p^(-1/2) k^(-1) for the coset-density guarantee."""
+    return DENSITY_FLOOR_COEFF / (math.sqrt(params.p) * k)
 
 
 def lambda3_floor(
@@ -199,7 +206,7 @@ def check_hypotheses(
     """
     params = f.params
     g.params.same_as(params)
-    F, p = params.F, params.p
+    F = params.F
     spectrum = spectrum if spectrum is not None else dft(f)
     e_f, e_g = f.mean(), g.mean()
     sigma_k = spectrum.sigma(k)
@@ -222,7 +229,7 @@ def check_hypotheses(
         and g.values.max() <= 1 + DOMINATION_TOLERANCE
     )
     items.append(("unit_range", bool(in_range), "both functions take values in [0, 1]"))
-    floor = max(F ** (-theta) if math.isfinite(theta) else 0.0, 8.0 / (math.sqrt(p) * k))
+    floor = max(F ** (-theta) if math.isfinite(theta) else 0.0, density_floor(params, k))
     items.append(
         (
             "density_floor",

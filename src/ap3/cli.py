@@ -16,21 +16,19 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
-from .bounds import derived_theta
+from .bounds import pair_count
 from .experiment import (
     EXIT_ASSERTION,
     EXIT_ERROR,
     EXIT_PASS,
     ConfigError,
-    ExperimentConfig,
     build_recipe,
+    load_config_file,
     report_json,
-    resolve_threads,
     run_config,
 )
 from .field import EnumerationCapError, FieldParams, InfeasibleError
@@ -59,6 +57,13 @@ def _seed_type(text: str) -> int:
     value = int(text)
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
+    return value
+
+
+def _trials_type(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("trials must be a positive integer")
     return value
 
 
@@ -115,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     es.add_argument("--n", type=int, required=True)
     es.add_argument("--k", type=_k_list, required=True, help="comma list, e.g. 2,3,4")
     es.add_argument("--lemma", choices=("separation", "moments", "both"), default="both")
-    es.add_argument("--trials", type=int, default=1000)
+    es.add_argument("--trials", type=_trials_type, default=1000)
     es.add_argument("--exhaustive", action="store_true")
     es.add_argument("--seed", type=_seed_type, default=0)
     es.add_argument("--cap", type=int, default=200_000, help="exhaustive enumeration cap")
@@ -244,18 +249,7 @@ def cmd_verify(args) -> int:
         overrides["exhaustive"] = True
     if args.force is not None:
         overrides["force"] = True
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
-    entries = raw["experiments"] if isinstance(raw, dict) and "experiments" in raw else [raw]
-    if not isinstance(entries, list) or not entries:
-        raise ConfigError("'experiments' must be a nonempty list")
-    configs = [ExperimentConfig.from_dict({**entry, **overrides}) for entry in entries]
-    report, code = run_config(configs)
+    report, code = run_config(load_config_file(args.config, overrides))
     _emit(report_json(report), args.out, "report.json")
     status = "PASS" if code == EXIT_PASS else f"FAIL(exit {code})"
     print(f"verify: {status}", file=sys.stderr)
@@ -268,7 +262,7 @@ def _estimate_row(task) -> dict:
     nprime = choose_dimension(k, params)
     g = DenseFunction.make(params, rng.uniform(0.0, 1.0, params.F))
     A = rng.choice(params.F, size=k, replace=False).astype(np.int64)
-    pairs = k * (k - 1) // 2
+    pairs = pair_count(k)
     row = {
         "p": params.p,
         "n": params.n,
@@ -311,12 +305,7 @@ def cmd_estimate(args) -> int:
         (params, k, args.lemma, args.trials, args.exhaustive, args.cap, child)
         for k, child in zip(args.k, children)
     ]
-    workers = resolve_threads()
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_estimate_row, tasks))
-    else:
-        rows = [_estimate_row(task) for task in tasks]
+    rows = [_estimate_row(task) for task in tasks]
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
     writer.writeheader()

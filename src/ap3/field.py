@@ -245,8 +245,9 @@ class Subspace:
 
     @property
     def pivots(self) -> tuple[int, ...]:
-        _, piv = rref(self.matrix, self.params.p) if self.basis else (None, ())
-        return piv
+        """The pivot column of each basis row: its first nonzero entry, since
+        the basis is kept in reduced row echelon form."""
+        return tuple(next(c for c, v in enumerate(row) if v) for row in self.basis)
 
     def reduce_digit_rows(self, digit_rows: np.ndarray) -> np.ndarray:
         """Eliminate this subspace from each digit row: result is the canonical
@@ -306,7 +307,7 @@ class Subspace:
         p, n = self.params.p, self.params.n
         if self.dim == 0:
             return Subspace.full(self.params)
-        mat, piv = rref(self.matrix, p)
+        mat, piv = self.matrix, self.pivots
         free_cols = [c for c in range(n) if c not in piv]
         rows = []
         for c in free_cols:
@@ -412,12 +413,8 @@ class DirectSumSplitter:
             raise ValueError("subspaces do not form a direct sum")
         return cls(V, W, inverse_mod_p(stacked, params.p))
 
-    def split(self, x: int) -> tuple[int, int]:
-        """x -> (v, w) with x = v + w, v in V, w in W; unique by directness."""
-        v_rows, w_rows = self.split_many(np.array([x], dtype=np.int64))
-        return int(v_rows[0]), int(w_rows[0])
-
     def split_many(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each x -> (v, w) with x = v + w, v in V, w in W; unique by directness."""
         params = self.V.params
         p = params.p
         x_digits = params.digit_table()[np.asarray(indices, dtype=np.int64)]
@@ -426,8 +423,3 @@ class DirectSumSplitter:
         v_digits = (coeffs[:, :dv] @ self.V.matrix) % p if dv else np.zeros_like(x_digits)
         w_digits = (coeffs[:, dv:] @ self.W.matrix) % p if self.W.dim else np.zeros_like(x_digits)
         return params.indices_of(v_digits), params.indices_of(w_digits)
-
-
-def decompose(x: int, V: Subspace, W: Subspace) -> tuple[int, int]:
-    """Split x = v + w across a verified direct sum V (+) W."""
-    return DirectSumSplitter.build(V, W).split(x)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bounds import density_floor, pair_count
 from .field import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapError,
@@ -31,7 +32,6 @@ from .field import (
 from .spectral import DenseFunction, difference_set
 
 COSET_SUM_TOLERANCE = 1e-12
-DENSITY_FLOOR_COEFF = 8.0
 
 
 class FinderBudgetError(RuntimeError):
@@ -51,7 +51,7 @@ def choose_dimension(k: int, params: FieldParams) -> int:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    pairs = k * (k - 1) // 2
+    pairs = pair_count(k)
     e = 0
     while params.p**e < pairs:
         e += 1
@@ -61,11 +61,6 @@ def choose_dimension(k: int, params: FieldParams) -> int:
             f"k={k} needs dimension {nprime} > n={params.n}; the field is too small"
         )
     return nprime
-
-
-def density_floor(params: FieldParams, k: int) -> float:
-    """E(g) must reach 8 p^(-1/2) k^(-1) for the coset-density guarantee."""
-    return DENSITY_FLOOR_COEFF / (math.sqrt(params.p) * k)
 
 
 def coset_sums(g: DenseFunction, W: Subspace) -> tuple[np.ndarray, np.ndarray]:
@@ -88,7 +83,6 @@ def dense_translates(g: DenseFunction, W: Subspace, mean: float | None = None) -
 class FinderConfig:
     k: int
     max_attempts: int = 256
-    require_direct_sum: bool = True
     nprime: int | None = None
 
 
@@ -130,7 +124,7 @@ def find_good_subspace(
     for attempt in range(1, cfg.max_attempts + 1):
         W = sample_uniform_subspace(params, nprime, rng)
         V = W.complement()
-        if cfg.require_direct_sum and not W.intersects_trivially(V):
+        if not W.intersects_trivially(V):
             rejections["direct_sum"] += 1
             continue
         if V.contains_any_nonzero(B):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import FieldParams, Subspace, check_same_params
-from .spectral import DenseFunction, Spectrum, dft, idft, translated_values
+from .spectral import DenseFunction, dft, idft
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,3 @@ def minorant_restrict(
     else:
         mask = f.values >= threshold
     return DenseFunction.make(f.params, np.where(mask, f.values, 0.0))
-
-
-def translate(f: DenseFunction, d: int) -> DenseFunction:
-    return DenseFunction.make(f.params, translated_values(f.params, f.values, d))

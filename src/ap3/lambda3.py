@@ -56,9 +56,13 @@ def lambda3_spectral(f1: DenseFunction, f2=None, f3=None) -> float:
     """F^(-3) sum_a f1hat(a) f2hat(-2a) f3hat(a); imaginary part must vanish."""
     f1, f2, f3 = _as_triple(f1, f2, f3)
     params = check_same_params(f1, f2, f3)
-    c1 = dft(f1).coeffs
-    c2 = dft(f2).coeffs[neg_double_table(params)]
-    c3 = dft(f3).coeffs
+    coeffs = {}
+    for fn in (f1, f2, f3):
+        if fn not in coeffs:
+            coeffs[fn] = dft(fn).coeffs
+    c1 = coeffs[f1]
+    c2 = coeffs[f2][neg_double_table(params)]
+    c3 = coeffs[f3]
     total = complex(np.sum(c1 * c2 * c3))
     if abs(total.imag) > AGREEMENT_TOLERANCE * max(abs(total.real), 1.0):
         raise ValueError(f"spectral Lambda3 has imaginary residue {total.imag}")
@@ -70,14 +74,6 @@ def diagonal_weight(f1: DenseFunction, f2=None, f3=None) -> float:
     f1, f2, f3 = _as_triple(f1, f2, f3)
     check_same_params(f1, f2, f3)
     return float(np.sum(f1.values * f2.values * f3.values))
-
-
-def nonzero_difference_weight(f1: DenseFunction, f2=None, f3=None) -> float:
-    """Total progression weight over pairs with d != 0."""
-    f1, f2, f3 = _as_triple(f1, f2, f3)
-    params = check_same_params(f1, f2, f3)
-    total = lambda3_brute(f1, f2, f3) * params.F**2
-    return total - diagonal_weight(f1, f2, f3)
 
 
 def midpoint_pair_count(f: DenseFunction, m: int, method: str = "direct") -> float:

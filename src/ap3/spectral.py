@@ -13,7 +13,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -129,13 +129,12 @@ class Spectrum:
     order sorts |coeffs| descending with ties broken by ascending index, so
     the rank of every coefficient is deterministic.  tails[i] is the energy
     strictly below rank i: tails[0] = total energy, tails[F] = 0, and
-    sigma_k = tails[k] is the energy outside the top-k coefficients.
+    sigma_k = tails[k] is the energy outside the top-k coefficients.  Both
+    are computed on first use, so a caller that reads only coeffs never sorts.
     """
 
     params: FieldParams
     coeffs: np.ndarray
-    order: np.ndarray
-    tails: np.ndarray
 
     @classmethod
     def from_coeffs(cls, params: FieldParams, coeffs: np.ndarray) -> "Spectrum":
@@ -143,14 +142,21 @@ class Spectrum:
         if arr.shape != (params.F,):
             raise ValueError(f"expected {params.F} coefficients, got {arr.shape}")
         arr.setflags(write=False)
-        mags = np.abs(arr)
-        order = np.lexsort((np.arange(params.F), -mags))
+        return cls(params, arr)
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        order = np.lexsort((np.arange(self.params.F), -self.magnitudes))
         order.setflags(write=False)
-        sorted_sq = mags[order] ** 2
-        tails = np.zeros(params.F + 1)
+        return order
+
+    @cached_property
+    def tails(self) -> np.ndarray:
+        sorted_sq = self.magnitudes[self.order] ** 2
+        tails = np.zeros(self.params.F + 1)
         tails[:-1] = sorted_sq[::-1].cumsum()[::-1]
         tails.setflags(write=False)
-        return cls(params, arr, order, tails)
+        return tails
 
     @property
     def magnitudes(self) -> np.ndarray:

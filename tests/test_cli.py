@@ -239,6 +239,17 @@ def test_verify_missing_config(capsys):
     assert "cannot read config" in err
 
 
+@pytest.mark.parametrize(
+    "raw", [[1, 2], 7, {"experiments": ["entry"]}, {"experiments": [[1]]}]
+)
+def test_verify_non_object_config(capsys, tmp_path, raw):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    code, _, err = run_cli(capsys, "verify", "--config", str(path), "--seed", "3")
+    assert code == 1
+    assert "config must be a JSON object" in err
+
+
 def test_estimate_exhaustive_csv(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -269,6 +280,14 @@ def test_estimate_k_grid_deterministic(capsys):
     for row in rows:
         assert 0.0 <= float(row["separation"]) <= 1.0
         assert 0.0 <= float(row["coset_density"]) <= 1.0
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_estimate_rejects_nonpositive_trials(capsys, trials):
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--p", "3", "--n", "3", "--k", "2", "--trials", trials])
+    assert exc.value.code == 64
+    assert "trials must be a positive integer" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

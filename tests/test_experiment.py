@@ -1,4 +1,5 @@
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -16,13 +17,13 @@ from ap3.experiment import (
     derive_minorant,
     report_json,
     resolve_delta,
-    resolve_threads,
     run_experiment,
     strip_timing,
     worst_exit,
 )
 from ap3.field import FieldParams
 from ap3.functions import convolve
+from ap3.lambda3 import lambda3_brute
 from ap3.spectral import DenseFunction, dft
 
 
@@ -46,14 +47,6 @@ def test_worst_exit_severity_order():
     assert worst_exit([3, 2]) == 3
     assert worst_exit([4, 3, 2, 1]) == 4
     assert worst_exit([1, 0]) == 1
-
-
-def test_resolve_threads_env(monkeypatch):
-    monkeypatch.setenv("AP3_THREADS", "3")
-    assert resolve_threads() == 3
-    monkeypatch.delenv("AP3_THREADS")
-    assert resolve_threads(5) == 5
-    assert resolve_threads() >= 1
 
 
 def test_build_recipe_kinds(p33, rng):
@@ -185,6 +178,29 @@ def test_run_experiment_pass():
     assert "timing" in report
 
 
+@pytest.mark.parametrize(
+    "overrides, calls",
+    [({}, 1), ({"g": {"kind": "scale", "factor": 0.9}}, 3)],
+)
+def test_run_experiment_one_brute_pass_per_triple(monkeypatch, overrides, calls):
+    seen = []
+
+    def counting(*fs):
+        seen.append(fs)
+        return lambda3_brute(*fs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ap3" and getattr(module, "lambda3_brute", None) is lambda3_brute:
+            monkeypatch.setattr(module, "lambda3_brute", counting)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report, code = run_experiment(cfg(ordering="both", **overrides))
+    assert code == EXIT_PASS
+    assert len(report["runs"]) == 2
+    assert len(seen) == calls
+    assert len({tuple(id(f) for f in fs) for fs in seen}) == calls
+
+
 def test_run_experiment_refusal():
     config = cfg(g={"kind": "constant", "value": 0.0})
     report, code = run_experiment(config)
@@ -205,6 +221,7 @@ def test_run_experiment_budget():
         report, code = run_experiment(config)
     assert code == EXIT_BUDGET
     assert any(r["partial"] for r in report["runs"])
+    assert all(r["lambda_measured_brute"] > 0.0 for r in report["runs"])
 
 
 def test_run_experiment_config_error_exit():

@@ -9,7 +9,6 @@ from ap3.field import (
     FieldParams,
     ParameterError,
     Subspace,
-    decompose,
     enumerate_subspaces,
     gaussian_binomial,
     inverse_mod_p,
@@ -140,6 +139,22 @@ def test_contains_any_nonzero(p33):
     assert not W.contains_any_nonzero([0])
 
 
+@given(SMALL_PARAMS, st.data())
+@settings(max_examples=60, deadline=None)
+def test_pivots_match_rref(pn, data):
+    params = FieldParams(*pn)
+    dim = data.draw(st.integers(0, params.n))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    W = sample_uniform_subspace(params, dim, np.random.default_rng(seed))
+    rows, pivots = rref(W.matrix, params.p)
+    assert W.pivots == pivots
+    # coset representatives by elimination on the pivots rref reports
+    R = params.digit_table().copy()
+    for row, c in zip(rows, pivots):
+        R = (R - R[:, c : c + 1] * row[None, :]) % params.p
+    assert np.array_equal(W.coset_representatives(), params.indices_of(R))
+
+
 def test_enumerate_matches_gaussian_binomial():
     for p, n, d in [(3, 2, 1), (3, 3, 1), (3, 3, 2), (5, 2, 1), (3, 4, 2)]:
         params = FieldParams(p, n)
@@ -185,8 +200,6 @@ def test_direct_sum_rejects_overlap(p33):
     V = Subspace.from_rows(p33, [[1, 0, 0]])
     with pytest.raises(ValueError):
         DirectSumSplitter.build(V, W)
-    with pytest.raises(ValueError):
-        decompose(1, V, W)
 
 
 def test_subspace_json_round_trip(p33):

@@ -9,10 +9,9 @@ from ap3.lambda3 import (
     lambda3_brute,
     lambda3_spectral,
     midpoint_pair_count,
-    nonzero_difference_weight,
     trivial_lower_bound,
 )
-from ap3.spectral import DenseFunction
+from ap3.spectral import DenseFunction, translated_values
 
 from conftest import random_function
 
@@ -99,7 +98,11 @@ def test_diagonal_and_nonzero_difference_split(p33, rng):
     total = lambda3_brute(f) * p33.F**2
     diag = diagonal_weight(f, f, f)
     assert diag == pytest.approx(float((f.values**3).sum()), abs=1e-9)
-    assert nonzero_difference_weight(f) == pytest.approx(total - diag, abs=1e-6)
+    off_diagonal = 0.0
+    for d in range(1, p33.F):
+        shifted = translated_values(p33, f.values, d)
+        off_diagonal += float(f.values @ (shifted * translated_values(p33, shifted, d)))
+    assert off_diagonal == pytest.approx(total - diag, abs=1e-6)
 
 
 def test_midpoint_pair_count_examples(p33):
