@@ -216,19 +216,27 @@ class ExperimentConfig:
         gamma = raw.get("gamma")
         if delta is not None and gamma is not None:
             raise ConfigError("give delta or gamma, not both")
+        if delta is not None and float(delta) < 0:
+            raise ConfigError(f"field 'delta' must be nonnegative, got {delta}")
+        n, k = int(raw["n"]), int(raw["k"])
+        if k < 2:
+            raise ConfigError(f"field 'k' must be at least 2, got {k}")
+        nprime = None if raw.get("nprime") is None else int(raw["nprime"])
+        if nprime is not None and not 0 <= nprime <= n:
+            raise ConfigError(f"field 'nprime' must lie in [0, n={n}], got {nprime}")
         return cls(
             p=int(raw["p"]),
-            n=int(raw["n"]),
+            n=n,
             seed=int(raw["seed"]),
             f_recipe=dict(raw["f"]),
             g_recipe=dict(raw.get("g", {"kind": "same"})),
-            k=int(raw["k"]),
+            k=k,
             delta=None if delta is None else float(delta),
             gamma=None if gamma is None else float(gamma),
             orderings=orderings,
             refresh=refresh,
             max_attempts=int(raw.get("max_attempts", 256)),
-            nprime=None if raw.get("nprime") is None else int(raw["nprime"]),
+            nprime=nprime,
             trials=int(raw.get("trials", 0)),
             exhaustive=bool(raw.get("exhaustive", False)),
             enumeration_cap=int(raw.get("enumeration_cap", 200_000)),

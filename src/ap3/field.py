@@ -179,19 +179,6 @@ def matrix_rank(matrix, p: int) -> int:
     return rows.shape[0]
 
 
-def inverse_mod_p(matrix: np.ndarray, p: int) -> np.ndarray:
-    """Inverse of a square matrix over GF(p) by Gauss-Jordan elimination."""
-    M = np.array(matrix, dtype=np.int64) % p
-    n = M.shape[0]
-    if M.shape != (n, n):
-        raise ValueError("inverse_mod_p expects a square matrix")
-    aug = np.concatenate([M, np.eye(n, dtype=np.int64)], axis=1)
-    reduced, pivots = rref(aug, p)
-    if reduced.shape[0] < n or pivots[:n] != tuple(range(n)):
-        raise ValueError("matrix is singular mod p")
-    return reduced[:, n:]
-
-
 def gaussian_binomial(n: int, k: int, p: int) -> int:
     """Number of k-dimensional subspaces of an n-dimensional space over GF(p)."""
     if k < 0 or k > n:
@@ -394,32 +381,3 @@ def enumerate_subspaces(
     assert len(out) == count
     return out
 
-
-@dataclass(frozen=True)
-class DirectSumSplitter:
-    """Coordinate maps for F = V (+) W, precomputed for repeated decomposition."""
-
-    V: Subspace
-    W: Subspace
-    _inverse: np.ndarray
-
-    @classmethod
-    def build(cls, V: Subspace, W: Subspace) -> "DirectSumSplitter":
-        params = check_same_params(V, W)
-        if V.dim + W.dim != params.n:
-            raise ValueError("component dimensions must sum to n")
-        stacked = np.concatenate([V.matrix, W.matrix], axis=0)
-        if matrix_rank(stacked, params.p) != params.n:
-            raise ValueError("subspaces do not form a direct sum")
-        return cls(V, W, inverse_mod_p(stacked, params.p))
-
-    def split_many(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each x -> (v, w) with x = v + w, v in V, w in W; unique by directness."""
-        params = self.V.params
-        p = params.p
-        x_digits = params.digit_table()[np.asarray(indices, dtype=np.int64)]
-        coeffs = (x_digits @ self._inverse) % p
-        dv = self.V.dim
-        v_digits = (coeffs[:, :dv] @ self.V.matrix) % p if dv else np.zeros_like(x_digits)
-        w_digits = (coeffs[:, dv:] @ self.W.matrix) % p if self.W.dim else np.zeros_like(x_digits)
-        return params.indices_of(v_digits), params.indices_of(w_digits)

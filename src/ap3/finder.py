@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import density_floor, pair_count
 from .field import (
     DEFAULT_ENUMERATION_CAP,
-    EnumerationCapError,
     FieldParams,
     InfeasibleError,
     Subspace,
@@ -71,12 +70,27 @@ def coset_sums(g: DenseFunction, W: Subspace) -> tuple[np.ndarray, np.ndarray]:
     return reps, sums
 
 
+def coset_sum(values: np.ndarray, coset: np.ndarray) -> float:
+    """The total of values over one coset, given as ascending indices.
+
+    The terms are added one at a time in ascending index order, the order in
+    which np.bincount accumulates them in coset_sums, so both give the same
+    float; ndarray.sum() adds pairwise and can differ in the last bit.
+    """
+    return float(np.add.accumulate(values[coset])[-1])
+
+
+def is_dense(total, mean: float, size: int):
+    """The coset-density rule: a coset of size |W| is dense when it carries at
+    least E(g) |W| / 2 of mass.  Elementwise on arrays of totals."""
+    return total >= mean * size / 2.0 - COSET_SUM_TOLERANCE
+
+
 def dense_translates(g: DenseFunction, W: Subspace, mean: float | None = None) -> np.ndarray:
     """All t whose coset t + W carries at least E(g) |W| / 2 of mass."""
     mean = g.mean() if mean is None else mean
     reps, sums = coset_sums(g, W)
-    threshold = mean * W.size / 2.0 - COSET_SUM_TOLERANCE
-    return np.flatnonzero(sums[reps] >= threshold).astype(np.int64)
+    return np.flatnonzero(is_dense(sums[reps], mean, W.size)).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -159,6 +173,41 @@ def _frequency(hits: int, total: int, exhaustive: bool) -> tuple[float, float]:
     return frac, stderr
 
 
+def _sample_cosets(
+    params: FieldParams,
+    nprime: int,
+    g: DenseFunction | None,
+    trials: int,
+    rng: np.random.Generator | None,
+    exhaustive: bool,
+    cap: int,
+) -> tuple[list[Subspace], np.ndarray | None]:
+    """The subspaces W drawn and, when g is given, the coset sums X(W, t).
+
+    Exhaustive mode takes every W of dimension nprime and every t in F, so X
+    holds F sums per W, W-major.  Sampled mode draws W and then t for each
+    trial, reading only the coset t + W; it draws no t when g is None.
+    """
+    if exhaustive:
+        spaces = enumerate_subspaces(params, nprime, cap=cap)
+        if g is None:
+            return spaces, None
+        blocks = []
+        for W in spaces:
+            reps, sums = coset_sums(g, W)
+            blocks.append(sums[reps])
+        return spaces, np.concatenate(blocks)
+    if rng is None:
+        raise ValueError("sampled mode needs an rng")
+    spaces, sums = [], []
+    for _ in range(trials):
+        W = sample_uniform_subspace(params, nprime, rng)
+        spaces.append(W)
+        if g is not None:
+            sums.append(coset_sum(g.values, W.coset(int(rng.integers(params.F)))))
+    return spaces, None if g is None else np.array(sums)
+
+
 def estimate_condition_probabilities(
     params: FieldParams,
     nprime: int,
@@ -179,42 +228,15 @@ def estimate_condition_probabilities(
     if g is not None:
         g.params.same_as(params)
     B = difference_set(params, np.asarray(A, dtype=np.int64)) if A is not None else None
+    spaces, X = _sample_cosets(params, nprime, g, trials, rng, exhaustive, cap)
     p_sep = se_sep = p_den = se_den = None
-    if exhaustive:
-        spaces = enumerate_subspaces(params, nprime, cap=cap)
-        if B is not None:
-            hits = sum(1 for W in spaces if not W.complement().contains_any_nonzero(B))
-            p_sep, se_sep = _frequency(hits, len(spaces), True)
-        if g is not None:
-            mean = g.mean()
-            hits = total = 0
-            for W in spaces:
-                T = dense_translates(g, W, mean)
-                hits += int(T.size)
-                total += params.F
-            p_den, se_den = _frequency(hits, total, True)
-        trials_used = len(spaces)
-    else:
-        if rng is None:
-            raise ValueError("sampled mode needs an rng")
-        mean = g.mean() if g is not None else None
-        sep_hits = den_hits = 0
-        for _ in range(trials):
-            W = sample_uniform_subspace(params, nprime, rng)
-            if B is not None and not W.complement().contains_any_nonzero(B):
-                sep_hits += 1
-            if g is not None:
-                t = int(rng.integers(params.F))
-                reps, sums = coset_sums(g, W)
-                threshold = mean * W.size / 2.0 - COSET_SUM_TOLERANCE
-                if sums[reps[t]] >= threshold:
-                    den_hits += 1
-        if B is not None:
-            p_sep, se_sep = _frequency(sep_hits, trials, False)
-        if g is not None:
-            p_den, se_den = _frequency(den_hits, trials, False)
-        trials_used = trials
-    return ConditionEstimates(p_sep, se_sep, p_den, se_den, trials_used, exhaustive)
+    if B is not None:
+        hits = sum(1 for W in spaces if not W.complement().contains_any_nonzero(B))
+        p_sep, se_sep = _frequency(hits, len(spaces), exhaustive)
+    if g is not None:
+        hits = int(np.count_nonzero(is_dense(X, g.mean(), params.p**nprime)))
+        p_den, se_den = _frequency(hits, X.size, exhaustive)
+    return ConditionEstimates(p_sep, se_sep, p_den, se_den, len(spaces), exhaustive)
 
 
 @dataclass(frozen=True)
@@ -239,27 +261,8 @@ def chebyshev_moments(
 ) -> CosetMoments:
     """First and second moments of the coset sum X; E(X) = p^nprime E(g) exactly
     and Var(X) <= p^nprime for g taking values in [0, 1]."""
-    params = g.params
-    size = params.p**nprime
-    if exhaustive:
-        spaces = enumerate_subspaces(params, nprime, cap=cap)
-        blocks = []
-        for W in spaces:
-            reps, sums = coset_sums(g, W)
-            blocks.append(sums[reps])
-        samples = np.concatenate(blocks)
-        trials_used = samples.size
-    else:
-        if rng is None:
-            raise ValueError("sampled mode needs an rng")
-        vals = []
-        for _ in range(trials):
-            W = sample_uniform_subspace(params, nprime, rng)
-            reps, sums = coset_sums(g, W)
-            t = int(rng.integers(params.F))
-            vals.append(sums[reps[t]])
-        samples = np.array(vals)
-        trials_used = trials
-    mean = float(samples.mean())
-    variance = float(samples.var())
-    return CosetMoments(mean, variance, size * g.mean(), float(size), trials_used, exhaustive)
+    size = g.params.p**nprime
+    _, X = _sample_cosets(g.params, nprime, g, trials, rng, exhaustive, cap)
+    return CosetMoments(
+        float(X.mean()), float(X.var()), size * g.mean(), float(size), X.size, exhaustive
+    )

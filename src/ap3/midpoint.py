@@ -23,19 +23,20 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import HypothesisRefusal
-from .field import DirectSumSplitter, FieldParams, Subspace, check_same_params
+from .field import Subspace, check_same_params
 from .finder import (
-    COSET_SUM_TOLERANCE,
     FinderBudgetError,
     FinderConfig,
     GoodSubspace,
+    coset_sum,
     density_floor,
     find_good_subspace,
+    is_dense,
 )
 from .lambda3 import endpoint_pair_count, midpoint_pair_count
 from .spectral import (
@@ -70,24 +71,28 @@ class SubspaceFrame:
     w_members: np.ndarray
     v_members: np.ndarray
     fhat_wv: np.ndarray  # (|W|, |V|): fhat(w_i + v_j)
-    splitter: DirectSumSplitter
+    cell: np.ndarray  # cell[x] = i |V| + j where x = w_i + v_j
 
     @classmethod
     def build(cls, spectrum: Spectrum, W: Subspace, V: Subspace) -> "SubspaceFrame":
+        """Index every w_i + v_j; the grid covers F once exactly when F = V (+) W."""
         params = spectrum.params
         W.params.same_as(params)
         V.params.same_as(params)
-        splitter = DirectSumSplitter.build(V, W)
+        if W.dim + V.dim != params.n:
+            raise ValueError("component dimensions must sum to n")
         w_members = W.members()
         v_members = V.members()
         wd = params.digit_table()[w_members]
         vd = params.digit_table()[v_members]
         grid = (wd[:, None, :] + vd[None, :, :]) % params.p
-        idx = params.indices_of(grid.reshape(-1, params.n)).reshape(
-            w_members.size, v_members.size
-        )
-        fhat_wv = spectrum.coeffs[idx]
-        return cls(spectrum, W, V, w_members, v_members, fhat_wv, splitter)
+        idx = params.indices_of(grid.reshape(-1, params.n))
+        cell = np.full(params.F, -1, dtype=np.int64)
+        cell[idx] = np.arange(params.F)
+        if (cell < 0).any():
+            raise ValueError("subspaces do not form a direct sum")
+        fhat_wv = spectrum.coeffs[idx.reshape(w_members.size, v_members.size)]
+        return cls(spectrum, W, V, w_members, v_members, fhat_wv, cell)
 
     def place_positions(self, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Positions of w(a) in w_members and v(a) in v_members for each a in A.
@@ -95,14 +100,7 @@ class SubspaceFrame:
         Distinctness of the w(a) is equivalent to the separation condition;
         a collision means the caller skipped it.
         """
-        A = np.asarray(A, dtype=np.int64)
-        v_idx, w_idx = self.splitter.split_many(A)
-        pos_w = np.searchsorted(self.w_members, w_idx)
-        pos_v = np.searchsorted(self.v_members, v_idx)
-        if not (self.w_members[pos_w] == w_idx).all() or not (
-            self.v_members[pos_v] == v_idx
-        ).all():
-            raise ValueError("decomposition left the subspace grid; not a direct sum")
+        pos_w, pos_v = np.divmod(self.cell[np.asarray(A, dtype=np.int64)], self.v_members.size)
         if np.unique(pos_w).size != pos_w.size:
             raise ValueError(
                 "two top places share a W-component; the separation condition fails"
@@ -177,8 +175,6 @@ class CosetContext:
     hhat: np.ndarray  # via the closed formula; supported on W
     w1_positions: np.ndarray  # positions in W.members() hit by A
     w2_positions: np.ndarray
-    vmap: dict  # a -> v(a) element index
-    wmap: dict  # a -> w(a) element index
 
 
 def build_context(
@@ -193,8 +189,6 @@ def build_context(
     params = f.params
     if V != W.complement():
         raise ValueError("V must be the orthogonal complement of W")
-    if not W.intersects_trivially(V):
-        raise ValueError("W meets its complement nontrivially; no direct sum")
     params._check_element(t)
     spectrum = spectrum if spectrum is not None else dft(f)
     frame = SubspaceFrame.build(spectrum, W, V)
@@ -243,14 +237,10 @@ def build_context(
     if h.values.min() < -INVARIANT_TOLERANCE or h.values.max() > 1 + INVARIANT_TOLERANCE:
         raise ContextInvariantError("h leaves [0, 1]")
 
-    pos_w, pos_v = frame.place_positions(A)
+    pos_w, _ = frame.place_positions(A)
     w2 = np.setdiff1d(np.arange(frame.w_members.size), pos_w)
     A_arr = np.asarray(A, dtype=np.int64)
-    vmap = {int(a): int(frame.v_members[pv]) for a, pv in zip(A_arr, pos_v)}
-    wmap = {int(a): int(frame.w_members[pw]) for a, pw in zip(A_arr, pos_w)}
-    return CosetContext(
-        f, A_arr, W, V, t, alpha, h, hhat_formula, pos_w, w2, vmap, wmap
-    )
+    return CosetContext(f, A_arr, W, V, t, alpha, h, hhat_formula, pos_w, w2)
 
 
 @dataclass(frozen=True)
@@ -283,7 +273,6 @@ class DepletionRun:
     density_ok: bool
     partial: bool
     finder_rejections: dict
-    last_W: Subspace | None
 
     @property
     def certificates_ok(self) -> bool:
@@ -381,7 +370,7 @@ def run_depletion(
         if refresh == "lazy" and current is not None:
             good, frame, t, q = current
             coset = good.W.coset(t)
-            if float(gi[coset].sum()) >= e_gi * good.W.size / 2.0 - COSET_SUM_TOLERANCE:
+            if is_dense(coset_sum(gi, coset), e_gi, good.W.size):
                 reused = True
             else:
                 current = None
@@ -450,5 +439,4 @@ def run_depletion(
         density_ok=density_ok,
         partial=partial,
         finder_rejections=rejections,
-        last_W=current[0].W if current is not None else None,
     )

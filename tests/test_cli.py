@@ -250,6 +250,29 @@ def test_verify_non_object_config(capsys, tmp_path, raw):
     assert "config must be a JSON object" in err
 
 
+@pytest.mark.parametrize(
+    "entry,argv,field",
+    [
+        ({}, ["--k", "0"], "'k'"),
+        ({"k": 1}, [], "'k'"),
+        ({"nprime": 9}, [], "'nprime'"),
+        ({"delta": -1}, [], "'delta'"),
+    ],
+)
+def test_verify_rejects_out_of_range_config(capsys, tmp_path, entry, argv, field):
+    config = {
+        "p": 3, "n": 2, "seed": 1, "k": 2,
+        "f": {"kind": "constant", "value": 1.0},
+        **entry,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "verify", "--config", str(path), *argv)
+    assert code == 1
+    assert out == ""
+    assert field in err
+
+
 def test_estimate_exhaustive_csv(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -1,7 +1,35 @@
+import ast
+import importlib
+from pathlib import Path
+
 import ap3
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
 def test_every_export_resolves():
     missing = [name for name in ap3.__all__ if not hasattr(ap3, name)]
     assert missing == []
     assert len(set(ap3.__all__)) == len(ap3.__all__)
+
+
+def _span_targets() -> tuple:
+    """The benchmark tracer's (layer, module, attribute) table, read from its source."""
+    tree = ast.parse(SPANS.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/spans.py defines no TARGETS")
+
+
+def test_benchmark_span_targets_resolve():
+    missing = []
+    for _, module, attribute in _span_targets():
+        obj = importlib.import_module(module)
+        for part in attribute.split("."):  # a dotted name is an attribute of a class
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"{module}.{attribute}")
+    assert missing == []

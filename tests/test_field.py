@@ -4,19 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ap3.field import (
-    DirectSumSplitter,
     EnumerationCapError,
     FieldParams,
     ParameterError,
     Subspace,
     enumerate_subspaces,
     gaussian_binomial,
-    inverse_mod_p,
     is_prime,
     matrix_rank,
     rref,
     sample_uniform_subspace,
 )
+from ap3.midpoint import SubspaceFrame
+from ap3.spectral import DenseFunction, dft
 
 SMALL_PARAMS = st.sampled_from([(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 2)])
 
@@ -70,18 +70,6 @@ def test_rref_idempotent_and_rank():
     assert pivots == pivots2
     assert matrix_rank(M, 3) == 2
     assert matrix_rank(np.zeros((2, 3)), 3) == 0
-
-
-def test_inverse_mod_p(rng):
-    p = 5
-    for _ in range(20):
-        M = rng.integers(0, p, size=(3, 3))
-        if matrix_rank(M, p) < 3:
-            continue
-        inv = inverse_mod_p(M, p)
-        assert np.array_equal((M @ inv) % p, np.eye(3, dtype=np.int64))
-    with pytest.raises(ValueError):
-        inverse_mod_p(np.zeros((2, 2), dtype=np.int64), 5)
 
 
 def test_gaussian_binomial_known():
@@ -181,25 +169,31 @@ def test_sampling_covers_all_lines(rng):
     assert min(counts.values()) > 2000 / 4 * 0.7
 
 
-def test_direct_sum_splitter(p33, rng):
+def test_frame_cells_split_every_element(p33, rng):
+    spectrum = dft(DenseFunction.constant(p33, 1.0))
     for _ in range(10):
         W = sample_uniform_subspace(p33, 2, rng)
         V = W.complement()
         if not V.intersects_trivially(W):
             continue
-        splitter = DirectSumSplitter.build(V, W)
-        xs = np.arange(p33.F, dtype=np.int64)
-        vs, ws = splitter.split_many(xs)
-        for x, v, w in zip(xs, vs, ws):
-            assert V.contains(int(v)) and W.contains(int(w))
-            assert p33.add(int(v), int(w)) == int(x)
+        frame = SubspaceFrame.build(spectrum, W, V)
+        for x in range(p33.F):
+            (pos_w,), (pos_v,) = frame.place_positions(np.array([x]))
+            w, v = int(frame.w_members[pos_w]), int(frame.v_members[pos_v])
+            assert W.contains(w) and V.contains(v)
+            assert p33.add(w, v) == x
 
 
 def test_direct_sum_rejects_overlap(p33):
+    spectrum = dft(DenseFunction.constant(p33, 1.0))
     W = Subspace.from_rows(p33, [[1, 0, 0], [0, 1, 0]])
     V = Subspace.from_rows(p33, [[1, 0, 0]])
     with pytest.raises(ValueError):
-        DirectSumSplitter.build(V, W)
+        SubspaceFrame.build(spectrum, W, V)
+    # equal dimensions, but W meets its complement: the grid covers F twice over
+    W = Subspace.from_rows(p33, [[1, 1, 1]])
+    with pytest.raises(ValueError, match="direct sum"):
+        SubspaceFrame.build(spectrum, W, W.complement())
 
 
 def test_subspace_json_round_trip(p33):

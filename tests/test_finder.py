@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ap3.field import (
     EnumerationCapError,
@@ -9,12 +11,14 @@ from ap3.field import (
     InfeasibleError,
     Subspace,
     enumerate_subspaces,
+    sample_uniform_subspace,
 )
 from ap3.finder import (
     FinderBudgetError,
     FinderConfig,
     chebyshev_moments,
     choose_dimension,
+    coset_sum,
     coset_sums,
     dense_translates,
     density_floor,
@@ -58,6 +62,37 @@ def test_coset_sums_exact(p33, rng):
         assert sums[reps[m]] == pytest.approx(direct, abs=1e-12)
         seen.add(int(reps[m]))
     assert len(seen) == p33.F // W.size
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)]),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_coset_sum_matches_coset_sums(pn, seed, data):
+    params = FieldParams(*pn)
+    rng = np.random.default_rng(seed)
+    g = random_function(params, rng)
+    W = sample_uniform_subspace(params, data.draw(st.integers(0, params.n)), rng)
+    t = data.draw(st.integers(0, params.F - 1))
+    reps, sums = coset_sums(g, W)
+    assert coset_sum(g.values, W.coset(t)) == sums[reps[t]]
+
+
+def test_sampled_estimators_read_one_coset(p33, rng, monkeypatch):
+    calls = []
+    full_field = Subspace.coset_representatives
+
+    def counted(self):
+        calls.append(self)
+        return full_field(self)
+
+    monkeypatch.setattr(Subspace, "coset_representatives", counted)
+    g = random_function(p33, rng)
+    estimate_condition_probabilities(p33, 1, A=np.array([0, 1]), g=g, trials=20, rng=rng)
+    chebyshev_moments(g, 2, trials=20, rng=rng)
+    assert calls == []
 
 
 def test_dense_translates_full_for_constant(p33):
