@@ -218,14 +218,19 @@ class ExperimentConfig:
             raise ConfigError("give delta or gamma, not both")
         if delta is not None and float(delta) < 0:
             raise ConfigError(f"field 'delta' must be nonnegative, got {delta}")
-        n, k = int(raw["n"]), int(raw["k"])
+        p, n, k = int(raw["p"]), int(raw["n"]), int(raw["k"])
         if k < 2:
             raise ConfigError(f"field 'k' must be at least 2, got {k}")
+        if p >= 2 and n >= 1 and k > p**n:
+            raise ConfigError(f"field 'k' must be at most p**n={p**n}, got {k}")
         nprime = None if raw.get("nprime") is None else int(raw["nprime"])
         if nprime is not None and not 0 <= nprime <= n:
             raise ConfigError(f"field 'nprime' must lie in [0, n={n}], got {nprime}")
+        trials = int(raw.get("trials", 0))
+        if trials < 0:
+            raise ConfigError(f"field 'trials' must be nonnegative, got {trials}")
         return cls(
-            p=int(raw["p"]),
+            p=p,
             n=n,
             seed=int(raw["seed"]),
             f_recipe=dict(raw["f"]),
@@ -237,7 +242,7 @@ class ExperimentConfig:
             refresh=refresh,
             max_attempts=int(raw.get("max_attempts", 256)),
             nprime=nprime,
-            trials=int(raw.get("trials", 0)),
+            trials=trials,
             exhaustive=bool(raw.get("exhaustive", False)),
             enumeration_cap=int(raw.get("enumeration_cap", 200_000)),
             brute_force_limit=int(raw.get("brute_force_limit", BRUTE_FORCE_LIMIT)),

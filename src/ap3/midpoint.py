@@ -17,6 +17,12 @@ g_i(m) >= E(g_i)/2 supports the certified pair-count floor
 
 and depleting r = ceil(E(g) F / 2) such midpoints assembles a positive lower
 bound for Lambda3.
+
+Q sees t only through v.t for v in V, and v.w = 0 for every w in W, so Q is
+constant on each coset t + W.  The finder's T is a union of such cosets, and
+select_translate scores one translate per coset.  Its tie-break is the
+smallest t of the first minimal coset, cosets ordered by their smallest
+members.
 """
 
 from __future__ import annotations
@@ -147,12 +153,19 @@ def select_translate(
 ) -> tuple[int, float]:
     """The translate in T minimizing Q, with its score.
 
-    With |T| >= F/4 the averaging identity guarantees the minimum is at most
-    4 sigma_k; a violation is a broken invariant, not a data condition.
+    Q is constant on each coset t + W, so only the smallest t of each coset
+    met by the ascending T is scored.  Ties go to the first minimal coset in
+    ascending order.  With |T| >= F/4 the averaging identity guarantees the
+    minimum is at most 4 sigma_k; a violation is a broken invariant, not a
+    data condition.
     """
-    scores = translate_scores(frame, A, translates)
+    translates = np.asarray(translates, dtype=np.int64)
+    coset_ids = frame.cell[translates] % frame.v_members.size  # x + W = v(x) + W
+    _, first = np.unique(coset_ids, return_index=True)
+    reps = translates[np.sort(first)]
+    scores = translate_scores(frame, A, reps)
     pos = int(np.argmin(scores))
-    t, q = int(translates[pos]), float(scores[pos])
+    t, q = int(reps[pos]), float(scores[pos])
     F = frame.spectrum.params.F
     if translates.size >= F / 4.0 and q > 4.0 * sigma_k + INVARIANT_TOLERANCE:
         raise ContextInvariantError(
@@ -365,7 +378,6 @@ def run_depletion(
                 "does not apply from here on",
                 stacklevel=2,
             )
-        gi_fn = DenseFunction.make(params, gi)
         reused = False
         if refresh == "lazy" and current is not None:
             good, frame, t, q = current
@@ -376,7 +388,9 @@ def run_depletion(
                 current = None
         if current is None or not reused:
             try:
-                good = find_good_subspace(A, gi_fn, cfg, rng, warn=False)
+                good = find_good_subspace(
+                    A, DenseFunction.make(params, gi), cfg, rng, warn=False
+                )
             except FinderBudgetError as err:
                 for key in rejections:
                     rejections[key] += err.rejections.get(key, 0)

@@ -257,6 +257,10 @@ def test_verify_non_object_config(capsys, tmp_path, raw):
         ({"k": 1}, [], "'k'"),
         ({"nprime": 9}, [], "'nprime'"),
         ({"delta": -1}, [], "'delta'"),
+        ({}, ["--k", "40"], "'k'"),
+        ({"k": 10}, [], "'k'"),
+        ({"trials": -5}, [], "'trials'"),
+        ({}, ["--trials", "-5"], "'trials'"),
     ],
 )
 def test_verify_rejects_out_of_range_config(capsys, tmp_path, entry, argv, field):

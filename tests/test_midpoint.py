@@ -2,7 +2,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ap3.midpoint
 from ap3.bounds import HypothesisRefusal
 from ap3.field import FieldParams, Subspace
 from ap3.finder import FinderConfig, find_good_subspace
@@ -49,9 +52,38 @@ def test_select_translate_is_argmin_and_bounded(p33, rng):
     sigma = spectrum.sigma(2)
     t, q = select_translate(frame, A, good.translates, sigma)
     scores = translate_scores(frame, A, good.translates)
-    assert q == pytest.approx(scores.min())
-    assert t == int(good.translates[np.argmin(scores)])
+    assert abs(q - scores.min()) <= 1e-12 * max(1.0, p33.F * sigma)
+    in_T = np.intersect1d(good.W.coset(t), good.translates)
+    assert t == int(in_T.min())
     assert q <= 4.0 * sigma + 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(3, 3), (5, 2), (7, 2)]), st.integers(0, 2**32 - 1))
+def test_scores_constant_on_w_cosets(pn, seed):
+    params = FieldParams(*pn)
+    rng = np.random.default_rng(seed)
+    spectrum, A, good = separated_frame(random_function(params, rng), 2, rng)
+    frame = SubspaceFrame.build(spectrum, good.W, good.V)
+    scores = translate_scores(frame, A, np.arange(params.F))
+    reps = good.W.coset_representatives()
+    spread = max(np.ptp(scores[reps == r]) for r in np.unique(reps))
+    assert spread <= 1e-9 * (1.0 + scores.max())
+
+
+def test_select_translate_scores_one_per_coset(p33, rng, monkeypatch):
+    f = random_function(p33, rng)
+    spectrum, A, good = separated_frame(f, 2, rng)
+    frame = SubspaceFrame.build(spectrum, good.W, good.V)
+    scored = []
+
+    def counted(frame, A, ts):
+        scored.append(len(ts))
+        return translate_scores(frame, A, ts)
+
+    monkeypatch.setattr(ap3.midpoint, "translate_scores", counted)
+    select_translate(frame, A, good.translates, spectrum.sigma(2))
+    assert scored and sum(scored) <= good.V.size < good.translates.size
 
 
 def test_select_translate_zero_tail(p33, rng):
