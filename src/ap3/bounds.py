@@ -8,7 +8,7 @@ evaluated exactly as stated; callers decide which delta to feed them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -102,16 +102,6 @@ class OptimalK:
     stated_bound: float  # the headline closed-form value
     consistent: bool  # floor_exact >= stated_bound
 
-    def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "k_real": self.k_real,
-            "floor_weakened": self.floor_weakened,
-            "floor_exact": self.floor_exact,
-            "stated_bound": self.stated_bound,
-            "consistent": self.consistent,
-        }
-
 
 def _weakened_objective(p: int, F: int, theta: float, gamma: float, k: int) -> float:
     return lambda3_floor(p, F, k, theta, plugin_delta(F, gamma, k), form="weakened")
@@ -168,18 +158,8 @@ class HypothesisReport:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "delta": self.delta,
-            "theta": self.theta,
-            "e_f": self.e_f,
-            "e_g": self.e_g,
-            "sigma_k": self.sigma_k,
-            "items": [
-                {"name": n, "passed": ok, "detail": d} for n, ok, d in self.items
-            ],
-            "passed": self.passed,
-        }
+        items = [{"name": n, "passed": ok, "detail": d} for n, ok, d in self.items]
+        return {**asdict(self), "items": items}
 
 
 def derived_theta(e_g: float, F: int) -> float:

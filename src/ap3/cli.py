@@ -256,8 +256,15 @@ def cmd_verify(args) -> int:
     return code
 
 
-def _estimate_row(task) -> dict:
-    params, k, lemma, trials, exhaustive, cap, child = task
+def _estimate_row(
+    params: FieldParams,
+    k: int,
+    lemma: str,
+    trials: int,
+    exhaustive: bool,
+    cap: int,
+    child: np.random.SeedSequence,
+) -> dict:
     rng = np.random.default_rng(child)
     nprime = choose_dimension(k, params)
     g = DenseFunction.make(params, rng.uniform(0.0, 1.0, params.F))
@@ -301,11 +308,10 @@ def _estimate_row(task) -> dict:
 def cmd_estimate(args) -> int:
     params = FieldParams(args.p, args.n)
     children = np.random.SeedSequence(args.seed).spawn(len(args.k))
-    tasks = [
-        (params, k, args.lemma, args.trials, args.exhaustive, args.cap, child)
+    rows = [
+        _estimate_row(params, k, args.lemma, args.trials, args.exhaustive, args.cap, child)
         for k, child in zip(args.k, children)
     ]
-    rows = [_estimate_row(task) for task in tasks]
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
     writer.writeheader()

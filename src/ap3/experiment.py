@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .bounds import (
     HypothesisRefusal,
     check_hypotheses,
     delta_from_sigma,
+    density_floor,
     derived_theta,
     lambda3_floor,
     plugin_delta,
@@ -34,7 +35,6 @@ from .finder import (
     FinderConfig,
     chebyshev_moments,
     choose_dimension,
-    density_floor,
     estimate_condition_probabilities,
 )
 from .functions import (
@@ -162,6 +162,8 @@ def _integer(spec: dict, key: str) -> int:
 
 
 _ORDERING_CHOICES = {"fgf": ("fgf",), "gff": ("gff",), "both": ("fgf", "gff")}
+# Config keys whose ExperimentConfig attribute carries a different name.
+_CONFIG_KEYS = {"f_recipe": "f", "g_recipe": "g", "orderings": "ordering"}
 
 
 @dataclass(frozen=True)
@@ -189,11 +191,7 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
-        known = {
-            "p", "n", "seed", "f", "g", "k", "delta", "gamma", "ordering",
-            "refresh", "max_attempts", "nprime", "trials", "exhaustive",
-            "enumeration_cap", "brute_force_limit", "force", "label",
-        }
+        known = {_CONFIG_KEYS.get(f.name, f.name) for f in fields(cls)}
         extra = set(raw) - known
         if extra:
             raise ConfigError(f"unknown config fields: {sorted(extra)}")
@@ -251,26 +249,7 @@ class ExperimentConfig:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "n": self.n,
-            "seed": self.seed,
-            "f": self.f_recipe,
-            "g": self.g_recipe,
-            "k": self.k,
-            "delta": self.delta,
-            "gamma": self.gamma,
-            "ordering": list(self.orderings),
-            "refresh": self.refresh,
-            "max_attempts": self.max_attempts,
-            "nprime": self.nprime,
-            "trials": self.trials,
-            "exhaustive": self.exhaustive,
-            "enumeration_cap": self.enumeration_cap,
-            "brute_force_limit": self.brute_force_limit,
-            "force": self.force,
-            "label": self.label,
-        }
+        return {_CONFIG_KEYS.get(key, key): value for key, value in asdict(self).items()}
 
     def delta_mode(self) -> str:
         if self.delta is not None:
@@ -322,39 +301,13 @@ def strip_timing(report: dict) -> dict:
     return out
 
 
-def _certificate_dict(cert) -> dict:
-    return {
-        "step": cert.step,
-        "ordering": cert.ordering,
-        "m": cert.m,
-        "t": cert.t,
-        "g_value": cert.g_value,
-        "e_gi": cert.e_gi,
-        "q_value": cert.q_value,
-        "pair_count": cert.pair_count,
-        "floor": cert.floor,
-        "vacuous": cert.vacuous,
-        "hypotheses_held": cert.hypotheses_held,
-        "reused": cert.reused,
-        "finder_attempts": cert.finder_attempts,
-    }
-
-
 def _run_dict(run, rhs_exact: float, brute: float, spectral: float) -> dict:
+    """Every DepletionRun field (steps as certificate dicts) plus the values
+    measured or derived outside the run."""
     return {
-        "ordering": run.ordering,
-        "k": run.k,
-        "delta": run.delta,
-        "sigma_k": run.sigma_k,
-        "e_g": run.e_g,
-        "r": run.r,
-        "steps": [_certificate_dict(c) for c in run.steps],
-        "lambda_lower": run.lambda_lower,
+        **asdict(run),
         "lambda_measured_brute": brute,
         "lambda_measured_spectral": spectral,
-        "density_ok": run.density_ok,
-        "partial": run.partial,
-        "finder_rejections": dict(run.finder_rejections),
         "certificates_ok": run.certificates_ok,
         "vacuous_steps": run.vacuous_steps,
         "floor_exact": rhs_exact,
@@ -394,14 +347,19 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
         if not passed:
             codes.append(EXIT_ASSERTION)
 
+    def finish() -> tuple[dict, int]:
+        report["passed"] = (
+            all(a["passed"] for a in report["assertions"]) and not report["failures"]
+        )
+        report["timing"] = {"wall_seconds": round(time.perf_counter() - start, 3)}
+        return report, worst_exit(codes)
+
     try:
         f = build_recipe(params, config.f_recipe, rng_corpus)
         g = derive_minorant(f, config.g_recipe, rng_corpus)
     except (ConfigError, ValueError) as exc:
         fail("config", str(exc), EXIT_ERROR)
-        report["passed"] = False
-        report["timing"] = {"wall_seconds": round(time.perf_counter() - start, 3)}
-        return report, worst_exit(codes)
+        return finish()
 
     if params.F > config.brute_force_limit and not config.force:
         fail(
@@ -410,9 +368,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
             "pass force to spend the quadratic time",
             EXIT_ERROR,
         )
-        report["passed"] = False
-        report["timing"] = {"wall_seconds": round(time.perf_counter() - start, 3)}
-        return report, worst_exit(codes)
+        return finish()
 
     spectrum = dft(f)
     delta = resolve_delta(config, spectrum)
@@ -435,9 +391,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
         report["nprime"] = nprime
     except ValueError as exc:
         fail("config", str(exc), EXIT_ERROR)
-        report["passed"] = False
-        report["timing"] = {"wall_seconds": round(time.perf_counter() - start, 3)}
-        return report, worst_exit(codes)
+        return finish()
     report["density_floor"] = density_floor(params, config.k)
 
     rhs_exact = (
@@ -581,11 +535,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
             f"measured {brute:.6g} vs trivial {trivial_lower_bound(g):.6g}",
         )
 
-    report["passed"] = (
-        all(a["passed"] for a in report["assertions"]) and not report["failures"]
-    )
-    report["timing"] = {"wall_seconds": round(time.perf_counter() - start, 3)}
-    return report, worst_exit(codes)
+    return finish()
 
 
 def load_config_file(path: str, overrides: dict | None = None) -> list[ExperimentConfig]:

@@ -7,19 +7,19 @@ set of the top places only in 0; (coset density) at least F/4 translates t
 have sum_{m in t+W} g(m) >= E(g) |W| / 2; (direct sum) W and V meet only in 0,
 so every element splits uniquely as v + w.  The first two events each hold
 with probability > 1/2 resp. > 3/4 when the density hypothesis E(g) >
-8 p^(-1/2) k^(-1) is met, so rejection sampling terminates quickly; below the
-hypothesis the finder warns and proceeds, where the budget does the guarding.
+8 p^(-1/2) k^(-1) is met, so rejection sampling terminates quickly.  Below
+the hypothesis the finder proceeds all the same and the attempt budget does
+the guarding; check_hypotheses and run_depletion report the shortfall.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import density_floor, pair_count
+from .bounds import pair_count
 from .field import (
     DEFAULT_ENUMERATION_CAP,
     FieldParams,
@@ -107,7 +107,6 @@ class GoodSubspace:
     translates: np.ndarray
     attempts: int
     rejections: dict
-    density_ok: bool
 
 
 def find_good_subspace(
@@ -115,25 +114,12 @@ def find_good_subspace(
     g: DenseFunction,
     cfg: FinderConfig,
     rng: np.random.Generator,
-    warn: bool = True,
 ) -> GoodSubspace:
-    """Rejection-sample W until separation, coset density, and directness hold.
-
-    warn=False leaves the below-floor warning to a caller that invokes the
-    finder repeatedly and reports once on its own.
-    """
+    """Rejection-sample W until separation, coset density, and directness hold."""
     params = g.params
     nprime = cfg.nprime if cfg.nprime is not None else choose_dimension(cfg.k, params)
     B = difference_set(params, np.asarray(A, dtype=np.int64))
     mean = g.mean()
-    floor = density_floor(params, cfg.k)
-    density_ok = mean >= floor
-    if not density_ok and warn:
-        warnings.warn(
-            f"E(g)={mean:.6g} below the density floor {floor:.6g}; "
-            "the coset-density guarantee does not apply",
-            stacklevel=2,
-        )
     rejections = {"separation": 0, "coset_density": 0, "direct_sum": 0}
     for attempt in range(1, cfg.max_attempts + 1):
         W = sample_uniform_subspace(params, nprime, rng)
@@ -148,7 +134,7 @@ def find_good_subspace(
         if T.size < params.F / 4.0:
             rejections["coset_density"] += 1
             continue
-        return GoodSubspace(W, V, T, attempt, rejections, density_ok)
+        return GoodSubspace(W, V, T, attempt, rejections)
     raise FinderBudgetError(
         f"no good subspace in {cfg.max_attempts} attempts (rejections: {rejections})",
         rejections,

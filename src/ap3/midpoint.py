@@ -33,14 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import HypothesisRefusal
+from .bounds import HypothesisRefusal, density_floor
 from .field import Subspace, check_same_params
 from .finder import (
     FinderBudgetError,
     FinderConfig,
     GoodSubspace,
     coset_sum,
-    density_floor,
     find_good_subspace,
     is_dense,
 )
@@ -126,26 +125,16 @@ class SubspaceFrame:
         return self.fhat_wv @ self.phases(ts)
 
 
-def translate_scores(
-    frame: SubspaceFrame, A: np.ndarray, ts: np.ndarray, chunk: int = 2048
-) -> np.ndarray:
+def translate_scores(frame: SubspaceFrame, A: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """Q(t) for each candidate translate."""
-    ts = np.asarray(ts, dtype=np.int64)
     pos_w, pos_v = frame.place_positions(A)
     fa = frame.spectrum.coeffs[np.asarray(A, dtype=np.int64)]
     w2_mask = np.ones(frame.w_members.size, dtype=bool)
     w2_mask[pos_w] = False
-    out = np.empty(ts.size)
-    for start in range(0, ts.size, chunk):
-        block = ts[start : start + chunk]
-        phases = frame.phases(block)  # (|V|, b)
-        H = frame.fhat_wv @ phases  # (|W|, b)
-        main = H[pos_w, :] - fa[:, None] * phases[pos_v, :]
-        q = np.abs(main) ** 2
-        out[start : start + len(block)] = q.sum(axis=0) + (
-            np.abs(H[w2_mask, :]) ** 2
-        ).sum(axis=0)
-    return out
+    phases = frame.phases(ts)  # (|V|, len(ts))
+    H = frame.fhat_wv @ phases  # (|W|, len(ts))
+    main = H[pos_w, :] - fa[:, None] * phases[pos_v, :]
+    return (np.abs(main) ** 2).sum(axis=0) + (np.abs(H[w2_mask, :]) ** 2).sum(axis=0)
 
 
 def select_translate(
@@ -366,7 +355,7 @@ def run_depletion(
     partial = False
     warned_floor = False
     rejections = {"separation": 0, "coset_density": 0, "direct_sum": 0}
-    current: tuple[GoodSubspace, SubspaceFrame, int, float] | None = None
+    current: tuple[GoodSubspace, np.ndarray, int, float] | None = None  # (good, coset, t, q)
 
     for i in range(1, r + 1):
         e_gi = sum_g / F
@@ -380,17 +369,14 @@ def run_depletion(
             )
         reused = False
         if refresh == "lazy" and current is not None:
-            good, frame, t, q = current
-            coset = good.W.coset(t)
+            good, coset, t, q = current
             if is_dense(coset_sum(gi, coset), e_gi, good.W.size):
                 reused = True
             else:
                 current = None
         if current is None or not reused:
             try:
-                good = find_good_subspace(
-                    A, DenseFunction.make(params, gi), cfg, rng, warn=False
-                )
+                good = find_good_subspace(A, DenseFunction.make(params, gi), cfg, rng)
             except FinderBudgetError as err:
                 for key in rejections:
                     rejections[key] += err.rejections.get(key, 0)
@@ -400,8 +386,8 @@ def run_depletion(
                 rejections[key] += good.rejections.get(key, 0)
             frame = SubspaceFrame.build(spectrum, good.W, good.V)
             t, q = select_translate(frame, A, good.translates, sigma_k)
-            current = (good, frame, t, q)
             coset = good.W.coset(t)
+            current = (good, coset, t, q)
 
         local = gi[coset]
         pos = int(np.argmax(local))

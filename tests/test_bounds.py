@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -116,7 +117,7 @@ def test_optimal_k_minimum_two():
 
 def test_optimal_k_as_dict_roundtrip():
     res = optimal_k(3, 27, 0.0, 0.0)
-    d = res.as_dict()
+    d = asdict(res)
     assert d["k"] == res.k
     assert d["consistent"] is True
 

@@ -1,10 +1,9 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ap3.bounds import density_floor
 from ap3.field import (
     EnumerationCapError,
     FieldParams,
@@ -21,7 +20,6 @@ from ap3.finder import (
     coset_sum,
     coset_sums,
     dense_translates,
-    density_floor,
     estimate_condition_probabilities,
     find_good_subspace,
 )
@@ -129,15 +127,12 @@ def test_find_good_subspace_basic(p33, rng):
     A = np.array([0, 1, 2], dtype=np.int64)
     found = find_good_subspace(A, g, FinderConfig(k=5, nprime=1), rng)
     _verify_good(found, A, g, p33)
-    assert found.density_ok
     assert found.attempts <= 256
 
 
 def test_find_good_subspace_singleton(p33, rng):
     g = DenseFunction.constant(p33, 0.8)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        found = find_good_subspace(np.array([0]), g, FinderConfig(k=1), rng)
+    found = find_good_subspace(np.array([0]), g, FinderConfig(k=1), rng)
     _verify_good(found, np.array([0]), g, p33)
 
 
@@ -153,9 +148,7 @@ def test_find_good_subspace_success_rate(p33):
         g = DenseFunction.make(p33, vals)
         A = rng.choice(p33.F, size=2, replace=False).astype(np.int64)
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                find_good_subspace(A, g, FinderConfig(k=2, max_attempts=10), rng)
+            find_good_subspace(A, g, FinderConfig(k=2, max_attempts=10), rng)
             successes += 1
         except FinderBudgetError:
             pass
@@ -164,21 +157,12 @@ def test_find_good_subspace_success_rate(p33):
 
 def test_find_good_subspace_budget_error(p33, rng):
     g = indicator(p33, [0])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(FinderBudgetError) as exc:
-            find_good_subspace(np.array([0]), g, FinderConfig(k=1, max_attempts=16), rng)
+    with pytest.raises(FinderBudgetError) as exc:
+        find_good_subspace(np.array([0]), g, FinderConfig(k=1, max_attempts=16), rng)
     # every attempt is rejected; isotropic draws fall to direct_sum first
     assert sum(exc.value.rejections.values()) == 16
     assert exc.value.rejections["separation"] == 0
     assert exc.value.rejections["coset_density"] >= 1
-
-
-def test_find_good_subspace_warns_below_floor(p33, rng):
-    g = DenseFunction.constant(p33, 0.05)
-    with pytest.warns(UserWarning, match="density floor"):
-        found = find_good_subspace(np.array([0]), g, FinderConfig(k=2), rng)
-    assert not found.density_ok
 
 
 def test_estimate_exact_pair():

@@ -30,9 +30,7 @@ def separated_frame(f, k, rng):
     spectrum = dft(f)
     A = spectrum.top_places(k)
     ones = DenseFunction.constant(f.params, 1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        good = find_good_subspace(A, ones, FinderConfig(k=k), rng)
+    good = find_good_subspace(A, ones, FinderConfig(k=k), rng)
     return spectrum, A, good
 
 
@@ -193,6 +191,18 @@ def test_depletion_constant_function(p33):
         assert step.g_value == pytest.approx(1.0)
         assert step.pair_count == pytest.approx(F)
         assert step.e_gi >= run.e_g / 2.0 - 1e-12
+
+
+def test_depletion_warns_once_below_floor(p33):
+    # E(g) = 1/2 sits below the floor 8 / (sqrt(3) * 2) from the first step on
+    one = DenseFunction.constant(p33, 1.0)
+    half = DenseFunction.constant(p33, 0.5)
+    with pytest.warns(UserWarning, match="density floor") as record:
+        run = run_depletion(one, half, k=2, delta=0.0, rng=np.random.default_rng(7))
+    assert len(record) == 1
+    assert "step 1 of 7" in str(record[0].message)
+    assert not run.density_ok
+    assert len(run.steps) == run.r == 7
 
 
 def test_depletion_bookkeeping_exact(p33, rng):
