@@ -216,10 +216,16 @@ class ExperimentConfig:
             raise ConfigError("give delta or gamma, not both")
         if delta is not None and float(delta) < 0:
             raise ConfigError(f"field 'delta' must be nonnegative, got {delta}")
-        p, n, k = int(raw["p"]), int(raw["n"]), int(raw["k"])
+        p, n, k, seed = int(raw["p"]), int(raw["n"]), int(raw["k"]), int(raw["seed"])
+        try:
+            FieldParams(p, n)
+        except ValueError as exc:
+            raise ConfigError(f"fields 'p' and 'n': {exc}") from None
+        if not 0 <= seed < 2**64:
+            raise ConfigError(f"field 'seed' must lie in [0, 2**64), got {seed}")
         if k < 2:
             raise ConfigError(f"field 'k' must be at least 2, got {k}")
-        if p >= 2 and n >= 1 and k > p**n:
+        if k > p**n:
             raise ConfigError(f"field 'k' must be at most p**n={p**n}, got {k}")
         nprime = None if raw.get("nprime") is None else int(raw["nprime"])
         if nprime is not None and not 0 <= nprime <= n:
@@ -230,7 +236,7 @@ class ExperimentConfig:
         return cls(
             p=p,
             n=n,
-            seed=int(raw["seed"]),
+            seed=seed,
             f_recipe=dict(raw["f"]),
             g_recipe=dict(raw.get("g", {"kind": "same"})),
             k=k,

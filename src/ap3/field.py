@@ -98,26 +98,6 @@ class FieldParams:
         """Vectorized index_of for an (m, n) array of digit vectors."""
         return (np.asarray(digit_rows, dtype=np.int64) % self.p) @ self.powers()
 
-    def dot(self, a: int, b: int) -> int:
-        """Coordinate dot product a.b mod p."""
-        da, db = self.digits_of(a), self.digits_of(b)
-        return int((da * db).sum() % self.p)
-
-    def add(self, a: int, b: int) -> int:
-        return self.index_of(self.digits_of(a) + self.digits_of(b))
-
-    def sub(self, a: int, b: int) -> int:
-        return self.index_of(self.digits_of(a) - self.digits_of(b))
-
-    def neg(self, a: int) -> int:
-        return self.index_of(-self.digits_of(a))
-
-    def scale(self, c: int, a: int) -> int:
-        return self.index_of(c * self.digits_of(a))
-
-    def elements(self) -> range:
-        return range(self.F)
-
     def _check_element(self, x: int) -> None:
         if not 0 <= x < self.F:
             raise ValueError(f"element index {x} outside [0, {self.F})")
@@ -172,11 +152,6 @@ def rref(matrix, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
         if r == rows:
             break
     return M[:r], tuple(pivots)
-
-
-def matrix_rank(matrix, p: int) -> int:
-    rows, _ = rref(matrix, p)
-    return rows.shape[0]
 
 
 def gaussian_binomial(n: int, k: int, p: int) -> int:
@@ -236,9 +211,20 @@ class Subspace:
         the basis is kept in reduced row echelon form."""
         return tuple(next(c for c, v in enumerate(row) if v) for row in self.basis)
 
+    def labels(self, indices=None) -> np.ndarray:
+        """basis.x mod p read as a base-p integer in [0, p^dim), for each x in
+        indices (every element when None).  Labels agree exactly on the cosets
+        of the orthogonal complement and are 0 exactly on it: for V = W-perp,
+        V.labels() names every coset of W and W.labels() every coset of V."""
+        digits = self.params.digit_table()
+        if indices is not None:
+            digits = digits[np.asarray(indices, dtype=np.int64)]
+        return ((digits @ self.matrix.T) % self.params.p) @ _power_table(self.params.p, self.dim)
+
     def reduce_digit_rows(self, digit_rows: np.ndarray) -> np.ndarray:
         """Eliminate this subspace from each digit row: result is the canonical
-        coset representative of each row modulo the subspace."""
+        coset representative of each row modulo the subspace.  An oracle path;
+        the fast path names cosets by labels."""
         p = self.params.p
         R = np.array(digit_rows, dtype=np.int64) % p
         single = R.ndim == 1
@@ -253,15 +239,6 @@ class Subspace:
 
     def contains(self, x: int) -> bool:
         return not self.reduce_digit_rows(self.params.digits_of(x)).any()
-
-    def contains_any_nonzero(self, indices) -> bool:
-        """True when some nonzero element of `indices` lies in the subspace."""
-        idx = np.asarray(indices, dtype=np.int64)
-        idx = idx[idx != 0]
-        if idx.size == 0:
-            return False
-        reduced = self.reduce_digit_rows(self.params.digit_table()[idx])
-        return bool(np.any(~reduced.any(axis=1)))
 
     def members(self) -> np.ndarray:
         """All element indices of the subspace, ascending."""
@@ -285,7 +262,8 @@ class Subspace:
         return out
 
     def coset_representatives(self) -> np.ndarray:
-        """For every x in F, the index of the canonical representative of x + subspace."""
+        """For every x in F, the index of the canonical representative of x + subspace.
+        The oracle for complement().labels(), and a layer the benchmark times."""
         reduced = self.reduce_digit_rows(self.params.digit_table())
         return self.params.indices_of(reduced)
 
@@ -306,11 +284,6 @@ class Subspace:
         if not rows:
             return Subspace.zero(self.params)
         return Subspace.from_rows(self.params, np.array(rows))
-
-    def intersects_trivially(self, other: "Subspace") -> bool:
-        """True when the two subspaces meet only in 0."""
-        stacked = np.concatenate([self.matrix, other.matrix], axis=0)
-        return matrix_rank(stacked, self.params.p) == self.dim + other.dim
 
     def to_json_dict(self) -> dict:
         return {

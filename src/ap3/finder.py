@@ -10,6 +10,10 @@ with probability > 1/2 resp. > 3/4 when the density hypothesis E(g) >
 8 p^(-1/2) k^(-1) is met, so rejection sampling terminates quickly.  Below
 the hypothesis the finder proceeds all the same and the attempt budget does
 the guarding; check_hypotheses and run_depletion report the shortfall.
+
+All three tests read coset labels (Subspace.labels): V.labels() names the
+cosets of W, W.labels(x) is 0 exactly when x lies in V, and W meets V only
+in 0 exactly when W.labels is injective on W.
 """
 
 from __future__ import annotations
@@ -62,12 +66,11 @@ def choose_dimension(k: int, params: FieldParams) -> int:
     return nprime
 
 
-def coset_sums(g: DenseFunction, W: Subspace) -> tuple[np.ndarray, np.ndarray]:
-    """(reps, sums): reps[x] is the canonical representative of x + W and
-    sums[reps[x]] the total of g over that coset (zero off-representative)."""
-    reps = W.coset_representatives()
-    sums = np.bincount(reps, weights=g.values, minlength=g.params.F)
-    return reps, sums
+def coset_sums(g: DenseFunction, V: Subspace) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, sums) for the cosets of W = V-perp: labels[x] = V.labels(x)
+    names the coset x + W and sums[labels[x]] is the total of g over it."""
+    labels = V.labels()
+    return labels, np.bincount(labels, weights=g.values, minlength=V.size)
 
 
 def coset_sum(values: np.ndarray, coset: np.ndarray) -> float:
@@ -86,11 +89,17 @@ def is_dense(total, mean: float, size: int):
     return total >= mean * size / 2.0 - COSET_SUM_TOLERANCE
 
 
-def dense_translates(g: DenseFunction, W: Subspace, mean: float | None = None) -> np.ndarray:
-    """All t whose coset t + W carries at least E(g) |W| / 2 of mass."""
+def dense_translates(g: DenseFunction, V: Subspace, mean: float | None = None) -> np.ndarray:
+    """All t whose coset t + W, W = V-perp, carries at least E(g) |W| / 2 of mass."""
     mean = g.mean() if mean is None else mean
-    reps, sums = coset_sums(g, W)
-    return np.flatnonzero(is_dense(sums[reps], mean, W.size)).astype(np.int64)
+    labels, sums = coset_sums(g, V)
+    size = g.params.F // V.size
+    return np.flatnonzero(is_dense(sums[labels], mean, size)).astype(np.int64)
+
+
+def separates(W: Subspace, B: np.ndarray) -> bool:
+    """The separation event: V = W-perp holds no nonzero b in B."""
+    return not (W.labels(B[B != 0]) == 0).any()
 
 
 @dataclass(frozen=True)
@@ -124,13 +133,13 @@ def find_good_subspace(
     for attempt in range(1, cfg.max_attempts + 1):
         W = sample_uniform_subspace(params, nprime, rng)
         V = W.complement()
-        if not W.intersects_trivially(V):
+        if np.unique(W.labels(W.members())).size < W.size:
             rejections["direct_sum"] += 1
             continue
-        if V.contains_any_nonzero(B):
+        if not separates(W, B):
             rejections["separation"] += 1
             continue
-        T = dense_translates(g, W, mean)
+        T = dense_translates(g, V, mean)
         if T.size < params.F / 4.0:
             rejections["coset_density"] += 1
             continue
@@ -180,8 +189,8 @@ def _sample_cosets(
             return spaces, None
         blocks = []
         for W in spaces:
-            reps, sums = coset_sums(g, W)
-            blocks.append(sums[reps])
+            labels, sums = coset_sums(g, W.complement())
+            blocks.append(sums[labels])
         return spaces, np.concatenate(blocks)
     if rng is None:
         raise ValueError("sampled mode needs an rng")
@@ -217,7 +226,7 @@ def estimate_condition_probabilities(
     spaces, X = _sample_cosets(params, nprime, g, trials, rng, exhaustive, cap)
     p_sep = se_sep = p_den = se_den = None
     if B is not None:
-        hits = sum(1 for W in spaces if not W.complement().contains_any_nonzero(B))
+        hits = sum(1 for W in spaces if separates(W, B))
         p_sep, se_sep = _frequency(hits, len(spaces), exhaustive)
     if g is not None:
         hits = int(np.count_nonzero(is_dense(X, g.mean(), params.p**nprime)))

@@ -80,7 +80,12 @@ class SubspaceFrame:
 
     @classmethod
     def build(cls, spectrum: Spectrum, W: Subspace, V: Subspace) -> "SubspaceFrame":
-        """Index every w_i + v_j; the grid covers F once exactly when F = V (+) W."""
+        """Index every x = w_i + v_j by its coset labels.
+
+        With V = W-perp, W.labels(x) = W.labels(w_i) and V.labels(x) =
+        V.labels(v_j), so two position tables of size |W| and |V| give i and
+        j.  W.labels is injective on W exactly when F = V (+) W.
+        """
         params = spectrum.params
         W.params.same_as(params)
         V.params.same_as(params)
@@ -88,15 +93,18 @@ class SubspaceFrame:
             raise ValueError("component dimensions must sum to n")
         w_members = W.members()
         v_members = V.members()
-        wd = params.digit_table()[w_members]
-        vd = params.digit_table()[v_members]
-        grid = (wd[:, None, :] + vd[None, :, :]) % params.p
-        idx = params.indices_of(grid.reshape(-1, params.n))
-        cell = np.full(params.F, -1, dtype=np.int64)
-        cell[idx] = np.arange(params.F)
-        if (cell < 0).any():
+        if V.labels(w_members).any():
+            raise ValueError("V must be the orthogonal complement of W")
+        pos_w = np.full(W.size, -1, dtype=np.int64)
+        pos_w[W.labels(w_members)] = np.arange(W.size)
+        if (pos_w < 0).any():
             raise ValueError("subspaces do not form a direct sum")
-        fhat_wv = spectrum.coeffs[idx.reshape(w_members.size, v_members.size)]
+        pos_v = np.empty(V.size, dtype=np.int64)
+        pos_v[V.labels(v_members)] = np.arange(V.size)
+        cell = pos_w[W.labels()] * V.size + pos_v[V.labels()]
+        grid = np.empty(params.F, dtype=np.int64)
+        grid[cell] = np.arange(params.F)
+        fhat_wv = spectrum.coeffs[grid.reshape(W.size, V.size)]
         return cls(spectrum, W, V, w_members, v_members, fhat_wv, cell)
 
     def place_positions(self, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -189,8 +197,6 @@ def build_context(
 ) -> CosetContext:
     """Construct the window at (W, V, t) and verify every context invariant."""
     params = f.params
-    if V != W.complement():
-        raise ValueError("V must be the orthogonal complement of W")
     params._check_element(t)
     spectrum = spectrum if spectrum is not None else dft(f)
     frame = SubspaceFrame.build(spectrum, W, V)

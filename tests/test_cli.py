@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import ap3.experiment
 from ap3.cli import main
 from ap3.field import FieldParams
 from ap3.lambda3 import lambda3_brute
@@ -261,6 +262,9 @@ def test_verify_non_object_config(capsys, tmp_path, raw):
         ({"k": 10}, [], "'k'"),
         ({"trials": -5}, [], "'trials'"),
         ({}, ["--trials", "-5"], "'trials'"),
+        ({"p": 4}, [], "'p'"),
+        ({"n": 0}, [], "'n'"),
+        ({"seed": -1}, [], "'seed'"),
     ],
 )
 def test_verify_rejects_out_of_range_config(capsys, tmp_path, entry, argv, field):
@@ -275,6 +279,19 @@ def test_verify_rejects_out_of_range_config(capsys, tmp_path, entry, argv, field
     assert code == 1
     assert out == ""
     assert field in err
+
+
+def test_verify_rejects_bad_entry_before_any_run(capsys, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(ap3.experiment, "run_experiment", calls.append)
+    good = {"p": 3, "n": 2, "seed": 1, "k": 2, "f": {"kind": "constant", "value": 1.0}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"experiments": [good, {**good, "p": 4}]}))
+    code, out, err = run_cli(capsys, "verify", "--config", str(path))
+    assert code == 1
+    assert out == ""
+    assert "'p'" in err
+    assert calls == []
 
 
 def test_estimate_exhaustive_csv(capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from ap3.field import (
     InfeasibleError,
     Subspace,
     enumerate_subspaces,
+    rref,
     sample_uniform_subspace,
 )
 from ap3.finder import (
@@ -22,8 +25,10 @@ from ap3.finder import (
     dense_translates,
     estimate_condition_probabilities,
     find_good_subspace,
+    separates,
 )
 from ap3.functions import indicator
+from ap3.midpoint import run_depletion
 from ap3.spectral import DenseFunction
 
 from conftest import random_function
@@ -52,13 +57,14 @@ def test_density_floor(p33):
 def test_coset_sums_exact(p33, rng):
     g = random_function(p33, rng)
     W = Subspace.from_rows(p33, [[1, 0, 0], [0, 1, 0]])
-    reps, sums = coset_sums(g, W)
+    labels, sums = coset_sums(g, W.complement())
+    D = p33.digit_table()
     seen = set()
     for m in range(p33.F):
-        members = [p33.add(m, int(w)) for w in W.members()]
+        members = [p33.index_of(D[m] + D[w]) for w in W.members()]
         direct = sum(g.values[x] for x in members)
-        assert sums[reps[m]] == pytest.approx(direct, abs=1e-12)
-        seen.add(int(reps[m]))
+        assert sums[labels[m]] == pytest.approx(direct, abs=1e-12)
+        seen.add(int(labels[m]))
     assert len(seen) == p33.F // W.size
 
 
@@ -74,51 +80,63 @@ def test_coset_sum_matches_coset_sums(pn, seed, data):
     g = random_function(params, rng)
     W = sample_uniform_subspace(params, data.draw(st.integers(0, params.n)), rng)
     t = data.draw(st.integers(0, params.F - 1))
-    reps, sums = coset_sums(g, W)
-    assert coset_sum(g.values, W.coset(t)) == sums[reps[t]]
+    labels, sums = coset_sums(g, W.complement())
+    assert coset_sum(g.values, W.coset(t)) == sums[labels[t]]
 
 
 def test_sampled_estimators_read_one_coset(p33, rng, monkeypatch):
+    # the finder and the depletion loop too: every coset question on the
+    # fast path goes through Subspace.labels, never through row reduction
     calls = []
-    full_field = Subspace.coset_representatives
+    for name in ("coset_representatives", "reduce_digit_rows"):
+        original = getattr(Subspace, name)
 
-    def counted(self):
-        calls.append(self)
-        return full_field(self)
+        def counted(self, *args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(self, *args)
 
-    monkeypatch.setattr(Subspace, "coset_representatives", counted)
+        monkeypatch.setattr(Subspace, name, counted)
     g = random_function(p33, rng)
     estimate_condition_probabilities(p33, 1, A=np.array([0, 1]), g=g, trials=20, rng=rng)
     chebyshev_moments(g, 2, trials=20, rng=rng)
+    find_good_subspace(np.array([0, 1]), g, FinderConfig(k=2), rng)
+    f = DenseFunction.make(p33, np.maximum(g.values, 0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run_depletion(f, g, k=2, delta=1.0, rng=rng)
     assert calls == []
 
 
 def test_dense_translates_full_for_constant(p33):
     g = DenseFunction.constant(p33, 1.0)
     W = Subspace.from_rows(p33, [[1, 0, 0]])
-    T = dense_translates(g, W)
+    T = dense_translates(g, W.complement())
     assert T.size == p33.F
 
 
 def test_dense_translates_point_mass(p33):
     g = indicator(p33, [0])
     W = Subspace.from_rows(p33, [[1, 0, 0]])
-    T = dense_translates(g, W)
+    T = dense_translates(g, W.complement())
     # only the coset through 0 carries mass
     assert set(int(t) for t in T) == set(int(w) for w in W.members())
 
 
 def _verify_good(found, A, g, params):
-    B_vals = []
-    A = np.asarray(A, dtype=np.int64)
-    for a in A:
-        for b in A:
-            B_vals.append(params.sub(int(a), int(b)))
-    B = np.unique(np.asarray(B_vals, dtype=np.int64))
-    assert not found.V.contains_any_nonzero(B)
+    D = params.digit_table()
+    B = {params.index_of(D[a] - D[b]) for a in A for b in A} - {0}
+    assert not any(found.V.contains(b) for b in B)
     assert found.translates.size >= params.F / 4.0
-    assert found.W.intersects_trivially(found.V)
+    stacked = np.vstack([found.W.matrix, found.V.matrix])
+    assert rref(stacked, params.p)[0].shape[0] == found.W.dim + found.V.dim
     assert found.W.dim + found.V.dim == params.n
+
+
+def test_separates(p33):
+    W = Subspace.from_rows(p33, [[0, 1, 0], [0, 0, 1]])  # W-perp is the line through 1
+    assert not separates(W, np.array([0, 2, 9]))
+    assert separates(W, np.array([0, 9, 12]))
+    assert separates(W, np.array([0]))
 
 
 def test_find_good_subspace_basic(p33, rng):

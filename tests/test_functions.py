@@ -52,7 +52,7 @@ def test_convolve_identity_and_points(p33):
     x, y = 4, 17
     conv = convolve(indicator(p33, [x]), indicator(p33, [y]))
     expected = np.zeros(p33.F)
-    expected[p33.add(x, y)] = 1.0
+    expected[p33.index_of(p33.digits_of(x) + p33.digits_of(y))] = 1.0
     assert np.abs(conv.values - expected).max() < 1e-9
 
 
@@ -114,7 +114,8 @@ def test_conv_power_support_in_sumset():
     params = FieldParams(3, 2)
     S = SetSpec.make(params, [0, 1])
     f = normalized_conv_power(S, 2)
-    sumset = {params.add(a, b) for a in S.members for b in S.members}
+    D = params.digit_table()
+    sumset = {params.index_of(D[a] + D[b]) for a in S.members for b in S.members}
     support = set(np.flatnonzero(f.values > 1e-12).tolist())
     assert support == sumset
 

@@ -19,11 +19,12 @@ from conftest import random_function
 def lambda3_loop(f1, f2, f3):
     """Literal double loop, the slowest possible oracle."""
     params = f1.params
+    D = params.digit_table()
     total = 0.0
     for m in range(params.F):
         for d in range(params.F):
-            m1 = params.add(m, d)
-            m2 = params.add(m1, d)
+            m1 = params.index_of(D[m] + D[d])
+            m2 = params.index_of(D[m] + 2 * D[d])
             total += f1.values[m] * f2.values[m1] * f3.values[m2]
     return total / params.F**2
 
@@ -116,25 +117,28 @@ def test_midpoint_pair_count_examples(p33):
 
 def test_midpoint_pair_count_routes_agree(p33, rng):
     f = random_function(p33, rng)
+    D = p33.digit_table()
     for m in range(p33.F):
         direct = midpoint_pair_count(f, m, method="direct")
         spectral = midpoint_pair_count(f, m, method="spectral")
         assert abs(direct - spectral) < 1e-8
         # the midpoint count is the self-convolution at 2m
         loop = sum(
-            f.values[p33.sub(m, d)] * f.values[p33.add(m, d)] for d in range(p33.F)
+            f.values[p33.index_of(D[m] - D[d])] * f.values[p33.index_of(D[m] + D[d])]
+            for d in range(p33.F)
         )
         assert direct == pytest.approx(loop, abs=1e-9)
 
 
 def test_endpoint_pair_count_routes_agree(p33, rng):
     f = random_function(p33, rng)
+    D = p33.digit_table()
     for m in range(0, p33.F, 3):
         direct = endpoint_pair_count(f, m, method="direct")
         spectral = endpoint_pair_count(f, m, method="spectral")
         assert abs(direct - spectral) < 1e-8
         loop = sum(
-            f.values[p33.add(m, d)] * f.values[p33.add(m, p33.scale(2, d))]
+            f.values[p33.index_of(D[m] + D[d])] * f.values[p33.index_of(D[m] + 2 * D[d])]
             for d in range(p33.F)
         )
         assert direct == pytest.approx(loop, abs=1e-9)

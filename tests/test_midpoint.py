@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ap3.midpoint
@@ -121,9 +121,10 @@ def test_build_context_window_indicator(p33, rng):
     # h(m) = |{b in V : m - b in t+W}|, which a direct sum makes 1 everywhere
     members = set(int(c) for c in coset)
     V = W.complement()
+    D = p33.digit_table()
     counts = np.array(
         [
-            sum(1 for b in V.members() if p33.sub(m, int(b)) in members)
+            sum(1 for b in V.members() if p33.index_of(D[m] - D[b]) in members)
             for m in range(p33.F)
         ],
         dtype=float,
@@ -295,3 +296,55 @@ def test_depletion_partial_on_finder_failure(p33):
     assert run.lambda_lower == 0.0
     assert sum(run.finder_rejections.values()) == 32
     assert lambda3_brute(one, g, one) >= run.lambda_lower
+
+
+# Values from {0, 1/2, 1} make ties in |fhat|, in g on a coset and in Q common.
+TIE_VALUES = st.sampled_from([0.0, 0.5, 1.0])
+
+
+@st.composite
+def tied_pair(draw):
+    params = FieldParams(*draw(st.sampled_from([(3, 2), (3, 3), (5, 2)])))
+    f = np.array(draw(st.lists(TIE_VALUES, min_size=params.F, max_size=params.F)))
+    cap = np.array(draw(st.lists(TIE_VALUES, min_size=params.F, max_size=params.F)))
+    g = np.minimum(f, cap)
+    assume(g.any())
+    return DenseFunction.make(params, f), DenseFunction.make(params, g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tied_pair(), st.integers(0, 2**32 - 1))
+def test_tie_breaks_are_explicit_and_deterministic(pair, seed):
+    f, g = pair
+    spectrum = dft(f)
+    mag = spectrum.magnitudes
+    assert spectrum.order.tolist() == sorted(range(f.params.F), key=lambda a: (-mag[a], a))
+
+    frames = []
+    original = ap3.midpoint.find_good_subspace
+
+    def recording(*args):
+        good = original(*args)
+        frames.append(good.W)
+        return good
+
+    ap3.midpoint.find_good_subspace = recording
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run = run_depletion(f, g, k=2, delta=1.0, rng=np.random.default_rng(seed))
+    finally:
+        ap3.midpoint.find_good_subspace = original
+    assert len(frames) == len(run.steps)  # refresh "always": one W per step
+    gi = g.values.copy()
+    for step, W in zip(run.steps, frames):
+        coset = W.coset(step.t)
+        top = gi[coset].max()
+        assert step.m == int(coset[gi[coset] == top].min())
+        assert step.g_value == top
+        gi[step.m] = 0.0
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        again = run_depletion(f, g, k=2, delta=1.0, rng=np.random.default_rng(seed))
+    assert again.steps == run.steps

@@ -1,4 +1,5 @@
-"""The bundled `verify` reports, pinned byte for byte, and the report schema.
+"""The bundled `verify` reports and `ap3 estimate` outputs, pinned byte for
+byte, and the report schema.
 
 A change that alters a report on purpose updates its digest here and says
 why in CHANGES.md.
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from ap3.cli import main
 from ap3.experiment import (
     ExperimentConfig,
     load_config_file,
@@ -101,3 +103,43 @@ def test_report_records_every_dataclass_field():
 def test_config_survives_its_report(name):
     (config,) = load_config_file(str(CONFIGS / name))
     assert ExperimentConfig.from_dict(config.as_dict()) == config
+
+
+# (ap3 estimate arguments, sha256 of stdout)
+PINNED_ESTIMATES = [
+    (
+        "--p 3 --n 3 --k 2,3 --trials 64 --seed 11",
+        "9713aab718c6488988d994f786009a9a3d2a8643e4a28908bdc49f505d1e2889",
+    ),
+    (
+        "--p 3 --n 7 --k 5 --trials 1000 --seed 3",
+        "2af6d492f571c4dc4e6ed5ac79fcfb82b2585d1431866a70cf59f4138dc25a70",
+    ),
+    (
+        "--p 3 --n 3 --k 2,3 --exhaustive",
+        "f30542228f22679a1046f2d32cfb48dd2ff56687467f2dc34c823c8e7dab464b",
+    ),
+    (
+        "--p 3 --n 3 --k 2,3 --lemma separation --trials 64 --seed 11",
+        "bcc535296df98f3791780c14d2f8dfb07941310f857cf692ed87aa58ace1bec7",
+    ),
+    (
+        "--p 3 --n 3 --k 2,3 --lemma separation --exhaustive",
+        "119968cc392113a62e0ad64ce963031bc6f2c66ab31413f82633dbb50d6f60cc",
+    ),
+    (
+        "--p 3 --n 3 --k 2,3 --lemma moments --trials 64 --seed 11",
+        "a2ba9b3e7b61e3464e00aaf7614a10b6389f4b3c75309fbf79af823b7bb11c92",
+    ),
+    (
+        "--p 3 --n 3 --k 2,3 --lemma moments --exhaustive",
+        "c92435ce4489616f34782accd3f264042ad152f6520f572d69b3df72953263fa",
+    ),
+]
+
+
+@pytest.mark.parametrize("args,digest", PINNED_ESTIMATES, ids=[a for a, _ in PINNED_ESTIMATES])
+def test_estimate_output_is_pinned(args, digest, capsys):
+    assert main(["estimate", *args.split()]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

@@ -186,13 +186,12 @@ def test_large_coefficient_count_bound(rng):
 
 def test_translate_shifts_and_modulates(p33, rng):
     f = random_function(p33, rng)
+    D = p33.digit_table()
     for d in (0, 1, 13):
         g = f.translate(d)
         for m in (0, 5, 20):
-            assert g.values[m] == f.values[p33.add(m, d)]
-        phases = np.exp(
-            -2j * np.pi * np.array([p33.dot(a, d) for a in range(p33.F)]) / p33.p
-        )
+            assert g.values[m] == f.values[p33.index_of(D[m] + D[d])]
+        phases = np.exp(-2j * np.pi * ((D @ D[d]) % p33.p) / p33.p)
         assert np.abs(dft(g).coeffs - phases * dft(f).coeffs).max() < 1e-8
 
 
