@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import FieldParams, Subspace, check_same_params
-from .spectral import DenseFunction, dft, idft
+from .spectral import DenseFunction, PaddedCube, dft, idft
 
 
 @dataclass(frozen=True)
@@ -76,13 +76,10 @@ def convolve(f: DenseFunction, g: DenseFunction) -> DenseFunction:
 def convolve_direct(f: DenseFunction, g: DenseFunction) -> DenseFunction:
     """O(F^2) convolution oracle: accumulate f(u) * g(. - u) over the support of f."""
     params = check_same_params(f, g)
-    out = np.zeros(params.F)
-    cube = g.values.reshape((params.p,) * params.n)
-    axes = tuple(range(params.n))
+    out = np.zeros((params.p,) * params.n)
+    cube = PaddedCube(params, g.values)
     for u in np.flatnonzero(f.values):
-        digits = params.digits_of(int(u))
-        shift = tuple(int(x) for x in digits[::-1])
-        out += f.values[u] * np.roll(cube, shift=shift, axis=axes).reshape(-1)
+        out += f.values[u] * cube.shifted((-params.digits_of(int(u))) % params.p)
     return DenseFunction.make(params, out)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .field import FieldParams, check_same_params
-from .spectral import DenseFunction, Spectrum, dft, _root_powers
+from .spectral import DenseFunction, PaddedCube, Spectrum, dft, _root_powers
 
 AGREEMENT_TOLERANCE = 1e-8
 BRUTE_FORCE_LIMIT = 20_000
@@ -32,24 +32,20 @@ def neg_double_table(params: FieldParams) -> np.ndarray:
 
 
 def lambda3_brute(f1: DenseFunction, f2=None, f3=None) -> float:
-    """Exact double sum over all (m, d) pairs; cost O(F^2)."""
+    """Exact double sum over all (m, d) pairs; cost O(F^2).
+
+    Each d reads f2(m + d) and f3(m + 2d) as shifted views of padded cubes.
+    """
     f1, f2, f3 = _as_triple(f1, f2, f3)
     params = check_same_params(f1, f2, f3)
-    p, n, F = params.p, params.n, params.F
-    axes = tuple(range(n))
-    cube2 = f2.values.reshape((p,) * n)
-    cube3 = f3.values.reshape((p,) * n)
+    cube2 = PaddedCube(params, f2.values)
+    cube3 = cube2 if f3 is f2 else PaddedCube(params, f3.values)
     base = f1.values
     D = params.digit_table()
     total = 0.0
-    for d in range(F):
-        dd = D[d]
-        shift2 = tuple(-int(x) for x in dd[::-1])
-        shift3 = tuple(-int(2 * x % p) for x in dd[::-1])
-        t2 = np.roll(cube2, shift=shift2, axis=axes).reshape(-1)
-        t3 = np.roll(cube3, shift=shift3, axis=axes).reshape(-1)
-        total += float(base @ (t2 * t3))
-    return total / F**2
+    for dd, dd2 in zip(D, (2 * D) % params.p):
+        total += float(base @ (cube2.shifted(dd) * cube3.shifted(dd2)).reshape(-1))
+    return total / params.F**2
 
 
 def lambda3_spectral(f1: DenseFunction, f2=None, f3=None) -> float:

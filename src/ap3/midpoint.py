@@ -46,10 +46,10 @@ from .finder import (
 from .lambda3 import endpoint_pair_count, midpoint_pair_count
 from .spectral import (
     DenseFunction,
+    PaddedCube,
     Spectrum,
     _root_powers,
     dft,
-    translated_values,
 )
 
 HHAT_TOLERANCE = 1e-8
@@ -219,13 +219,10 @@ def build_context(
         raise ContextInvariantError(f"window transform off by {gap}")
 
     # h = (f * alpha) convolved with the indicator of V, by direct accumulation.
-    masked = (f.values * alpha_values).reshape((params.p,) * params.n)
-    axes = tuple(range(params.n))
-    acc = np.zeros(params.F)
+    masked = PaddedCube(params, f.values * alpha_values)
+    acc = np.zeros((params.p,) * params.n)
     for b in v_members:
-        digits = params.digits_of(int(b))
-        shift = tuple(int(x) for x in digits[::-1])
-        acc += np.roll(masked, shift=shift, axis=axes).reshape(-1)
+        acc += masked.shifted((-params.digits_of(int(b))) % params.p)
     h = DenseFunction.make(params, acc)
 
     hhat_direct = dft(h).coeffs
@@ -235,9 +232,10 @@ def build_context(
     if gap > HHAT_TOLERANCE:
         raise ContextInvariantError(f"closed-form transform of h off by {gap}")
 
+    h_cube = PaddedCube(params, h.values)
     for row in V.basis:
-        v = params.index_of(np.array(row))
-        if float(np.abs(translated_values(params, h.values, v) - h.values).max()) > INVARIANT_TOLERANCE:
+        shifted = h_cube.shifted(np.asarray(row) % params.p)
+        if float(np.abs(shifted - h.cube()).max()) > INVARIANT_TOLERANCE:
             raise ContextInvariantError("h is not invariant under its subspace")
 
     if float(np.abs(h.values[coset] - f.values[coset]).max()) > INVARIANT_TOLERANCE:

@@ -113,13 +113,33 @@ class DenseFunction:
 
 
 def translated_values(params: FieldParams, values: np.ndarray, d: int) -> np.ndarray:
-    """values of m -> f(m + d), via one cyclic roll per coordinate."""
-    if d == 0:
-        return np.array(values, dtype=np.float64)
-    digits = params.digits_of(d)
-    cube = np.asarray(values).reshape((params.p,) * params.n)
-    shift = tuple(-int(x) for x in digits[::-1])
-    return np.roll(cube, shift=shift, axis=tuple(range(params.n))).reshape(-1)
+    """values of m -> f(m + d), read from the cube in one gather.
+
+    A single translate pays no padding; PaddedCube serves many translates of
+    one function.
+    """
+    p = params.p
+    cube = np.asarray(values, dtype=np.float64).reshape((p,) * params.n)
+    rows = [(np.arange(p) + x) % p for x in params.digits_of(d)[::-1].tolist()]
+    return cube[np.ix_(*rows)].reshape(-1)
+
+
+class PaddedCube:
+    """The values of f as a (p,)*n cube wrap-padded once to (2p-1,)*n, so that
+    every translate m -> f(m + d) is a view of the padding, not a copy.
+
+    Axis j holds digit n-1-j.  The padding holds (2p-1)^n floats, about
+    (2 - 1/p)^n times F, which is why it serves the O(F^2) oracles only.
+    """
+
+    def __init__(self, params: FieldParams, values: np.ndarray):
+        self.p = params.p
+        cube = np.asarray(values, dtype=np.float64).reshape((params.p,) * params.n)
+        self.padded = np.pad(cube, [(0, params.p - 1)] * params.n, mode="wrap")
+
+    def shifted(self, digits: np.ndarray) -> np.ndarray:
+        """The (p,)*n view of m -> f(m + d), for d given by its digits in [0, p)."""
+        return self.padded[tuple(slice(x, x + self.p) for x in digits[::-1].tolist())]
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ap3.field import FieldParams, Subspace
 from ap3.functions import indicator, subspace_indicator
@@ -27,6 +29,39 @@ def lambda3_loop(f1, f2, f3):
             m2 = params.index_of(D[m] + 2 * D[d])
             total += f1.values[m] * f2.values[m1] * f3.values[m2]
     return total / params.F**2
+
+
+def lambda3_rolled(f1, f2, f3):
+    """The brute double sum with one cyclic np.roll of each cube per d."""
+    params = f1.params
+    p, n, F = params.p, params.n, params.F
+    axes = tuple(range(n))
+    cube2 = f2.values.reshape((p,) * n)
+    cube3 = f3.values.reshape((p,) * n)
+    D = params.digit_table()
+    total = 0.0
+    for d in range(F):
+        dd = D[d]
+        shift2 = tuple(-int(x) for x in dd[::-1])
+        shift3 = tuple(-int(2 * x % p) for x in dd[::-1])
+        t2 = np.roll(cube2, shift=shift2, axis=axes).reshape(-1)
+        t3 = np.roll(cube3, shift=shift3, axis=axes).reshape(-1)
+        total += float(f1.values @ (t2 * t3))
+    return total / F**2
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([(3, 1), (3, 2), (3, 4), (5, 2), (5, 3), (7, 2)]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["fff", "fgf", "gff", "explicit"]),
+)
+def test_brute_equals_rolled_reference(pn, seed, shape):
+    params = FieldParams(*pn)
+    rng = np.random.default_rng(seed)
+    f, g, h = (random_function(params, rng) for _ in range(3))
+    triple = {"fff": (f, f, f), "fgf": (f, g, f), "gff": (g, f, f), "explicit": (f, g, h)}[shape]
+    assert lambda3_brute(*triple) == lambda3_rolled(*triple)
 
 
 def test_constant_triple_is_one(p33):
