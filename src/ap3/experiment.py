@@ -48,8 +48,10 @@ from .functions import (
 from .lambda3 import (
     BRUTE_FORCE_LIMIT,
     diagonal_weight,
+    endpoint_pair_count,
     lambda3_brute,
     lambda3_spectral,
+    midpoint_pair_count,
     trivial_lower_bound,
 )
 from .midpoint import CertificateError, ContextInvariantError, run_depletion
@@ -518,6 +520,20 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
             f"oracle_agreement[{ordering}]",
             gap <= 1e-8,
             f"|brute - spectral| = {gap:.3g}",
+        )
+        # The steps' table against the brute oracle through sum_m g(m) table[m],
+        # and against the direct count at the first and last step.
+        direct = midpoint_pair_count if ordering == "fgf" else endpoint_pair_count
+        weight_gap = abs(run.pair_weight / params.F**2 - brute)
+        step_gaps = []
+        for step in (run.steps[0], run.steps[-1]):
+            count = direct(f, step.m)
+            step_gaps.append(abs(step.pair_count - count) / max(1.0, abs(count)))
+        check(
+            f"pair_table[{ordering}]",
+            weight_gap <= 1e-8 and max(step_gaps) <= 1e-9,
+            f"|pair_weight/F^2 - brute| = {weight_gap:.3g}; first and last step "
+            f"vs direct count: {step_gaps[0]:.3g}, {step_gaps[1]:.3g} relative",
         )
         check(
             f"certificates[{ordering}]",

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .field import FieldParams, check_same_params
-from .spectral import DenseFunction, PaddedCube, Spectrum, dft, _root_powers
+from .spectral import DenseFunction, PaddedCube, Spectrum, dft, idft
 
 AGREEMENT_TOLERANCE = 1e-8
 BRUTE_FORCE_LIMIT = 20_000
@@ -25,10 +25,10 @@ def _as_triple(f1, f2=None, f3=None):
     return f1, f2, f3
 
 
-def neg_double_table(params: FieldParams) -> np.ndarray:
-    """Index map a -> -2a, the partner of a in the spectral identity."""
+def scale_table(params: FieldParams, c: int) -> np.ndarray:
+    """Index map a -> c a; c = -2 gives the partner of a in the spectral identity."""
     D = params.digit_table()
-    return params.indices_of((-2 * D) % params.p)
+    return params.indices_of((c * D) % params.p)
 
 
 def lambda3_brute(f1: DenseFunction, f2=None, f3=None) -> float:
@@ -57,7 +57,7 @@ def lambda3_spectral(f1: DenseFunction, f2=None, f3=None) -> float:
         if fn not in coeffs:
             coeffs[fn] = dft(fn).coeffs
     c1 = coeffs[f1]
-    c2 = coeffs[f2][neg_double_table(params)]
+    c2 = coeffs[f2][scale_table(params, -2)]
     c3 = coeffs[f3]
     total = complex(np.sum(c1 * c2 * c3))
     if abs(total.imag) > AGREEMENT_TOLERANCE * max(abs(total.real), 1.0):
@@ -72,49 +72,43 @@ def diagonal_weight(f1: DenseFunction, f2=None, f3=None) -> float:
     return float(np.sum(f1.values * f2.values * f3.values))
 
 
-def midpoint_pair_count(f: DenseFunction, m: int, method: str = "direct") -> float:
-    """sum_d f(m-d) f(m+d); equals the autoconvolution (f*f)(2m)."""
-    params = f.params
-    params._check_element(m)
-    if method == "direct":
-        D = params.digit_table()
-        dm = params.digits_of(m)
-        plus = params.indices_of((dm[None, :] + D) % params.p)
-        minus = params.indices_of((dm[None, :] - D) % params.p)
-        return float(f.values[minus] @ f.values[plus])
-    if method == "spectral":
-        coeffs = dft(f).coeffs
-        D = params.digit_table()
-        exps = (2 * (D @ params.digits_of(m))) % params.p
-        phases = _root_powers(params.p).conj()[exps]
-        total = complex(np.sum(coeffs**2 * phases)) / params.F
-        return total.real
-    raise ValueError(f"unknown method {method!r}")
+def pair_table(spectrum: Spectrum, ordering: str) -> np.ndarray:
+    """The pair count of f at every m, from one inverse transform of its spectrum.
 
-
-def endpoint_pair_count(f: DenseFunction, m: int, method: str = "direct") -> float:
-    """sum_d f(m+d) f(m+2d): progression weight with m as the first point.
-
-    Spectrally this is F^(-1) sum_a fhat(a) fhat(-2a) w^(a.m), the same
-    coefficient pairing the spectral Lambda3 identity uses.
+    fgf (midpoint): P(m) = sum_d f(m-d) f(m+d) = (f*f)(2m).
+    gff (endpoint): E(m) = sum_d f(m+d) f(m+2d) = F^(-1) sum_a fhat(a) fhat(-2a) w^(a.m).
+    sum_m g(m) P(m) = F^2 Lambda3(f, g, f) and sum_m g(m) E(m) = F^2 Lambda3(g, f, f).
+    midpoint_pair_count and endpoint_pair_count are the direct oracles.
     """
+    params = spectrum.params
+    c = spectrum.coeffs
+    if ordering == "fgf":
+        return idft(params, c * c).values[scale_table(params, 2)]
+    if ordering == "gff":
+        return idft(params, c * c[scale_table(params, -2)]).values[scale_table(params, -1)]
+    raise ValueError(f"unknown ordering {ordering!r}")
+
+
+def midpoint_pair_count(f: DenseFunction, m: int) -> float:
+    """sum_d f(m-d) f(m+d), counted directly; the oracle for pair_table(., "fgf")."""
     params = f.params
     params._check_element(m)
-    if method == "direct":
-        D = params.digit_table()
-        dm = params.digits_of(m)
-        plus = params.indices_of((dm[None, :] + D) % params.p)
-        plus2 = params.indices_of((dm[None, :] + 2 * D) % params.p)
-        return float(f.values[plus] @ f.values[plus2])
-    if method == "spectral":
-        coeffs = dft(f).coeffs
-        paired = coeffs[neg_double_table(params)]
-        D = params.digit_table()
-        exps = (D @ params.digits_of(m)) % params.p
-        phases = _root_powers(params.p)[exps]
-        total = complex(np.sum(coeffs * paired * phases)) / params.F
-        return total.real
-    raise ValueError(f"unknown method {method!r}")
+    D = params.digit_table()
+    dm = params.digits_of(m)
+    plus = params.indices_of((dm[None, :] + D) % params.p)
+    minus = params.indices_of((dm[None, :] - D) % params.p)
+    return float(f.values[minus] @ f.values[plus])
+
+
+def endpoint_pair_count(f: DenseFunction, m: int) -> float:
+    """sum_d f(m+d) f(m+2d), counted directly; the oracle for pair_table(., "gff")."""
+    params = f.params
+    params._check_element(m)
+    D = params.digit_table()
+    dm = params.digits_of(m)
+    plus = params.indices_of((dm[None, :] + D) % params.p)
+    plus2 = params.indices_of((dm[None, :] + 2 * D) % params.p)
+    return float(f.values[plus] @ f.values[plus2])
 
 
 def trivial_lower_bound(f: DenseFunction) -> float:

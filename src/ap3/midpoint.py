@@ -43,7 +43,7 @@ from .finder import (
     find_good_subspace,
     is_dense,
 )
-from .lambda3 import endpoint_pair_count, midpoint_pair_count
+from .lambda3 import pair_table
 from .spectral import (
     DenseFunction,
     PaddedCube,
@@ -276,6 +276,7 @@ class DepletionRun:
     r: int
     steps: tuple
     lambda_lower: float
+    pair_weight: float  # sum_m g(m) * pair_table[m]; F^2 times the measured Lambda3
     density_ok: bool
     partial: bool
     finder_rejections: dict
@@ -290,14 +291,6 @@ class DepletionRun:
     @property
     def vacuous_steps(self) -> int:
         return sum(1 for s in self.steps if s.vacuous)
-
-
-def _pair_quantity(f: DenseFunction, m: int, ordering: str) -> float:
-    if ordering == "fgf":
-        return midpoint_pair_count(f, m, method="direct")
-    if ordering == "gff":
-        return endpoint_pair_count(f, m, method="direct")
-    raise ValueError(f"unknown ordering {ordering!r}")
 
 
 def run_depletion(
@@ -316,8 +309,10 @@ def run_depletion(
     refresh="always" re-runs the subspace finder every step (the conservative
     reading); refresh="lazy" reuses (W, t) while the coset-density condition
     still holds for the depleted g, which certifies identically because Q
-    depends only on f.  The run does not measure Lambda3; the caller checks
-    lambda_lower against its own oracle.
+    depends only on f.  Depletion never changes f, so every step reads its
+    pair count from one pair_table built before the loop.  The run does not
+    measure Lambda3; the caller checks lambda_lower and pair_weight against
+    its own oracle.
     """
     params = check_same_params(f, g)
     if ordering not in ORDERINGS:
@@ -347,6 +342,7 @@ def run_depletion(
             "the tail hypothesis fails for this delta"
         )
     A = spectrum.top_places(k)
+    table = pair_table(spectrum, ordering)
     cfg = finder_cfg if finder_cfg is not None else FinderConfig(k=k)
     floor_k = density_floor(params, k)
     density_ok = e_g >= floor_k
@@ -399,7 +395,7 @@ def run_depletion(
         g_value = float(local[pos])
         v_size = good.V.size
         floor = e_gi**2 * v_size / 4.0 - 9.0 * delta * F
-        pair = _pair_quantity(f, m, ordering)
+        pair = float(table[m])
         held = (
             g_value >= e_gi / 2.0 - INVARIANT_TOLERANCE
             and q <= 4.0 * sigma_k + INVARIANT_TOLERANCE
@@ -440,6 +436,7 @@ def run_depletion(
         r=r,
         steps=tuple(steps),
         lambda_lower=lower_sum / F**2,
+        pair_weight=float(g.values @ table),
         density_ok=density_ok,
         partial=partial,
         finder_rejections=rejections,

@@ -278,3 +278,25 @@ def test_broken_certificate_exits_assertion(monkeypatch):
     assert report["failures"][0]["type"] == "certificate"
     assert "below floor" in report["failures"][0]["detail"]
     assert report["runs"] == []
+
+
+@pytest.mark.parametrize("ordering", ["fgf", "gff"])
+def test_perturbed_pair_table_exits_assertion(monkeypatch, ordering):
+    import ap3.midpoint as mod
+    from ap3.lambda3 import pair_table
+
+    def perturbed(spectrum, which):
+        table = pair_table(spectrum, which)
+        if which == ordering:
+            table[5] += 1e-3
+        return table
+
+    monkeypatch.setattr(mod, "pair_table", perturbed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report, code = run_experiment(cfg(ordering="both"))
+    assert code == EXIT_ASSERTION
+    failed = [a["name"] for a in report["assertions"] if not a["passed"]]
+    assert failed == [f"pair_table[{ordering}]"]
+    names = {a["name"] for a in report["assertions"]}
+    assert {"pair_table[fgf]", "pair_table[gff]"} <= names

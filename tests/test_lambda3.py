@@ -11,9 +11,10 @@ from ap3.lambda3 import (
     lambda3_brute,
     lambda3_spectral,
     midpoint_pair_count,
+    pair_table,
     trivial_lower_bound,
 )
-from ap3.spectral import DenseFunction, translated_values
+from ap3.spectral import DenseFunction, dft, translated_values
 
 from conftest import random_function
 
@@ -152,11 +153,11 @@ def test_midpoint_pair_count_examples(p33):
 
 def test_midpoint_pair_count_routes_agree(p33, rng):
     f = random_function(p33, rng)
+    table = pair_table(dft(f), "fgf")
     D = p33.digit_table()
     for m in range(p33.F):
-        direct = midpoint_pair_count(f, m, method="direct")
-        spectral = midpoint_pair_count(f, m, method="spectral")
-        assert abs(direct - spectral) < 1e-8
+        direct = midpoint_pair_count(f, m)
+        assert abs(direct - table[m]) < 1e-8
         # the midpoint count is the self-convolution at 2m
         loop = sum(
             f.values[p33.index_of(D[m] - D[d])] * f.values[p33.index_of(D[m] + D[d])]
@@ -167,11 +168,11 @@ def test_midpoint_pair_count_routes_agree(p33, rng):
 
 def test_endpoint_pair_count_routes_agree(p33, rng):
     f = random_function(p33, rng)
+    table = pair_table(dft(f), "gff")
     D = p33.digit_table()
     for m in range(0, p33.F, 3):
-        direct = endpoint_pair_count(f, m, method="direct")
-        spectral = endpoint_pair_count(f, m, method="spectral")
-        assert abs(direct - spectral) < 1e-8
+        direct = endpoint_pair_count(f, m)
+        assert abs(direct - table[m]) < 1e-8
         loop = sum(
             f.values[p33.index_of(D[m] + D[d])] * f.values[p33.index_of(D[m] + 2 * D[d])]
             for d in range(p33.F)
@@ -182,7 +183,24 @@ def test_endpoint_pair_count_routes_agree(p33, rng):
 def test_pair_count_method_validation(p33, rng):
     f = random_function(p33, rng)
     with pytest.raises(ValueError):
-        midpoint_pair_count(f, 0, method="guess")
+        pair_table(dft(f), "guess")
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (7, 2)])
+@pytest.mark.parametrize("ordering", ["fgf", "gff"])
+def test_pair_table_matches_direct_counts_and_brute_weight(p, n, ordering, rng):
+    # p = 3 is where -2a = a; p = 7 is where a -> -2a has longer cycles
+    params = FieldParams(p, n)
+    f, g = random_function(params, rng), random_function(params, rng)
+    table = pair_table(dft(f), ordering)
+    direct = midpoint_pair_count if ordering == "fgf" else endpoint_pair_count
+    counts = np.array([direct(f, m) for m in range(params.F)])
+    assert np.abs(table - counts).max() <= 1e-9 * max(1.0, np.abs(counts).max())
+    # sum_m g(m) P(m) = F^2 Lambda3(f, g, f); sum_m g(m) E(m) = F^2 Lambda3(g, f, f)
+    triple = (f, g, f) if ordering == "fgf" else (g, f, f)
+    assert float(g.values @ table) / params.F**2 == pytest.approx(
+        lambda3_brute(*triple), abs=1e-12
+    )
 
 
 def test_lambda3_sums_midpoint_counts(p33, rng):

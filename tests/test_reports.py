@@ -33,19 +33,19 @@ PINNED = [
         "budget_point_mass.json",
         None,
         3,
-        "56fd7bbf147078e9072a89997752994a0a31c9a34ede4c2f4d9e5cdc7c8435eb",
+        "048f655b084a8f708ef63c15d21b8a38052d55dfaf78d7e017ea7c19436dfa51",
     ),
     (
         "cap_exhaustive_demo.json",
         None,
         1,
-        "88b6f222f1b6b40c55d89ca513f46df8f90b495ac68fa22df50714fd4df881ff",
+        "d729b7422c842ea356ef1dc597a0fe7038b7482c7e31b67e984d99b7fd95eea9",
     ),
     (
         "dense_theorem_p5_n4.json",
         None,
         0,
-        "126e6ecf21229d84970cb07d37af93751801e0bddaa75ec72a8b9250f183d190",
+        "e427fd0a38e543cf6daf0f8e79fc86e7d0d2cfc638923114112900608b0aa74a",
     ),
     (
         "refusal_empty_minorant.json",
@@ -57,13 +57,13 @@ PINNED = [
         "sevenfold_p3_n5.json",
         None,
         0,
-        "736c0c27fa7acc9ecec02a965956d2f3cd73710d12ba66ef957efaf64dd65880",
+        "94b2bc29ecd14c99042ce91c50324835b7748ac4e460198267437a07b782562d",
     ),
     (
         "dense_theorem_p5_n4.json",
         "lazy",
         0,
-        "5a86888e273a7edf3deb9290efe6188dab7dfb7e1920f7b1aa823a6d25242d7e",
+        "c7530182abb64e3460045fef2f663e6d75b1606a164acca72d77b3cf3c1cc50c",
     ),
 ]
 
