@@ -157,10 +157,16 @@ def _number(spec: dict, key: str) -> float:
 
 
 def _integer(spec: dict, key: str) -> int:
-    value = _number(spec, key)
-    if value != int(value):
-        raise ConfigError(f"field {key!r} must be an integer, got {value}")
-    return int(value)
+    if not _number(spec, key).is_integer():
+        raise ConfigError(f"field {key!r} must be an integer, got {spec[key]!r}")
+    return int(spec[key])
+
+
+def _flag(spec: dict, key: str) -> bool:
+    value = spec.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"field {key!r} must be true or false, got {value!r}")
+    return value
 
 
 _ORDERING_CHOICES = {"fgf": ("fgf",), "gff": ("gff",), "both": ("fgf", "gff")}
@@ -200,6 +206,10 @@ class ExperimentConfig:
         for key in ("p", "n", "seed", "f", "k"):
             if key not in raw:
                 raise ConfigError(f"config is missing required field {key!r}")
+
+        def integer(key: str, default):
+            return default if raw.get(key) is None else _integer(raw, key)
+
         ordering = raw.get("ordering", "fgf")
         if isinstance(ordering, str):
             if ordering not in _ORDERING_CHOICES:
@@ -212,13 +222,13 @@ class ExperimentConfig:
         refresh = raw.get("refresh", "always")
         if refresh not in ("always", "lazy"):
             raise ConfigError(f"refresh must be always or lazy, got {refresh!r}")
-        delta = raw.get("delta")
-        gamma = raw.get("gamma")
+        delta = None if raw.get("delta") is None else _number(raw, "delta")
+        gamma = None if raw.get("gamma") is None else _number(raw, "gamma")
         if delta is not None and gamma is not None:
             raise ConfigError("give delta or gamma, not both")
-        if delta is not None and float(delta) < 0:
+        if delta is not None and delta < 0:
             raise ConfigError(f"field 'delta' must be nonnegative, got {delta}")
-        p, n, k, seed = int(raw["p"]), int(raw["n"]), int(raw["k"]), int(raw["seed"])
+        p, n, k, seed = (_integer(raw, key) for key in ("p", "n", "k", "seed"))
         try:
             FieldParams(p, n)
         except ValueError as exc:
@@ -229,10 +239,10 @@ class ExperimentConfig:
             raise ConfigError(f"field 'k' must be at least 2, got {k}")
         if k > p**n:
             raise ConfigError(f"field 'k' must be at most p**n={p**n}, got {k}")
-        nprime = None if raw.get("nprime") is None else int(raw["nprime"])
+        nprime = integer("nprime", None)
         if nprime is not None and not 0 <= nprime <= n:
             raise ConfigError(f"field 'nprime' must lie in [0, n={n}], got {nprime}")
-        trials = int(raw.get("trials", 0))
+        trials = integer("trials", 0)
         if trials < 0:
             raise ConfigError(f"field 'trials' must be nonnegative, got {trials}")
         return cls(
@@ -242,17 +252,17 @@ class ExperimentConfig:
             f_recipe=dict(raw["f"]),
             g_recipe=dict(raw.get("g", {"kind": "same"})),
             k=k,
-            delta=None if delta is None else float(delta),
-            gamma=None if gamma is None else float(gamma),
+            delta=delta,
+            gamma=gamma,
             orderings=orderings,
             refresh=refresh,
-            max_attempts=int(raw.get("max_attempts", 256)),
+            max_attempts=integer("max_attempts", 256),
             nprime=nprime,
             trials=trials,
-            exhaustive=bool(raw.get("exhaustive", False)),
-            enumeration_cap=int(raw.get("enumeration_cap", 200_000)),
-            brute_force_limit=int(raw.get("brute_force_limit", BRUTE_FORCE_LIMIT)),
-            force=bool(raw.get("force", False)),
+            exhaustive=_flag(raw, "exhaustive"),
+            enumeration_cap=integer("enumeration_cap", 200_000),
+            brute_force_limit=integer("brute_force_limit", BRUTE_FORCE_LIMIT),
+            force=_flag(raw, "force"),
             label=str(raw.get("label", "")),
         )
 

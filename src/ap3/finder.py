@@ -114,6 +114,7 @@ class GoodSubspace:
     W: Subspace
     V: Subspace
     translates: np.ndarray
+    coset_labels: np.ndarray  # V.labels() over all of F: x + W is named by coset_labels[x]
     attempts: int
     rejections: dict
 
@@ -139,11 +140,12 @@ def find_good_subspace(
         if not separates(W, B):
             rejections["separation"] += 1
             continue
-        T = dense_translates(g, V, mean)
+        labels, sums = coset_sums(g, V)
+        T = np.flatnonzero(is_dense(sums[labels], mean, W.size))
         if T.size < params.F / 4.0:
             rejections["coset_density"] += 1
             continue
-        return GoodSubspace(W, V, T, attempt, rejections)
+        return GoodSubspace(W, V, T, labels, attempt, rejections)
     raise FinderBudgetError(
         f"no good subspace in {cfg.max_attempts} attempts (rejections: {rejections})",
         rejections,

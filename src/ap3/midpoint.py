@@ -79,12 +79,19 @@ class SubspaceFrame:
     cell: np.ndarray  # cell[x] = i |V| + j where x = w_i + v_j
 
     @classmethod
-    def build(cls, spectrum: Spectrum, W: Subspace, V: Subspace) -> "SubspaceFrame":
+    def build(
+        cls,
+        spectrum: Spectrum,
+        W: Subspace,
+        V: Subspace,
+        v_labels: np.ndarray | None = None,
+    ) -> "SubspaceFrame":
         """Index every x = w_i + v_j by its coset labels.
 
         With V = W-perp, W.labels(x) = W.labels(w_i) and V.labels(x) =
         V.labels(v_j), so two position tables of size |W| and |V| give i and
-        j.  W.labels is injective on W exactly when F = V (+) W.
+        j.  W.labels is injective on W exactly when F = V (+) W.  v_labels,
+        when given, is V.labels() as the finder already computed it.
         """
         params = spectrum.params
         W.params.same_as(params)
@@ -101,7 +108,8 @@ class SubspaceFrame:
             raise ValueError("subspaces do not form a direct sum")
         pos_v = np.empty(V.size, dtype=np.int64)
         pos_v[V.labels(v_members)] = np.arange(V.size)
-        cell = pos_w[W.labels()] * V.size + pos_v[V.labels()]
+        v_labels = V.labels() if v_labels is None else v_labels
+        cell = pos_w[W.labels()] * V.size + pos_v[v_labels]
         grid = np.empty(params.F, dtype=np.int64)
         grid[cell] = np.arange(params.F)
         fhat_wv = spectrum.coeffs[grid.reshape(W.size, V.size)]
@@ -384,7 +392,7 @@ def run_depletion(
                 break
             for key in rejections:
                 rejections[key] += good.rejections.get(key, 0)
-            frame = SubspaceFrame.build(spectrum, good.W, good.V)
+            frame = SubspaceFrame.build(spectrum, good.W, good.V, good.coset_labels)
             t, q = select_translate(frame, A, good.translates, sigma_k)
             coset = good.W.coset(t)
             current = (good, coset, t, q)

@@ -265,6 +265,19 @@ def test_verify_non_object_config(capsys, tmp_path, raw):
         ({"p": 4}, [], "'p'"),
         ({"n": 0}, [], "'n'"),
         ({"seed": -1}, [], "'seed'"),
+        ({"p": 3.7}, [], "'p'"),
+        ({"n": "2"}, [], "'n'"),
+        ({"k": 2.5}, [], "'k'"),
+        ({"seed": 1.5}, [], "'seed'"),
+        ({"nprime": 1.5}, [], "'nprime'"),
+        ({"trials": 2.5}, [], "'trials'"),
+        ({"max_attempts": "7"}, [], "'max_attempts'"),
+        ({"enumeration_cap": 10.5}, [], "'enumeration_cap'"),
+        ({"brute_force_limit": "big"}, [], "'brute_force_limit'"),
+        ({"exhaustive": "false"}, [], "'exhaustive'"),
+        ({"force": "no"}, [], "'force'"),
+        ({"force": 1}, [], "'force'"),
+        ({"delta": "0.1"}, [], "'delta'"),
     ],
 )
 def test_verify_rejects_out_of_range_config(capsys, tmp_path, entry, argv, field):
