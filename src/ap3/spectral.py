@@ -115,8 +115,8 @@ class DenseFunction:
 def translated_values(params: FieldParams, values: np.ndarray, d: int) -> np.ndarray:
     """values of m -> f(m + d), read from the cube in one gather.
 
-    A single translate pays no padding; PaddedCube serves many translates of
-    one function.
+    Padding costs (2 - 1/p)^n F floats, which only many translates of one
+    function repay; PaddedCube serves those.
     """
     p = params.p
     cube = np.asarray(values, dtype=np.float64).reshape((p,) * params.n)

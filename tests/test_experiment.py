@@ -281,14 +281,25 @@ def test_broken_certificate_exits_assertion(monkeypatch):
 
 
 @pytest.mark.parametrize("ordering", ["fgf", "gff"])
-def test_perturbed_pair_table_exits_assertion(monkeypatch, ordering):
+@pytest.mark.parametrize(
+    "where, by",
+    [
+        # one entry off by 1e-3 moves pair_weight / F^2 by 1.4e-6 at F = 27
+        (5, 1e-3),
+        # every entry off by 1e-7 moves pair_weight / F^2 by 3.7e-9, under
+        # its 1e-8 tolerance, and each step's count by 3.7e-9 relative
+        (slice(None), 1e-7),
+    ],
+    ids=["one-entry", "every-entry"],
+)
+def test_perturbed_pair_table_exits_assertion(monkeypatch, ordering, where, by):
     import ap3.midpoint as mod
     from ap3.lambda3 import pair_table
 
     def perturbed(spectrum, which):
         table = pair_table(spectrum, which)
         if which == ordering:
-            table[5] += 1e-3
+            table[where] += by
         return table
 
     monkeypatch.setattr(mod, "pair_table", perturbed)
