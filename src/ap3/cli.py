@@ -31,7 +31,7 @@ from .experiment import (
     report_json,
     run_config,
 )
-from .field import EnumerationCapError, FieldParams, InfeasibleError
+from .field import EnumerationCapError, FieldParams
 from .finder import chebyshev_moments, choose_dimension, estimate_condition_probabilities
 from .lambda3 import (
     AGREEMENT_TOLERANCE,
@@ -238,17 +238,8 @@ def cmd_lambda3(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    overrides = {}
-    for key in ("seed", "p", "n", "k", "gamma", "delta", "trials"):
-        value = getattr(args, key)
-        if value is not None:
-            overrides[key] = value
-    if args.ordering is not None:
-        overrides["ordering"] = args.ordering
-    if args.exhaustive is not None:
-        overrides["exhaustive"] = True
-    if args.force is not None:
-        overrides["force"] = True
+    keys = ("seed", "p", "n", "k", "gamma", "delta", "trials", "ordering", "exhaustive", "force")
+    overrides = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
     report, code = run_config(load_config_file(args.config, overrides))
     _emit(report_json(report), args.out, "report.json")
     status = "PASS" if code == EXIT_PASS else f"FAIL(exit {code})"
@@ -331,10 +322,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, EnumerationCapError, InfeasibleError) as exc:
-        print(f"ap3 {args.command}: error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except ValueError as exc:
+    except (ValueError, EnumerationCapError) as exc:  # ConfigError, InfeasibleError included
         print(f"ap3 {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

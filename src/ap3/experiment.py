@@ -245,6 +245,13 @@ class ExperimentConfig:
         trials = integer("trials", 0)
         if trials < 0:
             raise ConfigError(f"field 'trials' must be nonnegative, got {trials}")
+        limits = {
+            "max_attempts": 256, "enumeration_cap": 200_000, "brute_force_limit": BRUTE_FORCE_LIMIT
+        }
+        for key, default in limits.items():
+            limits[key] = integer(key, default)
+            if limits[key] < 1:
+                raise ConfigError(f"field {key!r} must be at least 1, got {limits[key]}")
         return cls(
             p=p,
             n=n,
@@ -256,12 +263,10 @@ class ExperimentConfig:
             gamma=gamma,
             orderings=orderings,
             refresh=refresh,
-            max_attempts=integer("max_attempts", 256),
             nprime=nprime,
             trials=trials,
             exhaustive=_flag(raw, "exhaustive"),
-            enumeration_cap=integer("enumeration_cap", 200_000),
-            brute_force_limit=integer("brute_force_limit", BRUTE_FORCE_LIMIT),
+            **limits,
             force=_flag(raw, "force"),
             label=str(raw.get("label", "")),
         )
@@ -432,24 +437,14 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
     if config.trials > 0 or config.exhaustive:
         A = spectrum.top_places(config.k)
         try:
-            est = estimate_condition_probabilities(
-                params,
-                nprime,
-                A=A,
-                g=g,
-                trials=config.trials,
-                rng=rng_est,
-                exhaustive=config.exhaustive,
-                cap=config.enumeration_cap,
-            )
-            mom = chebyshev_moments(
-                g,
-                nprime,
-                trials=config.trials,
-                rng=rng_est,
-                exhaustive=config.exhaustive,
-                cap=config.enumeration_cap,
-            )
+            sampling = {
+                "trials": config.trials,
+                "rng": rng_est,
+                "exhaustive": config.exhaustive,
+                "cap": config.enumeration_cap,
+            }
+            est = estimate_condition_probabilities(params, nprime, A=A, g=g, **sampling)
+            mom = chebyshev_moments(g, nprime, **sampling)
             report["estimates"] = {
                 "separation": est.p_separation,
                 "separation_stderr": est.p_separation_stderr,

@@ -3,9 +3,10 @@ spectrum and whose cosets still carry their share of g's mass.
 
 An attempt draws W uniform of dimension nprime and accepts when three
 conditions hold: (separation) the complement V = W-perp meets the difference
-set of the top places only in 0; (coset density) at least F/4 translates t
-have sum_{m in t+W} g(m) >= E(g) |W| / 2; (direct sum) W and V meet only in 0,
-so every element splits uniquely as v + w.  The first two events each hold
+set of the top places only in 0; (coset density) the cosets t + W with
+sum_{m in t+W} g(m) >= E(g) |W| / 2 cover at least F/4 translates t;
+(direct sum) W and V meet only in 0, so every element splits uniquely as
+v + w.  The first two events each hold
 with probability > 1/2 resp. > 3/4 when the density hypothesis E(g) >
 8 p^(-1/2) k^(-1) is met, so rejection sampling terminates quickly.  Below
 the hypothesis the finder proceeds all the same and the attempt budget does
@@ -89,14 +90,6 @@ def is_dense(total, mean: float, size: int):
     return total >= mean * size / 2.0 - COSET_SUM_TOLERANCE
 
 
-def dense_translates(g: DenseFunction, V: Subspace, mean: float | None = None) -> np.ndarray:
-    """All t whose coset t + W, W = V-perp, carries at least E(g) |W| / 2 of mass."""
-    mean = g.mean() if mean is None else mean
-    labels, sums = coset_sums(g, V)
-    size = g.params.F // V.size
-    return np.flatnonzero(is_dense(sums[labels], mean, size)).astype(np.int64)
-
-
 def separates(W: Subspace, B: np.ndarray) -> bool:
     """The separation event: V = W-perp holds no nonzero b in B."""
     return not (W.labels(B[B != 0]) == 0).any()
@@ -113,7 +106,7 @@ class FinderConfig:
 class GoodSubspace:
     W: Subspace
     V: Subspace
-    translates: np.ndarray
+    dense: np.ndarray  # by coset label: does that W-coset carry E(g) |W| / 2 of g's mass?
     coset_labels: np.ndarray  # V.labels() over all of F: x + W is named by coset_labels[x]
     attempts: int
     rejections: dict
@@ -141,11 +134,11 @@ def find_good_subspace(
             rejections["separation"] += 1
             continue
         labels, sums = coset_sums(g, V)
-        T = np.flatnonzero(is_dense(sums[labels], mean, W.size))
-        if T.size < params.F / 4.0:
+        dense = is_dense(sums, mean, W.size)
+        if dense.sum() * W.size < params.F / 4.0:
             rejections["coset_density"] += 1
             continue
-        return GoodSubspace(W, V, T, labels, attempt, rejections)
+        return GoodSubspace(W, V, dense, labels, attempt, rejections)
     raise FinderBudgetError(
         f"no good subspace in {cfg.max_attempts} attempts (rejections: {rejections})",
         rejections,

@@ -18,11 +18,16 @@ g_i(m) >= E(g_i)/2 supports the certified pair-count floor
 and depleting r = ceil(E(g) F / 2) such midpoints assembles a positive lower
 bound for Lambda3.
 
-Q sees t only through v.t for v in V, and v.w = 0 for every w in W, so Q is
-constant on each coset t + W.  The finder's T is a union of such cosets, and
-select_translate scores one translate per coset.  Its tie-break is the
-smallest t of the first minimal coset, cosets ordered by their smallest
-members.
+Q sees t only through v.t for v in V, so Q is constant on each coset t + W,
+which V.labels(t) names.  With v = b.Vb for V's basis Vb, v.t is b dotted
+with the digits of V.labels(t): on each V-coset the sum over v is a size-|V|
+transform in b, and coset_scores scores every W-coset in O(F log |V|).  It
+zeroes fhat on A first, because w^(-v(a).t) fhat(a) is a's own term in the
+sum over its V-coset, which separation gives to a alone; subtracting after
+the transform cancels two large numbers and loses a small Q to round-off.
+select_translate takes the smallest t of the first minimal dense coset.
+SubspaceFrame, translate_scores (Q one translate at a time) and
+build_context (the window's invariants) are oracles, off the fast path.
 """
 
 from __future__ import annotations
@@ -34,11 +39,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import HypothesisRefusal, density_floor
-from .field import Subspace, check_same_params
+from .field import Subspace, _power_table, check_same_params
 from .finder import (
     FinderBudgetError,
     FinderConfig,
-    GoodSubspace,
     coset_sum,
     find_good_subspace,
     is_dense,
@@ -68,7 +72,7 @@ class CertificateError(AssertionError):
 
 @dataclass(frozen=True)
 class SubspaceFrame:
-    """Per-(W, V) precomputation shared by translate scoring and contexts."""
+    """Per-(W, V) precomputation for the per-translate oracles."""
 
     spectrum: Spectrum
     W: Subspace
@@ -84,14 +88,12 @@ class SubspaceFrame:
         spectrum: Spectrum,
         W: Subspace,
         V: Subspace,
-        v_labels: np.ndarray | None = None,
     ) -> "SubspaceFrame":
         """Index every x = w_i + v_j by its coset labels.
 
         With V = W-perp, W.labels(x) = W.labels(w_i) and V.labels(x) =
         V.labels(v_j), so two position tables of size |W| and |V| give i and
-        j.  W.labels is injective on W exactly when F = V (+) W.  v_labels,
-        when given, is V.labels() as the finder already computed it.
+        j.  W.labels is injective on W exactly when F = V (+) W.
         """
         params = spectrum.params
         W.params.same_as(params)
@@ -108,8 +110,7 @@ class SubspaceFrame:
             raise ValueError("subspaces do not form a direct sum")
         pos_v = np.empty(V.size, dtype=np.int64)
         pos_v[V.labels(v_members)] = np.arange(V.size)
-        v_labels = V.labels() if v_labels is None else v_labels
-        cell = pos_w[W.labels()] * V.size + pos_v[v_labels]
+        cell = pos_w[W.labels()] * V.size + pos_v[V.labels()]
         grid = np.empty(params.F, dtype=np.int64)
         grid[cell] = np.arange(params.F)
         fhat_wv = spectrum.coeffs[grid.reshape(W.size, V.size)]
@@ -136,13 +137,10 @@ class SubspaceFrame:
         vd = params.digit_table()[self.v_members]
         return roots_conj[(vd @ td.T) % params.p]
 
-    def hhat_on_w(self, ts: np.ndarray) -> np.ndarray:
-        """hhat(w) for each translate in ts, shape (|W|, len(ts))."""
-        return self.fhat_wv @ self.phases(ts)
-
 
 def translate_scores(frame: SubspaceFrame, A: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Q(t) for each candidate translate."""
+    """Q(t) for each candidate translate, from the formula; the oracle for
+    coset_scores."""
     pos_w, pos_v = frame.place_positions(A)
     fa = frame.spectrum.coeffs[np.asarray(A, dtype=np.int64)]
     w2_mask = np.ones(frame.w_members.size, dtype=bool)
@@ -153,28 +151,53 @@ def translate_scores(frame: SubspaceFrame, A: np.ndarray, ts: np.ndarray) -> np.
     return (np.abs(main) ** 2).sum(axis=0) + (np.abs(H[w2_mask, :]) ** 2).sum(axis=0)
 
 
-def select_translate(
-    frame: SubspaceFrame, A: np.ndarray, translates: np.ndarray, sigma_k: float
-) -> tuple[int, float]:
-    """The translate in T minimizing Q, with its score.
+def coset_scores(spectrum: Spectrum, A: np.ndarray, W: Subspace, V: Subspace) -> np.ndarray:
+    """Q for every W-coset, indexed by label: scores[V.labels(t)] = Q(t).
 
-    Q is constant on each coset t + W, so only the smallest t of each coset
-    met by the ascending T is scored.  Ties go to the first minimal coset in
-    ascending order.  With |T| >= F/4 the averaging identity guarantees the
-    minimum is at most 4 sigma_k; a violation is a broken invariant, not a
-    data condition.
+    fhat, zeroed on A, is laid out in a |W| x |V| grid.  The row of x is
+    W.labels(x), which names x + V.  The column is x's digits at V's pivots:
+    V's RREF basis is the identity there, so along a row they run over every
+    coefficient vector b of V, shifted by a constant that only turns the
+    row's transform by a unit phase.  |.|^2 summed over the rows of the
+    transform along the columns is Q at each label.
     """
-    translates = np.asarray(translates, dtype=np.int64)
-    coset_ids = frame.cell[translates] % frame.v_members.size  # x + W = v(x) + W
-    _, first = np.unique(coset_ids, return_index=True)
-    reps = translates[np.sort(first)]
-    scores = translate_scores(frame, A, reps)
-    pos = int(np.argmin(scores))
-    t, q = int(reps[pos]), float(scores[pos])
-    F = frame.spectrum.params.F
-    if translates.size >= F / 4.0 and q > 4.0 * sigma_k + INVARIANT_TOLERANCE:
+    params = spectrum.params
+    W.params.same_as(params)
+    V.params.same_as(params)
+    if W.dim + V.dim != params.n or W.labels(params.indices_of(V.matrix)).any():
+        raise ValueError("V must be the orthogonal complement of W")
+    A = np.asarray(A, dtype=np.int64)
+    rows = W.labels()
+    if np.unique(rows[A]).size != A.size:
+        raise ValueError("two top places share a V-coset; the separation condition fails")
+    cols = params.digit_table()[:, V.pivots] @ _power_table(params.p, V.dim)
+    grid = np.zeros(params.F, dtype=np.complex128)
+    grid[rows * V.size + cols] = spectrum.coeffs
+    grid[rows[A] * V.size + cols[A]] = 0.0
+    # Label digit i is column axis V.dim - i, so the C-order flattening of
+    # the transformed axes reads back as the label.
+    shape = (W.size,) + (params.p,) * V.dim
+    hhat = np.fft.fftn(grid.reshape(shape), axes=tuple(range(1, V.dim + 1)))
+    return (np.abs(hhat) ** 2).sum(axis=0).reshape(-1)
+
+
+def select_translate(
+    scores: np.ndarray, labels: np.ndarray, dense: np.ndarray, sigma_k: float
+) -> tuple[int, float]:
+    """The smallest t of the first minimal dense coset, with its score Q(t).
+
+    scores and dense are indexed by coset label and labels[x] names x + W, so
+    t is the first x whose coset is dense and scores the minimum.  With the
+    dense cosets covering at least F/4 translates the averaging identity
+    guarantees the minimum is at most 4 sigma_k; a violation is a broken
+    invariant, not a data condition.
+    """
+    q = float(scores[dense].min())
+    t = int(np.argmax((dense & (scores == q))[labels]))
+    pool = int(dense.sum()) * (labels.size // dense.size)
+    if pool >= labels.size / 4.0 and q > 4.0 * sigma_k + INVARIANT_TOLERANCE:
         raise ContextInvariantError(
-            f"min Q over {translates.size} translates is {q}, above 4*sigma_k={4*sigma_k}"
+            f"min Q over {pool} translates is {q}, above 4*sigma_k={4*sigma_k}"
         )
     return t, q
 
@@ -235,7 +258,7 @@ def build_context(
 
     hhat_direct = dft(h).coeffs
     hhat_formula = np.zeros(params.F, dtype=np.complex128)
-    hhat_formula[frame.w_members] = frame.hhat_on_w(np.array([t]))[:, 0]
+    hhat_formula[frame.w_members] = frame.fhat_wv @ frame.phases(np.array([t]))[:, 0]
     gap = float(np.abs(hhat_direct - hhat_formula).max())
     if gap > HHAT_TOLERANCE:
         raise ContextInvariantError(f"closed-form transform of h off by {gap}")
@@ -363,7 +386,7 @@ def run_depletion(
     partial = False
     warned_floor = False
     rejections = {"separation": 0, "coset_density": 0, "direct_sum": 0}
-    current: tuple[GoodSubspace, np.ndarray, int, float] | None = None  # (good, coset, t, q)
+    coset = None  # the window t + W of the last (W, t) chosen
 
     for i in range(1, r + 1):
         e_gi = sum_g / F
@@ -375,14 +398,12 @@ def run_depletion(
                 "does not apply from here on",
                 stacklevel=2,
             )
-        reused = False
-        if refresh == "lazy" and current is not None:
-            good, coset, t, q = current
-            if is_dense(coset_sum(gi, coset), e_gi, good.W.size):
-                reused = True
-            else:
-                current = None
-        if current is None or not reused:
+        reused = (
+            refresh == "lazy"
+            and coset is not None
+            and is_dense(coset_sum(gi, coset), e_gi, good.W.size)
+        )
+        if not reused:
             try:
                 good = find_good_subspace(A, DenseFunction.make(params, gi), cfg, rng)
             except FinderBudgetError as err:
@@ -392,17 +413,15 @@ def run_depletion(
                 break
             for key in rejections:
                 rejections[key] += good.rejections.get(key, 0)
-            frame = SubspaceFrame.build(spectrum, good.W, good.V, good.coset_labels)
-            t, q = select_translate(frame, A, good.translates, sigma_k)
+            scores = coset_scores(spectrum, A, good.W, good.V)
+            t, q = select_translate(scores, good.coset_labels, good.dense, sigma_k)
             coset = good.W.coset(t)
-            current = (good, coset, t, q)
 
         local = gi[coset]
         pos = int(np.argmax(local))
         m = int(coset[pos])
         g_value = float(local[pos])
-        v_size = good.V.size
-        floor = e_gi**2 * v_size / 4.0 - 9.0 * delta * F
+        floor = e_gi**2 * good.V.size / 4.0 - 9.0 * delta * F
         pair = float(table[m])
         held = (
             g_value >= e_gi / 2.0 - INVARIANT_TOLERANCE

@@ -24,7 +24,14 @@ from ap3.finder import (
 )
 from ap3.functions import indicator, normalized_conv_power, random_set, subspace_indicator
 from ap3.lambda3 import lambda3_brute, lambda3_spectral, trivial_lower_bound
-from ap3.midpoint import SubspaceFrame, build_context, run_depletion, select_translate, translate_scores
+from ap3.midpoint import (
+    SubspaceFrame,
+    build_context,
+    coset_scores,
+    run_depletion,
+    select_translate,
+    translate_scores,
+)
 from ap3.spectral import DenseFunction, dft, idft, parseval_gap, translated_values
 
 
@@ -243,7 +250,8 @@ def test_averaging_identity(announce):
         total = float(translate_scores(frame, A, np.arange(params.F)).sum())
         rel = abs(total - params.F * sigma) / max(params.F * sigma, 1e-12)
         worst_rel = max(worst_rel, rel)
-        t, q = select_translate(frame, A, good.translates, sigma)
+        scores = coset_scores(spectrum, A, good.W, good.V)
+        t, q = select_translate(scores, good.coset_labels, good.dense, sigma)
         min_ok &= q <= 4.0 * sigma + 1e-9
     elapsed = time.perf_counter() - start
     ok = worst_rel <= 1e-6 and bool(min_ok) and elapsed < 120.0
@@ -272,9 +280,8 @@ def test_context_invariants(announce):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             good = find_good_subspace(A, ones, FinderConfig(k=2), rng)
-        t, _ = select_translate(
-            SubspaceFrame.build(spectrum, good.W, good.V), A, good.translates, spectrum.sigma(2)
-        )
+        scores = coset_scores(spectrum, A, good.W, good.V)
+        t, _ = select_translate(scores, good.coset_labels, good.dense, spectrum.sigma(2))
         ctx = build_context(f, A, good.W, good.V, t, spectrum=spectrum)
         built += 1
         gap = float(np.abs(dft(ctx.h).coeffs - ctx.hhat).max())

@@ -278,6 +278,9 @@ def test_verify_non_object_config(capsys, tmp_path, raw):
         ({"force": "no"}, [], "'force'"),
         ({"force": 1}, [], "'force'"),
         ({"delta": "0.1"}, [], "'delta'"),
+        ({"max_attempts": 0}, [], "'max_attempts'"),
+        ({"enumeration_cap": 0}, [], "'enumeration_cap'"),
+        ({"brute_force_limit": -1}, [], "'brute_force_limit'"),
     ],
 )
 def test_verify_rejects_out_of_range_config(capsys, tmp_path, entry, argv, field):
@@ -324,6 +327,15 @@ def test_estimate_exhaustive_csv(capsys):
         float(row["moment_mean_identity"]), rel=1e-12
     )
     assert float(row["moment_variance"]) <= float(row["moment_variance_bound"]) + 1e-9
+
+
+def test_estimate_exhaustive_cap_is_an_error(capsys):
+    code, out, err = run_cli(
+        capsys, "estimate", "--p", "3", "--n", "4", "--k", "3", "--exhaustive", "--cap", "1"
+    )
+    assert code == 1
+    assert out == ""
+    assert "exceeds the cap of 1" in err
 
 
 def test_estimate_k_grid_deterministic(capsys):

@@ -22,9 +22,9 @@ from ap3.finder import (
     choose_dimension,
     coset_sum,
     coset_sums,
-    dense_translates,
     estimate_condition_probabilities,
     find_good_subspace,
+    is_dense,
     separates,
 )
 from ap3.functions import indicator
@@ -110,14 +110,15 @@ def test_sampled_estimators_read_one_coset(p33, rng, monkeypatch):
 def test_dense_translates_full_for_constant(p33):
     g = DenseFunction.constant(p33, 1.0)
     W = Subspace.from_rows(p33, [[1, 0, 0]])
-    T = dense_translates(g, W.complement())
-    assert T.size == p33.F
+    _, sums = coset_sums(g, W.complement())
+    assert is_dense(sums, g.mean(), W.size).all()
 
 
 def test_dense_translates_point_mass(p33):
     g = indicator(p33, [0])
     W = Subspace.from_rows(p33, [[1, 0, 0]])
-    T = dense_translates(g, W.complement())
+    labels, sums = coset_sums(g, W.complement())
+    T = np.flatnonzero(is_dense(sums, g.mean(), W.size)[labels])
     # only the coset through 0 carries mass
     assert set(int(t) for t in T) == set(int(w) for w in W.members())
 
@@ -126,7 +127,7 @@ def _verify_good(found, A, g, params):
     D = params.digit_table()
     B = {params.index_of(D[a] - D[b]) for a in A for b in A} - {0}
     assert not any(found.V.contains(b) for b in B)
-    assert found.translates.size >= params.F / 4.0
+    assert found.dense.sum() * found.W.size >= params.F / 4.0
     stacked = np.vstack([found.W.matrix, found.V.matrix])
     assert rref(stacked, params.p)[0].shape[0] == found.W.dim + found.V.dim
     assert found.W.dim + found.V.dim == params.n

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import ap3.midpoint
 from ap3.bounds import HypothesisRefusal
 from ap3.field import FieldParams, Subspace
-from ap3.finder import FinderConfig, find_good_subspace
+from ap3.finder import FinderBudgetError, FinderConfig, coset_sums, find_good_subspace, is_dense
 from ap3.functions import indicator
 from ap3.lambda3 import lambda3_brute
 from ap3.midpoint import (
@@ -16,6 +16,7 @@ from ap3.midpoint import (
     ContextInvariantError,
     SubspaceFrame,
     build_context,
+    coset_scores,
     run_depletion,
     select_translate,
     translate_scores,
@@ -43,16 +44,27 @@ def test_sum_of_scores_is_F_sigma(p33, rng):
     assert total == pytest.approx(p33.F * sigma, rel=1e-6)
 
 
+def reference_translate(spectrum, A, good):
+    """The translate rule from the per-translate oracle: score the smallest
+    member of each dense coset, cosets in ascending order of those members,
+    and take the first minimum."""
+    T = np.flatnonzero(good.dense[good.coset_labels])
+    _, first = np.unique(good.coset_labels[T], return_index=True)
+    reps = T[np.sort(first)]
+    scores = translate_scores(SubspaceFrame.build(spectrum, good.W, good.V), A, reps)
+    pos = int(np.argmin(scores))
+    return int(reps[pos]), float(scores[pos])
+
+
 def test_select_translate_is_argmin_and_bounded(p33, rng):
     f = random_function(p33, rng)
     spectrum, A, good = separated_frame(f, 2, rng)
-    frame = SubspaceFrame.build(spectrum, good.W, good.V)
     sigma = spectrum.sigma(2)
-    t, q = select_translate(frame, A, good.translates, sigma)
-    scores = translate_scores(frame, A, good.translates)
-    assert abs(q - scores.min()) <= 1e-12 * max(1.0, p33.F * sigma)
-    in_T = np.intersect1d(good.W.coset(t), good.translates)
-    assert t == int(in_T.min())
+    scores = coset_scores(spectrum, A, good.W, good.V)
+    t, q = select_translate(scores, good.coset_labels, good.dense, sigma)
+    t_ref, q_ref = reference_translate(spectrum, A, good)
+    assert t == t_ref
+    assert abs(q - q_ref) <= 1e-12 * max(1.0, p33.F * sigma)
     assert q <= 4.0 * sigma + 1e-9
 
 
@@ -69,27 +81,93 @@ def test_scores_constant_on_w_cosets(pn, seed):
     assert spread <= 1e-9 * (1.0 + scores.max())
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)]),
+    st.integers(0, 2**32 - 1),
+)
+def test_coset_scores_match_translate_scores(pn, seed):
+    params = FieldParams(*pn)
+    rng = np.random.default_rng(seed)
+    f = random_function(params, rng)
+    spectrum = dft(f)
+    A = spectrum.top_places(2)
+    ones = DenseFunction.constant(params, 1.0)
+    accepted = 0
+    for nprime in range(params.n + 1):
+        try:
+            good = find_good_subspace(A, ones, FinderConfig(k=2, nprime=nprime), rng)
+        except FinderBudgetError:
+            continue
+        accepted += 1
+        scores = coset_scores(spectrum, A, good.W, good.V)
+        assert scores.shape == (good.V.size,)
+        oracle = translate_scores(SubspaceFrame.build(spectrum, good.W, good.V), A, np.arange(params.F))
+        np.testing.assert_allclose(
+            scores[good.V.labels()], oracle, rtol=1e-12, atol=1e-12 * oracle.max()
+        )
+        total = good.W.size * scores.sum()
+        assert total == pytest.approx(params.F * spectrum.sigma(2), rel=1e-9)
+    assert accepted >= 1
+
+
+def test_coset_scores_rejects_unseparated_places(p33, rng):
+    spectrum = dft(random_function(p33, rng))
+    W = Subspace.from_rows(p33, [[1, 0, 0]])
+    V = W.complement()
+    with pytest.raises(ValueError, match="separation"):
+        coset_scores(spectrum, np.array([0, 3]), W, V)  # 3 = (0, 1, 0) lies in V
+    with pytest.raises(ValueError, match="complement"):
+        coset_scores(spectrum, np.array([0]), W, W)
+
+
 def test_select_translate_scores_one_per_coset(p33, rng, monkeypatch):
     f = random_function(p33, rng)
     spectrum, A, good = separated_frame(f, 2, rng)
-    frame = SubspaceFrame.build(spectrum, good.W, good.V)
-    scored = []
+    scores = coset_scores(spectrum, A, good.W, good.V)
+    assert scores.size == good.V.size < p33.F
 
-    def counted(frame, A, ts):
-        scored.append(len(ts))
-        return translate_scores(frame, A, ts)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the per-translate oracle is not on the fast path")
 
-    monkeypatch.setattr(ap3.midpoint, "translate_scores", counted)
-    select_translate(frame, A, good.translates, spectrum.sigma(2))
-    assert scored and sum(scored) <= good.V.size < good.translates.size
+    monkeypatch.setattr(ap3.midpoint, "translate_scores", forbidden)
+    t, q = select_translate(scores, good.coset_labels, good.dense, spectrum.sigma(2))
+    assert q == scores[good.coset_labels[t]]
 
 
 def test_select_translate_zero_tail(p33, rng):
     f = DenseFunction.constant(p33, 0.7)
     spectrum, A, good = separated_frame(f, 2, rng)
-    frame = SubspaceFrame.build(spectrum, good.W, good.V)
-    t, q = select_translate(frame, A, good.translates, spectrum.sigma(2))
+    scores = coset_scores(spectrum, A, good.W, good.V)
+    t, q = select_translate(scores, good.coset_labels, good.dense, spectrum.sigma(2))
     assert q == pytest.approx(0.0, abs=1e-18)
+
+
+def test_select_translate_exact_tie_takes_smallest_dense_translate(p33):
+    # A constant f has Q = 0 on every coset, so the tie-break alone picks t.
+    f = DenseFunction.constant(p33, 0.7)
+    spectrum = dft(f)
+    A = spectrum.top_places(2)
+    W = Subspace.from_rows(p33, [[1, 0, 0]])
+    V = W.complement()
+    g = indicator(p33, [5, 14, 22, 26])  # four cosets of W carry mass
+    labels, sums = coset_sums(g, V)
+    dense = is_dense(sums, g.mean(), W.size)
+    assert 0 < dense.sum() < V.size and not dense[labels[0]]
+    scores = coset_scores(spectrum, A, W, V)
+    assert not scores.any()
+    t, q = select_translate(scores, labels, dense, spectrum.sigma(2))
+    assert t == int(np.flatnonzero(dense[labels])[0]) == 3  # the coset {3, 4, 5}
+    assert q == 0.0
+
+
+def test_select_translate_checks_the_averaging_bound():
+    labels = np.arange(9) % 3  # three cosets of three translates each
+    dense = np.array([True, True, False])
+    scores = np.array([5.0, 4.0, 0.0])  # the undense coset's 0 is not eligible
+    with pytest.raises(ContextInvariantError, match="above 4"):
+        select_translate(scores, labels, dense, sigma_k=0.5)
+    assert select_translate(scores, labels, dense, sigma_k=1.0) == (1, 4.0)
 
 
 def test_build_context_full_space(p33, rng):
@@ -136,7 +214,7 @@ def test_build_context_window_indicator(p33, rng):
 def test_build_context_invariants_random(p33, rng):
     f = random_function(p33, rng)
     spectrum, A, good = separated_frame(f, 2, rng)
-    t = int(good.translates[0])
+    t = int(np.flatnonzero(good.dense[good.coset_labels])[0])
     ctx = build_context(f, A, good.W, good.V, t, spectrum=spectrum)
     coset = good.W.coset(t)
     assert np.allclose(ctx.h.values[coset], f.values[coset], atol=1e-9)
@@ -250,6 +328,22 @@ def test_depletion_lazy_refresh_matches(p33):
     assert not any(s.reused for s in always.steps)
     assert lazy.lambda_lower == pytest.approx(always.lambda_lower, rel=1e-12)
     assert lazy.certificates_ok
+
+
+@pytest.mark.parametrize("refresh", ["always", "lazy"])
+def test_depletion_runs_without_the_oracles(p33, rng, refresh, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an oracle ran on the fast path")
+
+    monkeypatch.setattr(SubspaceFrame, "build", forbidden)
+    monkeypatch.setattr(ap3.midpoint, "translate_scores", forbidden)
+    f = random_function(p33, rng)
+    g = DenseFunction.make(p33, f.values * 0.9)
+    delta = float(np.sqrt(dft(f).sigma(2)) / p33.F + 1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run = run_depletion(f, g, k=2, delta=delta, refresh=refresh, rng=rng)
+    assert run.steps and run.certificates_ok
 
 
 def test_depletion_refusals(p33, rng):

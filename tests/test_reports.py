@@ -39,13 +39,13 @@ PINNED = [
         "cap_exhaustive_demo.json",
         None,
         1,
-        "d729b7422c842ea356ef1dc597a0fe7038b7482c7e31b67e984d99b7fd95eea9",
+        "0d3ee63d20be86844964fd4a4ce31317a046a4971347b1c1fb00c54d8ad0bc94",
     ),
     (
         "dense_theorem_p5_n4.json",
         None,
         0,
-        "e427fd0a38e543cf6daf0f8e79fc86e7d0d2cfc638923114112900608b0aa74a",
+        "5ce1101f07bf0b3aca36076810d7dbf303937d695f5f66ba81cd9c98497429cb",
     ),
     (
         "refusal_empty_minorant.json",
@@ -57,13 +57,13 @@ PINNED = [
         "sevenfold_p3_n5.json",
         None,
         0,
-        "94b2bc29ecd14c99042ce91c50324835b7748ac4e460198267437a07b782562d",
+        "a8d4a95f7be809c0c864f7033e5de7d01e53f3ac22b5c41e388ababce790bc58",
     ),
     (
         "dense_theorem_p5_n4.json",
         "lazy",
         0,
-        "c7530182abb64e3460045fef2f663e6d75b1606a164acca72d77b3cf3c1cc50c",
+        "6693ab4e9f1d8fd8d81c72ff65d2351d56a9b6254ecca47dd9bbef83f39dd33e",
     ),
 ]
 
