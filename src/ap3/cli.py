@@ -60,10 +60,11 @@ def _seed_type(text: str) -> int:
     return value
 
 
-def _trials_type(text: str) -> int:
+def _positive_int(text: str) -> int:
+    """An integer of at least 1; argparse names the flag in the error."""
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError("trials must be a positive integer")
+        raise argparse.ArgumentTypeError("must be a positive integer")
     return value
 
 
@@ -120,10 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
     es.add_argument("--n", type=int, required=True)
     es.add_argument("--k", type=_k_list, required=True, help="comma list, e.g. 2,3,4")
     es.add_argument("--lemma", choices=("separation", "moments", "both"), default="both")
-    es.add_argument("--trials", type=_trials_type, default=1000)
+    es.add_argument("--trials", type=_positive_int, default=1000)
     es.add_argument("--exhaustive", action="store_true")
     es.add_argument("--seed", type=_seed_type, default=0)
-    es.add_argument("--cap", type=int, default=200_000, help="exhaustive enumeration cap")
+    es.add_argument("--cap", type=_positive_int, default=200_000, help="exhaustive enumeration cap")
     es.add_argument("--out", help="output directory (default: stdout)")
     return parser
 

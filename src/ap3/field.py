@@ -242,13 +242,7 @@ class Subspace:
 
     def members(self) -> np.ndarray:
         """All element indices of the subspace, ascending."""
-        if self.dim == 0:
-            return np.zeros(1, dtype=np.int64)
-        coeffs = _digit_table(self.params.p, self.dim)
-        digit_rows = (coeffs @ self.matrix) % self.params.p
-        out = self.params.indices_of(digit_rows)
-        out.sort()
-        return out
+        return self.coset(0)
 
     def coset(self, t: int) -> np.ndarray:
         """Element indices of t + subspace, ascending."""

@@ -18,13 +18,16 @@ g_i(m) >= E(g_i)/2 supports the certified pair-count floor
 and depleting r = ceil(E(g) F / 2) such midpoints assembles a positive lower
 bound for Lambda3.
 
-Q sees t only through v.t for v in V, so Q is constant on each coset t + W,
-which V.labels(t) names.  With v = b.Vb for V's basis Vb, v.t is b dotted
-with the digits of V.labels(t): on each V-coset the sum over v is a size-|V|
-transform in b, and coset_scores scores every W-coset in O(F log |V|).  It
-zeroes fhat on A first, because w^(-v(a).t) fhat(a) is a's own term in the
-sum over its V-coset, which separation gives to a alone; subtracting after
-the transform cancels two large numbers and loses a small Q to round-off.
+Q is f's tail energy on the window.  Let fhat' be fhat with A set to 0 and
+f_tail its inverse transform.  Separation gives each a in A its own V-coset,
+so Q(t) sums |sum_{v in V} fhat'(c + v) w^(-v.t)|^2 over the V-cosets c.
+With psi = f_tail 1_{t+W}, |psihat| is constant on each V-coset and equals
+(|W|/F) |sum_{v in V} fhat'(c + v) w^(-v.t)|, and Parseval on psi gives
+
+    Q(t) = (F^2 / |W|) sum_{m in t+W} |f_tail(m)|^2.
+
+tail_energy holds F^2 |f_tail|^2, one transform per run since f and A stay
+fixed; coset_scores sums it over every W-coset with one bincount.
 select_translate takes the smallest t of the first minimal dense coset.
 SubspaceFrame, translate_scores (Q one translate at a time) and
 build_context (the window's invariants) are oracles, off the fast path.
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import HypothesisRefusal, density_floor
-from .field import Subspace, _power_table, check_same_params
+from .field import Subspace, check_same_params
 from .finder import (
     FinderBudgetError,
     FinderConfig,
@@ -151,34 +154,23 @@ def translate_scores(frame: SubspaceFrame, A: np.ndarray, ts: np.ndarray) -> np.
     return (np.abs(main) ** 2).sum(axis=0) + (np.abs(H[w2_mask, :]) ** 2).sum(axis=0)
 
 
-def coset_scores(spectrum: Spectrum, A: np.ndarray, W: Subspace, V: Subspace) -> np.ndarray:
-    """Q for every W-coset, indexed by label: scores[V.labels(t)] = Q(t).
-
-    fhat, zeroed on A, is laid out in a |W| x |V| grid.  The row of x is
-    W.labels(x), which names x + V.  The column is x's digits at V's pivots:
-    V's RREF basis is the identity there, so along a row they run over every
-    coefficient vector b of V, shifted by a constant that only turns the
-    row's transform by a unit phase.  |.|^2 summed over the rows of the
-    transform along the columns is Q at each label.
-    """
+def tail_energy(spectrum: Spectrum, A: np.ndarray) -> np.ndarray:
+    """F^2 |f_tail(m)|^2 for every m, where f_tail is f with the places A
+    removed from its spectrum."""
     params = spectrum.params
-    W.params.same_as(params)
-    V.params.same_as(params)
-    if W.dim + V.dim != params.n or W.labels(params.indices_of(V.matrix)).any():
-        raise ValueError("V must be the orthogonal complement of W")
-    A = np.asarray(A, dtype=np.int64)
-    rows = W.labels()
-    if np.unique(rows[A]).size != A.size:
+    coeffs = spectrum.coeffs.copy()
+    coeffs[np.asarray(A, dtype=np.int64)] = 0.0
+    tail = np.fft.fftn(coeffs.reshape((params.p,) * params.n)).reshape(-1)
+    return np.abs(tail) ** 2
+
+
+def coset_scores(energy: np.ndarray, A: np.ndarray, W: Subspace, labels: np.ndarray) -> np.ndarray:
+    """Q for every W-coset, indexed by label: scores[labels[t]] = Q(t), the
+    tail energy on t + W over |W|.  labels names the cosets of W, as the
+    finder's coset_labels do."""
+    if np.unique(W.labels(A)).size != len(A):
         raise ValueError("two top places share a V-coset; the separation condition fails")
-    cols = params.digit_table()[:, V.pivots] @ _power_table(params.p, V.dim)
-    grid = np.zeros(params.F, dtype=np.complex128)
-    grid[rows * V.size + cols] = spectrum.coeffs
-    grid[rows[A] * V.size + cols[A]] = 0.0
-    # Label digit i is column axis V.dim - i, so the C-order flattening of
-    # the transformed axes reads back as the label.
-    shape = (W.size,) + (params.p,) * V.dim
-    hhat = np.fft.fftn(grid.reshape(shape), axes=tuple(range(1, V.dim + 1)))
-    return (np.abs(hhat) ** 2).sum(axis=0).reshape(-1)
+    return np.bincount(labels, weights=energy, minlength=energy.size // W.size) / W.size
 
 
 def select_translate(
@@ -341,9 +333,9 @@ def run_depletion(
     reading); refresh="lazy" reuses (W, t) while the coset-density condition
     still holds for the depleted g, which certifies identically because Q
     depends only on f.  Depletion never changes f, so every step reads its
-    pair count from one pair_table built before the loop.  The run does not
-    measure Lambda3; the caller checks lambda_lower and pair_weight against
-    its own oracle.
+    pair count from one pair_table and its coset scores from one tail_energy,
+    both built before the loop.  The run does not measure Lambda3; the caller
+    checks lambda_lower and pair_weight against its own oracle.
     """
     params = check_same_params(f, g)
     if ordering not in ORDERINGS:
@@ -374,6 +366,7 @@ def run_depletion(
         )
     A = spectrum.top_places(k)
     table = pair_table(spectrum, ordering)
+    energy = tail_energy(spectrum, A)
     cfg = finder_cfg if finder_cfg is not None else FinderConfig(k=k)
     floor_k = density_floor(params, k)
     density_ok = e_g >= floor_k
@@ -413,7 +406,7 @@ def run_depletion(
                 break
             for key in rejections:
                 rejections[key] += good.rejections.get(key, 0)
-            scores = coset_scores(spectrum, A, good.W, good.V)
+            scores = coset_scores(energy, A, good.W, good.coset_labels)
             t, q = select_translate(scores, good.coset_labels, good.dense, sigma_k)
             coset = good.W.coset(t)
 

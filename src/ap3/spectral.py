@@ -97,13 +97,19 @@ class DenseFunction:
         values = np.zeros(params.F)
         seen = np.zeros(params.F, dtype=bool)
         reader = csv.reader(io.StringIO(text))
-        header = next(reader)
+        header = next(reader, [])
         if [h.strip().lower() for h in header[:2]] != ["index", "value"]:
             raise ValueError("expected CSV header 'index,value'")
         for row in reader:
             if not row:
                 continue
+            if len(row) < 2:
+                raise ValueError(f"CSV line {reader.line_num}: expected index,value")
             i = int(row[0])
+            if not 0 <= i < params.F:
+                raise ValueError(f"CSV line {reader.line_num}: index {i} outside [0, {params.F})")
+            if seen[i]:
+                raise ValueError(f"CSV line {reader.line_num}: index {i} repeats")
             values[i] = float(row[1])
             seen[i] = True
         if not seen.all():

@@ -30,6 +30,7 @@ from ap3.midpoint import (
     coset_scores,
     run_depletion,
     select_translate,
+    tail_energy,
     translate_scores,
 )
 from ap3.spectral import DenseFunction, dft, idft, parseval_gap, translated_values
@@ -250,7 +251,7 @@ def test_averaging_identity(announce):
         total = float(translate_scores(frame, A, np.arange(params.F)).sum())
         rel = abs(total - params.F * sigma) / max(params.F * sigma, 1e-12)
         worst_rel = max(worst_rel, rel)
-        scores = coset_scores(spectrum, A, good.W, good.V)
+        scores = coset_scores(tail_energy(spectrum, A), A, good.W, good.coset_labels)
         t, q = select_translate(scores, good.coset_labels, good.dense, sigma)
         min_ok &= q <= 4.0 * sigma + 1e-9
     elapsed = time.perf_counter() - start
@@ -280,7 +281,7 @@ def test_context_invariants(announce):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             good = find_good_subspace(A, ones, FinderConfig(k=2), rng)
-        scores = coset_scores(spectrum, A, good.W, good.V)
+        scores = coset_scores(tail_energy(spectrum, A), A, good.W, good.coset_labels)
         t, _ = select_translate(scores, good.coset_labels, good.dense, spectrum.sigma(2))
         ctx = build_context(f, A, good.W, good.V, t, spectrum=spectrum)
         built += 1

@@ -76,6 +76,16 @@ def test_transform_requires_exactly_one_source(capsys):
     assert "exactly one" in err
 
 
+def test_transform_rejects_malformed_csv(capsys, tmp_path):
+    rows = DenseFunction.constant(FieldParams(3, 2), 0.5).to_csv().splitlines()
+    path = tmp_path / "neg.csv"
+    path.write_text("\n".join(rows[:-1] + ["-1,0.5"]) + "\n")  # never gives index 8
+    code, out, err = run_cli(capsys, "transform", "--in", str(path), "--p", "3", "--n", "2")
+    assert code == 1 and out == ""
+    assert "ap3 transform: error: CSV line 10: index -1 outside [0, 9)" in err
+    assert "Traceback" not in err
+
+
 def test_lambda3_single_recipe(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -351,12 +361,20 @@ def test_estimate_k_grid_deterministic(capsys):
         assert 0.0 <= float(row["coset_density"]) <= 1.0
 
 
-@pytest.mark.parametrize("trials", ["0", "-5"])
-def test_estimate_rejects_nonpositive_trials(capsys, trials):
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        pytest.param("--trials", "0", id="0"),
+        pytest.param("--trials", "-5", id="-5"),
+        pytest.param("--cap", "0", id="cap-0"),
+        pytest.param("--cap", "-5", id="cap--5"),
+    ],
+)
+def test_estimate_rejects_nonpositive_trials(capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
-        main(["estimate", "--p", "3", "--n", "3", "--k", "2", "--trials", trials])
+        main(["estimate", "--p", "3", "--n", "3", "--k", "2", flag, value])
     assert exc.value.code == 64
-    assert "trials must be a positive integer" in capsys.readouterr().err
+    assert f"argument {flag}: must be a positive integer" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

@@ -19,9 +19,10 @@ from ap3.midpoint import (
     coset_scores,
     run_depletion,
     select_translate,
+    tail_energy,
     translate_scores,
 )
-from ap3.spectral import DenseFunction, dft
+from ap3.spectral import DenseFunction, _root_powers, dft
 
 from conftest import random_function
 
@@ -33,6 +34,10 @@ def separated_frame(f, k, rng):
     ones = DenseFunction.constant(f.params, 1.0)
     good = find_good_subspace(A, ones, FinderConfig(k=k), rng)
     return spectrum, A, good
+
+
+def scores_of(spectrum, A, good):
+    return coset_scores(tail_energy(spectrum, A), A, good.W, good.coset_labels)
 
 
 def test_sum_of_scores_is_F_sigma(p33, rng):
@@ -60,7 +65,7 @@ def test_select_translate_is_argmin_and_bounded(p33, rng):
     f = random_function(p33, rng)
     spectrum, A, good = separated_frame(f, 2, rng)
     sigma = spectrum.sigma(2)
-    scores = coset_scores(spectrum, A, good.W, good.V)
+    scores = scores_of(spectrum, A, good)
     t, q = select_translate(scores, good.coset_labels, good.dense, sigma)
     t_ref, q_ref = reference_translate(spectrum, A, good)
     assert t == t_ref
@@ -100,11 +105,11 @@ def test_coset_scores_match_translate_scores(pn, seed):
         except FinderBudgetError:
             continue
         accepted += 1
-        scores = coset_scores(spectrum, A, good.W, good.V)
+        scores = scores_of(spectrum, A, good)
         assert scores.shape == (good.V.size,)
         oracle = translate_scores(SubspaceFrame.build(spectrum, good.W, good.V), A, np.arange(params.F))
         np.testing.assert_allclose(
-            scores[good.V.labels()], oracle, rtol=1e-12, atol=1e-12 * oracle.max()
+            scores[good.coset_labels], oracle, rtol=1e-12, atol=1e-12 * oracle.max()
         )
         total = good.W.size * scores.sum()
         assert total == pytest.approx(params.F * spectrum.sigma(2), rel=1e-9)
@@ -114,17 +119,31 @@ def test_coset_scores_match_translate_scores(pn, seed):
 def test_coset_scores_rejects_unseparated_places(p33, rng):
     spectrum = dft(random_function(p33, rng))
     W = Subspace.from_rows(p33, [[1, 0, 0]])
-    V = W.complement()
+    A = np.array([0, 3])  # 3 = (0, 1, 0) lies in V = W-perp
     with pytest.raises(ValueError, match="separation"):
-        coset_scores(spectrum, np.array([0, 3]), W, V)  # 3 = (0, 1, 0) lies in V
-    with pytest.raises(ValueError, match="complement"):
-        coset_scores(spectrum, np.array([0]), W, W)
+        coset_scores(tail_energy(spectrum, A), A, W, W.complement().labels())
+
+
+@pytest.mark.parametrize("p,n", [(3, 3), (5, 2), (7, 2)])
+def test_tail_energy_is_the_tail_squared(p, n):
+    # F^2 |f(m) - F^-1 sum_{a in A} fhat(a) w^(-a.m)|^2, straight from the formula
+    params = FieldParams(p, n)
+    rng = np.random.default_rng(p)
+    f = random_function(params, rng)
+    spectrum = dft(f)
+    D = params.digit_table()
+    for A in (spectrum.top_places(3), np.array([1])):  # 1 without -1: f_tail is complex
+        waves = _root_powers(p)[(-D @ D[A].T) % p]  # w^(-a.m), shape (F, |A|)
+        tail = f.values - waves @ spectrum.coeffs[A] / params.F
+        expected = params.F**2 * np.abs(tail) ** 2
+        np.testing.assert_allclose(tail_energy(spectrum, A), expected, rtol=1e-10, atol=1e-10)
+    assert np.abs(tail.imag).max() > 1e-3
 
 
 def test_select_translate_scores_one_per_coset(p33, rng, monkeypatch):
     f = random_function(p33, rng)
     spectrum, A, good = separated_frame(f, 2, rng)
-    scores = coset_scores(spectrum, A, good.W, good.V)
+    scores = scores_of(spectrum, A, good)
     assert scores.size == good.V.size < p33.F
 
     def forbidden(*args, **kwargs):
@@ -138,7 +157,7 @@ def test_select_translate_scores_one_per_coset(p33, rng, monkeypatch):
 def test_select_translate_zero_tail(p33, rng):
     f = DenseFunction.constant(p33, 0.7)
     spectrum, A, good = separated_frame(f, 2, rng)
-    scores = coset_scores(spectrum, A, good.W, good.V)
+    scores = scores_of(spectrum, A, good)
     t, q = select_translate(scores, good.coset_labels, good.dense, spectrum.sigma(2))
     assert q == pytest.approx(0.0, abs=1e-18)
 
@@ -154,7 +173,7 @@ def test_select_translate_exact_tie_takes_smallest_dense_translate(p33):
     labels, sums = coset_sums(g, V)
     dense = is_dense(sums, g.mean(), W.size)
     assert 0 < dense.sum() < V.size and not dense[labels[0]]
-    scores = coset_scores(spectrum, A, W, V)
+    scores = coset_scores(tail_energy(spectrum, A), A, W, labels)
     assert not scores.any()
     t, q = select_translate(scores, labels, dense, spectrum.sigma(2))
     assert t == int(np.flatnonzero(dense[labels])[0]) == 3  # the coset {3, 4, 5}
@@ -344,6 +363,24 @@ def test_depletion_runs_without_the_oracles(p33, rng, refresh, monkeypatch):
         warnings.simplefilter("ignore")
         run = run_depletion(f, g, k=2, delta=delta, refresh=refresh, rng=rng)
     assert run.steps and run.certificates_ok
+
+
+@pytest.mark.parametrize("refresh", ["always", "lazy"])
+def test_depletion_builds_one_tail_energy_per_run(p33, rng, refresh, monkeypatch):
+    calls = []
+
+    def counted(spectrum, A):
+        calls.append(A)
+        return tail_energy(spectrum, A)
+
+    monkeypatch.setattr(ap3.midpoint, "tail_energy", counted)
+    f = random_function(p33, rng)
+    g = DenseFunction.make(p33, f.values * 0.9)
+    delta = float(np.sqrt(dft(f).sigma(2)) / p33.F + 1e-12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        run = run_depletion(f, g, k=2, delta=delta, refresh=refresh, rng=rng)
+    assert len(run.steps) > 1 and len(calls) == 1
 
 
 def test_depletion_refusals(p33, rng):

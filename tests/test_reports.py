@@ -39,13 +39,13 @@ PINNED = [
         "cap_exhaustive_demo.json",
         None,
         1,
-        "0d3ee63d20be86844964fd4a4ce31317a046a4971347b1c1fb00c54d8ad0bc94",
+        "44f8b5071914a86b350182c0a0fcdf9dc52c7f84de3a5e4b0e870278388144cc",
     ),
     (
         "dense_theorem_p5_n4.json",
         None,
         0,
-        "5ce1101f07bf0b3aca36076810d7dbf303937d695f5f66ba81cd9c98497429cb",
+        "96af31949b2bcfff17ed4abf07621031467e83bb00c607dff0873e7624b1830d",
     ),
     (
         "refusal_empty_minorant.json",
@@ -57,13 +57,13 @@ PINNED = [
         "sevenfold_p3_n5.json",
         None,
         0,
-        "a8d4a95f7be809c0c864f7033e5de7d01e53f3ac22b5c41e388ababce790bc58",
+        "536970e21f98fc74b76d5ee3bb4317316cd475b178fc45b319ea87d3bbf53d0c",
     ),
     (
         "dense_theorem_p5_n4.json",
         "lazy",
         0,
-        "6693ab4e9f1d8fd8d81c72ff65d2351d56a9b6254ecca47dd9bbef83f39dd33e",
+        "858383727a90ba65c51f671789a2498d0de91f0c513089d73f1e33c33395ef80",
     ),
 ]
 

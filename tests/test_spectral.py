@@ -207,11 +207,21 @@ def test_function_csv_round_trip(p33, rng):
     f = random_function(p33, rng)
     again = DenseFunction.from_csv(p33, f.to_csv())
     assert np.array_equal(again.values, f.values)
-    with pytest.raises(ValueError):
-        DenseFunction.from_csv(p33, "bad,header\n0,1\n")
+    for text in ("bad,header\n0,1\n", ""):
+        with pytest.raises(ValueError, match="header"):
+            DenseFunction.from_csv(p33, text)
     rows = f.to_csv().splitlines()
     with pytest.raises(ValueError):
         DenseFunction.from_csv(p33, "\n".join(rows[:-1]) + "\n")
+    last = rows[-1].split(",")[1]
+    for bad, message in [
+        (f"-1,{last}", "line 28: index -1 outside"),  # -1 must not stand for F - 1
+        (f"27,{last}", "line 28: index 27 outside"),
+        ("26", "line 28: expected index,value"),
+        (f"0,{last}", "line 28: index 0 repeats"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            DenseFunction.from_csv(p33, "\n".join(rows[:-1] + [bad]) + "\n")
 
 
 def test_function_json_round_trip(p33, rng):
