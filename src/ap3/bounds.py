@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .field import FieldParams
-from .spectral import DenseFunction, Spectrum, dft
+from .spectral import DenseFunction
 
 TAIL_TOLERANCE = 1e-9
 DOMINATION_TOLERANCE = 1e-12
@@ -174,7 +174,6 @@ def check_hypotheses(
     g: DenseFunction,
     k: int,
     delta: float,
-    spectrum: Spectrum | None = None,
 ) -> HypothesisReport:
     """Check every hypothesis of the certified floor and report item by item.
 
@@ -187,9 +186,8 @@ def check_hypotheses(
     params = f.params
     g.params.same_as(params)
     F = params.F
-    spectrum = spectrum if spectrum is not None else dft(f)
     e_f, e_g = f.mean(), g.mean()
-    sigma_k = spectrum.sigma(k)
+    sigma_k = f.spectrum.sigma(k)
     theta = derived_theta(e_g, F)
 
     items = []

@@ -40,7 +40,7 @@ from .lambda3 import (
     lambda3_spectral,
     trivial_lower_bound,
 )
-from .spectral import DenseFunction, dft
+from .spectral import DenseFunction
 
 EXIT_USAGE = 64
 
@@ -174,7 +174,7 @@ def _function_from_args(args) -> DenseFunction:
 
 def cmd_transform(args) -> int:
     f = _function_from_args(args)
-    _emit(dft(f).to_csv(), args.out, "spectrum.csv")
+    _emit(f.spectrum.to_csv(), args.out, "spectrum.csv")
     return EXIT_PASS
 
 

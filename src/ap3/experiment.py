@@ -30,13 +30,8 @@ from .bounds import (
     plugin_delta,
     quasinorm_regime_bound,
 )
-from .field import EnumerationCapError, FieldParams, Subspace
-from .finder import (
-    FinderConfig,
-    chebyshev_moments,
-    choose_dimension,
-    estimate_condition_probabilities,
-)
+from .field import EnumerationCapError, FieldParams, Subspace, is_integral
+from .finder import chebyshev_moments, choose_dimension, estimate_condition_probabilities
 from .functions import (
     SetSpec,
     indicator,
@@ -46,6 +41,7 @@ from .functions import (
     subspace_indicator,
 )
 from .lambda3 import (
+    AGREEMENT_TOLERANCE,
     BRUTE_FORCE_LIMIT,
     diagonal_weight,
     endpoint_pair_count,
@@ -54,8 +50,8 @@ from .lambda3 import (
     midpoint_pair_count,
     trivial_lower_bound,
 )
-from .midpoint import CertificateError, ContextInvariantError, run_depletion
-from .spectral import DenseFunction, Spectrum, dft, parseval_gap
+from .midpoint import ORDERINGS, CertificateError, ContextInvariantError, run_depletion
+from .spectral import DenseFunction, Spectrum, parseval_gap
 
 EXIT_PASS = 0
 EXIT_ERROR = 1
@@ -92,7 +88,7 @@ def build_recipe(params: FieldParams, spec: dict, rng: np.random.Generator) -> D
     if kind == "constant":
         return DenseFunction.constant(params, _number(spec, "value"))
     if kind == "indicator":
-        return indicator(params, spec.get("members", ()))
+        return indicator(params, _integers(spec, "members"))
     if kind == "random_set":
         size = _integer(spec, "size")
         return random_set(params, size, rng).indicator()
@@ -101,7 +97,7 @@ def build_recipe(params: FieldParams, spec: dict, rng: np.random.Generator) -> D
     if kind == "conv_power":
         power = _integer(spec, "power")
         if "members" in spec:
-            S = SetSpec.make(params, spec["members"])
+            S = SetSpec.make(params, _integers(spec, "members"))
         else:
             S = random_set(params, _integer(spec, "size"), rng)
         return normalized_conv_power(S, power)
@@ -113,7 +109,7 @@ def build_recipe(params: FieldParams, spec: dict, rng: np.random.Generator) -> D
     if kind == "cosine":
         base = _number(spec, "base")
         amplitude = _number(spec, "amplitude")
-        freq = tuple(int(d) % params.p for d in spec.get("frequency", ()))
+        freq = tuple(d % params.p for d in _integers(spec, "frequency"))
         if len(freq) != params.n:
             raise ConfigError(f"cosine frequency needs {params.n} digits, got {freq}")
         D = params.digit_table()
@@ -139,27 +135,40 @@ def derive_minorant(
         return DenseFunction.make(f.params, f.values * factor)
     if kind == "mask":
         if "members" in spec:
-            return minorant_restrict(f, members=spec["members"])
-        size = _integer(spec, "size")
-        return minorant_restrict(f, members=random_set(f.params, size, rng).members)
+            S = SetSpec.make(f.params, _integers(spec, "members"))
+        else:
+            S = random_set(f.params, _integer(spec, "size"), rng)
+        return minorant_restrict(f, members=S.members)
     if kind == "threshold":
         return minorant_restrict(f, threshold=_number(spec, "cutoff"))
     return build_recipe(f.params, spec, rng)
 
 
-def _number(spec: dict, key: str) -> float:
+def _field(spec: dict, key: str):
     if key not in spec:
         raise ConfigError(f"recipe {spec.get('kind')!r} needs field {key!r}")
-    value = spec[key]
+    return spec[key]
+
+
+def _number(spec: dict, key: str) -> float:
+    value = _field(spec, key)
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"field {key!r} must be a number, got {value!r}")
     return float(value)
 
 
 def _integer(spec: dict, key: str) -> int:
-    if not _number(spec, key).is_integer():
-        raise ConfigError(f"field {key!r} must be an integer, got {spec[key]!r}")
-    return int(spec[key])
+    value = _field(spec, key)
+    if not is_integral(value):
+        raise ConfigError(f"field {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _integers(spec: dict, key: str) -> list[int]:
+    values = spec.get(key, [])
+    if not isinstance(values, list) or not all(map(is_integral, values)):
+        raise ConfigError(f"field {key!r} must be a list of integers, got {values!r}")
+    return [int(v) for v in values]
 
 
 def _flag(spec: dict, key: str) -> bool:
@@ -210,15 +219,27 @@ class ExperimentConfig:
         def integer(key: str, default):
             return default if raw.get(key) is None else _integer(raw, key)
 
+        def recipe(key: str, default):
+            value = default if raw.get(key) is None else raw[key]
+            if not isinstance(value, dict):
+                raise ConfigError(f"field {key!r} must be an object, got {value!r}")
+            return dict(value)
+
         ordering = raw.get("ordering", "fgf")
-        if isinstance(ordering, str):
-            if ordering not in _ORDERING_CHOICES:
-                raise ConfigError(f"ordering must be fgf, gff, or both, got {ordering!r}")
+        if isinstance(ordering, str) and ordering in _ORDERING_CHOICES:
             orderings = _ORDERING_CHOICES[ordering]
-        else:
+        elif (
+            isinstance(ordering, (list, tuple))
+            and ordering
+            and all(o in ORDERINGS for o in ordering)
+            and len(set(ordering)) == len(ordering)
+        ):
             orderings = tuple(ordering)
-            if not orderings or any(o not in ("fgf", "gff") for o in orderings):
-                raise ConfigError(f"ordering list may contain only fgf/gff, got {ordering!r}")
+        else:
+            raise ConfigError(
+                "field 'ordering' must be fgf, gff, both, or a list of distinct "
+                f"fgf/gff, got {ordering!r}"
+            )
         refresh = raw.get("refresh", "always")
         if refresh not in ("always", "lazy"):
             raise ConfigError(f"refresh must be always or lazy, got {refresh!r}")
@@ -256,8 +277,8 @@ class ExperimentConfig:
             p=p,
             n=n,
             seed=seed,
-            f_recipe=dict(raw["f"]),
-            g_recipe=dict(raw.get("g", {"kind": "same"})),
+            f_recipe=recipe("f", None),
+            g_recipe=recipe("g", {"kind": "same"}),
             k=k,
             delta=delta,
             gamma=gamma,
@@ -393,17 +414,17 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
         )
         return finish()
 
-    spectrum = dft(f)
+    spectrum = f.spectrum
     delta = resolve_delta(config, spectrum)
     theta = derived_theta(g.mean(), params.F)
-    hypotheses = check_hypotheses(f, g, config.k, delta, spectrum)
+    hypotheses = check_hypotheses(f, g, config.k, delta)
     top = spectrum.magnitudes[spectrum.order[: config.k]]
     report["means"] = {"e_f": f.mean(), "e_g": g.mean()}
     report["spectrum"] = {
         "top_magnitudes": top,
         "sigma_k": spectrum.sigma(config.k),
         "quasinorm_third": spectrum.quasinorm(1.0 / 3.0),
-        "parseval_gap": parseval_gap(f, spectrum),
+        "parseval_gap": parseval_gap(f),
     }
     report["delta"] = delta
     report["delta_mode"] = config.delta_mode()
@@ -478,7 +499,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
     }
     check(
         "oracle_agreement[f]",
-        abs(brute_fff - spectral_fff) <= 1e-8,
+        abs(brute_fff - spectral_fff) <= AGREEMENT_TOLERANCE,
         f"|brute - spectral| = {abs(brute_fff - spectral_fff):.3g}",
     )
     check(
@@ -487,9 +508,6 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
         f"measured {brute_fff:.6g} vs trivial {trivial_lower_bound(f):.6g}",
     )
 
-    finder_cfg = FinderConfig(
-        k=config.k, max_attempts=config.max_attempts, nprime=config.nprime
-    )
     run_rngs = {"fgf": rng_fgf, "gff": rng_gff}
     for ordering in config.orderings:
         try:
@@ -499,10 +517,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
                 config.k,
                 delta,
                 ordering=ordering,
-                finder_cfg=finder_cfg,
+                nprime=nprime,
+                max_attempts=config.max_attempts,
                 rng=run_rngs[ordering],
                 refresh=config.refresh,
-                spectrum=spectrum,
             )
         except HypothesisRefusal as exc:
             fail("hypothesis_refusal", str(exc), EXIT_REFUSED)
@@ -523,7 +541,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
         gap = abs(brute - spectral)
         check(
             f"oracle_agreement[{ordering}]",
-            gap <= 1e-8,
+            gap <= AGREEMENT_TOLERANCE,
             f"|brute - spectral| = {gap:.3g}",
         )
         # The steps' table against the brute oracle through sum_m g(m) table[m],
@@ -536,7 +554,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
             step_gaps.append(abs(step.pair_count - count) / max(1.0, abs(count)))
         check(
             f"pair_table[{ordering}]",
-            weight_gap <= 1e-8 and max(step_gaps) <= 1e-9,
+            weight_gap <= AGREEMENT_TOLERANCE and max(step_gaps) <= 1e-9,
             f"|pair_weight/F^2 - brute| = {weight_gap:.3g}; first and last step "
             f"vs direct count: {step_gaps[0]:.3g}, {step_gaps[1]:.3g} relative",
         )

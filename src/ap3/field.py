@@ -43,6 +43,13 @@ def is_prime(m: int) -> bool:
     return True
 
 
+def is_integral(value) -> bool:
+    """An int or an integer-valued float, not a bool: what a JSON integer may parse to."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+
+
 @lru_cache(maxsize=64)
 def _digit_table(p: int, n: int) -> np.ndarray:
     """All p^n digit vectors as an (F, n) int64 array, row m = digits of m."""
@@ -108,6 +115,16 @@ class FieldParams:
 
     def to_json_dict(self) -> dict:
         return {"p": self.p, "n": self.n}
+
+    @classmethod
+    def from_json_dict(cls, data) -> "FieldParams":
+        """p and n from a JSON object; each must be an integer-valued number."""
+        if not isinstance(data, dict):
+            raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+        for key in ("p", "n"):
+            if not is_integral(data.get(key)):
+                raise ValueError(f"field {key!r} must be an integer, got {data.get(key)!r}")
+        return cls(int(data["p"]), int(data["n"]))
 
 
 def check_same_params(*objs) -> FieldParams:
@@ -291,7 +308,7 @@ class Subspace:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Subspace":
-        params = FieldParams(int(data["p"]), int(data["n"]))
+        params = FieldParams.from_json_dict(data)
         return cls.from_rows(params, np.array(data["basis"], dtype=np.int64).reshape(-1, params.n))
 
     @classmethod

@@ -96,13 +96,6 @@ def separates(W: Subspace, B: np.ndarray) -> bool:
 
 
 @dataclass(frozen=True)
-class FinderConfig:
-    k: int
-    max_attempts: int = 256
-    nprime: int | None = None
-
-
-@dataclass(frozen=True)
 class GoodSubspace:
     W: Subspace
     V: Subspace
@@ -115,16 +108,21 @@ class GoodSubspace:
 def find_good_subspace(
     A: np.ndarray,
     g: DenseFunction,
-    cfg: FinderConfig,
     rng: np.random.Generator,
+    nprime: int | None = None,
+    max_attempts: int = 256,
 ) -> GoodSubspace:
-    """Rejection-sample W until separation, coset density, and directness hold."""
+    """Rejection-sample W until separation, coset density, and directness hold.
+
+    W has dimension nprime, by default choose_dimension(len(A)).
+    """
     params = g.params
-    nprime = cfg.nprime if cfg.nprime is not None else choose_dimension(cfg.k, params)
+    if nprime is None:
+        nprime = choose_dimension(len(A), params)
     B = difference_set(params, np.asarray(A, dtype=np.int64))
     mean = g.mean()
     rejections = {"separation": 0, "coset_density": 0, "direct_sum": 0}
-    for attempt in range(1, cfg.max_attempts + 1):
+    for attempt in range(1, max_attempts + 1):
         W = sample_uniform_subspace(params, nprime, rng)
         V = W.complement()
         if np.unique(W.labels(W.members())).size < W.size:
@@ -140,7 +138,7 @@ def find_good_subspace(
             continue
         return GoodSubspace(W, V, dense, labels, attempt, rejections)
     raise FinderBudgetError(
-        f"no good subspace in {cfg.max_attempts} attempts (rejections: {rejections})",
+        f"no good subspace in {max_attempts} attempts (rejections: {rejections})",
         rejections,
     )
 

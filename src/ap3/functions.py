@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import FieldParams, Subspace, check_same_params
-from .spectral import DenseFunction, PaddedCube, dft, idft
+from .spectral import DenseFunction, PaddedCube, idft
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,7 @@ class SetSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SetSpec":
-        params = FieldParams(int(data["p"]), int(data["n"]))
-        return cls.make(params, data["members"])
+        return cls.make(FieldParams.from_json_dict(data), data["members"])
 
     @classmethod
     def from_json(cls, text: str) -> "SetSpec":
@@ -70,7 +69,7 @@ def subspace_indicator(W: Subspace) -> DenseFunction:
 def convolve(f: DenseFunction, g: DenseFunction) -> DenseFunction:
     """(f * g)(m) = sum_{a+b=m} f(a) g(b), computed in the spectral domain."""
     params = check_same_params(f, g)
-    return idft(params, dft(f).coeffs * dft(g).coeffs)
+    return idft(params, f.spectrum.coeffs * g.spectrum.coeffs)
 
 
 def convolve_direct(f: DenseFunction, g: DenseFunction) -> DenseFunction:
@@ -95,7 +94,7 @@ def normalized_conv_power(S: SetSpec, r: int) -> DenseFunction:
     if S.size == 0:
         raise ValueError("conv power of the empty set is undefined under |S|^(1-r) scaling")
     params = S.params
-    shat = dft(S.indicator()).coeffs
+    shat = S.indicator().spectrum.coeffs
     coeffs = shat * (shat / S.size) ** (r - 1)
     return DenseFunction.make(params, idft(params, coeffs).values, unit_range=True)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .field import FieldParams, check_same_params
-from .spectral import DenseFunction, PaddedCube, Spectrum, dft, idft
+from .spectral import DenseFunction, PaddedCube, Spectrum, idft
 
 AGREEMENT_TOLERANCE = 1e-8
 BRUTE_FORCE_LIMIT = 20_000
@@ -52,14 +52,8 @@ def lambda3_spectral(f1: DenseFunction, f2=None, f3=None) -> float:
     """F^(-3) sum_a f1hat(a) f2hat(-2a) f3hat(a); imaginary part must vanish."""
     f1, f2, f3 = _as_triple(f1, f2, f3)
     params = check_same_params(f1, f2, f3)
-    coeffs = {}
-    for fn in (f1, f2, f3):
-        if fn not in coeffs:
-            coeffs[fn] = dft(fn).coeffs
-    c1 = coeffs[f1]
-    c2 = coeffs[f2][scale_table(params, -2)]
-    c3 = coeffs[f3]
-    total = complex(np.sum(c1 * c2 * c3))
+    c2 = f2.spectrum.coeffs[scale_table(params, -2)]
+    total = complex(np.sum(f1.spectrum.coeffs * c2 * f3.spectrum.coeffs))
     if abs(total.imag) > AGREEMENT_TOLERANCE * max(abs(total.real), 1.0):
         raise ValueError(f"spectral Lambda3 has imaginary residue {total.imag}")
     return total.real / params.F**3

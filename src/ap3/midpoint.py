@@ -28,7 +28,8 @@ With psi = f_tail 1_{t+W}, |psihat| is constant on each V-coset and equals
 
 tail_energy holds F^2 |f_tail|^2, one transform per run since f and A stay
 fixed; coset_scores sums it over every W-coset with one bincount.
-select_translate takes the smallest t of the first minimal dense coset.
+select_translate takes the smallest t of the first minimal dense coset,
+counting Q values within round-off of the minimum as tied.
 SubspaceFrame, translate_scores (Q one translate at a time) and
 build_context (the window's invariants) are oracles, off the fast path.
 """
@@ -41,23 +42,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import HypothesisRefusal, density_floor
+from .bounds import DOMINATION_TOLERANCE, HypothesisRefusal, density_floor
 from .field import Subspace, check_same_params
-from .finder import (
-    FinderBudgetError,
-    FinderConfig,
-    coset_sum,
-    find_good_subspace,
-    is_dense,
-)
+from .finder import FinderBudgetError, coset_sum, find_good_subspace, is_dense
 from .lambda3 import pair_table
-from .spectral import (
-    DenseFunction,
-    PaddedCube,
-    Spectrum,
-    _root_powers,
-    dft,
-)
+from .spectral import DenseFunction, PaddedCube, Spectrum, _root_powers
 
 HHAT_TOLERANCE = 1e-8
 INVARIANT_TOLERANCE = 1e-9
@@ -75,7 +64,7 @@ class CertificateError(AssertionError):
 
 @dataclass(frozen=True)
 class SubspaceFrame:
-    """Per-(W, V) precomputation for the per-translate oracles."""
+    """Per-W precomputation for the per-translate oracles; V = W-perp."""
 
     spectrum: Spectrum
     W: Subspace
@@ -86,12 +75,7 @@ class SubspaceFrame:
     cell: np.ndarray  # cell[x] = i |V| + j where x = w_i + v_j
 
     @classmethod
-    def build(
-        cls,
-        spectrum: Spectrum,
-        W: Subspace,
-        V: Subspace,
-    ) -> "SubspaceFrame":
+    def build(cls, spectrum: Spectrum, W: Subspace) -> "SubspaceFrame":
         """Index every x = w_i + v_j by its coset labels.
 
         With V = W-perp, W.labels(x) = W.labels(w_i) and V.labels(x) =
@@ -100,13 +84,9 @@ class SubspaceFrame:
         """
         params = spectrum.params
         W.params.same_as(params)
-        V.params.same_as(params)
-        if W.dim + V.dim != params.n:
-            raise ValueError("component dimensions must sum to n")
+        V = W.complement()
         w_members = W.members()
         v_members = V.members()
-        if V.labels(w_members).any():
-            raise ValueError("V must be the orthogonal complement of W")
         pos_w = np.full(W.size, -1, dtype=np.int64)
         pos_w[W.labels(w_members)] = np.arange(W.size)
         if (pos_w < 0).any():
@@ -174,18 +154,20 @@ def coset_scores(energy: np.ndarray, A: np.ndarray, W: Subspace, labels: np.ndar
 
 
 def select_translate(
-    scores: np.ndarray, labels: np.ndarray, dense: np.ndarray, sigma_k: float
+    scores: np.ndarray, labels: np.ndarray, dense: np.ndarray, sigma_k: float, roundoff: float
 ) -> tuple[int, float]:
     """The smallest t of the first minimal dense coset, with its score Q(t).
 
-    scores and dense are indexed by coset label and labels[x] names x + W, so
-    t is the first x whose coset is dense and scores the minimum.  With the
+    scores and dense are indexed by coset label and labels[x] names x + W.
+    Dense cosets scoring within roundoff of the minimum tie, so t is the
+    first x whose coset is dense and ties; q is that coset's score.  With the
     dense cosets covering at least F/4 translates the averaging identity
     guarantees the minimum is at most 4 sigma_k; a violation is a broken
     invariant, not a data condition.
     """
-    q = float(scores[dense].min())
-    t = int(np.argmax((dense & (scores == q))[labels]))
+    tied = dense & (scores <= scores[dense].min() + roundoff)
+    t = int(np.argmax(tied[labels]))
+    q = float(scores[labels[t]])
     pool = int(dense.sum()) * (labels.size // dense.size)
     if pool >= labels.size / 4.0 and q > 4.0 * sigma_k + INVARIANT_TOLERANCE:
         raise ContextInvariantError(
@@ -196,7 +178,7 @@ def select_translate(
 
 @dataclass(frozen=True)
 class CosetContext:
-    """The localized window at (W, V, t) with its validated invariants."""
+    """The localized window at (W, t), V = W-perp, with its validated invariants."""
 
     f: DenseFunction
     A: np.ndarray
@@ -210,19 +192,12 @@ class CosetContext:
     w2_positions: np.ndarray
 
 
-def build_context(
-    f: DenseFunction,
-    A: np.ndarray,
-    W: Subspace,
-    V: Subspace,
-    t: int,
-    spectrum: Spectrum | None = None,
-) -> CosetContext:
-    """Construct the window at (W, V, t) and verify every context invariant."""
+def build_context(f: DenseFunction, A: np.ndarray, W: Subspace, t: int) -> CosetContext:
+    """Construct the window at (W, t) and verify every context invariant."""
     params = f.params
     params._check_element(t)
-    spectrum = spectrum if spectrum is not None else dft(f)
-    frame = SubspaceFrame.build(spectrum, W, V)
+    frame = SubspaceFrame.build(f.spectrum, W)
+    V = frame.V
 
     coset = W.coset(t)
     alpha_values = np.zeros(params.F)
@@ -230,7 +205,7 @@ def build_context(
     alpha = DenseFunction.make(params, alpha_values, unit_range=True)
 
     # alphahat(a) = |W| w^(a.t) on V, 0 elsewhere.
-    alphahat = dft(alpha).coeffs
+    alphahat = alpha.spectrum.coeffs
     expected = np.zeros(params.F, dtype=np.complex128)
     roots = _root_powers(params.p)
     v_members = frame.v_members
@@ -248,7 +223,7 @@ def build_context(
         acc += masked.shifted((-params.digits_of(int(b))) % params.p)
     h = DenseFunction.make(params, acc)
 
-    hhat_direct = dft(h).coeffs
+    hhat_direct = h.spectrum.coeffs
     hhat_formula = np.zeros(params.F, dtype=np.complex128)
     hhat_formula[frame.w_members] = frame.fhat_wv @ frame.phases(np.array([t]))[:, 0]
     gap = float(np.abs(hhat_direct - hhat_formula).max())
@@ -322,10 +297,10 @@ def run_depletion(
     k: int,
     delta: float,
     ordering: str = "fgf",
-    finder_cfg: FinderConfig | None = None,
+    nprime: int | None = None,
+    max_attempts: int = 256,
     rng: np.random.Generator | None = None,
     refresh: str = "always",
-    spectrum: Spectrum | None = None,
 ) -> DepletionRun:
     """Deplete r = ceil(E(g) F / 2) certified midpoints and assemble the bound.
 
@@ -334,8 +309,9 @@ def run_depletion(
     still holds for the depleted g, which certifies identically because Q
     depends only on f.  Depletion never changes f, so every step reads its
     pair count from one pair_table and its coset scores from one tail_energy,
-    both built before the loop.  The run does not measure Lambda3; the caller
-    checks lambda_lower and pair_weight against its own oracle.
+    both built before the loop.  nprime and max_attempts go to the finder.
+    The run does not measure Lambda3; the caller checks lambda_lower and
+    pair_weight against its own oracle.
     """
     params = check_same_params(f, g)
     if ordering not in ORDERINGS:
@@ -349,7 +325,7 @@ def run_depletion(
     F = params.F
 
     worst = float((g.values - f.values).max())
-    if worst > 1e-12:
+    if worst > DOMINATION_TOLERANCE:
         witness = int(np.argmax(g.values - f.values))
         raise HypothesisRefusal(
             f"g exceeds f at index {witness} by {worst}; need g <= f pointwise"
@@ -357,7 +333,7 @@ def run_depletion(
     e_g = g.mean()
     if e_g <= 0.0:
         raise HypothesisRefusal("E(g) = 0: nothing to deplete")
-    spectrum = spectrum if spectrum is not None else dft(f)
+    spectrum = f.spectrum
     sigma_k = spectrum.sigma(k)
     if sigma_k > delta**2 * F**2 + INVARIANT_TOLERANCE:
         raise HypothesisRefusal(
@@ -367,7 +343,9 @@ def run_depletion(
     A = spectrum.top_places(k)
     table = pair_table(spectrum, ordering)
     energy = tail_energy(spectrum, A)
-    cfg = finder_cfg if finder_cfg is not None else FinderConfig(k=k)
+    # Each fhat(a) is off by up to about eps sum|f|, so F f_tail(m) by about
+    # eps F sum|f|: Q values closer than its square are round-off apart.
+    roundoff = (np.finfo(float).eps * F * float(np.abs(f.values).sum())) ** 2
     floor_k = density_floor(params, k)
     density_ok = e_g >= floor_k
 
@@ -398,7 +376,9 @@ def run_depletion(
         )
         if not reused:
             try:
-                good = find_good_subspace(A, DenseFunction.make(params, gi), cfg, rng)
+                good = find_good_subspace(
+                    A, DenseFunction.make(params, gi), rng, nprime, max_attempts
+                )
             except FinderBudgetError as err:
                 for key in rejections:
                     rejections[key] += err.rejections.get(key, 0)
@@ -407,7 +387,7 @@ def run_depletion(
             for key in rejections:
                 rejections[key] += good.rejections.get(key, 0)
             scores = coset_scores(energy, A, good.W, good.coset_labels)
-            t, q = select_translate(scores, good.coset_labels, good.dense, sigma_k)
+            t, q = select_translate(scores, good.coset_labels, good.dense, sigma_k, roundoff)
             coset = good.W.coset(t)
 
         local = gi[coset]

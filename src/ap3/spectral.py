@@ -57,6 +57,12 @@ class DenseFunction:
     def constant(cls, params: FieldParams, value: float) -> "DenseFunction":
         return cls.make(params, np.full(params.F, float(value)))
 
+    @cached_property
+    def spectrum(self) -> "Spectrum":
+        """The transform of f, computed on first use; the values are read-only,
+        so it cannot go stale."""
+        return dft(self)
+
     def mean(self) -> float:
         return float(self.values.mean())
 
@@ -77,8 +83,7 @@ class DenseFunction:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DenseFunction":
-        params = FieldParams(int(data["p"]), int(data["n"]))
-        return cls.make(params, data["values"])
+        return cls.make(FieldParams.from_json_dict(data), data["values"])
 
     @classmethod
     def from_json(cls, text: str) -> "DenseFunction":
@@ -251,10 +256,9 @@ def idft(params: FieldParams, coeffs: np.ndarray) -> DenseFunction:
     return DenseFunction.make(params, values.real)
 
 
-def parseval_gap(f: DenseFunction, spectrum: Spectrum | None = None) -> float:
+def parseval_gap(f: DenseFunction) -> float:
     """Relative gap |sum|fhat|^2 - F*sum f^2| / max(F*sum f^2, 1)."""
-    spectrum = spectrum if spectrum is not None else dft(f)
-    lhs = float((spectrum.magnitudes**2).sum())
+    lhs = float((f.spectrum.magnitudes**2).sum())
     rhs = f.params.F * float((f.values**2).sum())
     return abs(lhs - rhs) / max(rhs, 1.0)
 

@@ -16,7 +16,6 @@ from ap3.cli import main as cli_main
 from ap3.experiment import ExperimentConfig, run_experiment
 from ap3.field import FieldParams, Subspace
 from ap3.finder import (
-    FinderConfig,
     chebyshev_moments,
     choose_dimension,
     estimate_condition_probabilities,
@@ -106,7 +105,7 @@ def test_parseval_and_roundtrip(announce):
         params = FieldParams(p, n)
         f = DenseFunction.make(params, rng.random(params.F))
         spectrum = dft(f)
-        worst_parseval = max(worst_parseval, parseval_gap(f, spectrum))
+        worst_parseval = max(worst_parseval, parseval_gap(f))
         back = idft(params, spectrum.coeffs)
         worst_roundtrip = max(worst_roundtrip, float(np.abs(back.values - f.values).max()))
     elapsed = time.perf_counter() - start
@@ -245,14 +244,14 @@ def test_averaging_identity(announce):
         ones = DenseFunction.constant(params, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            good = find_good_subspace(A, ones, FinderConfig(k=k), rng)
-        frame = SubspaceFrame.build(spectrum, good.W, good.V)
+            good = find_good_subspace(A, ones, rng)
+        frame = SubspaceFrame.build(spectrum, good.W)
         sigma = spectrum.sigma(k)
         total = float(translate_scores(frame, A, np.arange(params.F)).sum())
         rel = abs(total - params.F * sigma) / max(params.F * sigma, 1e-12)
         worst_rel = max(worst_rel, rel)
         scores = coset_scores(tail_energy(spectrum, A), A, good.W, good.coset_labels)
-        t, q = select_translate(scores, good.coset_labels, good.dense, sigma)
+        t, q = select_translate(scores, good.coset_labels, good.dense, sigma, 0.0)
         min_ok &= q <= 4.0 * sigma + 1e-9
     elapsed = time.perf_counter() - start
     ok = worst_rel <= 1e-6 and bool(min_ok) and elapsed < 120.0
@@ -280,10 +279,10 @@ def test_context_invariants(announce):
         ones = DenseFunction.constant(params, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            good = find_good_subspace(A, ones, FinderConfig(k=2), rng)
+            good = find_good_subspace(A, ones, rng)
         scores = coset_scores(tail_energy(spectrum, A), A, good.W, good.coset_labels)
-        t, _ = select_translate(scores, good.coset_labels, good.dense, spectrum.sigma(2))
-        ctx = build_context(f, A, good.W, good.V, t, spectrum=spectrum)
+        t, _ = select_translate(scores, good.coset_labels, good.dense, spectrum.sigma(2), 0.0)
+        ctx = build_context(f, A, good.W, t)
         built += 1
         gap = float(np.abs(dft(ctx.h).coeffs - ctx.hhat).max())
         worst_hhat = max(worst_hhat, gap)

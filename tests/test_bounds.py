@@ -15,7 +15,7 @@ from ap3.bounds import (
     quasinorm_regime_bound,
     sigma_tail_bound,
 )
-from ap3.spectral import DenseFunction, dft
+from ap3.spectral import DenseFunction
 
 from conftest import random_function
 
@@ -168,13 +168,12 @@ def test_check_hypotheses_domination_witness(p33):
 
 def test_check_hypotheses_tail_item(p33, rng):
     f = random_function(p33, rng)
-    spectrum = dft(f)
-    sigma = spectrum.sigma(2)
+    sigma = f.spectrum.sigma(2)
     tight = math.sqrt(sigma) / p33.F
-    report = check_hypotheses(f, f, k=2, delta=tight * 1.01, spectrum=spectrum)
+    report = check_hypotheses(f, f, k=2, delta=tight * 1.01)
     items = {name: ok for name, ok, _ in report.items}
     assert items["tail"]
-    report2 = check_hypotheses(f, f, k=2, delta=tight * 0.5, spectrum=spectrum)
+    report2 = check_hypotheses(f, f, k=2, delta=tight * 0.5)
     items2 = {name: ok for name, ok, _ in report2.items}
     assert not items2["tail"]
 

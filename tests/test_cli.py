@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import ap3.experiment
+import ap3.spectral
 from ap3.cli import main
 from ap3.field import FieldParams
 from ap3.lambda3 import lambda3_brute
@@ -120,6 +121,40 @@ def test_lambda3_two_files_orderings(capsys, tmp_path, rng):
     by_name = {r["ordering"]: r for r in report["results"]}
     assert by_name["fgf"]["brute"] == pytest.approx(lambda3_brute(f, g, f))
     assert by_name["gff"]["brute"] == pytest.approx(lambda3_brute(g, f, f))
+
+
+def test_lambda3_two_files_transform_each_once(capsys, tmp_path, rng, monkeypatch):
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return dft(f)
+
+    monkeypatch.setattr(ap3.spectral, "dft", counting)
+    params = FieldParams(3, 2)
+    f = random_function(params, rng)
+    fp, gp = tmp_path / "f.json", tmp_path / "g.json"
+    fp.write_text(f.to_json())
+    gp.write_text(DenseFunction.make(params, f.values * 0.5).to_json())
+    code, _, _ = run_cli(
+        capsys,
+        "lambda3", "--files", str(fp), str(gp), "--ordering", "both", "--method", "both",
+    )
+    assert code == 0
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "data",
+    [[3, 2], {"p": None, "n": 2, "values": [0.5] * 9}, {"p": 3.7, "n": 2, "values": [0.5] * 9}],
+)
+def test_lambda3_rejects_bad_field_in_file(capsys, tmp_path, data):
+    path = tmp_path / "fn.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "lambda3", "--files", str(path))
+    assert code == 1 and out == ""
+    assert str(path) in err
+    assert "Traceback" not in err
 
 
 def test_lambda3_explicit_triple(capsys, tmp_path, rng):
@@ -291,6 +326,17 @@ def test_verify_non_object_config(capsys, tmp_path, raw):
         ({"max_attempts": 0}, [], "'max_attempts'"),
         ({"enumeration_cap": 0}, [], "'enumeration_cap'"),
         ({"brute_force_limit": -1}, [], "'brute_force_limit'"),
+        ({"f": 5}, [], "'f'"),
+        ({"f": "constant"}, [], "'f'"),
+        ({"f": None}, [], "'f'"),
+        ({"g": 5}, [], "'g'"),
+        ({"g": [{"kind": "same"}]}, [], "'g'"),
+        ({"ordering": 5}, [], "'ordering'"),
+        ({"ordering": "fff"}, [], "'ordering'"),
+        ({"ordering": []}, [], "'ordering'"),
+        ({"ordering": ["fgf", "fgf"]}, [], "'ordering'"),
+        ({"ordering": [["fgf"]]}, [], "'ordering'"),
+        ({"seed": 10**400}, [], "'seed'"),
     ],
 )
 def test_verify_rejects_out_of_range_config(capsys, tmp_path, entry, argv, field):
@@ -305,6 +351,25 @@ def test_verify_rejects_out_of_range_config(capsys, tmp_path, entry, argv, field
     assert code == 1
     assert out == ""
     assert field in err
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"g": {"kind": "mask", "members": [99]}},
+        {"g": {"kind": "mask", "members": [-1]}},
+        {"g": {"kind": "mask", "members": 5}},
+        {"f": {"kind": "cosine", "base": 0.5, "amplitude": 0.1, "frequency": 5}},
+    ],
+)
+def test_verify_bad_recipe_is_a_config_failure(capsys, tmp_path, entry):
+    config = {"p": 3, "n": 2, "seed": 1, "k": 2, "f": {"kind": "constant", "value": 1.0}, **entry}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "verify", "--config", str(path))
+    assert code == 1
+    assert "Traceback" not in err
+    assert [f["type"] for f in json.loads(out)["failures"]] == ["config"]
 
 
 def test_verify_rejects_bad_entry_before_any_run(capsys, tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import ap3.spectral
 from ap3.experiment import (
     EXIT_ASSERTION,
     EXIT_BUDGET,
@@ -96,6 +97,12 @@ def test_build_recipe_errors(p33, rng):
         build_recipe(p33, {"kind": "cosine", "base": 0.5, "amplitude": 0.1, "frequency": [1]}, rng)
     with pytest.raises(ConfigError):
         build_recipe(p33, {"kind": "constant", "value": True}, rng)
+    for frequency in (5, [1.5, 0, 0], [True, 0, 0]):
+        spec = {"kind": "cosine", "base": 0.5, "amplitude": 0.1, "frequency": frequency}
+        with pytest.raises(ConfigError, match="'frequency'"):
+            build_recipe(p33, spec, rng)
+    with pytest.raises(ConfigError, match="'members'"):
+        build_recipe(p33, {"kind": "indicator", "members": [[1]]}, rng)
 
 
 def test_derive_minorant_rules(p33, rng):
@@ -114,6 +121,11 @@ def test_derive_minorant_rules(p33, rng):
         derive_minorant(f, {"kind": "scale", "factor": 1.5}, rng)
     with pytest.raises(ConfigError):
         derive_minorant(f, {}, rng)
+    for members in ([99], [-1]):
+        with pytest.raises(ValueError, match="outside"):
+            derive_minorant(f, {"kind": "mask", "members": members}, rng)
+    with pytest.raises(ConfigError, match="'members'"):
+        derive_minorant(f, {"kind": "mask", "members": 5}, rng)
 
 
 def test_config_validation():
@@ -149,6 +161,7 @@ def test_config_defaults_and_modes():
     c4 = cfg(ordering="both")
     assert c4.orderings == ("fgf", "gff")
     assert cfg(ordering=["gff"]).orderings == ("gff",)
+    assert cfg(g=None).g_recipe == {"kind": "same"}
 
 
 def test_resolve_delta_modes(p33):
@@ -199,6 +212,28 @@ def test_run_experiment_one_brute_pass_per_triple(monkeypatch, overrides, calls)
     assert len(report["runs"]) == 2
     assert len(seen) == calls
     assert len({tuple(id(f) for f in fs) for fs in seen}) == calls
+
+
+def test_run_experiment_transforms_each_function_once(monkeypatch):
+    calls = []
+
+    def counting(f):
+        calls.append(f)
+        return dft(f)
+
+    monkeypatch.setattr(ap3.spectral, "dft", counting)
+    config = cfg(
+        ordering="both",
+        k=4,
+        delta=None,
+        f={"kind": "cosine", "base": 0.9, "amplitude": 0.1, "frequency": [1, 0, 0]},
+        g={"kind": "uniform", "low": 0.5, "high": 0.8},
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report, _ = run_experiment(config)
+    assert len(report["runs"]) == 2
+    assert len(calls) == 2 and calls[0] is not calls[1]
 
 
 def test_run_experiment_refusal():

@@ -157,7 +157,7 @@ def test_frame_cells_split_every_element(p33, rng):
         V = W.complement()
         if rref(np.vstack([W.matrix, V.matrix]), 3)[0].shape[0] < 3:
             continue  # W meets V
-        frame = SubspaceFrame.build(spectrum, W, V)
+        frame = SubspaceFrame.build(spectrum, W)
         for x in range(p33.F):
             (pos_w,), (pos_v,) = frame.place_positions(np.array([x]))
             w, v = int(frame.w_members[pos_w]), int(frame.v_members[pos_v])
@@ -167,15 +167,18 @@ def test_frame_cells_split_every_element(p33, rng):
 
 def test_direct_sum_rejects_overlap(p33):
     spectrum = dft(DenseFunction.constant(p33, 1.0))
-    W = Subspace.from_rows(p33, [[1, 0, 0], [0, 1, 0]])
-    V = Subspace.from_rows(p33, [[1, 0, 0]])
-    with pytest.raises(ValueError):
-        SubspaceFrame.build(spectrum, W, V)
-    # dimensions sum to n, but W meets its complement: W.labels is not
-    # injective on W
+    # W meets its complement: W.labels is not injective on W
     W = Subspace.from_rows(p33, [[1, 1, 1]])
     with pytest.raises(ValueError, match="direct sum"):
-        SubspaceFrame.build(spectrum, W, W.complement())
+        SubspaceFrame.build(spectrum, W)
+
+
+def test_field_params_from_json_dict(p33):
+    assert FieldParams.from_json_dict(p33.to_json_dict()) == p33
+    assert FieldParams.from_json_dict({"p": 3.0, "n": 3}) == p33
+    for bad in ([3, 3], {"n": 3}, {"p": True, "n": 3}, {"p": "3", "n": 3}, {"p": 3, "n": 2.5}):
+        with pytest.raises(ValueError):
+            FieldParams.from_json_dict(bad)
 
 
 def test_subspace_json_round_trip(p33):
@@ -235,8 +238,8 @@ def test_frame_cells_match_grid(pn, data):
     idx, cell = _grid_cells(params, W, V)
     if (cell < 0).any():
         with pytest.raises(ValueError, match="direct sum"):
-            SubspaceFrame.build(spectrum, W, V)
+            SubspaceFrame.build(spectrum, W)
         return
-    frame = SubspaceFrame.build(spectrum, W, V)
+    frame = SubspaceFrame.build(spectrum, W)
     assert np.array_equal(frame.cell, cell)
     assert np.array_equal(frame.fhat_wv, spectrum.coeffs[idx].reshape(W.size, V.size))

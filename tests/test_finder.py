@@ -17,7 +17,6 @@ from ap3.field import (
 )
 from ap3.finder import (
     FinderBudgetError,
-    FinderConfig,
     chebyshev_moments,
     choose_dimension,
     coset_sum,
@@ -99,7 +98,7 @@ def test_sampled_estimators_read_one_coset(p33, rng, monkeypatch):
     g = random_function(p33, rng)
     estimate_condition_probabilities(p33, 1, A=np.array([0, 1]), g=g, trials=20, rng=rng)
     chebyshev_moments(g, 2, trials=20, rng=rng)
-    find_good_subspace(np.array([0, 1]), g, FinderConfig(k=2), rng)
+    find_good_subspace(np.array([0, 1]), g, rng)
     f = DenseFunction.make(p33, np.maximum(g.values, 0.5))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -141,17 +140,25 @@ def test_separates(p33):
 
 
 def test_find_good_subspace_basic(p33, rng):
-    # k = 5 keeps the density floor 8 / (sqrt(3) * 5) below E(g) = 1
     g = DenseFunction.constant(p33, 1.0)
     A = np.array([0, 1, 2], dtype=np.int64)
-    found = find_good_subspace(A, g, FinderConfig(k=5, nprime=1), rng)
+    found = find_good_subspace(A, g, rng, nprime=1)
     _verify_good(found, A, g, p33)
     assert found.attempts <= 256
 
 
+def test_find_good_subspace_default_dimension(rng):
+    params = FieldParams(3, 4)
+    g = DenseFunction.constant(params, 1.0)
+    for A in ([0, 1, 2], [0, 1, 2, 3, 4]):
+        found = find_good_subspace(np.array(A), g, rng)
+        assert found.W.dim == choose_dimension(len(A), params)
+    assert find_good_subspace(np.array([0, 1, 2]), g, rng, nprime=3).W.dim == 3
+
+
 def test_find_good_subspace_singleton(p33, rng):
     g = DenseFunction.constant(p33, 0.8)
-    found = find_good_subspace(np.array([0]), g, FinderConfig(k=1), rng)
+    found = find_good_subspace(np.array([0]), g, rng)
     _verify_good(found, np.array([0]), g, p33)
 
 
@@ -167,7 +174,7 @@ def test_find_good_subspace_success_rate(p33):
         g = DenseFunction.make(p33, vals)
         A = rng.choice(p33.F, size=2, replace=False).astype(np.int64)
         try:
-            find_good_subspace(A, g, FinderConfig(k=2, max_attempts=10), rng)
+            find_good_subspace(A, g, rng, max_attempts=10)
             successes += 1
         except FinderBudgetError:
             pass
@@ -177,7 +184,7 @@ def test_find_good_subspace_success_rate(p33):
 def test_find_good_subspace_budget_error(p33, rng):
     g = indicator(p33, [0])
     with pytest.raises(FinderBudgetError) as exc:
-        find_good_subspace(np.array([0]), g, FinderConfig(k=1, max_attempts=16), rng)
+        find_good_subspace(np.array([0]), g, rng, max_attempts=16)
     # every attempt is rejected; isotropic draws fall to direct_sum first
     assert sum(exc.value.rejections.values()) == 16
     assert exc.value.rejections["separation"] == 0

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import ap3.midpoint
 from ap3.bounds import HypothesisRefusal
 from ap3.field import FieldParams, Subspace
-from ap3.finder import FinderBudgetError, FinderConfig, coset_sums, find_good_subspace, is_dense
+from ap3.finder import FinderBudgetError, coset_sums, find_good_subspace, is_dense
 from ap3.functions import indicator
 from ap3.lambda3 import lambda3_brute
 from ap3.midpoint import (
@@ -32,7 +32,7 @@ def separated_frame(f, k, rng):
     spectrum = dft(f)
     A = spectrum.top_places(k)
     ones = DenseFunction.constant(f.params, 1.0)
-    good = find_good_subspace(A, ones, FinderConfig(k=k), rng)
+    good = find_good_subspace(A, ones, rng)
     return spectrum, A, good
 
 
@@ -43,7 +43,7 @@ def scores_of(spectrum, A, good):
 def test_sum_of_scores_is_F_sigma(p33, rng):
     f = random_function(p33, rng)
     spectrum, A, good = separated_frame(f, 3, rng)
-    frame = SubspaceFrame.build(spectrum, good.W, good.V)
+    frame = SubspaceFrame.build(spectrum, good.W)
     total = translate_scores(frame, A, np.arange(p33.F)).sum()
     sigma = spectrum.sigma(3)
     assert total == pytest.approx(p33.F * sigma, rel=1e-6)
@@ -56,7 +56,7 @@ def reference_translate(spectrum, A, good):
     T = np.flatnonzero(good.dense[good.coset_labels])
     _, first = np.unique(good.coset_labels[T], return_index=True)
     reps = T[np.sort(first)]
-    scores = translate_scores(SubspaceFrame.build(spectrum, good.W, good.V), A, reps)
+    scores = translate_scores(SubspaceFrame.build(spectrum, good.W), A, reps)
     pos = int(np.argmin(scores))
     return int(reps[pos]), float(scores[pos])
 
@@ -66,7 +66,7 @@ def test_select_translate_is_argmin_and_bounded(p33, rng):
     spectrum, A, good = separated_frame(f, 2, rng)
     sigma = spectrum.sigma(2)
     scores = scores_of(spectrum, A, good)
-    t, q = select_translate(scores, good.coset_labels, good.dense, sigma)
+    t, q = select_translate(scores, good.coset_labels, good.dense, sigma, 0.0)
     t_ref, q_ref = reference_translate(spectrum, A, good)
     assert t == t_ref
     assert abs(q - q_ref) <= 1e-12 * max(1.0, p33.F * sigma)
@@ -79,7 +79,7 @@ def test_scores_constant_on_w_cosets(pn, seed):
     params = FieldParams(*pn)
     rng = np.random.default_rng(seed)
     spectrum, A, good = separated_frame(random_function(params, rng), 2, rng)
-    frame = SubspaceFrame.build(spectrum, good.W, good.V)
+    frame = SubspaceFrame.build(spectrum, good.W)
     scores = translate_scores(frame, A, np.arange(params.F))
     reps = good.W.coset_representatives()
     spread = max(np.ptp(scores[reps == r]) for r in np.unique(reps))
@@ -101,13 +101,13 @@ def test_coset_scores_match_translate_scores(pn, seed):
     accepted = 0
     for nprime in range(params.n + 1):
         try:
-            good = find_good_subspace(A, ones, FinderConfig(k=2, nprime=nprime), rng)
+            good = find_good_subspace(A, ones, rng, nprime=nprime)
         except FinderBudgetError:
             continue
         accepted += 1
         scores = scores_of(spectrum, A, good)
         assert scores.shape == (good.V.size,)
-        oracle = translate_scores(SubspaceFrame.build(spectrum, good.W, good.V), A, np.arange(params.F))
+        oracle = translate_scores(SubspaceFrame.build(spectrum, good.W), A, np.arange(params.F))
         np.testing.assert_allclose(
             scores[good.coset_labels], oracle, rtol=1e-12, atol=1e-12 * oracle.max()
         )
@@ -150,7 +150,7 @@ def test_select_translate_scores_one_per_coset(p33, rng, monkeypatch):
         raise AssertionError("the per-translate oracle is not on the fast path")
 
     monkeypatch.setattr(ap3.midpoint, "translate_scores", forbidden)
-    t, q = select_translate(scores, good.coset_labels, good.dense, spectrum.sigma(2))
+    t, q = select_translate(scores, good.coset_labels, good.dense, spectrum.sigma(2), 0.0)
     assert q == scores[good.coset_labels[t]]
 
 
@@ -158,7 +158,7 @@ def test_select_translate_zero_tail(p33, rng):
     f = DenseFunction.constant(p33, 0.7)
     spectrum, A, good = separated_frame(f, 2, rng)
     scores = scores_of(spectrum, A, good)
-    t, q = select_translate(scores, good.coset_labels, good.dense, spectrum.sigma(2))
+    t, q = select_translate(scores, good.coset_labels, good.dense, spectrum.sigma(2), 0.0)
     assert q == pytest.approx(0.0, abs=1e-18)
 
 
@@ -175,7 +175,7 @@ def test_select_translate_exact_tie_takes_smallest_dense_translate(p33):
     assert 0 < dense.sum() < V.size and not dense[labels[0]]
     scores = coset_scores(tail_energy(spectrum, A), A, W, labels)
     assert not scores.any()
-    t, q = select_translate(scores, labels, dense, spectrum.sigma(2))
+    t, q = select_translate(scores, labels, dense, spectrum.sigma(2), 0.0)
     assert t == int(np.flatnonzero(dense[labels])[0]) == 3  # the coset {3, 4, 5}
     assert q == 0.0
 
@@ -185,14 +185,38 @@ def test_select_translate_checks_the_averaging_bound():
     dense = np.array([True, True, False])
     scores = np.array([5.0, 4.0, 0.0])  # the undense coset's 0 is not eligible
     with pytest.raises(ContextInvariantError, match="above 4"):
-        select_translate(scores, labels, dense, sigma_k=0.5)
-    assert select_translate(scores, labels, dense, sigma_k=1.0) == (1, 4.0)
+        select_translate(scores, labels, dense, sigma_k=0.5, roundoff=0.0)
+    assert select_translate(scores, labels, dense, sigma_k=1.0, roundoff=0.0) == (1, 4.0)
+    # within roundoff of the minimum the smallest translate wins, with its own score
+    assert select_translate(scores, labels, dense, sigma_k=2.0, roundoff=1.0) == (0, 5.0)
+
+
+def test_select_translate_ignores_roundoff_noise():
+    # sigma_4 of a one-frequency cosine is round-off, so every coset's Q is too
+    params = FieldParams(5, 3)
+    x = params.digit_table()[:, 0]
+    f = DenseFunction.make(params, 0.99 + 0.01 * np.cos(2 * np.pi * x / 5), unit_range=True)
+    A = f.spectrum.top_places(4)
+    good = find_good_subspace(A, f, np.random.default_rng(4), nprime=2)  # five cosets
+    first_dense = int(np.flatnonzero(good.dense[good.coset_labels])[0])
+    roundoff = (np.finfo(float).eps * params.F * np.abs(f.values).sum()) ** 2
+    energy = tail_energy(f.spectrum, A)
+    noise = np.random.default_rng(5)
+    exact_picks = set()
+    for _ in range(10):
+        jittered = energy * (1 + 1e-3 * noise.random(params.F))
+        scores = coset_scores(jittered, A, good.W, good.coset_labels)
+        args = (scores, good.coset_labels, good.dense, f.spectrum.sigma(4))
+        t, q = select_translate(*args, roundoff)
+        assert t == first_dense and q == scores[good.coset_labels[t]]
+        exact_picks.add(select_translate(*args, 0.0)[0])
+    assert exact_picks != {first_dense}  # the exact minimum follows the noise
 
 
 def test_build_context_full_space(p33, rng):
     f = random_function(p33, rng)
     W = Subspace.from_rows(p33, np.eye(3, dtype=int))
-    ctx = build_context(f, dft(f).top_places(1), W, W.complement(), 0)
+    ctx = build_context(f, dft(f).top_places(1), W, 0)
     assert np.allclose(ctx.alpha.values, 1.0)
     assert np.allclose(ctx.h.values, f.values, atol=1e-12)
     assert np.allclose(ctx.hhat, dft(f).coeffs, atol=1e-8)
@@ -202,7 +226,7 @@ def test_build_context_zero_space(p33, rng):
     f = random_function(p33, rng)
     W = Subspace.from_rows(p33, np.zeros((0, 3), dtype=int))
     t = 7
-    ctx = build_context(f, np.array([0]), W, W.complement(), t)
+    ctx = build_context(f, np.array([0]), W, t)
     # V is everything, so h averages the single window value everywhere
     assert np.allclose(ctx.h.values, f.values[t], atol=1e-12)
 
@@ -214,7 +238,7 @@ def test_build_context_window_indicator(p33, rng):
     vals = np.zeros(p33.F)
     vals[coset] = 1.0
     f = DenseFunction.make(p33, vals)
-    ctx = build_context(f, dft(f).top_places(1), W, W.complement(), t)
+    ctx = build_context(f, dft(f).top_places(1), W, t)
     # h(m) = |{b in V : m - b in t+W}|, which a direct sum makes 1 everywhere
     members = set(int(c) for c in coset)
     V = W.complement()
@@ -234,7 +258,7 @@ def test_build_context_invariants_random(p33, rng):
     f = random_function(p33, rng)
     spectrum, A, good = separated_frame(f, 2, rng)
     t = int(np.flatnonzero(good.dense[good.coset_labels])[0])
-    ctx = build_context(f, A, good.W, good.V, t, spectrum=spectrum)
+    ctx = build_context(f, A, good.W, t)
     coset = good.W.coset(t)
     assert np.allclose(ctx.h.values[coset], f.values[coset], atol=1e-9)
     assert ctx.h.values.min() >= -1e-9 and ctx.h.values.max() <= 1 + 1e-9
@@ -246,18 +270,11 @@ def test_build_context_invariants_random(p33, rng):
     assert ctx.w1_positions.size + ctx.w2_positions.size == good.W.size
 
 
-def test_build_context_rejects_wrong_complement(p33, rng):
-    f = random_function(p33, rng)
-    W = Subspace.from_rows(p33, [[1, 0, 0]])
-    with pytest.raises(ValueError):
-        build_context(f, np.array([0]), W, W, 0)
-
-
 def test_build_context_rejects_isotropic(p33, rng):
     f = random_function(p33, rng)
     W = Subspace.from_rows(p33, [[1, 1, 1]])  # 1+1+1 = 0, so W meets W-perp
     with pytest.raises(ValueError):
-        build_context(f, np.array([0]), W, W.complement(), 0)
+        build_context(f, np.array([0]), W, 0)
 
 
 def test_depletion_constant_function(p33):
@@ -419,7 +436,7 @@ def test_depletion_partial_on_finder_failure(p33):
             g,
             k=2,
             delta=0.0,
-            finder_cfg=FinderConfig(k=2, max_attempts=32),
+            max_attempts=32,
             rng=np.random.default_rng(3),
         )
     assert run.partial

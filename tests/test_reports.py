@@ -45,7 +45,7 @@ PINNED = [
         "dense_theorem_p5_n4.json",
         None,
         0,
-        "96af31949b2bcfff17ed4abf07621031467e83bb00c607dff0873e7624b1830d",
+        "d8ea791b149bf16a269ccb2220bd57484cddaeed5a60a1c9766ee23b76ccf208",
     ),
     (
         "refusal_empty_minorant.json",
@@ -63,7 +63,7 @@ PINNED = [
         "dense_theorem_p5_n4.json",
         "lazy",
         0,
-        "858383727a90ba65c51f671789a2498d0de91f0c513089d73f1e33c33395ef80",
+        "57e8521d590fe959fce323670c63f2d24ef36c7de30cd8456c1b048e7554d8c8",
     ),
 ]
 

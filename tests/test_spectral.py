@@ -63,7 +63,13 @@ def test_round_trip_and_parseval(p, n, rng):
     s = dft(f)
     back = idft(params, s.coeffs)
     assert np.abs(back.values - f.values).max() < 1e-9
-    assert parseval_gap(f, s) < 1e-9
+    assert parseval_gap(f) < 1e-9
+
+
+def test_spectrum_is_cached_transform(p33, rng):
+    f = random_function(p33, rng)
+    assert f.spectrum is f.spectrum
+    assert np.array_equal(f.spectrum.coeffs, dft(f).coeffs)
 
 
 def test_idft_of_spike_is_constant(p33):
