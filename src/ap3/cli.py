@@ -16,6 +16,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .experiment import (
     run_config,
 )
 from .field import EnumerationCapError, FieldParams
-from .finder import chebyshev_moments, choose_dimension, estimate_condition_probabilities
+from .finder import choose_dimension, estimate_condition_probabilities
 from .lambda3 import (
     AGREEMENT_TOLERANCE,
     BRUTE_FORCE_LIMIT,
@@ -43,6 +44,12 @@ from .lambda3 import (
 from .spectral import DenseFunction
 
 EXIT_USAGE = 64
+# The estimate columns each --lemma fills, by name prefix.
+_LEMMA_COLUMNS = {
+    "separation": ("separation", "coset_density"),
+    "moments": ("moment_",),
+    "both": ("separation", "coset_density", "moment_"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -261,7 +268,6 @@ def _estimate_row(
     nprime = choose_dimension(k, params)
     g = DenseFunction.make(params, rng.uniform(0.0, 1.0, params.F))
     A = rng.choice(params.F, size=k, replace=False).astype(np.int64)
-    pairs = pair_count(k)
     row = {
         "p": params.p,
         "n": params.n,
@@ -279,21 +285,12 @@ def _estimate_row(
         "moment_variance": "",
         "moment_variance_bound": "",
     }
-    if lemma in ("separation", "both"):
-        est = estimate_condition_probabilities(
-            params, nprime, A=A, g=g, trials=trials, rng=rng, exhaustive=exhaustive, cap=cap
-        )
-        row["separation"] = est.p_separation
-        row["separation_stderr"] = est.p_separation_stderr
-        row["separation_bound"] = 1.0 - pairs * float(params.p) ** (-nprime)
-        row["coset_density"] = est.p_coset_density
-        row["coset_density_stderr"] = est.p_coset_density_stderr
-    if lemma in ("moments", "both"):
-        mom = chebyshev_moments(g, nprime, trials=trials, rng=rng, exhaustive=exhaustive, cap=cap)
-        row["moment_mean"] = mom.mean
-        row["moment_mean_identity"] = mom.mean_identity
-        row["moment_variance"] = mom.variance
-        row["moment_variance_bound"] = mom.variance_bound
+    est = estimate_condition_probabilities(
+        params, nprime, A=A, g=g, trials=trials, rng=rng, exhaustive=exhaustive, cap=cap
+    )
+    figures = asdict(est)
+    figures["separation_bound"] = 1.0 - pair_count(k) * float(params.p) ** (-nprime)
+    row.update((key, v) for key, v in figures.items() if key.startswith(_LEMMA_COLUMNS[lemma]))
     return row
 
 

@@ -31,7 +31,7 @@ from .bounds import (
     quasinorm_regime_bound,
 )
 from .field import EnumerationCapError, FieldParams, Subspace, is_integral
-from .finder import chebyshev_moments, choose_dimension, estimate_condition_probabilities
+from .finder import choose_dimension, estimate_condition_probabilities
 from .functions import (
     SetSpec,
     indicator,
@@ -93,7 +93,10 @@ def build_recipe(params: FieldParams, spec: dict, rng: np.random.Generator) -> D
         size = _integer(spec, "size")
         return random_set(params, size, rng).indicator()
     if kind == "subspace":
-        return subspace_indicator(Subspace.from_rows(params, spec.get("basis", ())))
+        basis = spec.get("basis", [])
+        if not isinstance(basis, list) or not all(map(_integer_list, basis)):
+            raise ConfigError(f"field 'basis' must be a list of integer rows, got {basis!r}")
+        return subspace_indicator(Subspace.from_rows(params, basis))
     if kind == "conv_power":
         power = _integer(spec, "power")
         if "members" in spec:
@@ -164,9 +167,13 @@ def _integer(spec: dict, key: str) -> int:
     return int(value)
 
 
+def _integer_list(values) -> bool:
+    return isinstance(values, list) and all(map(is_integral, values))
+
+
 def _integers(spec: dict, key: str) -> list[int]:
     values = spec.get(key, [])
-    if not isinstance(values, list) or not all(map(is_integral, values)):
+    if not _integer_list(values):
         raise ConfigError(f"field {key!r} must be a list of integers, got {values!r}")
     return [int(v) for v in values]
 
@@ -398,13 +405,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
         report["timing"] = {"wall_seconds": round(time.perf_counter() - start, 3)}
         return report, worst_exit(codes)
 
-    try:
-        f = build_recipe(params, config.f_recipe, rng_corpus)
-        g = derive_minorant(f, config.g_recipe, rng_corpus)
-    except (ConfigError, ValueError) as exc:
-        fail("config", str(exc), EXIT_ERROR)
-        return finish()
-
+    # refused before build_recipe allocates an F-sized array
     if params.F > config.brute_force_limit and not config.force:
         fail(
             "guardrail",
@@ -412,6 +413,13 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
             "pass force to spend the quadratic time",
             EXIT_ERROR,
         )
+        return finish()
+
+    try:
+        f = build_recipe(params, config.f_recipe, rng_corpus)
+        g = derive_minorant(f, config.g_recipe, rng_corpus)
+    except (ConfigError, ValueError) as exc:
+        fail("config", str(exc), EXIT_ERROR)
         return finish()
 
     spectrum = f.spectrum
@@ -456,28 +464,18 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
         report["spectrum"]["quasinorm_benchmark"] = params.F ** (1.0 + config.gamma)
 
     if config.trials > 0 or config.exhaustive:
-        A = spectrum.top_places(config.k)
         try:
-            sampling = {
-                "trials": config.trials,
-                "rng": rng_est,
-                "exhaustive": config.exhaustive,
-                "cap": config.enumeration_cap,
-            }
-            est = estimate_condition_probabilities(params, nprime, A=A, g=g, **sampling)
-            mom = chebyshev_moments(g, nprime, **sampling)
-            report["estimates"] = {
-                "separation": est.p_separation,
-                "separation_stderr": est.p_separation_stderr,
-                "coset_density": est.p_coset_density,
-                "coset_density_stderr": est.p_coset_density_stderr,
-                "trials": est.trials,
-                "exhaustive": est.exhaustive,
-                "moment_mean": mom.mean,
-                "moment_mean_identity": mom.mean_identity,
-                "moment_variance": mom.variance,
-                "moment_variance_bound": mom.variance_bound,
-            }
+            est = estimate_condition_probabilities(
+                params,
+                nprime,
+                A=spectrum.top_places(config.k),
+                g=g,
+                trials=config.trials,
+                rng=rng_est,
+                exhaustive=config.exhaustive,
+                cap=config.enumeration_cap,
+            )
+            report["estimates"] = asdict(est)
         except EnumerationCapError as exc:
             fail("cap", str(exc), EXIT_ERROR)
 

@@ -30,16 +30,31 @@ class InfeasibleError(ValueError):
     """No admissible subspace dimension exists for the request."""
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin: the prime bases up to 37 decide every
+    m < 3.3 * 10^24, far beyond the 2^62 field-size limit."""
     if m < 2:
         return False
-    if m % 2 == 0:
-        return m == 2
-    d = 3
-    while d * d <= m:
-        if m % d == 0:
+    if m in _WITNESSES:
+        return True
+    if any(m % a == 0 for a in _WITNESSES):
+        return False
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -78,7 +93,8 @@ class FieldParams:
             raise ValueError(f"p must be an odd prime >= 3, got {self.p}")
         if self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n}")
-        if self.p**self.n > 2**62:
+        # p >= 3 makes p^n > 2^62 for every n > 62; refusing first spares computing p^n
+        if self.n > 62 or self.p**self.n > 2**62:
             raise ValueError("p^n exceeds the supported desk scale")
 
     @property

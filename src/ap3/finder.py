@@ -144,13 +144,21 @@ def find_good_subspace(
 
 
 @dataclass(frozen=True)
-class ConditionEstimates:
-    """Monte-Carlo (or exhaustive) frequencies of the finder's two events."""
+class LemmaEstimates:
+    """The finder's two lemmas read off one sample of (W, t): Monte-Carlo (or
+    exhaustive) frequencies of separation and coset density, and the moments
+    of the coset sum X = sum_{m in t+W} g(m) that bound the density event
+    through Chebyshev's inequality.  The field names are the report keys; a
+    figure whose input (A or g) was not given is None."""
 
-    p_separation: float | None
-    p_separation_stderr: float | None
-    p_coset_density: float | None
-    p_coset_density_stderr: float | None
+    separation: float | None
+    separation_stderr: float | None
+    coset_density: float | None
+    coset_density_stderr: float | None
+    moment_mean: float | None
+    moment_mean_identity: float | None  # p^nprime * E(g); the exact expectation
+    moment_variance: float | None
+    moment_variance_bound: float | None  # p^nprime
     trials: int
     exhaustive: bool
 
@@ -161,39 +169,11 @@ def _frequency(hits: int, total: int, exhaustive: bool) -> tuple[float, float]:
     return frac, stderr
 
 
-def _sample_cosets(
-    params: FieldParams,
-    nprime: int,
-    g: DenseFunction | None,
-    trials: int,
-    rng: np.random.Generator | None,
-    exhaustive: bool,
-    cap: int,
-) -> tuple[list[Subspace], np.ndarray | None]:
-    """The subspaces W drawn and, when g is given, the coset sums X(W, t).
-
-    Exhaustive mode takes every W of dimension nprime and every t in F, so X
-    holds F sums per W, W-major.  Sampled mode draws W and then t for each
-    trial, reading only the coset t + W; it draws no t when g is None.
-    """
-    if exhaustive:
-        spaces = enumerate_subspaces(params, nprime, cap=cap)
-        if g is None:
-            return spaces, None
-        blocks = []
-        for W in spaces:
-            labels, sums = coset_sums(g, W.complement())
-            blocks.append(sums[labels])
-        return spaces, np.concatenate(blocks)
-    if rng is None:
-        raise ValueError("sampled mode needs an rng")
-    spaces, sums = [], []
-    for _ in range(trials):
-        W = sample_uniform_subspace(params, nprime, rng)
-        spaces.append(W)
-        if g is not None:
-            sums.append(coset_sum(g.values, W.coset(int(rng.integers(params.F)))))
-    return spaces, None if g is None else np.array(sums)
+def chebyshev_moments(X: np.ndarray, mean: float, size: int) -> tuple[float, float, float, float]:
+    """(E(X), |W| E(g), Var(X), |W|) for coset sums X of a g with mean E(g) over
+    cosets of size |W|: E(X) = |W| E(g) exactly over uniform (W, t), and
+    Var(X) <= |W| for g taking values in [0, 1]."""
+    return float(X.mean()), size * mean, float(X.var()), float(size)
 
 
 def estimate_condition_probabilities(
@@ -205,52 +185,43 @@ def estimate_condition_probabilities(
     rng: np.random.Generator | None = None,
     exhaustive: bool = False,
     cap: int = DEFAULT_ENUMERATION_CAP,
-) -> ConditionEstimates:
-    """Estimate P(separation) for A and/or P(coset density) for g.
+) -> LemmaEstimates:
+    """Estimate P(separation) for A and, for g, P(coset density) and the
+    moments of X, all from one sample.
 
-    Exhaustive mode enumerates every W of dimension nprime (and every
-    translate t for the density event) and returns exact frequencies.
+    Sampled mode draws W and then t for each trial and reads only the coset
+    t + W; it draws no t when g is None.  Exhaustive mode enumerates every W
+    of dimension nprime and every translate t, W-major, and returns exact
+    frequencies.
     """
     if A is None and g is None:
         raise ValueError("provide A, g, or both")
     if g is not None:
         g.params.same_as(params)
     B = difference_set(params, np.asarray(A, dtype=np.int64)) if A is not None else None
-    spaces, X = _sample_cosets(params, nprime, g, trials, rng, exhaustive, cap)
-    p_sep = se_sep = p_den = se_den = None
+    spaces, sums = [], []  # sums: the coset sums X, as blocks np.hstack joins
+    if exhaustive:
+        spaces = enumerate_subspaces(params, nprime, cap=cap)
+        if g is not None:
+            for W in spaces:
+                labels, totals = coset_sums(g, W.complement())
+                sums.append(totals[labels])
+    elif rng is None:
+        raise ValueError("sampled mode needs an rng")
+    else:
+        for _ in range(trials):
+            W = sample_uniform_subspace(params, nprime, rng)
+            spaces.append(W)
+            if g is not None:
+                sums.append(coset_sum(g.values, W.coset(int(rng.integers(params.F)))))
+    separation = density = (None, None)
+    moments = (None,) * 4
     if B is not None:
         hits = sum(1 for W in spaces if separates(W, B))
-        p_sep, se_sep = _frequency(hits, len(spaces), exhaustive)
+        separation = _frequency(hits, len(spaces), exhaustive)
     if g is not None:
-        hits = int(np.count_nonzero(is_dense(X, g.mean(), params.p**nprime)))
-        p_den, se_den = _frequency(hits, X.size, exhaustive)
-    return ConditionEstimates(p_sep, se_sep, p_den, se_den, len(spaces), exhaustive)
-
-
-@dataclass(frozen=True)
-class CosetMoments:
-    """Moments of X = sum_{m in t+W} g(m) over uniform (t, W)."""
-
-    mean: float
-    variance: float
-    mean_identity: float  # p^nprime * E(g); the exact expectation
-    variance_bound: float  # p^nprime
-    trials: int
-    exhaustive: bool
-
-
-def chebyshev_moments(
-    g: DenseFunction,
-    nprime: int,
-    trials: int = 1000,
-    rng: np.random.Generator | None = None,
-    exhaustive: bool = False,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> CosetMoments:
-    """First and second moments of the coset sum X; E(X) = p^nprime E(g) exactly
-    and Var(X) <= p^nprime for g taking values in [0, 1]."""
-    size = g.params.p**nprime
-    _, X = _sample_cosets(g.params, nprime, g, trials, rng, exhaustive, cap)
-    return CosetMoments(
-        float(X.mean()), float(X.var()), size * g.mean(), float(size), X.size, exhaustive
-    )
+        X, size = np.hstack(sums), params.p**nprime
+        hits = int(np.count_nonzero(is_dense(X, g.mean(), size)))
+        density = _frequency(hits, X.size, exhaustive)
+        moments = chebyshev_moments(X, g.mean(), size)
+    return LemmaEstimates(*separation, *density, *moments, len(spaces), exhaustive)

@@ -16,7 +16,6 @@ from ap3.cli import main as cli_main
 from ap3.experiment import ExperimentConfig, run_experiment
 from ap3.field import FieldParams, Subspace
 from ap3.finder import (
-    chebyshev_moments,
     choose_dimension,
     estimate_condition_probabilities,
     find_good_subspace,
@@ -188,9 +187,9 @@ def test_separation_exhaustive(announce):
             for A in sets:
                 est = estimate_condition_probabilities(params, nprime, A=A, exhaustive=True)
                 tested += 1
-                worst = min(worst, est.p_separation)
-                ok &= est.p_separation >= bound - 1e-12
-                ok &= est.p_separation >= 0.5 - 1e-12
+                worst = min(worst, est.separation)
+                ok &= est.separation >= bound - 1e-12
+                ok &= est.separation >= 0.5 - 1e-12
     elapsed = time.perf_counter() - start
     ok = bool(ok) and elapsed < 60.0
     announce(
@@ -212,12 +211,12 @@ def test_coset_moments_exhaustive(announce):
         n, nprime = grid[i % len(grid)]
         params = FieldParams(3, n)
         g = DenseFunction.make(params, rng.random(params.F))
-        mom = chebyshev_moments(g, nprime, exhaustive=True)
-        rel = abs(mom.mean - mom.mean_identity) / abs(mom.mean_identity)
+        mom = estimate_condition_probabilities(params, nprime, g=g, exhaustive=True)
+        rel = abs(mom.moment_mean - mom.moment_mean_identity) / abs(mom.moment_mean_identity)
         worst_rel = max(worst_rel, rel)
-        worst_var_slack = min(worst_var_slack, mom.variance_bound - mom.variance)
+        worst_var_slack = min(worst_var_slack, mom.moment_variance_bound - mom.moment_variance)
         ok &= rel <= 1e-12
-        ok &= mom.variance <= mom.variance_bound + 1e-9
+        ok &= mom.moment_variance <= mom.moment_variance_bound + 1e-9
     elapsed = time.perf_counter() - start
     ok = bool(ok) and elapsed < 120.0
     announce(

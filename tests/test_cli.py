@@ -1,12 +1,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ap3.experiment
+import ap3.finder
 import ap3.spectral
 from ap3.cli import main
 from ap3.field import FieldParams
@@ -385,6 +390,25 @@ def test_verify_rejects_bad_entry_before_any_run(capsys, tmp_path, monkeypatch):
     assert calls == []
 
 
+def test_verify_refuses_huge_prime_field_quickly(tmp_path):
+    # p = 2^61 - 1 is prime and passes the size check: its primality test
+    # must be quick, and the guardrail must refuse the entry before a recipe
+    # allocates F values
+    config = {"p": 2**61 - 1, "n": 1, "seed": 1, "k": 2, "f": {"kind": "constant", "value": 1.0}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path_entries = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path_entries)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ap3.cli", "verify", "--config", str(path)],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert proc.returncode == 1
+    assert "brute-force limit" in proc.stdout
+    assert "Traceback" not in proc.stdout + proc.stderr
+
+
 def test_estimate_exhaustive_csv(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -424,6 +448,61 @@ def test_estimate_k_grid_deterministic(capsys):
     for row in rows:
         assert 0.0 <= float(row["separation"]) <= 1.0
         assert 0.0 <= float(row["coset_density"]) <= 1.0
+
+
+def _counting(monkeypatch, name):
+    """Replace ap3.finder.<name> by a wrapper and return its list of calls."""
+    calls = []
+    original = getattr(ap3.finder, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ap3.finder, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("lemma", ["separation", "moments", "both"])
+def test_estimate_row_draws_each_subspace_once(capsys, monkeypatch, lemma):
+    draws = _counting(monkeypatch, "sample_uniform_subspace")
+    args = ("--p", "3", "--n", "3", "--k", "3", "--trials", "40", "--lemma", lemma)
+    code, _, _ = run_cli(capsys, "estimate", *args)
+    assert code == 0
+    assert len(draws) == 40
+
+
+@pytest.mark.parametrize("lemma", ["separation", "moments", "both"])
+def test_estimate_enumerates_once_per_exhaustive_row(capsys, monkeypatch, lemma):
+    enumerations = _counting(monkeypatch, "enumerate_subspaces")
+    args = ("--p", "3", "--n", "3", "--k", "2,3", "--exhaustive", "--lemma", lemma)
+    code, _, _ = run_cli(capsys, "estimate", *args)
+    assert code == 0
+    assert len(enumerations) == 2
+
+
+@pytest.mark.parametrize(
+    "sampling",
+    [("--trials", "64", "--seed", "11"), ("--exhaustive",)],
+    ids=["sampled", "exhaustive"],
+)
+def test_estimate_lemma_columns_read_one_sample(capsys, sampling):
+    rows = {}
+    for lemma in ("separation", "moments", "both"):
+        args = ("estimate", "--p", "3", "--n", "3", "--k", "2,3", *sampling, "--lemma", lemma)
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        rows[lemma] = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows["both"]) == 2
+    for both, separation, moments in zip(rows["both"], rows["separation"], rows["moments"]):
+        assert list(both) == list(separation) == list(moments)
+        for key, value in both.items():
+            if key.startswith("moment_"):
+                assert (value, separation[key]) == (moments[key], "")
+            elif key.startswith(("separation", "coset_density")):
+                assert (value, moments[key]) == (separation[key], "")
+            else:
+                assert value == separation[key] == moments[key]
 
 
 @pytest.mark.parametrize(

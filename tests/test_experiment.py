@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import ap3.finder
 import ap3.spectral
 from ap3.experiment import (
     EXIT_ASSERTION,
@@ -103,6 +104,9 @@ def test_build_recipe_errors(p33, rng):
             build_recipe(p33, spec, rng)
     with pytest.raises(ConfigError, match="'members'"):
         build_recipe(p33, {"kind": "indicator", "members": [[1]]}, rng)
+    for basis in ([[1.5, 0, 0]], [[True, 0, 0]]):
+        with pytest.raises(ConfigError, match="'basis'"):
+            build_recipe(p33, {"kind": "subspace", "basis": basis}, rng)
 
 
 def test_derive_minorant_rules(p33, rng):
@@ -234,6 +238,23 @@ def test_run_experiment_transforms_each_function_once(monkeypatch):
         report, _ = run_experiment(config)
     assert len(report["runs"]) == 2
     assert len(calls) == 2 and calls[0] is not calls[1]
+
+
+def test_run_experiment_estimates_draw_each_subspace_once(monkeypatch):
+    # separation, coset density and the moments read one sample of (W, t)
+    callers = []
+    original = ap3.finder.sample_uniform_subspace
+
+    def counted(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ap3.finder, "sample_uniform_subspace", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report, _ = run_experiment(cfg(trials=30))
+    assert report["estimates"]["trials"] == 30
+    assert callers.count("estimate_condition_probabilities") == 30
 
 
 def test_run_experiment_refusal():

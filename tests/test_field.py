@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,31 @@ def test_params_validation():
 def test_is_prime_small():
     primes = [m for m in range(50) if is_prime(m)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+
+def test_is_prime_matches_trial_division():
+    for m in range(10**5):
+        assert is_prime(m) == (m >= 2 and all(m % d for d in range(2, math.isqrt(m) + 1)))
+
+
+def test_is_prime_large():
+    assert not is_prime(3215031751)  # a strong pseudoprime to bases 2, 3, 5 and 7
+    assert is_prime(2**61 - 1)
+    assert not is_prime((2**31 - 1) * (2**61 - 1))
+
+
+class _Exponent(int):
+    """An n that fails the test if p**n is ever computed from it."""
+
+    def __rpow__(self, base):
+        raise AssertionError(f"computed {base}**{int(self)}")
+
+
+def test_params_refuse_large_n_before_computing_p_to_the_n():
+    for n in (63, 10**8):
+        with pytest.raises(ValueError, match="desk scale"):
+            FieldParams(3, _Exponent(n))
+    assert FieldParams(2**61 - 1, 1).F == 2**61 - 1
 
 
 @given(SMALL_PARAMS, st.integers(min_value=0, max_value=10**6))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ap3.finder
 from ap3.bounds import density_floor
 from ap3.field import (
     EnumerationCapError,
@@ -97,7 +98,7 @@ def test_sampled_estimators_read_one_coset(p33, rng, monkeypatch):
         monkeypatch.setattr(Subspace, name, counted)
     g = random_function(p33, rng)
     estimate_condition_probabilities(p33, 1, A=np.array([0, 1]), g=g, trials=20, rng=rng)
-    chebyshev_moments(g, 2, trials=20, rng=rng)
+    estimate_condition_probabilities(p33, 2, g=g, trials=20, rng=rng)
     find_good_subspace(np.array([0, 1]), g, rng)
     f = DenseFunction.make(p33, np.maximum(g.values, 0.5))
     with warnings.catch_warnings():
@@ -197,8 +198,8 @@ def test_estimate_exact_pair():
         params, 1, A=np.array([0, 1]), exhaustive=True
     )
     assert est.exhaustive
-    assert est.p_separation == pytest.approx(0.75, abs=1e-15)
-    assert est.p_separation_stderr == 0.0
+    assert est.separation == pytest.approx(0.75, abs=1e-15)
+    assert est.separation_stderr == 0.0
     assert est.trials == 4
 
 
@@ -207,13 +208,13 @@ def test_estimate_exact_matches_lemma_bound(p33):
     A = np.array([0, 1, 3], dtype=np.int64)
     est = estimate_condition_probabilities(p33, 1, A=A, exhaustive=True)
     bound = 1.0 - 3.0 * 3.0**-1
-    assert est.p_separation >= bound - 1e-12
+    assert est.separation >= bound - 1e-12
 
 
 def test_estimate_constant_density(p33, rng):
     g = DenseFunction.constant(p33, 1.0)
     est = estimate_condition_probabilities(p33, 1, g=g, trials=200, rng=rng)
-    assert est.p_coset_density == 1.0
+    assert est.coset_density == 1.0
 
 
 def test_estimate_monte_carlo_tracks_bound(p33, rng):
@@ -221,9 +222,9 @@ def test_estimate_monte_carlo_tracks_bound(p33, rng):
     est = estimate_condition_probabilities(p33, 1, A=A, trials=10_000, rng=rng)
     assert not est.exhaustive
     bound = 1.0 - 1.0 * 3.0**-1  # one pair, nprime = 1
-    assert est.p_separation > bound - 3.0 * est.p_separation_stderr
+    assert est.separation > bound - 3.0 * est.separation_stderr
     exact = estimate_condition_probabilities(p33, 1, A=A, exhaustive=True)
-    assert abs(est.p_separation - exact.p_separation) <= 4.0 * est.p_separation_stderr
+    assert abs(est.separation - exact.separation) <= 4.0 * est.separation_stderr
 
 
 def test_estimate_requires_input_or_rng(p33, rng):
@@ -233,42 +234,66 @@ def test_estimate_requires_input_or_rng(p33, rng):
         estimate_condition_probabilities(p33, 1, A=np.array([0, 1]))
 
 
+def test_chebyshev_moments_formula():
+    # (E(X), |W| E(g), Var(X), |W|)
+    assert chebyshev_moments(np.array([1.0, 2.0, 3.0]), 0.5, 4) == (2.0, 2.0, 2.0 / 3.0, 4.0)
+
+
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_estimate_reads_one_sample(p33, rng, monkeypatch, exhaustive):
+    seen = []
+
+    def recording(X, mean, size):
+        seen.append(X)
+        return chebyshev_moments(X, mean, size)
+
+    monkeypatch.setattr(ap3.finder, "chebyshev_moments", recording)
+    g = random_function(p33, rng)
+    est = estimate_condition_probabilities(
+        p33, 1, A=np.array([0, 1]), g=g, trials=40, rng=rng, exhaustive=exhaustive
+    )
+    (X,) = seen
+    assert X.size == est.trials * (p33.F if exhaustive else 1)
+    assert est.coset_density == np.count_nonzero(is_dense(X, g.mean(), 3)) / X.size
+    assert (est.moment_mean, est.moment_variance) == (X.mean(), X.var())
+
+
 def test_chebyshev_constant_has_zero_variance(p33, rng):
     g = DenseFunction.constant(p33, 0.4)
-    mom = chebyshev_moments(g, 1, trials=50, rng=rng)
-    assert mom.variance == pytest.approx(0.0, abs=1e-18)
-    assert mom.mean == pytest.approx(0.4 * 3)
+    mom = estimate_condition_probabilities(p33, 1, g=g, trials=50, rng=rng)
+    assert mom.moment_variance == pytest.approx(0.0, abs=1e-18)
+    assert mom.moment_mean == pytest.approx(0.4 * 3)
 
 
 def test_chebyshev_exhaustive_point_mass():
     params = FieldParams(3, 2)
     g = indicator(params, [0])
-    mom = chebyshev_moments(g, 1, exhaustive=True)
+    mom = estimate_condition_probabilities(params, 1, g=g, exhaustive=True)
     assert mom.exhaustive
-    assert mom.mean_identity == pytest.approx(1.0 / 3.0)
-    assert mom.mean == pytest.approx(mom.mean_identity, rel=1e-12)
-    assert mom.variance <= mom.variance_bound + 1e-9
+    assert mom.moment_mean_identity == pytest.approx(1.0 / 3.0)
+    assert mom.moment_mean == pytest.approx(mom.moment_mean_identity, rel=1e-12)
+    assert mom.moment_variance <= mom.moment_variance_bound + 1e-9
 
 
 def test_chebyshev_exhaustive_random(p33, rng):
     g = random_function(p33, rng)
-    mom = chebyshev_moments(g, 1, exhaustive=True)
-    assert mom.mean == pytest.approx(mom.mean_identity, rel=1e-12)
-    assert mom.variance <= 3.0 + 1e-9
-    assert mom.variance_bound == 3.0
+    mom = estimate_condition_probabilities(p33, 1, g=g, exhaustive=True)
+    assert mom.moment_mean == pytest.approx(mom.moment_mean_identity, rel=1e-12)
+    assert mom.moment_variance <= 3.0 + 1e-9
+    assert mom.moment_variance_bound == 3.0
 
 
 def test_chebyshev_sampled_needs_rng(p33):
     g = DenseFunction.constant(p33, 1.0)
     with pytest.raises(ValueError):
-        chebyshev_moments(g, 1, trials=10)
+        estimate_condition_probabilities(p33, 1, g=g, trials=10)
 
 
 def test_enumeration_cap_propagates():
     params = FieldParams(3, 2)
     g = DenseFunction.constant(params, 1.0)
     with pytest.raises(EnumerationCapError):
-        chebyshev_moments(g, 1, exhaustive=True, cap=2)
+        estimate_condition_probabilities(params, 1, g=g, exhaustive=True, cap=2)
     with pytest.raises(EnumerationCapError):
         estimate_condition_probabilities(
             params, 1, A=np.array([0, 1]), exhaustive=True, cap=2

@@ -45,7 +45,7 @@ PINNED = [
         "dense_theorem_p5_n4.json",
         None,
         0,
-        "d8ea791b149bf16a269ccb2220bd57484cddaeed5a60a1c9766ee23b76ccf208",
+        "72b18e2bce2138f9574722a20312cc0ff7ce9b0ef0dfe435f9696983b6c5adc3",
     ),
     (
         "refusal_empty_minorant.json",
@@ -57,13 +57,13 @@ PINNED = [
         "sevenfold_p3_n5.json",
         None,
         0,
-        "536970e21f98fc74b76d5ee3bb4317316cd475b178fc45b319ea87d3bbf53d0c",
+        "e2c930dc6aa21f2c2b644cfc3ace35cbc2021c1895bc1ee9fde0fc8a651bc67b",
     ),
     (
         "dense_theorem_p5_n4.json",
         "lazy",
         0,
-        "57e8521d590fe959fce323670c63f2d24ef36c7de30cd8456c1b048e7554d8c8",
+        "3c6bf7f24dc9aa77419b39f912378e0085ecf0460a91067ce3105c0434869ce0",
     ),
 ]
 
@@ -109,11 +109,11 @@ def test_config_survives_its_report(name):
 PINNED_ESTIMATES = [
     (
         "--p 3 --n 3 --k 2,3 --trials 64 --seed 11",
-        "9713aab718c6488988d994f786009a9a3d2a8643e4a28908bdc49f505d1e2889",
+        "6e181a645d89cc052c11768eddfb0604f89ba5ab730a190f489eb0982848f93c",
     ),
     (
         "--p 3 --n 7 --k 5 --trials 1000 --seed 3",
-        "2af6d492f571c4dc4e6ed5ac79fcfb82b2585d1431866a70cf59f4138dc25a70",
+        "8e25836e8d54ab426649aeef4a8d1902ec632e8c68b1dee1e52ece4aca2f28fc",
     ),
     (
         "--p 3 --n 3 --k 2,3 --exhaustive",
