@@ -1,126 +1,3 @@
 """Certified three-term progression counts for functions on F_p^n."""
 
-from .bounds import (
-    HypothesisRefusal,
-    check_hypotheses,
-    delta_from_sigma,
-    density_floor,
-    lambda3_floor,
-    optimal_k,
-    plugin_delta,
-    quasinorm_regime_bound,
-    sigma_tail_bound,
-)
-from .field import (
-    EnumerationCapError,
-    FieldParams,
-    InfeasibleError,
-    ParameterError,
-    Subspace,
-    enumerate_subspaces,
-    gaussian_binomial,
-    sample_uniform_subspace,
-)
-from .finder import (
-    FinderBudgetError,
-    GoodSubspace,
-    chebyshev_moments,
-    choose_dimension,
-    coset_sums,
-    estimate_condition_probabilities,
-    find_good_subspace,
-)
-from .functions import (
-    SetSpec,
-    convolve,
-    convolve_direct,
-    indicator,
-    minorant_restrict,
-    normalized_conv_power,
-    random_set,
-    subspace_indicator,
-)
-from .lambda3 import (
-    endpoint_pair_count,
-    lambda3_brute,
-    lambda3_spectral,
-    midpoint_pair_count,
-    pair_table,
-    trivial_lower_bound,
-)
-from .midpoint import (
-    CertificateError,
-    ContextInvariantError,
-    CosetContext,
-    DepletionRun,
-    MidpointCertificate,
-    SubspaceFrame,
-    build_context,
-    coset_scores,
-    run_depletion,
-    select_translate,
-    tail_energy,
-    translate_scores,
-)
-from .spectral import DenseFunction, Spectrum, dft, dft_naive, idft, parseval_gap
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CertificateError",
-    "ContextInvariantError",
-    "CosetContext",
-    "DenseFunction",
-    "DepletionRun",
-    "EnumerationCapError",
-    "FieldParams",
-    "FinderBudgetError",
-    "GoodSubspace",
-    "HypothesisRefusal",
-    "InfeasibleError",
-    "MidpointCertificate",
-    "ParameterError",
-    "SetSpec",
-    "Spectrum",
-    "Subspace",
-    "SubspaceFrame",
-    "build_context",
-    "chebyshev_moments",
-    "check_hypotheses",
-    "choose_dimension",
-    "convolve",
-    "convolve_direct",
-    "coset_scores",
-    "coset_sums",
-    "delta_from_sigma",
-    "density_floor",
-    "dft",
-    "dft_naive",
-    "endpoint_pair_count",
-    "enumerate_subspaces",
-    "estimate_condition_probabilities",
-    "find_good_subspace",
-    "gaussian_binomial",
-    "idft",
-    "indicator",
-    "lambda3_brute",
-    "lambda3_floor",
-    "lambda3_spectral",
-    "midpoint_pair_count",
-    "minorant_restrict",
-    "normalized_conv_power",
-    "optimal_k",
-    "pair_table",
-    "parseval_gap",
-    "plugin_delta",
-    "quasinorm_regime_bound",
-    "random_set",
-    "run_depletion",
-    "sample_uniform_subspace",
-    "select_translate",
-    "sigma_tail_bound",
-    "subspace_indicator",
-    "tail_energy",
-    "translate_scores",
-    "trivial_lower_bound",
-]

@@ -157,7 +157,13 @@ def _number(spec: dict, key: str) -> float:
     value = _field(spec, key)
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"field {key!r} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)  # an int beyond the float range overflows
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"field {key!r} must be finite, got {value!r}")
+    return number
 
 
 def _integer(spec: dict, key: str) -> int:
@@ -207,7 +213,6 @@ class ExperimentConfig:
     trials: int
     exhaustive: bool
     enumeration_cap: int
-    brute_force_limit: int
     force: bool
     label: str
 
@@ -273,9 +278,7 @@ class ExperimentConfig:
         trials = integer("trials", 0)
         if trials < 0:
             raise ConfigError(f"field 'trials' must be nonnegative, got {trials}")
-        limits = {
-            "max_attempts": 256, "enumeration_cap": 200_000, "brute_force_limit": BRUTE_FORCE_LIMIT
-        }
+        limits = {"max_attempts": 256, "enumeration_cap": 200_000}
         for key, default in limits.items():
             limits[key] = integer(key, default)
             if limits[key] < 1:
@@ -354,9 +357,11 @@ def strip_timing(report: dict) -> dict:
 
 def _run_dict(run, rhs_exact: float, brute: float, spectral: float) -> dict:
     """Every DepletionRun field (steps as certificate dicts) plus the values
-    measured or derived outside the run."""
+    measured or derived outside the run.  The fields are read shallowly:
+    _jsonable copies them once, where asdict would deep-copy them first."""
     return {
-        **asdict(run),
+        **vars(run),
+        "steps": [vars(step) for step in run.steps],
         "lambda_measured_brute": brute,
         "lambda_measured_spectral": spectral,
         "certificates_ok": run.certificates_ok,
@@ -406,10 +411,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
         return report, worst_exit(codes)
 
     # refused before build_recipe allocates an F-sized array
-    if params.F > config.brute_force_limit and not config.force:
+    if params.F > BRUTE_FORCE_LIMIT and not config.force:
         fail(
             "guardrail",
-            f"F = {params.F} exceeds the brute-force limit {config.brute_force_limit}; "
+            f"F = {params.F} exceeds the brute-force limit {BRUTE_FORCE_LIMIT}; "
             "pass force to spend the quadratic time",
             EXIT_ERROR,
         )

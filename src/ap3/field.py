@@ -8,7 +8,6 @@ compare (and hash) equal.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -128,9 +127,6 @@ class FieldParams:
     def same_as(self, other: "FieldParams") -> None:
         if self != other:
             raise ParameterError(f"mismatched field parameters {self} vs {other}")
-
-    def to_json_dict(self) -> dict:
-        return {"p": self.p, "n": self.n}
 
     @classmethod
     def from_json_dict(cls, data) -> "FieldParams":
@@ -311,25 +307,6 @@ class Subspace:
         if not rows:
             return Subspace.zero(self.params)
         return Subspace.from_rows(self.params, np.array(rows))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.params.p,
-            "n": self.params.n,
-            "basis": [list(row) for row in self.basis],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Subspace":
-        params = FieldParams.from_json_dict(data)
-        return cls.from_rows(params, np.array(data["basis"], dtype=np.int64).reshape(-1, params.n))
-
-    @classmethod
-    def from_json(cls, text: str) -> "Subspace":
-        return cls.from_json_dict(json.loads(text))
 
 
 def sample_uniform_subspace(params: FieldParams, dim: int, rng: np.random.Generator) -> Subspace:

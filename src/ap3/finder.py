@@ -148,17 +148,16 @@ class LemmaEstimates:
     """The finder's two lemmas read off one sample of (W, t): Monte-Carlo (or
     exhaustive) frequencies of separation and coset density, and the moments
     of the coset sum X = sum_{m in t+W} g(m) that bound the density event
-    through Chebyshev's inequality.  The field names are the report keys; a
-    figure whose input (A or g) was not given is None."""
+    through Chebyshev's inequality.  The field names are the report keys."""
 
-    separation: float | None
-    separation_stderr: float | None
-    coset_density: float | None
-    coset_density_stderr: float | None
-    moment_mean: float | None
-    moment_mean_identity: float | None  # p^nprime * E(g); the exact expectation
-    moment_variance: float | None
-    moment_variance_bound: float | None  # p^nprime
+    separation: float
+    separation_stderr: float
+    coset_density: float
+    coset_density_stderr: float
+    moment_mean: float
+    moment_mean_identity: float  # p^nprime * E(g); the exact expectation
+    moment_variance: float
+    moment_variance_bound: float  # p^nprime
     trials: int
     exhaustive: bool
 
@@ -179,49 +178,39 @@ def chebyshev_moments(X: np.ndarray, mean: float, size: int) -> tuple[float, flo
 def estimate_condition_probabilities(
     params: FieldParams,
     nprime: int,
-    A: np.ndarray | None = None,
-    g: DenseFunction | None = None,
+    A: np.ndarray,
+    g: DenseFunction,
     trials: int = 1000,
     rng: np.random.Generator | None = None,
     exhaustive: bool = False,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> LemmaEstimates:
-    """Estimate P(separation) for A and, for g, P(coset density) and the
-    moments of X, all from one sample.
+    """Estimate P(separation) for A, and P(coset density) and the moments of X
+    for g, all from one sample.
 
     Sampled mode draws W and then t for each trial and reads only the coset
-    t + W; it draws no t when g is None.  Exhaustive mode enumerates every W
-    of dimension nprime and every translate t, W-major, and returns exact
-    frequencies.
+    t + W.  Exhaustive mode enumerates every W of dimension nprime and every
+    translate t, W-major, and returns exact frequencies.
     """
-    if A is None and g is None:
-        raise ValueError("provide A, g, or both")
-    if g is not None:
-        g.params.same_as(params)
-    B = difference_set(params, np.asarray(A, dtype=np.int64)) if A is not None else None
-    spaces, sums = [], []  # sums: the coset sums X, as blocks np.hstack joins
+    g.params.same_as(params)
+    B = difference_set(params, np.asarray(A, dtype=np.int64))
+    sums = []  # the coset sums X, as blocks np.hstack joins
     if exhaustive:
         spaces = enumerate_subspaces(params, nprime, cap=cap)
-        if g is not None:
-            for W in spaces:
-                labels, totals = coset_sums(g, W.complement())
-                sums.append(totals[labels])
+        for W in spaces:
+            labels, totals = coset_sums(g, W.complement())
+            sums.append(totals[labels])
     elif rng is None:
         raise ValueError("sampled mode needs an rng")
     else:
+        spaces = []
         for _ in range(trials):
             W = sample_uniform_subspace(params, nprime, rng)
             spaces.append(W)
-            if g is not None:
-                sums.append(coset_sum(g.values, W.coset(int(rng.integers(params.F)))))
-    separation = density = (None, None)
-    moments = (None,) * 4
-    if B is not None:
-        hits = sum(1 for W in spaces if separates(W, B))
-        separation = _frequency(hits, len(spaces), exhaustive)
-    if g is not None:
-        X, size = np.hstack(sums), params.p**nprime
-        hits = int(np.count_nonzero(is_dense(X, g.mean(), size)))
-        density = _frequency(hits, X.size, exhaustive)
-        moments = chebyshev_moments(X, g.mean(), size)
+            sums.append(coset_sum(g.values, W.coset(int(rng.integers(params.F)))))
+    hits = sum(1 for W in spaces if separates(W, B))
+    separation = _frequency(hits, len(spaces), exhaustive)
+    X, size = np.hstack(sums), params.p**nprime
+    density = _frequency(int(np.count_nonzero(is_dense(X, g.mean(), size))), X.size, exhaustive)
+    moments = chebyshev_moments(X, g.mean(), size)
     return LemmaEstimates(*separation, *density, *moments, len(spaces), exhaustive)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,20 +32,6 @@ class SetSpec:
         values = np.zeros(self.params.F)
         values[list(self.members)] = 1.0
         return DenseFunction.make(self.params, values, unit_range=True)
-
-    def to_json_dict(self) -> dict:
-        return {"p": self.params.p, "n": self.params.n, "members": list(self.members)}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SetSpec":
-        return cls.make(FieldParams.from_json_dict(data), data["members"])
-
-    @classmethod
-    def from_json(cls, text: str) -> "SetSpec":
-        return cls.from_json_dict(json.loads(text))
 
 
 def random_set(params: FieldParams, size: int, rng: np.random.Generator) -> SetSpec:

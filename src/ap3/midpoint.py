@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import DOMINATION_TOLERANCE, HypothesisRefusal, density_floor
+from .bounds import HypothesisRefusal, check_hypotheses, density_floor
 from .field import Subspace, check_same_params
 from .finder import FinderBudgetError, coset_sum, find_good_subspace, is_dense
 from .lambda3 import pair_table
@@ -324,22 +324,19 @@ def run_depletion(
         rng = np.random.default_rng(0)
     F = params.F
 
-    worst = float((g.values - f.values).max())
-    if worst > DOMINATION_TOLERANCE:
-        witness = int(np.argmax(g.values - f.values))
-        raise HypothesisRefusal(
-            f"g exceeds f at index {witness} by {worst}; need g <= f pointwise"
-        )
-    e_g = g.mean()
+    hypotheses = check_hypotheses(f, g, k, delta)
+    items = {name: (ok, detail) for name, ok, detail in hypotheses.items}
+    ok, detail = items["domination"]
+    if not ok:
+        raise HypothesisRefusal(f"g exceeds f: {detail}; need g <= f pointwise")
+    e_g = hypotheses.e_g
     if e_g <= 0.0:
         raise HypothesisRefusal("E(g) = 0: nothing to deplete")
+    ok, detail = items["tail"]
+    if not ok:
+        raise HypothesisRefusal(f"{detail}; the tail hypothesis fails for this delta")
     spectrum = f.spectrum
-    sigma_k = spectrum.sigma(k)
-    if sigma_k > delta**2 * F**2 + INVARIANT_TOLERANCE:
-        raise HypothesisRefusal(
-            f"sigma_k={sigma_k} exceeds delta^2 F^2={delta**2 * F**2}; "
-            "the tail hypothesis fails for this delta"
-        )
+    sigma_k = hypotheses.sigma_k
     A = spectrum.top_places(k)
     table = pair_table(spectrum, ordering)
     energy = tail_energy(spectrum, A)
@@ -347,7 +344,6 @@ def run_depletion(
     # eps F sum|f|: Q values closer than its square are round-off apart.
     roundoff = (np.finfo(float).eps * F * float(np.abs(f.values).sum())) ** 2
     floor_k = density_floor(params, k)
-    density_ok = e_g >= floor_k
 
     r = math.ceil(e_g * F / 2.0)
     gi = g.values.copy()
@@ -399,7 +395,6 @@ def run_depletion(
         held = (
             g_value >= e_gi / 2.0 - INVARIANT_TOLERANCE
             and q <= 4.0 * sigma_k + INVARIANT_TOLERANCE
-            and sigma_k <= delta**2 * F**2 + INVARIANT_TOLERANCE
             and delta <= 1.0
         )
         cert = MidpointCertificate(
@@ -437,7 +432,7 @@ def run_depletion(
         steps=tuple(steps),
         lambda_lower=lower_sum / F**2,
         pair_weight=float(g.values @ table),
-        density_ok=density_ok,
+        density_ok=items["density_floor"][0],
         partial=partial,
         finder_rejections=rejections,
     )

@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .field import FieldParams, check_same_params
+from .field import FieldParams
 
 IMAG_TOLERANCE = 1e-9
 
@@ -75,19 +75,14 @@ class DenseFunction:
         """The function m -> f(m + d)."""
         return DenseFunction.make(self.params, translated_values(self.params, self.values, d))
 
-    def to_json_dict(self) -> dict:
-        return {"p": self.params.p, "n": self.params.n, "values": self.values.tolist()}
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "DenseFunction":
-        return cls.make(FieldParams.from_json_dict(data), data["values"])
+        data = {"p": self.params.p, "n": self.params.n, "values": self.values.tolist()}
+        return json.dumps(data, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "DenseFunction":
-        return cls.from_json_dict(json.loads(text))
+        data = json.loads(text)
+        return cls.make(FieldParams.from_json_dict(data), data["values"])
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -110,12 +105,15 @@ class DenseFunction:
                 continue
             if len(row) < 2:
                 raise ValueError(f"CSV line {reader.line_num}: expected index,value")
-            i = int(row[0])
+            try:
+                i, value = int(row[0]), float(row[1])
+            except ValueError as exc:
+                raise ValueError(f"CSV line {reader.line_num}: {exc}") from None
             if not 0 <= i < params.F:
                 raise ValueError(f"CSV line {reader.line_num}: index {i} outside [0, {params.F})")
             if seen[i]:
                 raise ValueError(f"CSV line {reader.line_num}: index {i} repeats")
-            values[i] = float(row[1])
+            values[i] = value
             seen[i] = True
         if not seen.all():
             missing = int(np.flatnonzero(~seen)[0])

@@ -178,6 +178,7 @@ def test_separation_exhaustive(announce):
     worst = math.inf
     for n in (2, 3):
         params = FieldParams(3, n)
+        g = DenseFunction.constant(params, 1.0)
         for k in (2, 3):
             nprime = choose_dimension(k, params)
             bound = 1.0 - k * (k - 1) / 2.0 * 3.0**-nprime
@@ -185,7 +186,7 @@ def test_separation_exhaustive(announce):
             for _ in range(10):
                 sets.append(rng.choice(params.F, size=k, replace=False).astype(np.int64))
             for A in sets:
-                est = estimate_condition_probabilities(params, nprime, A=A, exhaustive=True)
+                est = estimate_condition_probabilities(params, nprime, A=A, g=g, exhaustive=True)
                 tested += 1
                 worst = min(worst, est.separation)
                 ok &= est.separation >= bound - 1e-12
@@ -204,6 +205,7 @@ def test_coset_moments_exhaustive(announce):
     start = time.perf_counter()
     rng = np.random.default_rng(0x30B5)
     grid = [(2, 1), (3, 1), (3, 2)]
+    A = np.array([0, 1], dtype=np.int64)
     worst_rel = 0.0
     worst_var_slack = math.inf
     ok = True
@@ -211,7 +213,7 @@ def test_coset_moments_exhaustive(announce):
         n, nprime = grid[i % len(grid)]
         params = FieldParams(3, n)
         g = DenseFunction.make(params, rng.random(params.F))
-        mom = estimate_condition_probabilities(params, nprime, g=g, exhaustive=True)
+        mom = estimate_condition_probabilities(params, nprime, A=A, g=g, exhaustive=True)
         rel = abs(mom.moment_mean - mom.moment_mean_identity) / abs(mom.moment_mean_identity)
         worst_rel = max(worst_rel, rel)
         worst_var_slack = min(worst_var_slack, mom.moment_variance_bound - mom.moment_variance)

@@ -1,7 +1,10 @@
 import csv
 import io
 import json
+import math
 import os
+import shlex
+import shutil
 import subprocess
 import sys
 import warnings
@@ -84,12 +87,17 @@ def test_transform_requires_exactly_one_source(capsys):
 
 def test_transform_rejects_malformed_csv(capsys, tmp_path):
     rows = DenseFunction.constant(FieldParams(3, 2), 0.5).to_csv().splitlines()
-    path = tmp_path / "neg.csv"
-    path.write_text("\n".join(rows[:-1] + ["-1,0.5"]) + "\n")  # never gives index 8
-    code, out, err = run_cli(capsys, "transform", "--in", str(path), "--p", "3", "--n", "2")
-    assert code == 1 and out == ""
-    assert "ap3 transform: error: CSV line 10: index -1 outside [0, 9)" in err
-    assert "Traceback" not in err
+    path = tmp_path / "bad.csv"
+    for row, message in [
+        ("-1,0.5", "index -1 outside [0, 9)"),  # never gives index 8
+        ("x,0.1", "invalid literal for int() with base 10: 'x'"),
+        ("8,abc", "could not convert string to float: 'abc'"),
+    ]:
+        path.write_text("\n".join(rows[:-1] + [row]) + "\n")
+        code, out, err = run_cli(capsys, "transform", "--in", str(path), "--p", "3", "--n", "2")
+        assert code == 1 and out == ""
+        assert f"ap3 transform: error: CSV line 10: {message}" in err
+        assert "Traceback" not in err
 
 
 def test_lambda3_single_recipe(capsys):
@@ -323,14 +331,14 @@ def test_verify_non_object_config(capsys, tmp_path, raw):
         ({"trials": 2.5}, [], "'trials'"),
         ({"max_attempts": "7"}, [], "'max_attempts'"),
         ({"enumeration_cap": 10.5}, [], "'enumeration_cap'"),
-        ({"brute_force_limit": "big"}, [], "'brute_force_limit'"),
+        ({"delta": math.nan}, [], "'delta'"),
         ({"exhaustive": "false"}, [], "'exhaustive'"),
         ({"force": "no"}, [], "'force'"),
         ({"force": 1}, [], "'force'"),
         ({"delta": "0.1"}, [], "'delta'"),
         ({"max_attempts": 0}, [], "'max_attempts'"),
         ({"enumeration_cap": 0}, [], "'enumeration_cap'"),
-        ({"brute_force_limit": -1}, [], "'brute_force_limit'"),
+        ({"gamma": math.inf}, [], "'gamma'"),
         ({"f": 5}, [], "'f'"),
         ({"f": "constant"}, [], "'f'"),
         ({"f": None}, [], "'f'"),
@@ -342,6 +350,9 @@ def test_verify_non_object_config(capsys, tmp_path, raw):
         ({"ordering": ["fgf", "fgf"]}, [], "'ordering'"),
         ({"ordering": [["fgf"]]}, [], "'ordering'"),
         ({"seed": 10**400}, [], "'seed'"),
+        ({}, ["--delta", "nan"], "'delta'"),
+        ({}, ["--gamma", "inf"], "'gamma'"),
+        ({"delta": 10**400}, [], "'delta'"),
     ],
 )
 def test_verify_rejects_out_of_range_config(capsys, tmp_path, entry, argv, field):
@@ -356,6 +367,7 @@ def test_verify_rejects_out_of_range_config(capsys, tmp_path, entry, argv, field
     assert code == 1
     assert out == ""
     assert field in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -527,3 +539,26 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert out.startswith("ap3 ")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_cli_lines() -> list[str]:
+    """The `ap3 ...` command lines of README's `## CLI` code block."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    return [line.strip() for line in section.splitlines() if line.startswith("    ap3 ")]
+
+
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch, rng):
+    lines = _readme_cli_lines()
+    assert len(lines) >= 5
+    params = FieldParams(3, 2)
+    f = random_function(params, rng)
+    (tmp_path / "f.json").write_text(f.to_json())
+    (tmp_path / "g.json").write_text(DenseFunction.make(params, f.values * 0.5).to_json())
+    shutil.copytree(README.parent / "configs", tmp_path / "configs")
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        code, _, err = run_cli(capsys, *shlex.split(line)[1:])
+        assert code == 0, f"{line}: exit {code}: {err}"

@@ -23,7 +23,6 @@ from ap3.experiment import (
     strip_timing,
     worst_exit,
 )
-from ap3.field import FieldParams
 from ap3.functions import convolve
 from ap3.lambda3 import lambda3_brute
 from ap3.spectral import DenseFunction, dft

@@ -2,15 +2,7 @@ import ast
 import importlib
 from pathlib import Path
 
-import ap3
-
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-
-
-def test_every_export_resolves():
-    missing = [name for name in ap3.__all__ if not hasattr(ap3, name)]
-    assert missing == []
-    assert len(set(ap3.__all__)) == len(ap3.__all__)
 
 
 def _span_targets() -> tuple:

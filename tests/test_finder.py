@@ -98,7 +98,7 @@ def test_sampled_estimators_read_one_coset(p33, rng, monkeypatch):
         monkeypatch.setattr(Subspace, name, counted)
     g = random_function(p33, rng)
     estimate_condition_probabilities(p33, 1, A=np.array([0, 1]), g=g, trials=20, rng=rng)
-    estimate_condition_probabilities(p33, 2, g=g, trials=20, rng=rng)
+    estimate_condition_probabilities(p33, 2, A=np.array([0, 1]), g=g, trials=20, rng=rng)
     find_good_subspace(np.array([0, 1]), g, rng)
     f = DenseFunction.make(p33, np.maximum(g.values, 0.5))
     with warnings.catch_warnings():
@@ -194,9 +194,8 @@ def test_find_good_subspace_budget_error(p33, rng):
 
 def test_estimate_exact_pair():
     params = FieldParams(3, 2)
-    est = estimate_condition_probabilities(
-        params, 1, A=np.array([0, 1]), exhaustive=True
-    )
+    g = DenseFunction.constant(params, 1.0)
+    est = estimate_condition_probabilities(params, 1, A=np.array([0, 1]), g=g, exhaustive=True)
     assert est.exhaustive
     assert est.separation == pytest.approx(0.75, abs=1e-15)
     assert est.separation_stderr == 0.0
@@ -206,32 +205,35 @@ def test_estimate_exact_pair():
 def test_estimate_exact_matches_lemma_bound(p33):
     # exhaustive check that the sampled event has probability >= 1 - C(k,2) p^-nprime
     A = np.array([0, 1, 3], dtype=np.int64)
-    est = estimate_condition_probabilities(p33, 1, A=A, exhaustive=True)
+    g = DenseFunction.constant(p33, 1.0)
+    est = estimate_condition_probabilities(p33, 1, A=A, g=g, exhaustive=True)
     bound = 1.0 - 3.0 * 3.0**-1
     assert est.separation >= bound - 1e-12
 
 
 def test_estimate_constant_density(p33, rng):
     g = DenseFunction.constant(p33, 1.0)
-    est = estimate_condition_probabilities(p33, 1, g=g, trials=200, rng=rng)
+    est = estimate_condition_probabilities(p33, 1, A=np.array([0, 1]), g=g, trials=200, rng=rng)
     assert est.coset_density == 1.0
 
 
 def test_estimate_monte_carlo_tracks_bound(p33, rng):
     A = np.array([2, 7], dtype=np.int64)
-    est = estimate_condition_probabilities(p33, 1, A=A, trials=10_000, rng=rng)
+    g = DenseFunction.constant(p33, 1.0)
+    est = estimate_condition_probabilities(p33, 1, A=A, g=g, trials=10_000, rng=rng)
     assert not est.exhaustive
     bound = 1.0 - 1.0 * 3.0**-1  # one pair, nprime = 1
     assert est.separation > bound - 3.0 * est.separation_stderr
-    exact = estimate_condition_probabilities(p33, 1, A=A, exhaustive=True)
+    exact = estimate_condition_probabilities(p33, 1, A=A, g=g, exhaustive=True)
     assert abs(est.separation - exact.separation) <= 4.0 * est.separation_stderr
 
 
 def test_estimate_requires_input_or_rng(p33, rng):
+    A, g = np.array([0, 1]), DenseFunction.constant(p33, 1.0)
+    with pytest.raises(TypeError):  # A and g are both required
+        estimate_condition_probabilities(p33, 1, A=A, trials=10, rng=rng)
     with pytest.raises(ValueError):
-        estimate_condition_probabilities(p33, 1, trials=10, rng=rng)
-    with pytest.raises(ValueError):
-        estimate_condition_probabilities(p33, 1, A=np.array([0, 1]))
+        estimate_condition_probabilities(p33, 1, A=A, g=g)
 
 
 def test_chebyshev_moments_formula():
@@ -260,7 +262,7 @@ def test_estimate_reads_one_sample(p33, rng, monkeypatch, exhaustive):
 
 def test_chebyshev_constant_has_zero_variance(p33, rng):
     g = DenseFunction.constant(p33, 0.4)
-    mom = estimate_condition_probabilities(p33, 1, g=g, trials=50, rng=rng)
+    mom = estimate_condition_probabilities(p33, 1, A=np.array([0, 1]), g=g, trials=50, rng=rng)
     assert mom.moment_variance == pytest.approx(0.0, abs=1e-18)
     assert mom.moment_mean == pytest.approx(0.4 * 3)
 
@@ -268,7 +270,7 @@ def test_chebyshev_constant_has_zero_variance(p33, rng):
 def test_chebyshev_exhaustive_point_mass():
     params = FieldParams(3, 2)
     g = indicator(params, [0])
-    mom = estimate_condition_probabilities(params, 1, g=g, exhaustive=True)
+    mom = estimate_condition_probabilities(params, 1, A=np.array([0, 1]), g=g, exhaustive=True)
     assert mom.exhaustive
     assert mom.moment_mean_identity == pytest.approx(1.0 / 3.0)
     assert mom.moment_mean == pytest.approx(mom.moment_mean_identity, rel=1e-12)
@@ -277,7 +279,7 @@ def test_chebyshev_exhaustive_point_mass():
 
 def test_chebyshev_exhaustive_random(p33, rng):
     g = random_function(p33, rng)
-    mom = estimate_condition_probabilities(p33, 1, g=g, exhaustive=True)
+    mom = estimate_condition_probabilities(p33, 1, A=np.array([0, 1]), g=g, exhaustive=True)
     assert mom.moment_mean == pytest.approx(mom.moment_mean_identity, rel=1e-12)
     assert mom.moment_variance <= 3.0 + 1e-9
     assert mom.moment_variance_bound == 3.0
@@ -286,23 +288,20 @@ def test_chebyshev_exhaustive_random(p33, rng):
 def test_chebyshev_sampled_needs_rng(p33):
     g = DenseFunction.constant(p33, 1.0)
     with pytest.raises(ValueError):
-        estimate_condition_probabilities(p33, 1, g=g, trials=10)
+        estimate_condition_probabilities(p33, 1, A=np.array([0, 1]), g=g, trials=10)
 
 
 def test_enumeration_cap_propagates():
     params = FieldParams(3, 2)
     g = DenseFunction.constant(params, 1.0)
     with pytest.raises(EnumerationCapError):
-        estimate_condition_probabilities(params, 1, g=g, exhaustive=True, cap=2)
-    with pytest.raises(EnumerationCapError):
         estimate_condition_probabilities(
-            params, 1, A=np.array([0, 1]), exhaustive=True, cap=2
+            params, 1, A=np.array([0, 1]), g=g, exhaustive=True, cap=2
         )
 
 
 def test_enumerate_subspaces_matches_trials():
     params = FieldParams(3, 2)
-    est = estimate_condition_probabilities(
-        params, 1, A=np.array([0, 1]), exhaustive=True
-    )
+    g = DenseFunction.constant(params, 1.0)
+    est = estimate_condition_probabilities(params, 1, A=np.array([0, 1]), g=g, exhaustive=True)
     assert est.trials == len(enumerate_subspaces(params, 1))

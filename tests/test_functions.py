@@ -12,7 +12,7 @@ from ap3.functions import (
     random_set,
     subspace_indicator,
 )
-from ap3.spectral import DenseFunction, dft, dft_naive
+from ap3.spectral import dft, dft_naive
 
 from conftest import random_function
 
@@ -38,11 +38,6 @@ def test_random_set_size_and_determinism(p33):
     assert S1.size == 7
     with pytest.raises(ValueError):
         random_set(p33, p33.F + 1, np.random.default_rng(0))
-
-
-def test_set_spec_json_round_trip(p33):
-    S = SetSpec.make(p33, [2, 3, 11])
-    assert SetSpec.from_json(S.to_json()) == S
 
 
 def test_convolve_identity_and_points(p33):

@@ -12,7 +12,6 @@ from ap3.finder import FinderBudgetError, coset_sums, find_good_subspace, is_den
 from ap3.functions import indicator
 from ap3.lambda3 import lambda3_brute
 from ap3.midpoint import (
-    CertificateError,
     ContextInvariantError,
     SubspaceFrame,
     build_context,

@@ -33,37 +33,37 @@ PINNED = [
         "budget_point_mass.json",
         None,
         3,
-        "048f655b084a8f708ef63c15d21b8a38052d55dfaf78d7e017ea7c19436dfa51",
+        "34b091e9ead902dbdccc9c1439fc8a50dda964e89ec0752e67602962b2883e6d",
     ),
     (
         "cap_exhaustive_demo.json",
         None,
         1,
-        "44f8b5071914a86b350182c0a0fcdf9dc52c7f84de3a5e4b0e870278388144cc",
+        "0d1745233b231370963ef263cba53ecb7e14637d4b044f29a366892cabe2433e",
     ),
     (
         "dense_theorem_p5_n4.json",
         None,
         0,
-        "72b18e2bce2138f9574722a20312cc0ff7ce9b0ef0dfe435f9696983b6c5adc3",
+        "1c480966f23ea87b73256c35a668673bc1b6ca0c88080367b6d109e33cc4cf20",
     ),
     (
         "refusal_empty_minorant.json",
         None,
         2,
-        "0840edf91016a585190ab60e6de05cb9c90a272fc54c6a517e1402661d4b5d02",
+        "e20c2be4af3bef4b6f590bb7d8520ba2beeb7f8027d3132af85724799cf709d1",
     ),
     (
         "sevenfold_p3_n5.json",
         None,
         0,
-        "e2c930dc6aa21f2c2b644cfc3ace35cbc2021c1895bc1ee9fde0fc8a651bc67b",
+        "8f25b9fe7b703f093b2dcededf5bd2343a0c05dc216830bc4f8366d9aa86d874",
     ),
     (
         "dense_theorem_p5_n4.json",
         "lazy",
         0,
-        "3c6bf7f24dc9aa77419b39f912378e0085ecf0460a91067ce3105c0434869ce0",
+        "e8807342d2fb3a8fe4ffec3b6721ff017fdd3dbfbcf1b8480eb1323e209d22ad",
     ),
 ]
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from ap3.field import FieldParams, Subspace
 from ap3.spectral import (
     DenseFunction,
-    Spectrum,
     dft,
     dft_naive,
     difference_set,
@@ -225,6 +224,8 @@ def test_function_csv_round_trip(p33, rng):
         (f"27,{last}", "line 28: index 27 outside"),
         ("26", "line 28: expected index,value"),
         (f"0,{last}", "line 28: index 0 repeats"),
+        ("x,0.1", "line 28: invalid literal for int"),
+        ("26,abc", "line 28: could not convert string to float"),
     ]:
         with pytest.raises(ValueError, match=message):
             DenseFunction.from_csv(p33, "\n".join(rows[:-1] + [bad]) + "\n")
