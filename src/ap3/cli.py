@@ -32,7 +32,7 @@ from .experiment import (
     report_json,
     run_config,
 )
-from .field import EnumerationCapError, FieldParams
+from .field import DEFAULT_ENUMERATION_CAP, EnumerationCapError, FieldParams
 from .finder import choose_dimension, estimate_condition_probabilities
 from .lambda3 import (
     AGREEMENT_TOLERANCE,
@@ -111,16 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ve = sub.add_parser("verify", help="run configured experiments end to end")
     ve.add_argument("--config", required=True, help="experiment config JSON")
-    ve.add_argument("--seed", type=_seed_type)
-    ve.add_argument("--p", type=int)
-    ve.add_argument("--n", type=int)
-    ve.add_argument("--k", type=int)
-    ve.add_argument("--gamma", type=float)
-    ve.add_argument("--delta", type=float)
-    ve.add_argument("--trials", type=int)
-    ve.add_argument("--exhaustive", action="store_true", default=None)
-    ve.add_argument("--ordering", choices=("fgf", "gff", "both"))
-    ve.add_argument("--force", action="store_true", default=None)
     ve.add_argument("--out", help="output directory (default: report to stdout)")
 
     es = sub.add_parser("estimate", help="lemma condition frequencies over a k grid")
@@ -131,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     es.add_argument("--trials", type=_positive_int, default=1000)
     es.add_argument("--exhaustive", action="store_true")
     es.add_argument("--seed", type=_seed_type, default=0)
-    es.add_argument("--cap", type=_positive_int, default=200_000, help="exhaustive enumeration cap")
+    es.add_argument("--cap", type=_positive_int, default=DEFAULT_ENUMERATION_CAP, help="exhaustive enumeration cap")
     es.add_argument("--out", help="output directory (default: stdout)")
     return parser
 
@@ -246,9 +236,7 @@ def cmd_lambda3(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    keys = ("seed", "p", "n", "k", "gamma", "delta", "trials", "ordering", "exhaustive", "force")
-    overrides = {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
-    report, code = run_config(load_config_file(args.config, overrides))
+    report, code = run_config(load_config_file(args.config))
     _emit(report_json(report), args.out, "report.json")
     status = "PASS" if code == EXIT_PASS else f"FAIL(exit {code})"
     print(f"verify: {status}", file=sys.stderr)

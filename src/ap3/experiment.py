@@ -25,13 +25,12 @@ from .bounds import (
     check_hypotheses,
     delta_from_sigma,
     density_floor,
-    derived_theta,
     lambda3_floor,
     plugin_delta,
     quasinorm_regime_bound,
 )
-from .field import EnumerationCapError, FieldParams, Subspace, is_integral
-from .finder import choose_dimension, estimate_condition_probabilities
+from .field import DEFAULT_ENUMERATION_CAP, EnumerationCapError, FieldParams, Subspace, is_integral
+from .finder import DEFAULT_MAX_ATTEMPTS, choose_dimension, estimate_condition_probabilities
 from .functions import (
     SetSpec,
     indicator,
@@ -50,7 +49,7 @@ from .lambda3 import (
     midpoint_pair_count,
     trivial_lower_bound,
 )
-from .midpoint import ORDERINGS, CertificateError, ContextInvariantError, run_depletion
+from .midpoint import CertificateError, ContextInvariantError, run_depletion
 from .spectral import DenseFunction, Spectrum, parseval_gap
 
 EXIT_PASS = 0
@@ -193,7 +192,26 @@ def _flag(spec: dict, key: str) -> bool:
 
 _ORDERING_CHOICES = {"fgf": ("fgf",), "gff": ("gff",), "both": ("fgf", "gff")}
 # Config keys whose ExperimentConfig attribute carries a different name.
-_CONFIG_KEYS = {"f_recipe": "f", "g_recipe": "g", "orderings": "ordering"}
+_CONFIG_KEYS = {"f_recipe": "f", "g_recipe": "g"}
+
+
+def _check_bounds_finite(p: int, n: int, k: int, delta: float | None, gamma: float | None) -> None:
+    """Refuse a delta or gamma that overflows a float in delta^2 F^2, or for gamma in the
+    plug-in delta, F^(1+gamma) or the headline floor at E(g) = 1, where it is largest."""
+    F = p**n
+    try:
+        values = []
+        if gamma is not None:
+            delta = plugin_delta(F, gamma, k)
+            values += [F ** (1.0 + gamma), quasinorm_regime_bound(p, F, 0.0, gamma)]
+        if delta is not None:
+            values.append(delta**2 * F**2)
+        finite = all(map(math.isfinite, values))
+    except OverflowError:
+        finite = False
+    if not finite:
+        key, value = ("delta", delta) if gamma is None else ("gamma", gamma)
+        raise ConfigError(f"field {key!r} = {value} overflows the bounds at F = {F}")
 
 
 @dataclass(frozen=True)
@@ -206,7 +224,7 @@ class ExperimentConfig:
     k: int
     delta: float | None
     gamma: float | None
-    orderings: tuple
+    ordering: str
     refresh: str
     max_attempts: int
     nprime: int | None
@@ -238,20 +256,8 @@ class ExperimentConfig:
             return dict(value)
 
         ordering = raw.get("ordering", "fgf")
-        if isinstance(ordering, str) and ordering in _ORDERING_CHOICES:
-            orderings = _ORDERING_CHOICES[ordering]
-        elif (
-            isinstance(ordering, (list, tuple))
-            and ordering
-            and all(o in ORDERINGS for o in ordering)
-            and len(set(ordering)) == len(ordering)
-        ):
-            orderings = tuple(ordering)
-        else:
-            raise ConfigError(
-                "field 'ordering' must be fgf, gff, both, or a list of distinct "
-                f"fgf/gff, got {ordering!r}"
-            )
+        if not isinstance(ordering, str) or ordering not in _ORDERING_CHOICES:
+            raise ConfigError(f"field 'ordering' must be fgf, gff or both, got {ordering!r}")
         refresh = raw.get("refresh", "always")
         if refresh not in ("always", "lazy"):
             raise ConfigError(f"refresh must be always or lazy, got {refresh!r}")
@@ -275,10 +281,14 @@ class ExperimentConfig:
         nprime = integer("nprime", None)
         if nprime is not None and not 0 <= nprime <= n:
             raise ConfigError(f"field 'nprime' must lie in [0, n={n}], got {nprime}")
+        _check_bounds_finite(p, n, k, delta, gamma)
         trials = integer("trials", 0)
         if trials < 0:
             raise ConfigError(f"field 'trials' must be nonnegative, got {trials}")
-        limits = {"max_attempts": 256, "enumeration_cap": 200_000}
+        label = "" if raw.get("label") is None else raw["label"]
+        if not isinstance(label, str):
+            raise ConfigError(f"field 'label' must be a string, got {label!r}")
+        limits = {"max_attempts": DEFAULT_MAX_ATTEMPTS, "enumeration_cap": DEFAULT_ENUMERATION_CAP}
         for key, default in limits.items():
             limits[key] = integer(key, default)
             if limits[key] < 1:
@@ -292,15 +302,19 @@ class ExperimentConfig:
             k=k,
             delta=delta,
             gamma=gamma,
-            orderings=orderings,
+            ordering=ordering,
             refresh=refresh,
             nprime=nprime,
             trials=trials,
             exhaustive=_flag(raw, "exhaustive"),
             **limits,
             force=_flag(raw, "force"),
-            label=str(raw.get("label", "")),
+            label=label,
         )
+
+    @property
+    def orderings(self) -> tuple:
+        return _ORDERING_CHOICES[self.ordering]
 
     def as_dict(self) -> dict:
         return {_CONFIG_KEYS.get(key, key): value for key, value in asdict(self).items()}
@@ -429,13 +443,13 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
 
     spectrum = f.spectrum
     delta = resolve_delta(config, spectrum)
-    theta = derived_theta(g.mean(), params.F)
     hypotheses = check_hypotheses(f, g, config.k, delta)
+    theta = hypotheses.theta
     top = spectrum.magnitudes[spectrum.order[: config.k]]
-    report["means"] = {"e_f": f.mean(), "e_g": g.mean()}
+    report["means"] = {"e_f": hypotheses.e_f, "e_g": hypotheses.e_g}
     report["spectrum"] = {
         "top_magnitudes": top,
-        "sigma_k": spectrum.sigma(config.k),
+        "sigma_k": hypotheses.sigma_k,
         "quasinorm_third": spectrum.quasinorm(1.0 / 3.0),
         "parseval_gap": parseval_gap(f),
     }
@@ -451,17 +465,13 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
         return finish()
     report["density_floor"] = density_floor(params, config.k)
 
-    rhs_exact = (
-        lambda3_floor(params.p, params.F, config.k, theta, delta, form="exact")
+    report["floors"] = {
+        form: lambda3_floor(params.p, params.F, config.k, theta, delta, form=form)
         if math.isfinite(theta)
         else -math.inf
-    )
-    rhs_weakened = (
-        lambda3_floor(params.p, params.F, config.k, theta, delta, form="weakened")
-        if math.isfinite(theta)
-        else -math.inf
-    )
-    report["floors"] = {"exact": rhs_exact, "weakened": rhs_weakened}
+        for form in ("exact", "weakened")
+    }
+    rhs_exact = report["floors"]["exact"]
     if config.gamma is not None and math.isfinite(theta):
         report["floors"]["stated_headline"] = quasinorm_regime_bound(
             params.p, params.F, theta, config.gamma
@@ -586,9 +596,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
     return finish()
 
 
-def load_config_file(path: str, overrides: dict | None = None) -> list[ExperimentConfig]:
-    """Parse a config file holding one experiment or {"experiments": [...]};
-    every key in overrides replaces that key in each entry."""
+def load_config_file(path: str) -> list[ExperimentConfig]:
+    """Parse a config file holding one experiment or {"experiments": [...]}."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -599,12 +608,7 @@ def load_config_file(path: str, overrides: dict | None = None) -> list[Experimen
     entries = raw["experiments"] if isinstance(raw, dict) and "experiments" in raw else [raw]
     if not isinstance(entries, list) or not entries:
         raise ConfigError("'experiments' must be a nonempty list")
-    configs = []
-    for entry in entries:
-        if not isinstance(entry, dict):
-            raise ConfigError(f"config must be a JSON object, got {type(entry).__name__}")
-        configs.append(ExperimentConfig.from_dict({**entry, **(overrides or {})}))
-    return configs
+    return [ExperimentConfig.from_dict(entry) for entry in entries]
 
 
 def run_config(configs: list[ExperimentConfig]) -> tuple[dict, int]:

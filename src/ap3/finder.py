@@ -36,6 +36,7 @@ from .field import (
 from .spectral import DenseFunction, difference_set
 
 COSET_SUM_TOLERANCE = 1e-12
+DEFAULT_MAX_ATTEMPTS = 256
 
 
 class FinderBudgetError(RuntimeError):
@@ -110,7 +111,7 @@ def find_good_subspace(
     g: DenseFunction,
     rng: np.random.Generator,
     nprime: int | None = None,
-    max_attempts: int = 256,
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> GoodSubspace:
     """Rejection-sample W until separation, coset density, and directness hold.
 

@@ -44,7 +44,13 @@ import numpy as np
 
 from .bounds import HypothesisRefusal, check_hypotheses, density_floor
 from .field import Subspace, check_same_params
-from .finder import FinderBudgetError, coset_sum, find_good_subspace, is_dense
+from .finder import (
+    DEFAULT_MAX_ATTEMPTS,
+    FinderBudgetError,
+    coset_sum,
+    find_good_subspace,
+    is_dense,
+)
 from .lambda3 import pair_table
 from .spectral import DenseFunction, PaddedCube, Spectrum, _root_powers
 
@@ -298,7 +304,7 @@ def run_depletion(
     delta: float,
     ordering: str = "fgf",
     nprime: int | None = None,
-    max_attempts: int = 256,
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     rng: np.random.Generator | None = None,
     refresh: str = "always",
 ) -> DepletionRun:

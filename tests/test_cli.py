@@ -216,19 +216,22 @@ def test_usage_error_is_64(capsys):
         main(["verify"])
     assert exc2.value.code == 64
     capsys.readouterr()
+    # every experiment value comes from the config; verify takes no override flags
+    with pytest.raises(SystemExit) as exc3:
+        main(["verify", "--config", "configs/sevenfold_p3_n5.json", "--seed", "3"])
+    assert exc3.value.code == 64
+    capsys.readouterr()
 
 
 def test_verify_pass_and_overrides(capsys, tmp_path):
     config = {
         "p": 3, "n": 3, "seed": 5, "k": 2, "delta": 0.0,
         "f": {"kind": "constant", "value": 1.0},
-        "trials": 10,
+        "trials": 10, "ordering": "gff",
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    code, out, err = run_cli(
-        capsys, "verify", "--config", str(path), "--ordering", "gff"
-    )
+    code, out, err = run_cli(capsys, "verify", "--config", str(path))
     assert code == 0
     assert "verify: PASS" in err
     report = json.loads(out)
@@ -304,7 +307,7 @@ def test_verify_missing_config(capsys):
 def test_verify_non_object_config(capsys, tmp_path, raw):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
-    code, _, err = run_cli(capsys, "verify", "--config", str(path), "--seed", "3")
+    code, _, err = run_cli(capsys, "verify", "--config", str(path))
     assert code == 1
     assert "config must be a JSON object" in err
 
@@ -312,14 +315,14 @@ def test_verify_non_object_config(capsys, tmp_path, raw):
 @pytest.mark.parametrize(
     "entry,argv,field",
     [
-        ({}, ["--k", "0"], "'k'"),
+        ({"k": 0}, ["--out", "out"], "'k'"),
         ({"k": 1}, [], "'k'"),
         ({"nprime": 9}, [], "'nprime'"),
         ({"delta": -1}, [], "'delta'"),
-        ({}, ["--k", "40"], "'k'"),
+        ({"k": 40}, ["--out", "out"], "'k'"),
         ({"k": 10}, [], "'k'"),
         ({"trials": -5}, [], "'trials'"),
-        ({}, ["--trials", "-5"], "'trials'"),
+        ({"trials": -5}, ["--out", "out"], "'trials'"),
         ({"p": 4}, [], "'p'"),
         ({"n": 0}, [], "'n'"),
         ({"seed": -1}, [], "'seed'"),
@@ -346,16 +349,28 @@ def test_verify_non_object_config(capsys, tmp_path, raw):
         ({"g": [{"kind": "same"}]}, [], "'g'"),
         ({"ordering": 5}, [], "'ordering'"),
         ({"ordering": "fff"}, [], "'ordering'"),
-        ({"ordering": []}, [], "'ordering'"),
-        ({"ordering": ["fgf", "fgf"]}, [], "'ordering'"),
+        ({"ordering": ["fgf"]}, [], "'ordering'"),
+        ({"ordering": ["fgf", "gff"]}, [], "'ordering'"),
         ({"ordering": [["fgf"]]}, [], "'ordering'"),
         ({"seed": 10**400}, [], "'seed'"),
-        ({}, ["--delta", "nan"], "'delta'"),
-        ({}, ["--gamma", "inf"], "'gamma'"),
+        ({"delta": math.nan}, ["--out", "out"], "'delta'"),
+        ({"gamma": math.inf}, ["--out", "out"], "'gamma'"),
         ({"delta": 10**400}, [], "'delta'"),
+        ({"gamma": 1e300}, [], "'gamma'"),
+        ({"gamma": 400}, [], "'gamma'"),
+        ({"gamma": -100}, [], "'gamma'"),
+        ({"gamma": -1e300}, [], "'gamma'"),
+        ({"delta": 1e300}, [], "'delta'"),
+        ({"delta": 1e160}, [], "'delta'"),
+        ({"label": 5}, [], "'label'"),
+        ({"label": ["a"]}, [], "'label'"),
     ],
 )
-def test_verify_rejects_out_of_range_config(capsys, tmp_path, entry, argv, field):
+def test_verify_rejects_out_of_range_config(
+    capsys, tmp_path, monkeypatch, entry, argv, field
+):
+    """argv holds the verify arguments after --config: a refused config writes
+    no report, to stdout or under --out."""
     config = {
         "p": 3, "n": 2, "seed": 1, "k": 2,
         "f": {"kind": "constant", "value": 1.0},
@@ -363,9 +378,11 @@ def test_verify_rejects_out_of_range_config(capsys, tmp_path, entry, argv, field
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
+    monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, "verify", "--config", str(path), *argv)
     assert code == 1
     assert out == ""
+    assert not (tmp_path / "out").exists()
     assert field in err
     assert "Traceback" not in err
 

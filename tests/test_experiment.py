@@ -147,6 +147,10 @@ def test_config_validation():
         )
     with pytest.raises(ConfigError, match="ordering"):
         cfg(ordering="ffg")
+    with pytest.raises(ConfigError, match="ordering"):
+        cfg(ordering=["gff"])
+    with pytest.raises(ConfigError, match="'label'"):
+        cfg(label=5)
     with pytest.raises(ConfigError, match="refresh"):
         cfg(refresh="later")
     with pytest.raises(ConfigError, match="JSON object"):
@@ -163,7 +167,8 @@ def test_config_defaults_and_modes():
     assert c3.delta_mode() == "tail"
     c4 = cfg(ordering="both")
     assert c4.orderings == ("fgf", "gff")
-    assert cfg(ordering=["gff"]).orderings == ("gff",)
+    assert cfg(ordering="gff").orderings == ("gff",)
+    assert cfg().label == cfg(label=None).label == ""
     assert cfg(g=None).g_recipe == {"kind": "same"}
 
 

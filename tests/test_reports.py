@@ -26,63 +26,54 @@ pytestmark = pytest.mark.filterwarnings("ignore:.*density floor")
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
-# (config file, overriding refresh mode, exit code, sha256 of the report
-# without its timing)
+# (config file, exit code, sha256 of the report without its timing)
 PINNED = [
     (
         "budget_point_mass.json",
-        None,
         3,
-        "34b091e9ead902dbdccc9c1439fc8a50dda964e89ec0752e67602962b2883e6d",
+        "5e29a765c81a353fb72473b2357daee21046ebaedbea9caa628b05dba8320e2f",
     ),
     (
         "cap_exhaustive_demo.json",
-        None,
         1,
-        "0d1745233b231370963ef263cba53ecb7e14637d4b044f29a366892cabe2433e",
+        "29270604bf177d9cbc5365d2518d22c2a1d99a9db9c5266ada2c97f9034fa212",
     ),
     (
         "dense_theorem_p5_n4.json",
-        None,
         0,
-        "1c480966f23ea87b73256c35a668673bc1b6ca0c88080367b6d109e33cc4cf20",
+        "44ff8cb4f15b0128d6be6a24aac5e2cd8e8f39058ad47c43acbede0d9e270554",
+    ),
+    (
+        "dense_theorem_p5_n4_lazy.json",
+        0,
+        "bcfdbe9aa86bc95454cfce06946e09479b3570bedae8c9477333a0608bac4865",
     ),
     (
         "refusal_empty_minorant.json",
-        None,
         2,
-        "e20c2be4af3bef4b6f590bb7d8520ba2beeb7f8027d3132af85724799cf709d1",
+        "dee3f576f5d3946fdc6b38010de42b3d5bf792fa17a0ac73d6c05b5970204e14",
     ),
     (
         "sevenfold_p3_n5.json",
-        None,
         0,
-        "8f25b9fe7b703f093b2dcededf5bd2343a0c05dc216830bc4f8366d9aa86d874",
-    ),
-    (
-        "dense_theorem_p5_n4.json",
-        "lazy",
-        0,
-        "e8807342d2fb3a8fe4ffec3b6721ff017fdd3dbfbcf1b8480eb1323e209d22ad",
+        "ccd6cd0d77a2c8c10b57f8ba81d189d5ea2e3ee4ec25465076a58969b1a9bf00",
     ),
 ]
 
 
-def _case_id(case) -> str:
-    name, refresh = case[0].removesuffix(".json"), case[1]
-    return name if refresh is None else f"{name}-{refresh}"
-
-
 @functools.cache
-def _verify(name: str, refresh: str | None) -> tuple[dict, int]:
-    overrides = None if refresh is None else {"refresh": refresh}
-    return run_config(load_config_file(str(CONFIGS / name), overrides))
+def _verify(name: str) -> tuple[dict, int]:
+    return run_config(load_config_file(str(CONFIGS / name)))
 
 
-@pytest.mark.parametrize("case", PINNED, ids=_case_id)
+def test_every_bundled_config_is_pinned_once():
+    assert sorted(name for name, _, _ in PINNED) == sorted(p.name for p in CONFIGS.glob("*.json"))
+
+
+@pytest.mark.parametrize("case", PINNED, ids=lambda case: case[0].removesuffix(".json"))
 def test_bundled_report_is_pinned(case):
-    name, refresh, code, digest = case
-    report, got_code = _verify(name, refresh)
+    name, code, digest = case
+    report, got_code = _verify(name)
     assert got_code == code
     text = report_json(strip_timing(report))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
@@ -91,7 +82,7 @@ def test_bundled_report_is_pinned(case):
 def test_report_records_every_dataclass_field():
     step_keys = {f.name for f in fields(MidpointCertificate)}
     run_keys = {f.name for f in fields(DepletionRun)}
-    runs = [run for case in PINNED for run in _verify(case[0], case[1])[0]["runs"]]
+    runs = [run for name, _, _ in PINNED for run in _verify(name)[0]["runs"]]
     assert runs
     for run in runs:
         assert run_keys <= set(run)
