@@ -274,7 +274,7 @@ def _estimate_row(
         "moment_variance_bound": "",
     }
     est = estimate_condition_probabilities(
-        params, nprime, A=A, g=g, trials=trials, rng=rng, exhaustive=exhaustive, cap=cap
+        nprime, A=A, g=g, trials=trials, rng=rng, exhaustive=exhaustive, cap=cap
     )
     figures = asdict(est)
     figures["separation_bound"] = 1.0 - pair_count(k) * float(params.p) ** (-nprime)

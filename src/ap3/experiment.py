@@ -85,7 +85,10 @@ def build_recipe(params: FieldParams, spec: dict, rng: np.random.Generator) -> D
         raise ConfigError(f"recipe must be a dict with a 'kind', got {spec!r}")
     kind = spec["kind"]
     if kind == "constant":
-        return DenseFunction.constant(params, _number(spec, "value"))
+        value = _number(spec, "value")
+        if not 0.0 <= value <= 1.0:
+            raise ConfigError(f"field 'value' must lie in [0, 1], got {value}")
+        return DenseFunction.constant(params, value)
     if kind == "indicator":
         return indicator(params, _integers(spec, "members"))
     if kind == "random_set":
@@ -481,7 +484,6 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
     if config.trials > 0 or config.exhaustive:
         try:
             est = estimate_condition_probabilities(
-                params,
                 nprime,
                 A=spectrum.top_places(config.k),
                 g=g,

@@ -12,9 +12,11 @@ with probability > 1/2 resp. > 3/4 when the density hypothesis E(g) >
 the hypothesis the finder proceeds all the same and the attempt budget does
 the guarding; check_hypotheses and run_depletion report the shortfall.
 
-All three tests read coset labels (Subspace.labels): V.labels() names the
-cosets of W, W.labels(x) is 0 exactly when x lies in V, and W meets V only
-in 0 exactly when W.labels is injective on W.
+All three tests read coset labels (Subspace.labels).  W.labels is linear
+with kernel V, so W meets V only in 0 exactly when W.labels is injective on
+W, and V separates the places exactly when W.labels is injective on them.
+Both read W alone, so V, whose V.labels() names the cosets of W for the
+density test, is built only for a W that passes them.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .field import (
     enumerate_subspaces,
     sample_uniform_subspace,
 )
-from .spectral import DenseFunction, difference_set
+from .spectral import DenseFunction
 
 COSET_SUM_TOLERANCE = 1e-12
 DEFAULT_MAX_ATTEMPTS = 256
@@ -91,15 +93,15 @@ def is_dense(total, mean: float, size: int):
     return total >= mean * size / 2.0 - COSET_SUM_TOLERANCE
 
 
-def separates(W: Subspace, B: np.ndarray) -> bool:
-    """The separation event: V = W-perp holds no nonzero b in B."""
-    return not (W.labels(B[B != 0]) == 0).any()
+def separates(W: Subspace, A: np.ndarray) -> bool:
+    """The separation event for distinct places A: V = W-perp holds no nonzero
+    a - b, that is W.labels (linear, with kernel V) is injective on A."""
+    return np.unique(W.labels(A)).size == len(A)
 
 
 @dataclass(frozen=True)
 class GoodSubspace:
     W: Subspace
-    V: Subspace
     dense: np.ndarray  # by coset label: does that W-coset carry E(g) |W| / 2 of g's mass?
     coset_labels: np.ndarray  # V.labels() over all of F: x + W is named by coset_labels[x]
     attempts: int
@@ -120,24 +122,22 @@ def find_good_subspace(
     params = g.params
     if nprime is None:
         nprime = choose_dimension(len(A), params)
-    B = difference_set(params, np.asarray(A, dtype=np.int64))
     mean = g.mean()
     rejections = {"separation": 0, "coset_density": 0, "direct_sum": 0}
     for attempt in range(1, max_attempts + 1):
         W = sample_uniform_subspace(params, nprime, rng)
-        V = W.complement()
         if np.unique(W.labels(W.members())).size < W.size:
             rejections["direct_sum"] += 1
             continue
-        if not separates(W, B):
+        if not separates(W, A):
             rejections["separation"] += 1
             continue
-        labels, sums = coset_sums(g, V)
+        labels, sums = coset_sums(g, W.complement())
         dense = is_dense(sums, mean, W.size)
         if dense.sum() * W.size < params.F / 4.0:
             rejections["coset_density"] += 1
             continue
-        return GoodSubspace(W, V, dense, labels, attempt, rejections)
+        return GoodSubspace(W, dense, labels, attempt, rejections)
     raise FinderBudgetError(
         f"no good subspace in {max_attempts} attempts (rejections: {rejections})",
         rejections,
@@ -177,7 +177,6 @@ def chebyshev_moments(X: np.ndarray, mean: float, size: int) -> tuple[float, flo
 
 
 def estimate_condition_probabilities(
-    params: FieldParams,
     nprime: int,
     A: np.ndarray,
     g: DenseFunction,
@@ -193,8 +192,7 @@ def estimate_condition_probabilities(
     t + W.  Exhaustive mode enumerates every W of dimension nprime and every
     translate t, W-major, and returns exact frequencies.
     """
-    g.params.same_as(params)
-    B = difference_set(params, np.asarray(A, dtype=np.int64))
+    params = g.params
     sums = []  # the coset sums X, as blocks np.hstack joins
     if exhaustive:
         spaces = enumerate_subspaces(params, nprime, cap=cap)
@@ -209,7 +207,7 @@ def estimate_condition_probabilities(
             W = sample_uniform_subspace(params, nprime, rng)
             spaces.append(W)
             sums.append(coset_sum(g.values, W.coset(int(rng.integers(params.F)))))
-    hits = sum(1 for W in spaces if separates(W, B))
+    hits = sum(1 for W in spaces if separates(W, A))
     separation = _frequency(hits, len(spaces), exhaustive)
     X, size = np.hstack(sums), params.p**nprime
     density = _frequency(int(np.count_nonzero(is_dense(X, g.mean(), size))), X.size, exhaustive)

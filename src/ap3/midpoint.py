@@ -50,6 +50,7 @@ from .finder import (
     coset_sum,
     find_good_subspace,
     is_dense,
+    separates,
 )
 from .lambda3 import pair_table
 from .spectral import DenseFunction, PaddedCube, Spectrum, _root_powers
@@ -154,7 +155,7 @@ def coset_scores(energy: np.ndarray, A: np.ndarray, W: Subspace, labels: np.ndar
     """Q for every W-coset, indexed by label: scores[labels[t]] = Q(t), the
     tail energy on t + W over |W|.  labels names the cosets of W, as the
     finder's coset_labels do."""
-    if np.unique(W.labels(A)).size != len(A):
+    if not separates(W, A):
         raise ValueError("two top places share a V-coset; the separation condition fails")
     return np.bincount(labels, weights=energy, minlength=energy.size // W.size) / W.size
 
@@ -335,6 +336,8 @@ def run_depletion(
     ok, detail = items["domination"]
     if not ok:
         raise HypothesisRefusal(f"g exceeds f: {detail}; need g <= f pointwise")
+    if not items["unit_range"][0]:
+        raise HypothesisRefusal("f or g takes a value outside [0, 1]")
     e_g = hypotheses.e_g
     if e_g <= 0.0:
         raise HypothesisRefusal("E(g) = 0: nothing to deplete")
@@ -396,7 +399,7 @@ def run_depletion(
         pos = int(np.argmax(local))
         m = int(coset[pos])
         g_value = float(local[pos])
-        floor = e_gi**2 * good.V.size / 4.0 - 9.0 * delta * F
+        floor = e_gi**2 * (F // good.W.size) / 4.0 - 9.0 * delta * F
         pair = float(table[m])
         held = (
             g_value >= e_gi / 2.0 - INVARIANT_TOLERANCE

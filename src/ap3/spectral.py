@@ -165,14 +165,6 @@ class Spectrum:
     params: FieldParams
     coeffs: np.ndarray
 
-    @classmethod
-    def from_coeffs(cls, params: FieldParams, coeffs: np.ndarray) -> "Spectrum":
-        arr = np.array(coeffs, dtype=np.complex128).reshape(-1)
-        if arr.shape != (params.F,):
-            raise ValueError(f"expected {params.F} coefficients, got {arr.shape}")
-        arr.setflags(write=False)
-        return cls(params, arr)
-
     @cached_property
     def order(self) -> np.ndarray:
         order = np.lexsort((np.arange(self.params.F), -self.magnitudes))
@@ -227,8 +219,9 @@ class Spectrum:
 
 def dft(f: DenseFunction) -> Spectrum:
     """fhat(a) = sum_m f(m) w^(a.m), one axis transform per coordinate."""
-    coeffs = np.fft.ifftn(f.cube()) * f.params.F
-    return Spectrum.from_coeffs(f.params, coeffs.reshape(-1))
+    coeffs = (np.fft.ifftn(f.cube()) * f.params.F).reshape(-1)
+    coeffs.setflags(write=False)
+    return Spectrum(f.params, coeffs)
 
 
 def dft_naive(f: DenseFunction, block: int = 256) -> np.ndarray:
@@ -262,7 +255,8 @@ def parseval_gap(f: DenseFunction) -> float:
 
 
 def difference_set(params: FieldParams, places: np.ndarray) -> np.ndarray:
-    """Sorted indices {a - b : a, b in places} (includes 0 when places is nonempty)."""
+    """Sorted indices {a - b : a, b in places} (includes 0 when places is
+    nonempty); the definition finder.separates is checked against."""
     idx = np.asarray(places, dtype=np.int64)
     D = params.digit_table()[idx]
     diffs = (D[:, None, :] - D[None, :, :]) % params.p

@@ -186,7 +186,7 @@ def test_separation_exhaustive(announce):
             for _ in range(10):
                 sets.append(rng.choice(params.F, size=k, replace=False).astype(np.int64))
             for A in sets:
-                est = estimate_condition_probabilities(params, nprime, A=A, g=g, exhaustive=True)
+                est = estimate_condition_probabilities(nprime, A=A, g=g, exhaustive=True)
                 tested += 1
                 worst = min(worst, est.separation)
                 ok &= est.separation >= bound - 1e-12
@@ -213,7 +213,7 @@ def test_coset_moments_exhaustive(announce):
         n, nprime = grid[i % len(grid)]
         params = FieldParams(3, n)
         g = DenseFunction.make(params, rng.random(params.F))
-        mom = estimate_condition_probabilities(params, nprime, A=A, g=g, exhaustive=True)
+        mom = estimate_condition_probabilities(nprime, A=A, g=g, exhaustive=True)
         rel = abs(mom.moment_mean - mom.moment_mean_identity) / abs(mom.moment_mean_identity)
         worst_rel = max(worst_rel, rel)
         worst_var_slack = min(worst_var_slack, mom.moment_variance_bound - mom.moment_variance)
@@ -290,7 +290,7 @@ def test_context_invariants(announce):
         ok &= gap < 1e-8
         coset = good.W.coset(t)
         ok &= bool(np.abs(ctx.h.values[coset] - f.values[coset]).max() < 1e-9)
-        for row in good.V.basis:
+        for row in good.W.complement().basis:
             v = int(params.index_of(np.asarray(row)))
             ok &= bool(
                 np.abs(translated_values(params, ctx.h.values, v) - ctx.h.values).max() < 1e-9

@@ -387,23 +387,43 @@ def test_verify_rejects_out_of_range_config(
     assert "Traceback" not in err
 
 
+def run_cli_process(*argv, timeout=30):
+    """The CLI in a fresh interpreter, so an input that hangs fails the test."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path_entries = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path_entries)}
+    return subprocess.run(
+        [sys.executable, "-m", "ap3.cli", *argv],
+        capture_output=True, text=True, timeout=timeout, env=env,
+    )
+
+
+BAD_RECIPES = [
+    ({"g": {"kind": "mask", "members": [99]}}, "index 99"),
+    ({"g": {"kind": "mask", "members": [-1]}}, "index -1"),
+    ({"g": {"kind": "mask", "members": 5}}, "'members'"),
+    ({"f": {"kind": "cosine", "base": 0.5, "amplitude": 0.1, "frequency": 5}}, "'frequency'"),
+    # a constant outside [0, 1]; a run at 1e30 would take ~4.5e30 depletion steps
+    ({"f": {"kind": "constant", "value": 5}}, "'value'"),
+    ({"f": {"kind": "constant", "value": -1}}, "'value'"),
+    ({"f": {"kind": "constant", "value": 1e30}}, "'value'"),
+    ({"f": {"kind": "constant", "value": 1e30}, "gamma": 0}, "'value'"),
+]
+
+
 @pytest.mark.parametrize(
-    "entry",
-    [
-        {"g": {"kind": "mask", "members": [99]}},
-        {"g": {"kind": "mask", "members": [-1]}},
-        {"g": {"kind": "mask", "members": 5}},
-        {"f": {"kind": "cosine", "base": 0.5, "amplitude": 0.1, "frequency": 5}},
-    ],
+    "entry,named", BAD_RECIPES, ids=[f"entry{i}" for i in range(len(BAD_RECIPES))]
 )
-def test_verify_bad_recipe_is_a_config_failure(capsys, tmp_path, entry):
+def test_verify_bad_recipe_is_a_config_failure(tmp_path, entry, named):
     config = {"p": 3, "n": 2, "seed": 1, "k": 2, "f": {"kind": "constant", "value": 1.0}, **entry}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    code, out, err = run_cli(capsys, "verify", "--config", str(path))
-    assert code == 1
-    assert "Traceback" not in err
-    assert [f["type"] for f in json.loads(out)["failures"]] == ["config"]
+    proc = run_cli_process("verify", "--config", str(path))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stdout + proc.stderr
+    (failure,) = json.loads(proc.stdout)["failures"]
+    assert failure["type"] == "config"
+    assert named in failure["detail"]
 
 
 def test_verify_rejects_bad_entry_before_any_run(capsys, tmp_path, monkeypatch):
@@ -426,13 +446,7 @@ def test_verify_refuses_huge_prime_field_quickly(tmp_path):
     config = {"p": 2**61 - 1, "n": 1, "seed": 1, "k": 2, "f": {"kind": "constant", "value": 1.0}}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path_entries = filter(None, [src, os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path_entries)}
-    proc = subprocess.run(
-        [sys.executable, "-m", "ap3.cli", "verify", "--config", str(path)],
-        capture_output=True, text=True, timeout=30, env=env,
-    )
+    proc = run_cli_process("verify", "--config", str(path))
     assert proc.returncode == 1
     assert "brute-force limit" in proc.stdout
     assert "Traceback" not in proc.stdout + proc.stderr

@@ -29,7 +29,7 @@ from ap3.finder import (
 )
 from ap3.functions import indicator
 from ap3.midpoint import run_depletion
-from ap3.spectral import DenseFunction
+from ap3.spectral import DenseFunction, difference_set
 
 from conftest import random_function
 
@@ -97,8 +97,8 @@ def test_sampled_estimators_read_one_coset(p33, rng, monkeypatch):
 
         monkeypatch.setattr(Subspace, name, counted)
     g = random_function(p33, rng)
-    estimate_condition_probabilities(p33, 1, A=np.array([0, 1]), g=g, trials=20, rng=rng)
-    estimate_condition_probabilities(p33, 2, A=np.array([0, 1]), g=g, trials=20, rng=rng)
+    estimate_condition_probabilities(1, A=np.array([0, 1]), g=g, trials=20, rng=rng)
+    estimate_condition_probabilities(2, A=np.array([0, 1]), g=g, trials=20, rng=rng)
     find_good_subspace(np.array([0, 1]), g, rng)
     f = DenseFunction.make(p33, np.maximum(g.values, 0.5))
     with warnings.catch_warnings():
@@ -124,20 +124,53 @@ def test_dense_translates_point_mass(p33):
 
 
 def _verify_good(found, A, g, params):
+    V = found.W.complement()
     D = params.digit_table()
     B = {params.index_of(D[a] - D[b]) for a in A for b in A} - {0}
-    assert not any(found.V.contains(b) for b in B)
+    assert not any(V.contains(b) for b in B)
     assert found.dense.sum() * found.W.size >= params.F / 4.0
-    stacked = np.vstack([found.W.matrix, found.V.matrix])
-    assert rref(stacked, params.p)[0].shape[0] == found.W.dim + found.V.dim
-    assert found.W.dim + found.V.dim == params.n
+    stacked = np.vstack([found.W.matrix, V.matrix])
+    assert rref(stacked, params.p)[0].shape[0] == found.W.dim + V.dim
+    assert found.W.dim + V.dim == params.n
 
 
 def test_separates(p33):
-    W = Subspace.from_rows(p33, [[0, 1, 0], [0, 0, 1]])  # W-perp is the line through 1
-    assert not separates(W, np.array([0, 2, 9]))
-    assert separates(W, np.array([0, 9, 12]))
-    assert separates(W, np.array([0]))
+    # W.labels injective on A  <=>  no nonzero a - b lies in V = W-perp
+    rng = np.random.default_rng(136)
+    spaces = [W for dim in (1, 2) for W in enumerate_subspaces(p33, dim)]
+    place_sets = [
+        np.sort(rng.choice(p33.F, size=size, replace=False))
+        for size in range(2, 6)
+        for _ in range(6)
+    ]
+    separated = 0
+    for A in place_sets:
+        B = difference_set(p33, A)
+        for W in spaces:
+            expected = not (W.labels(B[B != 0]) == 0).any()
+            assert separates(W, A) == expected
+            separated += expected
+    assert 0 < separated < len(place_sets) * len(spaces)
+
+
+def test_find_good_subspace_builds_one_complement(p33, monkeypatch):
+    # V = W-perp is built only for the W that passes direct sum and separation
+    calls = []
+    original = Subspace.complement
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Subspace, "complement", counted)
+    rng = np.random.default_rng(7)
+    g = DenseFunction.constant(p33, 1.0)
+    rejected = 0
+    for _ in range(20):
+        found = find_good_subspace(np.array([0, 1, 3]), g, rng, nprime=1)
+        assert calls.pop() is found.W and calls == []
+        rejected += found.rejections["direct_sum"] + found.rejections["separation"]
+    assert rejected > 0
 
 
 def test_find_good_subspace_basic(p33, rng):
@@ -195,7 +228,7 @@ def test_find_good_subspace_budget_error(p33, rng):
 def test_estimate_exact_pair():
     params = FieldParams(3, 2)
     g = DenseFunction.constant(params, 1.0)
-    est = estimate_condition_probabilities(params, 1, A=np.array([0, 1]), g=g, exhaustive=True)
+    est = estimate_condition_probabilities(1, A=np.array([0, 1]), g=g, exhaustive=True)
     assert est.exhaustive
     assert est.separation == pytest.approx(0.75, abs=1e-15)
     assert est.separation_stderr == 0.0
@@ -206,34 +239,34 @@ def test_estimate_exact_matches_lemma_bound(p33):
     # exhaustive check that the sampled event has probability >= 1 - C(k,2) p^-nprime
     A = np.array([0, 1, 3], dtype=np.int64)
     g = DenseFunction.constant(p33, 1.0)
-    est = estimate_condition_probabilities(p33, 1, A=A, g=g, exhaustive=True)
+    est = estimate_condition_probabilities(1, A=A, g=g, exhaustive=True)
     bound = 1.0 - 3.0 * 3.0**-1
     assert est.separation >= bound - 1e-12
 
 
 def test_estimate_constant_density(p33, rng):
     g = DenseFunction.constant(p33, 1.0)
-    est = estimate_condition_probabilities(p33, 1, A=np.array([0, 1]), g=g, trials=200, rng=rng)
+    est = estimate_condition_probabilities(1, A=np.array([0, 1]), g=g, trials=200, rng=rng)
     assert est.coset_density == 1.0
 
 
 def test_estimate_monte_carlo_tracks_bound(p33, rng):
     A = np.array([2, 7], dtype=np.int64)
     g = DenseFunction.constant(p33, 1.0)
-    est = estimate_condition_probabilities(p33, 1, A=A, g=g, trials=10_000, rng=rng)
+    est = estimate_condition_probabilities(1, A=A, g=g, trials=10_000, rng=rng)
     assert not est.exhaustive
     bound = 1.0 - 1.0 * 3.0**-1  # one pair, nprime = 1
     assert est.separation > bound - 3.0 * est.separation_stderr
-    exact = estimate_condition_probabilities(p33, 1, A=A, g=g, exhaustive=True)
+    exact = estimate_condition_probabilities(1, A=A, g=g, exhaustive=True)
     assert abs(est.separation - exact.separation) <= 4.0 * est.separation_stderr
 
 
 def test_estimate_requires_input_or_rng(p33, rng):
     A, g = np.array([0, 1]), DenseFunction.constant(p33, 1.0)
     with pytest.raises(TypeError):  # A and g are both required
-        estimate_condition_probabilities(p33, 1, A=A, trials=10, rng=rng)
+        estimate_condition_probabilities(1, A=A, trials=10, rng=rng)
     with pytest.raises(ValueError):
-        estimate_condition_probabilities(p33, 1, A=A, g=g)
+        estimate_condition_probabilities(1, A=A, g=g)
 
 
 def test_chebyshev_moments_formula():
@@ -252,7 +285,7 @@ def test_estimate_reads_one_sample(p33, rng, monkeypatch, exhaustive):
     monkeypatch.setattr(ap3.finder, "chebyshev_moments", recording)
     g = random_function(p33, rng)
     est = estimate_condition_probabilities(
-        p33, 1, A=np.array([0, 1]), g=g, trials=40, rng=rng, exhaustive=exhaustive
+        1, A=np.array([0, 1]), g=g, trials=40, rng=rng, exhaustive=exhaustive
     )
     (X,) = seen
     assert X.size == est.trials * (p33.F if exhaustive else 1)
@@ -262,7 +295,7 @@ def test_estimate_reads_one_sample(p33, rng, monkeypatch, exhaustive):
 
 def test_chebyshev_constant_has_zero_variance(p33, rng):
     g = DenseFunction.constant(p33, 0.4)
-    mom = estimate_condition_probabilities(p33, 1, A=np.array([0, 1]), g=g, trials=50, rng=rng)
+    mom = estimate_condition_probabilities(1, A=np.array([0, 1]), g=g, trials=50, rng=rng)
     assert mom.moment_variance == pytest.approx(0.0, abs=1e-18)
     assert mom.moment_mean == pytest.approx(0.4 * 3)
 
@@ -270,7 +303,7 @@ def test_chebyshev_constant_has_zero_variance(p33, rng):
 def test_chebyshev_exhaustive_point_mass():
     params = FieldParams(3, 2)
     g = indicator(params, [0])
-    mom = estimate_condition_probabilities(params, 1, A=np.array([0, 1]), g=g, exhaustive=True)
+    mom = estimate_condition_probabilities(1, A=np.array([0, 1]), g=g, exhaustive=True)
     assert mom.exhaustive
     assert mom.moment_mean_identity == pytest.approx(1.0 / 3.0)
     assert mom.moment_mean == pytest.approx(mom.moment_mean_identity, rel=1e-12)
@@ -279,7 +312,7 @@ def test_chebyshev_exhaustive_point_mass():
 
 def test_chebyshev_exhaustive_random(p33, rng):
     g = random_function(p33, rng)
-    mom = estimate_condition_probabilities(p33, 1, A=np.array([0, 1]), g=g, exhaustive=True)
+    mom = estimate_condition_probabilities(1, A=np.array([0, 1]), g=g, exhaustive=True)
     assert mom.moment_mean == pytest.approx(mom.moment_mean_identity, rel=1e-12)
     assert mom.moment_variance <= 3.0 + 1e-9
     assert mom.moment_variance_bound == 3.0
@@ -288,7 +321,7 @@ def test_chebyshev_exhaustive_random(p33, rng):
 def test_chebyshev_sampled_needs_rng(p33):
     g = DenseFunction.constant(p33, 1.0)
     with pytest.raises(ValueError):
-        estimate_condition_probabilities(p33, 1, A=np.array([0, 1]), g=g, trials=10)
+        estimate_condition_probabilities(1, A=np.array([0, 1]), g=g, trials=10)
 
 
 def test_enumeration_cap_propagates():
@@ -296,12 +329,12 @@ def test_enumeration_cap_propagates():
     g = DenseFunction.constant(params, 1.0)
     with pytest.raises(EnumerationCapError):
         estimate_condition_probabilities(
-            params, 1, A=np.array([0, 1]), g=g, exhaustive=True, cap=2
+            1, A=np.array([0, 1]), g=g, exhaustive=True, cap=2
         )
 
 
 def test_enumerate_subspaces_matches_trials():
     params = FieldParams(3, 2)
     g = DenseFunction.constant(params, 1.0)
-    est = estimate_condition_probabilities(params, 1, A=np.array([0, 1]), g=g, exhaustive=True)
+    est = estimate_condition_probabilities(1, A=np.array([0, 1]), g=g, exhaustive=True)
     assert est.trials == len(enumerate_subspaces(params, 1))

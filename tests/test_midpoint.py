@@ -105,7 +105,7 @@ def test_coset_scores_match_translate_scores(pn, seed):
             continue
         accepted += 1
         scores = scores_of(spectrum, A, good)
-        assert scores.shape == (good.V.size,)
+        assert scores.shape == (good.W.complement().size,)
         oracle = translate_scores(SubspaceFrame.build(spectrum, good.W), A, np.arange(params.F))
         np.testing.assert_allclose(
             scores[good.coset_labels], oracle, rtol=1e-12, atol=1e-12 * oracle.max()
@@ -143,7 +143,7 @@ def test_select_translate_scores_one_per_coset(p33, rng, monkeypatch):
     f = random_function(p33, rng)
     spectrum, A, good = separated_frame(f, 2, rng)
     scores = scores_of(spectrum, A, good)
-    assert scores.size == good.V.size < p33.F
+    assert scores.size == good.W.complement().size < p33.F
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the per-translate oracle is not on the fast path")
@@ -261,7 +261,7 @@ def test_build_context_invariants_random(p33, rng):
     coset = good.W.coset(t)
     assert np.allclose(ctx.h.values[coset], f.values[coset], atol=1e-9)
     assert ctx.h.values.min() >= -1e-9 and ctx.h.values.max() <= 1 + 1e-9
-    for row in good.V.basis:
+    for row in good.W.complement().basis:
         v = p33.index_of(np.asarray(row))
         shifted = ctx.h.translate(int(v))
         assert np.allclose(shifted.values, ctx.h.values, atol=1e-9)
@@ -413,6 +413,9 @@ def test_depletion_refusals(p33, rng):
     g = DenseFunction.make(p33, f.values * 0.5)
     with pytest.raises(HypothesisRefusal, match="tail hypothesis"):
         run_depletion(f, g, k=2, delta=0.0, rng=rng)
+    over = DenseFunction.constant(p33, 5.0)
+    with pytest.raises(HypothesisRefusal, match=r"outside \[0, 1\]"):
+        run_depletion(over, one, k=2, delta=1.0, rng=rng)
 
 
 def test_depletion_argument_validation(p33, rng):
