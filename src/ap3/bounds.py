@@ -1,4 +1,4 @@
-"""Closed-form floors, parameter selection, and hypothesis checking.
+"""Closed-form floors, delta schedules, and hypothesis checking.
 
 theta always denotes -log_F E(g) (so F^(-theta) = E(g)) and gamma the
 quasinorm exponent in ||fhat||_{1/3} <= F^(1+gamma).  The floors here are
@@ -42,9 +42,8 @@ def lambda3_floor(
     form="exact":    p^-2 C(k,2)^-1 F^(-4 theta) / 128 - 9 delta F^(-2 theta) / 8
     form="weakened": p^-2 k^-2      F^(-4 theta) / 64  - 9 delta F^(-2 theta) / 8
 
-    The weakened form replaces C(k,2)^-1/128 by the smaller k^-2/64 and is the
-    one the closed-form k optimizer targets.  Negative values mean the floor
-    is vacuous at these parameters.
+    The weakened form replaces C(k,2)^-1/128 by the smaller k^-2/64.  Negative
+    values mean the floor is vacuous at these parameters.
     """
     if k < 2:
         raise ValueError(f"the floor needs k >= 2, got {k}")
@@ -57,19 +56,12 @@ def lambda3_floor(
     return main - 9.0 * delta * F ** (-2.0 * theta) / 8.0
 
 
-def sigma_tail_bound(F: int, gamma: float, k: int) -> float:
-    """sigma_k < F^(2+2 gamma) / (5 k^5) whenever ||fhat||_{1/3} <= F^(1+gamma)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return F ** (2.0 + 2.0 * gamma) / (5.0 * k**5)
-
-
 def plugin_delta(F: int, gamma: float, k: int) -> float:
     """The closed-form delta = F^gamma / (2 k^(5/2)).
 
-    (delta F)^2 = F^(2+2 gamma) / (4 k^5) exceeds the sigma tail bound
-    (1/4 > 1/5), so this delta always satisfies sigma_k <= delta^2 F^2
-    in the quasinorm regime.
+    In the quasinorm regime ||fhat||_{1/3} <= F^(1+gamma) the j-th largest
+    |fhat| is at most ||fhat||_{1/3} / j^3, so summing j^-6 over j > k gives
+    sigma_k < F^(2+2 gamma) / (5 k^5) < F^(2+2 gamma) / (4 k^5) = (delta F)^2.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -87,63 +79,9 @@ def quasinorm_regime_bound(p: int, F: int, theta: float, gamma: float) -> float:
     """The stated headline floor 1e-10 p^-8 F^(-12 theta - 4 gamma).
 
     Note this stated constant is slightly stronger than what the stepwise
-    floor yields at the optimizing k for p >= 5; optimal_k reports both so
-    the drift is visible rather than papered over.
+    floor yields at the paper's k = 2025 p^4 F^(4 theta + 2 gamma) for p >= 5.
     """
     return 1e-10 * p**-8.0 * F ** (-12.0 * theta - 4.0 * gamma)
-
-
-@dataclass(frozen=True)
-class OptimalK:
-    k: int
-    k_real: float
-    floor_weakened: float  # weakened form at k with the plug-in delta
-    floor_exact: float  # exact form at k with the minimal tail delta
-    stated_bound: float  # the headline closed-form value
-    consistent: bool  # floor_exact >= stated_bound
-
-
-def _weakened_objective(p: int, F: int, theta: float, gamma: float, k: int) -> float:
-    return lambda3_floor(p, F, k, theta, plugin_delta(F, gamma, k), form="weakened")
-
-
-def optimal_k(
-    p: int, F: int, theta: float, gamma: float, grid_check: bool = False
-) -> OptimalK:
-    """k = round(2025 p^4 F^(4 theta + 2 gamma)), floored at 2.
-
-    2025 = 45^2 comes from maximizing the weakened floor with the plug-in
-    delta over real k.  Both integer neighbors are evaluated and the better
-    kept.  grid_check=True additionally scans a geometric k grid to confirm
-    the closed form is the discrete maximizer within discretization error.
-    """
-    k_real = 2025.0 * p**4 * F ** (4.0 * theta + 2.0 * gamma)
-    candidates = sorted({max(2, math.floor(k_real)), max(2, math.ceil(k_real))})
-    best = max(candidates, key=lambda k: _weakened_objective(p, F, theta, gamma, k))
-    if grid_check:
-        lo, hi = 2, max(4, int(k_real * 4) + 1)
-        grid = sorted(
-            {int(round(lo * (hi / lo) ** (i / 400.0))) for i in range(401)}
-        )
-        grid_best = max(grid, key=lambda k: _weakened_objective(p, F, theta, gamma, k))
-        if _weakened_objective(p, F, theta, gamma, grid_best) > _weakened_objective(
-            p, F, theta, gamma, best
-        ) * (1 + 1e-12) + 1e-300:
-            best = grid_best
-    floor_weak = _weakened_objective(p, F, theta, gamma, best)
-    sigma_cap = sigma_tail_bound(F, gamma, best)
-    floor_exact = lambda3_floor(
-        p, F, best, theta, delta_from_sigma(sigma_cap, F), form="exact"
-    )
-    stated = quasinorm_regime_bound(p, F, theta, gamma)
-    return OptimalK(
-        k=best,
-        k_real=k_real,
-        floor_weakened=floor_weak,
-        floor_exact=floor_exact,
-        stated_bound=stated,
-        consistent=floor_exact >= stated,
-    )
 
 
 @dataclass(frozen=True)

@@ -256,13 +256,16 @@ def _estimate_row(
     nprime = choose_dimension(k, params)
     g = DenseFunction.make(params, rng.uniform(0.0, 1.0, params.F))
     A = rng.choice(params.F, size=k, replace=False).astype(np.int64)
+    est = estimate_condition_probabilities(
+        nprime, A=A, g=g, trials=trials, rng=rng, exhaustive=exhaustive, cap=cap
+    )
     row = {
         "p": params.p,
         "n": params.n,
         "k": k,
         "nprime": nprime,
-        "trials": trials,
-        "exhaustive": exhaustive,
+        "trials": est.trials,
+        "exhaustive": est.exhaustive,
         "separation": "",
         "separation_stderr": "",
         "separation_bound": "",
@@ -273,9 +276,6 @@ def _estimate_row(
         "moment_variance": "",
         "moment_variance_bound": "",
     }
-    est = estimate_condition_probabilities(
-        nprime, A=A, g=g, trials=trials, rng=rng, exhaustive=exhaustive, cap=cap
-    )
     figures = asdict(est)
     figures["separation_bound"] = 1.0 - pair_count(k) * float(params.p) ** (-nprime)
     row.update((key, v) for key, v in figures.items() if key.startswith(_LEMMA_COLUMNS[lemma]))

@@ -284,6 +284,8 @@ class ExperimentConfig:
         nprime = integer("nprime", None)
         if nprime is not None and not 0 <= nprime <= n:
             raise ConfigError(f"field 'nprime' must lie in [0, n={n}], got {nprime}")
+        if nprime is not None and p**nprime < k:
+            raise ConfigError(f"field 'nprime' needs p**nprime >= k={k}, got {p}**{nprime}")
         _check_bounds_finite(p, n, k, delta, gamma)
         trials = integer("trials", 0)
         if trials < 0:

@@ -1,5 +1,4 @@
 import math
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,12 +8,11 @@ from ap3.bounds import (
     delta_from_sigma,
     derived_theta,
     lambda3_floor,
-    optimal_k,
     pair_count,
     plugin_delta,
     quasinorm_regime_bound,
-    sigma_tail_bound,
 )
+from ap3.field import FieldParams
 from ap3.spectral import DenseFunction
 
 from conftest import random_function
@@ -55,15 +53,17 @@ def test_floor_validation():
         lambda3_floor(3, 27, 2, 0.0, 0.0, form="sharp")
 
 
-def test_sigma_tail_bound_and_plugin_delta():
-    F = 27
-    assert sigma_tail_bound(F, 0.0, 1) == pytest.approx(F**2 / 5.0)
-    assert plugin_delta(F, 0.0, 1) == pytest.approx(0.5)
-    # (delta F)^2 = F^(2+2gamma) / (4 k^5) strictly dominates the tail bound
-    for k in (1, 2, 7):
-        for gamma in (0.0, 0.03):
-            d = plugin_delta(F, gamma, k)
-            assert (d * F) ** 2 > sigma_tail_bound(F, gamma, k)
+def test_plugin_delta_covers_measured_tail(rng):
+    assert plugin_delta(27, 0.0, 1) == pytest.approx(0.5)
+    # the tail lemma on real spectra, with gamma read off ||fhat||_{1/3} = F^(1+gamma)
+    for p, n in ((3, 3), (3, 5), (5, 3), (7, 2)):
+        params = FieldParams(p, n)
+        F = params.F
+        indicator = DenseFunction.make(params, (rng.random(F) < 0.5).astype(float))
+        for f in (random_function(params, rng), indicator):
+            gamma = math.log(f.spectrum.quasinorm(1.0 / 3.0), F) - 1.0
+            for k in (1, 2, 5, F // 3):
+                assert f.spectrum.sigma(k) <= (plugin_delta(F, gamma, k) * F) ** 2
 
 
 def test_delta_from_sigma():
@@ -79,47 +79,6 @@ def test_quasinorm_regime_bound():
     base = quasinorm_regime_bound(3, 27, 0.0, 0.0)
     assert quasinorm_regime_bound(3, 27, 0.1, 0.0) < base
     assert quasinorm_regime_bound(3, 27, 0.0, 0.1) < base
-
-
-def test_optimal_k_frozen_p3():
-    res = optimal_k(3, 27, 0.0, 0.0)
-    assert res.k_real == pytest.approx(2025.0 * 81.0)
-    assert res.k == 164025
-    assert res.stated_bound == pytest.approx(1e-10 * 3.0**-8)
-    assert res.stated_bound == pytest.approx(1.524e-14, rel=1e-3)
-    assert res.floor_exact >= res.stated_bound
-    assert res.consistent
-
-
-def test_optimal_k_documented_drift_p5():
-    # the headline constant overshoots the stepwise floor away from p=3
-    res = optimal_k(5, 625, 0.0, 0.0)
-    assert res.k == 2025 * 5**4
-    assert not res.consistent
-    assert res.floor_exact < res.stated_bound
-
-
-def test_optimal_k_neighbors_and_grid():
-    res = optimal_k(3, 27, 0.05, 0.01, grid_check=True)
-    assert res.k >= 2
-    # the closed form beats every grid candidate up to discretization error
-    assert res.consistent in (True, False)
-    for cand in (res.k - 1, res.k + 1):
-        if cand >= 2:
-            alt = lambda3_floor(3, 27, cand, 0.05, plugin_delta(27, 0.01, cand), form="weakened")
-            assert res.floor_weakened >= alt - 1e-18
-
-
-def test_optimal_k_minimum_two():
-    res = optimal_k(3, 3, 0.0, 0.0)
-    assert res.k >= 2
-
-
-def test_optimal_k_as_dict_roundtrip():
-    res = optimal_k(3, 27, 0.0, 0.0)
-    d = asdict(res)
-    assert d["k"] == res.k
-    assert d["consistent"] is True
 
 
 def test_derived_theta():

@@ -364,6 +364,9 @@ def test_verify_non_object_config(capsys, tmp_path, raw):
         ({"delta": 1e160}, [], "'delta'"),
         ({"label": 5}, [], "'label'"),
         ({"label": ["a"]}, [], "'label'"),
+        # W's p**nprime labels cannot separate k places
+        ({"nprime": 0}, [], "'nprime'"),
+        ({"k": 5, "nprime": 1}, [], "'nprime'"),
     ],
 )
 def test_verify_rejects_out_of_range_config(
@@ -464,6 +467,7 @@ def test_estimate_exhaustive_csv(capsys):
     row = rows[0]
     assert row["k"] == "2"
     assert row["nprime"] == "1"
+    assert row["trials"] == "4"  # the lines of F_3^2 enumerated, not --trials
     assert float(row["separation"]) >= float(row["separation_bound"]) - 1e-12
     assert float(row["moment_mean"]) == pytest.approx(
         float(row["moment_mean_identity"]), rel=1e-12

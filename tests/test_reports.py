@@ -108,7 +108,7 @@ PINNED_ESTIMATES = [
     ),
     (
         "--p 3 --n 3 --k 2,3 --exhaustive",
-        "f30542228f22679a1046f2d32cfb48dd2ff56687467f2dc34c823c8e7dab464b",
+        "e1cec20720253971241ef565b26a9059e80d0dbcf7aecada2cf06b2e5c7b4a95",
     ),
     (
         "--p 3 --n 3 --k 2,3 --lemma separation --trials 64 --seed 11",
@@ -116,7 +116,7 @@ PINNED_ESTIMATES = [
     ),
     (
         "--p 3 --n 3 --k 2,3 --lemma separation --exhaustive",
-        "119968cc392113a62e0ad64ce963031bc6f2c66ab31413f82633dbb50d6f60cc",
+        "021d0434f46fdf54265fd5ce5c86d6ff9d6d26e5c3634ee6011ede9fff83c224",
     ),
     (
         "--p 3 --n 3 --k 2,3 --lemma moments --trials 64 --seed 11",
@@ -124,7 +124,7 @@ PINNED_ESTIMATES = [
     ),
     (
         "--p 3 --n 3 --k 2,3 --lemma moments --exhaustive",
-        "c92435ce4489616f34782accd3f264042ad152f6520f572d69b3df72953263fa",
+        "e29ae5205b37ec7adb3806faae0514544d2bca3755feaba6df98f67a94f5dafb",
     ),
 ]
 
