@@ -308,7 +308,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, EnumerationCapError) as exc:  # ConfigError, InfeasibleError included
+    except (ValueError, EnumerationCapError, OSError) as exc:  # incl. ConfigError, InfeasibleError
         print(f"ap3 {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

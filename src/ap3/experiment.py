@@ -49,7 +49,7 @@ from .lambda3 import (
     midpoint_pair_count,
     trivial_lower_bound,
 )
-from .midpoint import CertificateError, ContextInvariantError, run_depletion
+from .midpoint import ContextInvariantError, run_depletion
 from .spectral import DenseFunction, Spectrum, parseval_gap
 
 EXIT_PASS = 0
@@ -542,12 +542,16 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
         except HypothesisRefusal as exc:
             fail("hypothesis_refusal", str(exc), EXIT_REFUSED)
             continue
-        except (CertificateError, ContextInvariantError) as exc:
+        except ContextInvariantError as exc:
             fail("certificate", str(exc), EXIT_ASSERTION)
             continue
         brute, spectral = measure(f, g, f) if ordering == "fgf" else measure(g, f, f)
         report["runs"].append(_run_dict(run, rhs_exact, brute, spectral))
+        certificate_detail = f"{len(run.steps)} steps, {run.vacuous_steps} vacuous"
         if run.partial:
+            # A broken step before the budget ran out still fails the run.
+            if not run.certificates_ok:
+                check(f"certificates[{ordering}]", False, certificate_detail)
             fail(
                 "finder_budget",
                 f"ordering {ordering}: finder budget exhausted after "
@@ -575,11 +579,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
             f"|pair_weight/F^2 - brute| = {weight_gap:.3g}; first and last step "
             f"vs direct count: {step_gaps[0]:.3g}, {step_gaps[1]:.3g} relative",
         )
-        check(
-            f"certificates[{ordering}]",
-            run.certificates_ok,
-            f"{len(run.steps)} steps, {run.vacuous_steps} vacuous",
-        )
+        check(f"certificates[{ordering}]", run.certificates_ok, certificate_detail)
         check(
             f"certified_le_measured[{ordering}]",
             brute >= run.lambda_lower - 1e-9,

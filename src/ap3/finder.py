@@ -50,7 +50,8 @@ class FinderBudgetError(RuntimeError):
 
 
 def choose_dimension(k: int, params: FieldParams) -> int:
-    """Smallest nprime with p^(nprime - 1) >= C(k, 2), clamped to [1, n].
+    """Smallest nprime >= 1 with p^(nprime - 1) >= C(k, 2); raises
+    InfeasibleError when that nprime exceeds n.
 
     Integer arithmetic throughout: the defining condition nprime >= 1 +
     log_p(C(k, 2)) is exactly p^(nprime - 1) >= C(k, 2), which avoids float
@@ -62,7 +63,7 @@ def choose_dimension(k: int, params: FieldParams) -> int:
     e = 0
     while params.p**e < pairs:
         e += 1
-    nprime = max(1, 1 + e if pairs > 0 else 1)
+    nprime = 1 + e
     if nprime > params.n:
         raise InfeasibleError(
             f"k={k} needs dimension {nprime} > n={params.n}; the field is too small"

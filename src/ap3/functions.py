@@ -51,12 +51,6 @@ def subspace_indicator(W: Subspace) -> DenseFunction:
     return DenseFunction.make(W.params, values, unit_range=True)
 
 
-def convolve(f: DenseFunction, g: DenseFunction) -> DenseFunction:
-    """(f * g)(m) = sum_{a+b=m} f(a) g(b), computed in the spectral domain."""
-    params = check_same_params(f, g)
-    return idft(params, f.spectrum.coeffs * g.spectrum.coeffs)
-
-
 def convolve_direct(f: DenseFunction, g: DenseFunction) -> DenseFunction:
     """O(F^2) convolution oracle: accumulate f(u) * g(. - u) over the support of f."""
     params = check_same_params(f, g)

@@ -71,10 +71,6 @@ class DenseFunction:
         p, n = self.params.p, self.params.n
         return self.values.reshape((p,) * n)
 
-    def translate(self, d: int) -> "DenseFunction":
-        """The function m -> f(m + d)."""
-        return DenseFunction.make(self.params, translated_values(self.params, self.values, d))
-
     def to_json(self) -> str:
         data = {"p": self.params.p, "n": self.params.n, "values": self.values.tolist()}
         return json.dumps(data, sort_keys=True)
@@ -82,7 +78,14 @@ class DenseFunction:
     @classmethod
     def from_json(cls, text: str) -> "DenseFunction":
         data = json.loads(text)
-        return cls.make(FieldParams.from_json_dict(data), data["values"])
+        params = FieldParams.from_json_dict(data)
+        try:
+            values = np.array(data["values"], dtype=np.float64)
+        except TypeError as exc:
+            raise ValueError(f"'values' must be a flat list of numbers: {exc}") from None
+        if values.ndim != 1:
+            raise ValueError("'values' must be a flat list of numbers")
+        return cls.make(params, values)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -121,24 +124,13 @@ class DenseFunction:
         return cls.make(params, values)
 
 
-def translated_values(params: FieldParams, values: np.ndarray, d: int) -> np.ndarray:
-    """values of m -> f(m + d), read from the cube in one gather.
-
-    Padding costs (2 - 1/p)^n F floats, which only many translates of one
-    function repay; PaddedCube serves those.
-    """
-    p = params.p
-    cube = np.asarray(values, dtype=np.float64).reshape((p,) * params.n)
-    rows = [(np.arange(p) + x) % p for x in params.digits_of(d)[::-1].tolist()]
-    return cube[np.ix_(*rows)].reshape(-1)
-
-
 class PaddedCube:
     """The values of f as a (p,)*n cube wrap-padded once to (2p-1,)*n, so that
     every translate m -> f(m + d) is a view of the padding, not a copy.
 
-    Axis j holds digit n-1-j.  The padding holds (2p-1)^n floats, about
-    (2 - 1/p)^n times F, which is why it serves the O(F^2) oracles only.
+    Axis j holds digit n-1-j.  This is the one translate helper; its padding
+    holds (2p-1)^n floats, about (2 - 1/p)^n times F, which many translates of
+    one function repay, as in the O(F^2) oracles.
     """
 
     def __init__(self, params: FieldParams, values: np.ndarray):

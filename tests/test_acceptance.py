@@ -31,7 +31,7 @@ from ap3.midpoint import (
     tail_energy,
     translate_scores,
 )
-from ap3.spectral import DenseFunction, dft, idft, parseval_gap, translated_values
+from ap3.spectral import DenseFunction, PaddedCube, dft, idft, parseval_gap
 
 
 FIELD_GRID = [(p, n) for p in (3, 5, 7) for n in (1, 2, 3, 4)]
@@ -290,11 +290,11 @@ def test_context_invariants(announce):
         ok &= gap < 1e-8
         coset = good.W.coset(t)
         ok &= bool(np.abs(ctx.h.values[coset] - f.values[coset]).max() < 1e-9)
+        h_cube = PaddedCube(params, ctx.h.values)
         for row in good.W.complement().basis:
             v = int(params.index_of(np.asarray(row)))
-            ok &= bool(
-                np.abs(translated_values(params, ctx.h.values, v) - ctx.h.values).max() < 1e-9
-            )
+            shifted = h_cube.shifted(params.digits_of(v)).reshape(-1)
+            ok &= bool(np.abs(shifted - ctx.h.values).max() < 1e-9)
     elapsed = time.perf_counter() - start
     ok = bool(ok)
     announce(
@@ -392,10 +392,12 @@ def test_sevenfold_pipeline(announce):
         trivial = trivial_lower_bound(f)
         ok &= brute > trivial
         pos = (f.values > 0.0).astype(np.float64)
+        pos_cube = PaddedCube(params, pos)
         count = 0.0
         for d in range(1, params.F):
-            pd = translated_values(params, pos, d)
-            p2d = translated_values(params, pd, d)
+            digits = params.digits_of(d)
+            pd = pos_cube.shifted(digits).reshape(-1)
+            p2d = pos_cube.shifted((2 * digits) % params.p).reshape(-1)
             count += float((pos * pd * p2d).sum())
         ok &= count > 0.0
         details.append(

@@ -159,7 +159,14 @@ def test_lambda3_two_files_transform_each_once(capsys, tmp_path, rng, monkeypatc
 
 @pytest.mark.parametrize(
     "data",
-    [[3, 2], {"p": None, "n": 2, "values": [0.5] * 9}, {"p": 3.7, "n": 2, "values": [0.5] * 9}],
+    [
+        [3, 2],
+        {"p": None, "n": 2, "values": [0.5] * 9},
+        {"p": 3.7, "n": 2, "values": [0.5] * 9},
+        {"p": 3, "n": 2, "values": {"a": 1}},
+        {"p": 3, "n": 2, "values": [{"a": 1}] + [0.5] * 8},
+        {"p": 3, "n": 2, "values": [[0.5] * 9]},
+    ],
 )
 def test_lambda3_rejects_bad_field_in_file(capsys, tmp_path, data):
     path = tmp_path / "fn.json"
@@ -254,6 +261,25 @@ def test_verify_writes_report_file(capsys, tmp_path):
     report = json.loads((out_dir / "report.json").read_text())
     assert report["passed"] is True
     assert str(out_dir / "report.json") in out
+
+
+@pytest.mark.parametrize("command", ["transform", "verify"])
+def test_out_that_cannot_be_a_directory_exits_error(capsys, tmp_path, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    config = tmp_path / "config.json"
+    constant = {"kind": "constant", "value": 1.0}
+    config.write_text(json.dumps({"p": 3, "n": 2, "seed": 1, "k": 2, "f": constant}))
+    if command == "transform":
+        out = blocker
+        argv = ["--recipe", json.dumps(constant), "--p", "3", "--n", "2"]
+    else:
+        out = blocker / "sub"
+        argv = ["--config", str(config)]
+    code, _, err = run_cli(capsys, command, *argv, "--out", str(out))
+    assert code == 1
+    assert f"ap3 {command}: error:" in err and str(blocker) in err
+    assert "Traceback" not in err
 
 
 def test_verify_multi_entry_config(capsys, tmp_path):

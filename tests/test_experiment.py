@@ -23,7 +23,7 @@ from ap3.experiment import (
     strip_timing,
     worst_exit,
 )
-from ap3.functions import convolve
+from ap3.functions import convolve_direct
 from ap3.lambda3 import lambda3_brute
 from ap3.spectral import DenseFunction, dft
 
@@ -76,7 +76,7 @@ def test_build_recipe_conv_power(p33, rng):
     vals = np.zeros(p33.F)
     vals[[0, 1, 2]] = 1.0
     S = DenseFunction.make(p33, vals)
-    direct = convolve(S, S).values / 3.0**1  # normalized to peak at most |S|
+    direct = convolve_direct(S, S).values / 3.0**1  # normalized to peak at most |S|
     direct = direct / direct.max()
     assert np.allclose(f.values / f.values.max(), direct, atol=1e-9)
     assert f.values.max() <= 1.0 + 1e-12
@@ -324,19 +324,50 @@ def test_report_json_canonical():
 
 
 def test_broken_certificate_exits_assertion(monkeypatch):
-    import ap3.experiment as mod
-    from ap3.midpoint import CertificateError
+    import ap3.midpoint
 
-    def explode(*args, **kwargs):
-        raise CertificateError("pair count 0.5 below floor 2.0 at step 3")
-
-    monkeypatch.setattr(mod, "run_depletion", explode)
+    real_table = ap3.midpoint.pair_table
+    monkeypatch.setattr(ap3.midpoint, "pair_table", lambda *args: real_table(*args) - 1e6)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         report, code = run_experiment(cfg())
     assert code == EXIT_ASSERTION
+    failed = [a["name"] for a in report["assertions"] if not a["passed"]]
+    assert "certificates[fgf]" in failed
+    [run] = report["runs"]
+    assert run["certificates_ok"] is False
+    assert run["steps"] and run["lambda_lower"] > 0.0
+
+
+def test_broken_certificate_fails_partial_run(monkeypatch):
+    import ap3.midpoint
+
+    real_table = ap3.midpoint.pair_table
+    monkeypatch.setattr(ap3.midpoint, "pair_table", lambda *args: real_table(*args) - 1e6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report, code = run_experiment(cfg(max_attempts=1))
+    assert code == EXIT_ASSERTION
+    assert [f["type"] for f in report["failures"]] == ["finder_budget"]
+    failed = [a["name"] for a in report["assertions"] if not a["passed"]]
+    assert failed == ["certificates[fgf]"]
+    [run] = report["runs"]
+    assert run["partial"] is True and run["steps"]
+    assert run["certificates_ok"] is False
+
+
+def test_context_invariant_error_exits_assertion(monkeypatch):
+    import ap3.experiment as mod
+    from ap3.midpoint import ContextInvariantError
+
+    def explode(*args, **kwargs):
+        raise ContextInvariantError("Q exceeds 4 sigma_k")
+
+    monkeypatch.setattr(mod, "run_depletion", explode)
+    report, code = run_experiment(cfg())
+    assert code == EXIT_ASSERTION
     assert report["failures"][0]["type"] == "certificate"
-    assert "below floor" in report["failures"][0]["detail"]
+    assert "4 sigma_k" in report["failures"][0]["detail"]
     assert report["runs"] == []
 
 

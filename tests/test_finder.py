@@ -45,6 +45,8 @@ def test_choose_dimension(k, p, n, expected):
 def test_choose_dimension_infeasible():
     with pytest.raises(InfeasibleError):
         choose_dimension(10, FieldParams(5, 3))
+    with pytest.raises(InfeasibleError, match="needs dimension 23 > n=22"):
+        choose_dimension(164025, FieldParams(3, 22))
 
 
 def test_density_floor(p33):

@@ -4,7 +4,6 @@ import pytest
 from ap3.field import FieldParams, ParameterError, Subspace
 from ap3.functions import (
     SetSpec,
-    convolve,
     convolve_direct,
     indicator,
     minorant_restrict,
@@ -43,9 +42,9 @@ def test_random_set_size_and_determinism(p33):
 def test_convolve_identity_and_points(p33):
     f = random_function(p33, np.random.default_rng(1))
     delta0 = indicator(p33, [0])
-    assert np.abs(convolve(f, delta0).values - f.values).max() < 1e-9
+    assert np.abs(convolve_direct(f, delta0).values - f.values).max() < 1e-9
     x, y = 4, 17
-    conv = convolve(indicator(p33, [x]), indicator(p33, [y]))
+    conv = convolve_direct(indicator(p33, [x]), indicator(p33, [y]))
     expected = np.zeros(p33.F)
     expected[p33.index_of(p33.digits_of(x) + p33.digits_of(y))] = 1.0
     assert np.abs(conv.values - expected).max() < 1e-9
@@ -54,28 +53,30 @@ def test_convolve_identity_and_points(p33):
 def test_convolve_tiny_line():
     params = FieldParams(3, 1)
     S = indicator(params, [0, 1])
-    out = convolve(S, S)
+    out = convolve_direct(S, S)
     assert np.allclose(out.values, [1.0, 2.0, 1.0], atol=1e-9)
 
 
 def test_convolve_matches_direct_oracle(p33, p52, rng):
     for params in (p33, p52):
-        f = random_function(params, rng)
-        g = random_function(params, rng)
-        fast = convolve(f, g)
-        slow = convolve_direct(f, g)
-        assert np.abs(fast.values - slow.values).max() < 1e-8
+        S = random_set(params, params.F // 3, rng)
+        ind = S.indicator()
+        slow = ind
+        for r in (2, 3):
+            slow = convolve_direct(slow, ind)
+            fast = normalized_conv_power(S, r)
+            assert np.abs(fast.values - slow.values / S.size ** (r - 1)).max() < 1e-8
 
 
 def test_convolve_rejects_mismatched_params(p33, p52, rng):
     with pytest.raises(ParameterError):
-        convolve(random_function(p33, rng), random_function(p52, rng))
+        convolve_direct(random_function(p33, rng), random_function(p52, rng))
 
 
 def test_convolution_theorem(p33, rng):
     f = random_function(p33, rng)
     g = random_function(p33, rng)
-    lhs = dft(convolve(f, g)).coeffs
+    lhs = dft(convolve_direct(f, g)).coeffs
     rhs = dft(f).coeffs * dft(g).coeffs
     scale = max(np.abs(rhs).max(), 1.0)
     assert np.abs(lhs - rhs).max() / scale < 1e-8

@@ -14,7 +14,7 @@ from ap3.lambda3 import (
     pair_table,
     trivial_lower_bound,
 )
-from ap3.spectral import DenseFunction, dft, translated_values
+from ap3.spectral import DenseFunction, PaddedCube, dft
 
 from conftest import random_function
 
@@ -110,7 +110,8 @@ def test_translation_invariance(p33, rng):
     fs = [random_function(p33, rng) for _ in range(3)]
     base = lambda3_brute(*fs)
     for t in (1, 14):
-        shifted = [f.translate(t) for f in fs]
+        digits = p33.digits_of(t)
+        shifted = [DenseFunction.make(p33, PaddedCube(p33, f.values).shifted(digits)) for f in fs]
         assert abs(lambda3_brute(*shifted) - base) < 1e-9
 
 
@@ -135,10 +136,13 @@ def test_diagonal_and_nonzero_difference_split(p33, rng):
     total = lambda3_brute(f) * p33.F**2
     diag = diagonal_weight(f, f, f)
     assert diag == pytest.approx(float((f.values**3).sum()), abs=1e-9)
+    cube = PaddedCube(p33, f.values)
     off_diagonal = 0.0
     for d in range(1, p33.F):
-        shifted = translated_values(p33, f.values, d)
-        off_diagonal += float(f.values @ (shifted * translated_values(p33, shifted, d)))
+        digits = p33.digits_of(d)
+        shifted = cube.shifted(digits).reshape(-1)
+        twice = PaddedCube(p33, shifted).shifted(digits).reshape(-1)
+        off_diagonal += float(f.values @ (shifted * twice))
     assert off_diagonal == pytest.approx(total - diag, abs=1e-6)
 
 

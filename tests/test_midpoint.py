@@ -21,7 +21,7 @@ from ap3.midpoint import (
     tail_energy,
     translate_scores,
 )
-from ap3.spectral import DenseFunction, _root_powers, dft
+from ap3.spectral import DenseFunction, PaddedCube, _root_powers, dft
 
 from conftest import random_function
 
@@ -261,10 +261,11 @@ def test_build_context_invariants_random(p33, rng):
     coset = good.W.coset(t)
     assert np.allclose(ctx.h.values[coset], f.values[coset], atol=1e-9)
     assert ctx.h.values.min() >= -1e-9 and ctx.h.values.max() <= 1 + 1e-9
+    h_cube = PaddedCube(p33, ctx.h.values)
     for row in good.W.complement().basis:
         v = p33.index_of(np.asarray(row))
-        shifted = ctx.h.translate(int(v))
-        assert np.allclose(shifted.values, ctx.h.values, atol=1e-9)
+        shifted = h_cube.shifted(p33.digits_of(int(v))).reshape(-1)
+        assert np.allclose(shifted, ctx.h.values, atol=1e-9)
     assert ctx.w1_positions.size == len(A)
     assert ctx.w1_positions.size + ctx.w2_positions.size == good.W.size
 

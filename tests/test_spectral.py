@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from ap3.field import FieldParams, Subspace
 from ap3.spectral import (
     DenseFunction,
+    PaddedCube,
     dft,
     dft_naive,
     difference_set,
@@ -189,15 +190,17 @@ def test_large_coefficient_count_bound(rng):
             assert count <= f.mean() / eps**2 + 1e-9
 
 
-def test_translate_shifts_and_modulates(p33, rng):
-    f = random_function(p33, rng)
-    D = p33.digit_table()
-    for d in (0, 1, 13):
-        g = f.translate(d)
-        for m in (0, 5, 20):
-            assert g.values[m] == f.values[p33.index_of(D[m] + D[d])]
-        phases = np.exp(-2j * np.pi * ((D @ D[d]) % p33.p) / p33.p)
-        assert np.abs(dft(g).coeffs - phases * dft(f).coeffs).max() < 1e-8
+def test_translate_shifts_and_modulates(p33, p52, rng):
+    for params in (p33, p52):
+        f = random_function(params, rng)
+        cube = PaddedCube(params, f.values)
+        D = params.digit_table()
+        for d in (0, 1, 13, params.F - 1):
+            g = DenseFunction.make(params, cube.shifted(D[d]))
+            for m in range(params.F):
+                assert g.values[m] == f.values[params.index_of(D[m] + D[d])]
+            phases = np.exp(-2j * np.pi * ((D @ D[d]) % params.p) / params.p)
+            assert np.abs(dft(g).coeffs - phases * dft(f).coeffs).max() < 1e-8
 
 
 @given(st.integers(0, 2**32 - 1))
