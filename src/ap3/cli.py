@@ -50,6 +50,11 @@ _LEMMA_COLUMNS = {
     "moments": ("moment_",),
     "both": ("separation", "coset_density", "moment_"),
 }
+# The estimate figure columns, in CSV order; the ones --lemma leaves out are "".
+_FIGURE_COLUMNS = (
+    "separation", "separation_stderr", "separation_bound", "coset_density", "coset_density_stderr",
+    "moment_mean", "moment_mean_identity", "moment_variance", "moment_variance_bound",
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -236,7 +241,10 @@ def cmd_lambda3(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report, code = run_config(load_config_file(args.config))
+    config = load_config_file(args.config)
+    if args.out is not None:  # an unusable --out fails before any experiment runs
+        os.makedirs(args.out, exist_ok=True)
+    report, code = run_config(config)
     _emit(report_json(report), args.out, "report.json")
     status = "PASS" if code == EXIT_PASS else f"FAIL(exit {code})"
     print(f"verify: {status}", file=sys.stderr)
@@ -259,27 +267,18 @@ def _estimate_row(
     est = estimate_condition_probabilities(
         nprime, A=A, g=g, trials=trials, rng=rng, exhaustive=exhaustive, cap=cap
     )
-    row = {
+    figures = asdict(est)
+    figures["separation_bound"] = 1.0 - pair_count(k) * float(params.p) ** (-nprime)
+    filled = _LEMMA_COLUMNS[lemma]
+    return {
         "p": params.p,
         "n": params.n,
         "k": k,
         "nprime": nprime,
         "trials": est.trials,
         "exhaustive": est.exhaustive,
-        "separation": "",
-        "separation_stderr": "",
-        "separation_bound": "",
-        "coset_density": "",
-        "coset_density_stderr": "",
-        "moment_mean": "",
-        "moment_mean_identity": "",
-        "moment_variance": "",
-        "moment_variance_bound": "",
+        **{key: figures[key] if key.startswith(filled) else "" for key in _FIGURE_COLUMNS},
     }
-    figures = asdict(est)
-    figures["separation_bound"] = 1.0 - pair_count(k) * float(params.p) ** (-nprime)
-    row.update((key, v) for key, v in figures.items() if key.startswith(_LEMMA_COLUMNS[lemma]))
-    return row
 
 
 def cmd_estimate(args) -> int:

@@ -37,7 +37,6 @@ from .functions import (
     minorant_restrict,
     normalized_conv_power,
     random_set,
-    subspace_indicator,
 )
 from .lambda3 import (
     AGREEMENT_TOLERANCE,
@@ -98,14 +97,10 @@ def build_recipe(params: FieldParams, spec: dict, rng: np.random.Generator) -> D
         basis = spec.get("basis", [])
         if not isinstance(basis, list) or not all(map(_integer_list, basis)):
             raise ConfigError(f"field 'basis' must be a list of integer rows, got {basis!r}")
-        return subspace_indicator(Subspace.from_rows(params, basis))
+        return indicator(params, Subspace.from_rows(params, basis).members())
     if kind == "conv_power":
         power = _integer(spec, "power")
-        if "members" in spec:
-            S = SetSpec.make(params, _integers(spec, "members"))
-        else:
-            S = random_set(params, _integer(spec, "size"), rng)
-        return normalized_conv_power(S, power)
+        return normalized_conv_power(_recipe_set(params, spec, rng), power)
     if kind == "uniform":
         low, high = _number(spec, "low"), _number(spec, "high")
         if not 0.0 <= low <= high <= 1.0:
@@ -139,11 +134,7 @@ def derive_minorant(
             raise ConfigError(f"scale factor must lie in [0, 1], got {factor}")
         return DenseFunction.make(f.params, f.values * factor)
     if kind == "mask":
-        if "members" in spec:
-            S = SetSpec.make(f.params, _integers(spec, "members"))
-        else:
-            S = random_set(f.params, _integer(spec, "size"), rng)
-        return minorant_restrict(f, members=S.members)
+        return minorant_restrict(f, members=_recipe_set(f.params, spec, rng).members)
     if kind == "threshold":
         return minorant_restrict(f, threshold=_number(spec, "cutoff"))
     return build_recipe(f.params, spec, rng)
@@ -184,6 +175,13 @@ def _integers(spec: dict, key: str) -> list[int]:
     if not _integer_list(values):
         raise ConfigError(f"field {key!r} must be a list of integers, got {values!r}")
     return [int(v) for v in values]
+
+
+def _recipe_set(params: FieldParams, spec: dict, rng: np.random.Generator) -> SetSpec:
+    """The set a recipe gives by its 'members', or else at random of its 'size'."""
+    if "members" in spec:
+        return SetSpec.make(params, _integers(spec, "members"))
+    return random_set(params, _integer(spec, "size"), rng)
 
 
 def _flag(spec: dict, key: str) -> bool:

@@ -13,8 +13,8 @@ the hypothesis the finder proceeds all the same and the attempt budget does
 the guarding; check_hypotheses and run_depletion report the shortfall.
 
 All three tests read coset labels (Subspace.labels).  W.labels is linear
-with kernel V, so W meets V only in 0 exactly when W.labels is injective on
-W, and V separates the places exactly when W.labels is injective on them.
+with kernel V, so the direct-sum test is separates(W, W.members()) and the
+separation test separates(W, A): each asks that W.labels be injective.
 Both read W alone, so V, whose V.labels() names the cosets of W for the
 density test, is built only for a W that passes them.
 """
@@ -127,7 +127,7 @@ def find_good_subspace(
     rejections = {"separation": 0, "coset_density": 0, "direct_sum": 0}
     for attempt in range(1, max_attempts + 1):
         W = sample_uniform_subspace(params, nprime, rng)
-        if np.unique(W.labels(W.members())).size < W.size:
+        if not separates(W, W.members()):
             rejections["direct_sum"] += 1
             continue
         if not separates(W, A):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import FieldParams, Subspace, check_same_params
+from .field import FieldParams, check_same_params
 from .spectral import DenseFunction, PaddedCube, idft
 
 
@@ -43,12 +43,6 @@ def random_set(params: FieldParams, size: int, rng: np.random.Generator) -> SetS
 
 def indicator(params: FieldParams, members) -> DenseFunction:
     return SetSpec.make(params, members).indicator()
-
-
-def subspace_indicator(W: Subspace) -> DenseFunction:
-    values = np.zeros(W.params.F)
-    values[W.members()] = 1.0
-    return DenseFunction.make(W.params, values, unit_range=True)
 
 
 def convolve_direct(f: DenseFunction, g: DenseFunction) -> DenseFunction:

@@ -85,24 +85,21 @@ def pair_table(spectrum: Spectrum, ordering: str) -> np.ndarray:
 
 def midpoint_pair_count(f: DenseFunction, m: int) -> float:
     """sum_d f(m-d) f(m+d), counted directly; the oracle for pair_table(., "fgf")."""
-    params = f.params
-    params._check_element(m)
-    D = params.digit_table()
-    dm = params.digits_of(m)
-    plus = params.indices_of((dm[None, :] + D) % params.p)
-    minus = params.indices_of((dm[None, :] - D) % params.p)
-    return float(f.values[minus] @ f.values[plus])
+    return _pair_count(f, m, -1, 1)
 
 
 def endpoint_pair_count(f: DenseFunction, m: int) -> float:
     """sum_d f(m+d) f(m+2d), counted directly; the oracle for pair_table(., "gff")."""
+    return _pair_count(f, m, 1, 2)
+
+
+def _pair_count(f: DenseFunction, m: int, a: int, b: int) -> float:
+    """sum_d f(m + a d) f(m + b d), counted directly."""
     params = f.params
-    params._check_element(m)
     D = params.digit_table()
     dm = params.digits_of(m)
-    plus = params.indices_of((dm[None, :] + D) % params.p)
-    plus2 = params.indices_of((dm[None, :] + 2 * D) % params.p)
-    return float(f.values[plus] @ f.values[plus2])
+    first, second = (params.indices_of((dm[None, :] + c * D) % params.p) for c in (a, b))
+    return float(f.values[first] @ f.values[second])
 
 
 def trivial_lower_bound(f: DenseFunction) -> float:

@@ -52,6 +52,7 @@ from .finder import (
     is_dense,
     separates,
 )
+from .functions import convolve_direct, indicator
 from .lambda3 import pair_table
 from .spectral import DenseFunction, PaddedCube, Spectrum, _root_powers
 
@@ -90,10 +91,10 @@ class SubspaceFrame:
         V = W.complement()
         w_members = W.members()
         v_members = V.members()
-        pos_w = np.full(W.size, -1, dtype=np.int64)
-        pos_w[W.labels(w_members)] = np.arange(W.size)
-        if (pos_w < 0).any():
+        if not separates(W, w_members):
             raise ValueError("subspaces do not form a direct sum")
+        pos_w = np.empty(W.size, dtype=np.int64)
+        pos_w[W.labels(w_members)] = np.arange(W.size)
         pos_v = np.empty(V.size, dtype=np.int64)
         pos_v[V.labels(v_members)] = np.arange(V.size)
         cell = pos_w[W.labels()] * V.size + pos_v[V.labels()]
@@ -108,12 +109,11 @@ class SubspaceFrame:
         Distinctness of the w(a) is equivalent to the separation condition;
         a collision means the caller skipped it.
         """
-        pos_w, pos_v = np.divmod(self.cell[np.asarray(A, dtype=np.int64)], self.v_members.size)
-        if np.unique(pos_w).size != pos_w.size:
+        if not separates(self.W, A):
             raise ValueError(
                 "two top places share a W-component; the separation condition fails"
             )
-        return pos_w, pos_v
+        return np.divmod(self.cell[np.asarray(A, dtype=np.int64)], self.v_members.size)
 
     def phases(self, ts: np.ndarray) -> np.ndarray:
         """w^(-v.t) for each v in V and translate t in ts, shape (|V|, len(ts))."""
@@ -193,37 +193,25 @@ class CosetContext:
 def build_context(f: DenseFunction, A: np.ndarray, W: Subspace, t: int) -> CosetContext:
     """Construct the window at (W, t) and verify every context invariant."""
     params = f.params
-    params._check_element(t)
+    coset = W.coset(t)
     frame = SubspaceFrame.build(f.spectrum, W)
 
-    coset = W.coset(t)
-    alpha_values = np.zeros(params.F)
-    alpha_values[coset] = 1.0
-    alpha = DenseFunction.make(params, alpha_values, unit_range=True)
+    alpha = indicator(params, coset)
 
     # alphahat(a) = |W| w^(a.t) on V, 0 elsewhere.
-    alphahat = alpha.spectrum.coeffs
     expected = np.zeros(params.F, dtype=np.complex128)
-    roots = _root_powers(params.p)
-    v_members = frame.v_members
-    t_digits = params.digits_of(t)
-    exps = (params.digit_table()[v_members] @ t_digits) % params.p
-    expected[v_members] = W.size * roots[exps]
-    gap = float(np.abs(alphahat - expected).max())
+    expected[frame.v_members] = W.size * frame.phases(np.array([t]))[:, 0].conj()
+    gap = float(np.abs(alpha.spectrum.coeffs - expected).max())
     if gap > HHAT_TOLERANCE * max(W.size, 1):
         raise ContextInvariantError(f"window transform off by {gap}")
 
-    # h = (f * alpha) convolved with the indicator of V, by direct accumulation.
-    masked = PaddedCube(params, f.values * alpha_values)
-    acc = np.zeros((params.p,) * params.n)
-    for b in v_members:
-        acc += masked.shifted((-params.digits_of(int(b))) % params.p)
-    h = DenseFunction.make(params, acc)
+    # h = (f * alpha) convolved with the indicator of V.
+    masked = DenseFunction.make(params, f.values * alpha.values)
+    h = convolve_direct(indicator(params, frame.v_members), masked)
 
-    hhat_direct = h.spectrum.coeffs
     hhat_formula = np.zeros(params.F, dtype=np.complex128)
     hhat_formula[frame.w_members] = frame.fhat_wv @ frame.phases(np.array([t]))[:, 0]
-    gap = float(np.abs(hhat_direct - hhat_formula).max())
+    gap = float(np.abs(h.spectrum.coeffs - hhat_formula).max())
     if gap > HHAT_TOLERANCE:
         raise ContextInvariantError(f"closed-form transform of h off by {gap}")
 

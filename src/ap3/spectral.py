@@ -79,11 +79,8 @@ class DenseFunction:
     def from_json(cls, text: str) -> "DenseFunction":
         data = json.loads(text)
         params = FieldParams.from_json_dict(data)
-        try:
-            values = np.array(data["values"], dtype=np.float64)
-        except TypeError as exc:
-            raise ValueError(f"'values' must be a flat list of numbers: {exc}") from None
-        if values.ndim != 1:
+        values = np.array(data["values"])
+        if values.ndim != 1 or values.dtype.kind not in "iuf":
             raise ValueError("'values' must be a flat list of numbers")
         return cls.make(params, values)
 

@@ -20,7 +20,7 @@ from ap3.finder import (
     estimate_condition_probabilities,
     find_good_subspace,
 )
-from ap3.functions import indicator, normalized_conv_power, random_set, subspace_indicator
+from ap3.functions import indicator, normalized_conv_power, random_set
 from ap3.lambda3 import lambda3_brute, lambda3_spectral, trivial_lower_bound
 from ap3.midpoint import (
     SubspaceFrame,
@@ -138,7 +138,7 @@ def test_lambda3_oracle_equivalence(announce, random_triples):
     for p in (3, 5):
         params = FieldParams(p, 2)
         H = Subspace.from_rows(params, [[1, 0]])
-        f = subspace_indicator(H)
+        f = indicator(H.params, H.members())
         density = H.size / params.F
         examples_ok &= abs(lambda3_brute(f) - density**2) < 1e-12
         examples_ok &= abs(lambda3_spectral(f) - density**2) < 1e-8

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ap3.cli
 import ap3.experiment
 import ap3.finder
 import ap3.spectral
@@ -166,6 +167,8 @@ def test_lambda3_two_files_transform_each_once(capsys, tmp_path, rng, monkeypatc
         {"p": 3, "n": 2, "values": {"a": 1}},
         {"p": 3, "n": 2, "values": [{"a": 1}] + [0.5] * 8},
         {"p": 3, "n": 2, "values": [[0.5] * 9]},
+        {"p": 3, "n": 1, "values": ["0.5", "0.5", "0.5"]},
+        {"p": 3, "n": 1, "values": [True, False, True]},
     ],
 )
 def test_lambda3_rejects_bad_field_in_file(capsys, tmp_path, data):
@@ -264,7 +267,7 @@ def test_verify_writes_report_file(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["transform", "verify"])
-def test_out_that_cannot_be_a_directory_exits_error(capsys, tmp_path, command):
+def test_out_that_cannot_be_a_directory_exits_error(capsys, monkeypatch, tmp_path, command):
     blocker = tmp_path / "file"
     blocker.write_text("")
     config = tmp_path / "config.json"
@@ -276,6 +279,11 @@ def test_out_that_cannot_be_a_directory_exits_error(capsys, tmp_path, command):
     else:
         out = blocker / "sub"
         argv = ["--config", str(config)]
+
+        def fail(config):
+            pytest.fail("verify ran the config before making --out")
+
+        monkeypatch.setattr(ap3.cli, "run_config", fail)
     code, _, err = run_cli(capsys, command, *argv, "--out", str(out))
     assert code == 1
     assert f"ap3 {command}: error:" in err and str(blocker) in err

@@ -155,6 +155,21 @@ def test_separates(p33):
     assert 0 < separated < len(place_sets) * len(spaces)
 
 
+@pytest.mark.parametrize(("p", "n"), [(3, 3), (5, 2), (3, 4)])
+def test_direct_sum_matches_isotropy_oracle(p, n):
+    # separates(W, W.members()) fails exactly when some nonzero w in W lies in
+    # W-perp, as the row-reduction membership test decides
+    params = FieldParams(p, n)
+    isotropic = 0
+    for dim in range(1, n):
+        for W in enumerate_subspaces(params, dim):
+            V = W.complement()
+            meets = any(V.contains(int(w)) for w in W.members() if w != 0)
+            assert separates(W, W.members()) == (not meets)
+            isotropic += meets
+    assert isotropic > 0
+
+
 def test_find_good_subspace_builds_one_complement(p33, monkeypatch):
     # V = W-perp is built only for the W that passes direct sum and separation
     calls = []

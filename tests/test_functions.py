@@ -9,7 +9,6 @@ from ap3.functions import (
     minorant_restrict,
     normalized_conv_power,
     random_set,
-    subspace_indicator,
 )
 from ap3.spectral import dft, dft_naive
 
@@ -86,7 +85,7 @@ def test_subspace_conv_power_idempotent(p33):
     H = Subspace.from_rows(p33, [[1, 0, 0], [0, 1, 0]])
     S = SetSpec.make(p33, H.members())
     out = normalized_conv_power(S, 2)
-    assert np.abs(out.values - subspace_indicator(H).values).max() < 1e-9
+    assert np.abs(out.values - indicator(H.params, H.members()).values).max() < 1e-9
 
 
 def test_conv_power_mean_preserved(p33, rng):

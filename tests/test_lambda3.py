@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ap3.field import FieldParams, Subspace
-from ap3.functions import indicator, subspace_indicator
+from ap3.functions import indicator
 from ap3.lambda3 import (
     diagonal_weight,
     endpoint_pair_count,
@@ -78,10 +78,10 @@ def test_point_mass_triple(p33):
     assert lambda3_spectral(delta) == pytest.approx(expected, abs=1e-12)
 
 
-def test_subspace_indicator_squares_density():
+def test_indicator_of_subspace_squares_density():
     params = FieldParams(3, 2)
     H = Subspace.from_rows(params, [[1, 0]])
-    f = subspace_indicator(H)
+    f = indicator(H.params, H.members())
     assert lambda3_brute(f) == pytest.approx(1.0 / 9.0, abs=1e-12)
     assert lambda3_spectral(f) == pytest.approx(1.0 / 9.0, abs=1e-9)
 

@@ -34,7 +34,7 @@ def test_point_mass_spectrum_is_flat(p33):
         assert abs(s.sigma(k) - (p33.F - k)) < 1e-9
 
 
-def test_subspace_indicator_spectrum():
+def test_indicator_of_subspace_spectrum():
     params = FieldParams(3, 2)
     W = Subspace.from_rows(params, [[1, 0]])
     values = np.zeros(params.F)
