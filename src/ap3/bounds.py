@@ -24,11 +24,6 @@ class HypothesisRefusal(RuntimeError):
     """Inputs violate a hypothesis the pipeline cannot proceed without."""
 
 
-def pair_count(k: int) -> int:
-    """C(k, 2), the number of unordered pairs of top places."""
-    return k * (k - 1) // 2
-
-
 def density_floor(params: FieldParams, k: int) -> float:
     """E(g) must reach 8 p^(-1/2) k^(-1) for the coset-density guarantee."""
     return DENSITY_FLOOR_COEFF / (math.sqrt(params.p) * k)
@@ -48,7 +43,7 @@ def lambda3_floor(
     if k < 2:
         raise ValueError(f"the floor needs k >= 2, got {k}")
     if form == "exact":
-        main = F ** (-4.0 * theta) / (p**2 * pair_count(k) * 128.0)
+        main = F ** (-4.0 * theta) / (p**2 * math.comb(k, 2) * 128.0)
     elif form == "weakened":
         main = F ** (-4.0 * theta) / (p**2 * k**2 * 64.0)
     else:

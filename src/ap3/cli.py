@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -21,7 +22,6 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .bounds import pair_count
 from .experiment import (
     EXIT_ASSERTION,
     EXIT_ERROR,
@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     la.add_argument("--n", type=int)
     la.add_argument("--seed", type=_seed_type, default=0)
     la.add_argument("--method", choices=("brute", "spectral", "both"), default="both")
-    la.add_argument("--ordering", choices=("fgf", "gff", "both"), default="fgf")
+    la.add_argument("--ordering", choices=("fgf", "gff", "both"), help="with two --files only (default fgf)")
     la.add_argument("--force", action="store_true", help="spend quadratic time above the brute-force limit")
     la.add_argument("--out", help="output directory (default: stdout)")
 
@@ -183,6 +183,8 @@ def cmd_transform(args) -> int:
 def _lambda3_triples(args) -> list[tuple[str, tuple[DenseFunction, ...]]]:
     if args.files and args.recipe:
         raise ConfigError("give --files or --recipe, not both")
+    if args.ordering is not None and len(args.files or ()) != 2:
+        raise ConfigError("--ordering needs exactly two --files")
     if args.recipe or (args.files and len(args.files) == 1):
         if args.recipe:
             f = _function_from_args(args)
@@ -194,10 +196,11 @@ def _lambda3_triples(args) -> list[tuple[str, tuple[DenseFunction, ...]]]:
     if len(args.files) == 2:
         f = _load_function(args.files[0], args.p, args.n)
         g = _load_function(args.files[1], args.p, args.n)
+        ordering = args.ordering or "fgf"
         rows = []
-        if args.ordering in ("fgf", "both"):
+        if ordering in ("fgf", "both"):
             rows.append(("fgf", (f, g, f)))
-        if args.ordering in ("gff", "both"):
+        if ordering in ("gff", "both"):
             rows.append(("gff", (g, f, f)))
         return rows
     if len(args.files) == 3:
@@ -268,7 +271,7 @@ def _estimate_row(
         nprime, A=A, g=g, trials=trials, rng=rng, exhaustive=exhaustive, cap=cap
     )
     figures = asdict(est)
-    figures["separation_bound"] = 1.0 - pair_count(k) * float(params.p) ** (-nprime)
+    figures["separation_bound"] = 1.0 - math.comb(k, 2) * float(params.p) ** (-nprime)
     filled = _LEMMA_COLUMNS[lemma]
     return {
         "p": params.p,

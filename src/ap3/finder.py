@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import pair_count
 from .field import (
     DEFAULT_ENUMERATION_CAP,
     FieldParams,
@@ -59,7 +58,7 @@ def choose_dimension(k: int, params: FieldParams) -> int:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    pairs = pair_count(k)
+    pairs = math.comb(k, 2)
     e = 0
     while params.p**e < pairs:
         e += 1

@@ -8,7 +8,6 @@ from ap3.bounds import (
     delta_from_sigma,
     derived_theta,
     lambda3_floor,
-    pair_count,
     plugin_delta,
     quasinorm_regime_bound,
 )
@@ -19,7 +18,9 @@ from conftest import random_function
 
 
 def test_pair_count():
-    assert [pair_count(k) for k in (2, 3, 4, 10)] == [1, 3, 6, 45]
+    # the exact floor at theta = delta = 0 is p^-2 C(k,2)^-1 / 128
+    for k, pairs in ((2, 1), (3, 3), (4, 6), (10, 45)):
+        assert lambda3_floor(3, 27, k, 0.0, 0.0) == 1 / (9 * pairs * 128)
 
 
 def test_floor_exact_frozen_value():

@@ -180,6 +180,19 @@ def test_lambda3_rejects_bad_field_in_file(capsys, tmp_path, data):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("files", [1, 3, 0])
+def test_lambda3_ordering_needs_two_files(capsys, tmp_path, files):
+    path = tmp_path / "f.json"
+    path.write_text(DenseFunction.constant(FieldParams(3, 2), 0.5).to_json())
+    if files:
+        source = ["--files", *[str(path)] * files]
+    else:
+        source = ["--recipe", '{"kind": "constant", "value": 0.5}', "--p", "3", "--n", "2"]
+    code, out, err = run_cli(capsys, "lambda3", *source, "--ordering", "gff")
+    assert code == 1 and out == ""
+    assert "--ordering needs exactly two --files" in err
+
+
 def test_lambda3_explicit_triple(capsys, tmp_path, rng):
     params = FieldParams(3, 2)
     fs = [random_function(params, rng) for _ in range(3)]
@@ -445,6 +458,8 @@ BAD_RECIPES = [
     ({"f": {"kind": "constant", "value": -1}}, "'value'"),
     ({"f": {"kind": "constant", "value": 1e30}}, "'value'"),
     ({"f": {"kind": "constant", "value": 1e30}, "gamma": 0}, "'value'"),
+    # beyond int64: the refusal must not become an OverflowError
+    ({"g": {"kind": "mask", "members": [10**30]}}, f"index {10**30}"),
 ]
 
 

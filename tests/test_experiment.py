@@ -262,12 +262,14 @@ def test_run_experiment_estimates_draw_each_subspace_once(monkeypatch):
 
 
 def test_run_experiment_refusal():
-    config = cfg(g={"kind": "constant", "value": 0.0})
+    # f, g, k and delta alone decide a refusal, so both orderings record it once
+    config = cfg(g={"kind": "constant", "value": 0.0}, ordering="both")
     report, code = run_experiment(config)
     assert code == EXIT_REFUSED
     assert report["passed"] is False
-    assert report["failures"][0]["type"] == "hypothesis_refusal"
-    assert "deplete" in report["failures"][0]["detail"]
+    (failure,) = report["failures"]
+    assert failure["type"] == "hypothesis_refusal"
+    assert "deplete" in failure["detail"]
 
 
 def test_run_experiment_budget():

@@ -2,25 +2,20 @@ import numpy as np
 import pytest
 
 from ap3.field import FieldParams, ParameterError, Subspace
-from ap3.functions import (
-    SetSpec,
-    convolve_direct,
-    indicator,
-    minorant_restrict,
-    normalized_conv_power,
-    random_set,
-)
+from ap3.experiment import derive_minorant
+from ap3.functions import convolve_direct, indicator, normalized_conv_power, random_set
 from ap3.spectral import dft, dft_naive
 
 from conftest import random_function
 
 
-def test_set_spec_dedupes_and_sorts(p33):
-    S = SetSpec.make(p33, [5, 1, 5, 0])
-    assert S.members == (0, 1, 5)
-    assert S.size == 3
-    with pytest.raises(ValueError):
-        SetSpec.make(p33, [p33.F])
+def test_indicator_dedupes(p33):
+    S = indicator(p33, [5, 1, 5, 0])
+    assert np.flatnonzero(S.values).tolist() == [0, 1, 5]
+    assert S.values[5] == 1.0
+    assert S.values.sum() == 3
+    with pytest.raises(ValueError, match=f"element index {p33.F} outside"):
+        indicator(p33, [p33.F])
 
 
 def test_indicator_examples(p33):
@@ -32,8 +27,8 @@ def test_indicator_examples(p33):
 def test_random_set_size_and_determinism(p33):
     S1 = random_set(p33, 7, np.random.default_rng(5))
     S2 = random_set(p33, 7, np.random.default_rng(5))
-    assert S1 == S2
-    assert S1.size == 7
+    assert np.array_equal(S1.values, S2.values)
+    assert S1.values.sum() == 7
     with pytest.raises(ValueError):
         random_set(p33, p33.F + 1, np.random.default_rng(0))
 
@@ -59,12 +54,11 @@ def test_convolve_tiny_line():
 def test_convolve_matches_direct_oracle(p33, p52, rng):
     for params in (p33, p52):
         S = random_set(params, params.F // 3, rng)
-        ind = S.indicator()
-        slow = ind
+        slow = S
         for r in (2, 3):
-            slow = convolve_direct(slow, ind)
+            slow = convolve_direct(slow, S)
             fast = normalized_conv_power(S, r)
-            assert np.abs(fast.values - slow.values / S.size ** (r - 1)).max() < 1e-8
+            assert np.abs(fast.values - slow.values / S.values.sum() ** (r - 1)).max() < 1e-8
 
 
 def test_convolve_rejects_mismatched_params(p33, p52, rng):
@@ -83,16 +77,16 @@ def test_convolution_theorem(p33, rng):
 
 def test_subspace_conv_power_idempotent(p33):
     H = Subspace.from_rows(p33, [[1, 0, 0], [0, 1, 0]])
-    S = SetSpec.make(p33, H.members())
+    S = indicator(p33, H.members())
     out = normalized_conv_power(S, 2)
-    assert np.abs(out.values - indicator(H.params, H.members()).values).max() < 1e-9
+    assert np.abs(out.values - S.values).max() < 1e-9
 
 
 def test_conv_power_mean_preserved(p33, rng):
     S = random_set(p33, 9, rng)
     for r in (2, 3, 7):
         f = normalized_conv_power(S, r)
-        assert f.mean() == pytest.approx(S.size / p33.F, rel=1e-9)
+        assert f.mean() == pytest.approx(S.values.sum() / p33.F, rel=1e-9)
         assert f.values.min() >= 0.0
         assert f.values.max() <= 1.0
 
@@ -100,27 +94,27 @@ def test_conv_power_mean_preserved(p33, rng):
 def test_conv_power_spectrum_formula(p33, rng):
     S = random_set(p33, 9, rng)
     f = normalized_conv_power(S, 7)
-    shat = dft_naive(S.indicator())
-    expected = np.abs(shat) ** 7 / S.size**6
+    shat = dft_naive(S)
+    expected = np.abs(shat) ** 7 / S.values.sum() ** 6
     assert np.abs(np.abs(dft(f).coeffs) - expected).max() < 1e-7
 
 
 def test_conv_power_support_in_sumset():
     params = FieldParams(3, 2)
-    S = SetSpec.make(params, [0, 1])
-    f = normalized_conv_power(S, 2)
+    members = [0, 1]
+    f = normalized_conv_power(indicator(params, members), 2)
     D = params.digit_table()
-    sumset = {params.index_of(D[a] + D[b]) for a in S.members for b in S.members}
+    sumset = {params.index_of(D[a] + D[b]) for a in members for b in members}
     support = set(np.flatnonzero(f.values > 1e-12).tolist())
     assert support == sumset
 
 
 def test_conv_power_validation(p33):
-    S = SetSpec.make(p33, [0, 1])
+    S = indicator(p33, [0, 1])
     with pytest.raises(ValueError):
         normalized_conv_power(S, 0)
     with pytest.raises(ValueError):
-        normalized_conv_power(SetSpec.make(p33, []), 2)
+        normalized_conv_power(indicator(p33, []), 2)
 
 
 def test_conv_power_large_coefficient_sharpening(rng):
@@ -134,25 +128,25 @@ def test_conv_power_large_coefficient_sharpening(rng):
             assert int((mags >= eps * params.F).sum()) <= 1.0 / eps + 1e-9
 
 
-def test_minorant_restrict_mask(p33, rng):
+def test_mask_minorant(p33, rng):
     f = random_function(p33, rng)
-    g_all = minorant_restrict(f, members=range(p33.F))
+
+    def mask(members):
+        return derive_minorant(f, {"kind": "mask", "members": members}, rng)
+
+    g_all = mask(list(range(p33.F)))
     assert np.array_equal(g_all.values, f.values)
-    g_none = minorant_restrict(f, members=[])
+    g_none = mask([])
     assert not g_none.values.any()
     half = rng.choice(p33.F, size=p33.F // 2, replace=False)
-    g = minorant_restrict(f, members=half)
+    g = mask(half.tolist())
     assert (g.values <= f.values + 1e-15).all()
     assert g.mean() <= f.mean()
     assert np.array_equal(np.flatnonzero(g.values), np.sort(half[f.values[half] > 0]))
 
 
-def test_minorant_restrict_threshold(p33, rng):
+def test_threshold_minorant(p33, rng):
     f = random_function(p33, rng)
-    g = minorant_restrict(f, threshold=0.5)
+    g = derive_minorant(f, {"kind": "threshold", "cutoff": 0.5}, rng)
     assert ((g.values == 0) | (g.values >= 0.5)).all()
     assert (g.values <= f.values).all()
-    with pytest.raises(ValueError):
-        minorant_restrict(f)
-    with pytest.raises(ValueError):
-        minorant_restrict(f, members=[0], threshold=0.5)
