@@ -105,8 +105,7 @@ def build_recipe(params: FieldParams, spec: dict, rng: np.random.Generator) -> D
         freq = tuple(d % params.p for d in _integers(spec, "frequency"))
         if len(freq) != params.n:
             raise ConfigError(f"cosine frequency needs {params.n} digits, got {freq}")
-        D = params.digit_table()
-        phase = (D @ np.asarray(freq, dtype=np.int64)) % params.p
+        phase = params.dots([freq])[:, 0]
         values = base + amplitude * np.cos(2.0 * np.pi * phase / params.p)
         return DenseFunction.make(params, values, unit_range=True)
     raise ConfigError(f"unknown recipe kind {kind!r}")

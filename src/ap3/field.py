@@ -106,9 +106,27 @@ class FieldParams:
     def powers(self) -> np.ndarray:
         return _power_table(self.p, self.n)
 
+    def dots(self, rows) -> np.ndarray:
+        """row.x mod p for every x in F and every row, as an (F, r) array.
+
+        With lo = n // 2, x = x_hi p^lo + x_lo splits into a low and a high
+        digit half, so row.x is a sum of one term from each half: two
+        half-width digit tables of about sqrt(F) rows stand in for the (F, n)
+        table.
+        """
+        B = np.asarray(rows, dtype=np.int64).reshape(-1, self.n)
+        lo = self.n // 2
+        low = _digit_table(self.p, lo) @ B[:, :lo].T
+        high = _digit_table(self.p, self.n - lo) @ B[:, lo:].T
+        return ((high[:, None, :] + low[None, :, :]) % self.p).reshape(self.F, -1)
+
     def digits_of(self, x: int) -> np.ndarray:
         self._check_element(x)
-        return self.digit_table()[x]
+        digits = []
+        for _ in range(self.n):
+            x, d = divmod(x, self.p)
+            digits.append(d)
+        return np.array(digits, dtype=np.int64)
 
     def index_of(self, digits) -> int:
         d = np.asarray(digits, dtype=np.int64) % self.p
@@ -123,6 +141,14 @@ class FieldParams:
     def _check_element(self, x: int) -> None:
         if not 0 <= x < self.F:
             raise ValueError(f"element index {x} outside [0, {self.F})")
+
+    def check_elements(self, indices) -> None:
+        """Refuse an array of element indices if any lies outside [0, F),
+        naming the smallest such index."""
+        idx = np.asarray(indices)
+        outside = idx[(idx < 0) | (idx >= self.F)]
+        if outside.size:
+            self._check_element(int(outside.min()))
 
     def same_as(self, other: "FieldParams") -> None:
         if self != other:
@@ -154,33 +180,33 @@ def rref(matrix, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row echelon form over GF(p).
 
     Returns (rows, pivots) where rows is an (r, n) int64 array of the
-    nonzero rows and pivots the pivot column of each row.
+    nonzero rows and pivots the pivot column of each row.  The elimination
+    runs on Python int lists, which beat numpy row operations on the few
+    short rows a subspace basis has.
     """
     M = np.array(matrix, dtype=np.int64) % p
     if M.ndim != 2:
         raise ValueError("rref expects a 2-d matrix")
     rows, cols = M.shape
+    A = M.tolist()
     pivots = []
     r = 0
     for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if M[i, c] % p != 0:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, rows) if A[i][c]), None)
         if pivot_row is None:
             continue
-        if pivot_row != r:
-            M[[r, pivot_row]] = M[[pivot_row, r]]
-        M[r] = (M[r] * _mod_inverse(M[r, c], p)) % p
+        A[r], A[pivot_row] = A[pivot_row], A[r]
+        inv = _mod_inverse(A[r][c], p)
+        top = A[r] = [v * inv % p for v in A[r]]
         for i in range(rows):
-            if i != r and M[i, c] % p != 0:
-                M[i] = (M[i] - M[i, c] * M[r]) % p
+            factor = A[i][c]
+            if i != r and factor:
+                A[i] = [(v - factor * t) % p for v, t in zip(A[i], top)]
         pivots.append(c)
         r += 1
         if r == rows:
             break
-    return M[:r], tuple(pivots)
+    return np.array(A[:r], dtype=np.int64).reshape(r, cols), tuple(pivots)
 
 
 def gaussian_binomial(n: int, k: int, p: int) -> int:
@@ -210,7 +236,7 @@ class Subspace:
         if arr.shape[1] != params.n:
             raise ValueError(f"basis rows must have length {params.n}")
         reduced, _ = rref(arr, params.p)
-        return cls(params, tuple(tuple(int(v) for v in row) for row in reduced))
+        return cls(params, tuple(map(tuple, reduced.tolist())))
 
     @classmethod
     def zero(cls, params: FieldParams) -> "Subspace":
@@ -242,13 +268,17 @@ class Subspace:
 
     def labels(self, indices=None) -> np.ndarray:
         """basis.x mod p read as a base-p integer in [0, p^dim), for each x in
-        indices (every element when None).  Labels agree exactly on the cosets
-        of the orthogonal complement and are 0 exactly on it: for V = W-perp,
-        V.labels() names every coset of W and W.labels() every coset of V."""
-        digits = self.params.digit_table()
-        if indices is not None:
-            digits = digits[np.asarray(indices, dtype=np.int64)]
-        return ((digits @ self.matrix.T) % self.params.p) @ _power_table(self.params.p, self.dim)
+        indices (every element when None; an index outside [0, F) is refused).
+        Labels agree exactly on the cosets of the orthogonal complement and are
+        0 exactly on it: for V = W-perp, V.labels() names every coset of W and
+        W.labels() every coset of V."""
+        params, weights = self.params, _power_table(self.params.p, self.dim)
+        if indices is None:
+            return params.dots(self.matrix) @ weights
+        params.check_elements(indices)
+        idx = np.asarray(indices, dtype=np.int64)
+        digits = (idx[..., None] // params.powers()) % params.p
+        return ((digits @ self.matrix.T) % params.p) @ weights
 
     def reduce_digit_rows(self, digit_rows: np.ndarray) -> np.ndarray:
         """Eliminate this subspace from each digit row: result is the canonical
@@ -268,6 +298,14 @@ class Subspace:
 
     def contains(self, x: int) -> bool:
         return not self.reduce_digit_rows(self.params.digits_of(x)).any()
+
+    def is_direct(self) -> bool:
+        """Does F split as this subspace (+) its complement, that is do the two
+        meet only in 0?  labels() reads B B^T c at the member c.B, so this is
+        finder.separates(self, self.members()) decided on the dim x dim Gram
+        matrix B B^T: it must be invertible mod p."""
+        B = self.matrix
+        return rref(B @ B.T, self.params.p)[0].shape[0] == self.dim
 
     def members(self) -> np.ndarray:
         """All element indices of the subspace, ascending."""
@@ -324,7 +362,7 @@ def sample_uniform_subspace(params: FieldParams, dim: int, rng: np.random.Genera
         M = rng.integers(0, params.p, size=(dim, params.n))
         rows, _ = rref(M, params.p)
         if rows.shape[0] == dim:
-            return Subspace(params, tuple(tuple(int(v) for v in row) for row in rows))
+            return Subspace(params, tuple(map(tuple, rows.tolist())))
 
 
 def enumerate_subspaces(

@@ -13,10 +13,13 @@ the hypothesis the finder proceeds all the same and the attempt budget does
 the guarding; check_hypotheses and run_depletion report the shortfall.
 
 All three tests read coset labels (Subspace.labels).  W.labels is linear
-with kernel V, so the direct-sum test is separates(W, W.members()) and the
-separation test separates(W, A): each asks that W.labels be injective.
-Both read W alone, so V, whose V.labels() names the cosets of W for the
-density test, is built only for a W that passes them.
+with kernel V, so each of the direct-sum and the separation test asks that
+W.labels be injective: on W for the first, on A for the second, which is
+separates(W, A).  On the member c.B of W, W.labels reads B B^T c, so the
+direct-sum test is W.is_direct(), the rank of the Gram matrix B B^T, and
+separates(W, W.members()) is its oracle.  Both read W alone, so V, whose
+V.labels() names the cosets of W for the density test, is built only for a
+W that passes them.
 """
 
 from __future__ import annotations
@@ -126,7 +129,7 @@ def find_good_subspace(
     rejections = {"separation": 0, "coset_density": 0, "direct_sum": 0}
     for attempt in range(1, max_attempts + 1):
         W = sample_uniform_subspace(params, nprime, rng)
-        if not separates(W, W.members()):
+        if not W.is_direct():
             rejections["direct_sum"] += 1
             continue
         if not separates(W, A):

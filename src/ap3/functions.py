@@ -11,9 +11,7 @@ from .spectral import DenseFunction, PaddedCube, idft
 def indicator(params: FieldParams, members) -> DenseFunction:
     """The 0/1 indicator of a set of element indices, the one form a set takes."""
     idx = np.asarray(members)  # Python ints beyond int64 stay exact as objects
-    outside = idx[(idx < 0) | (idx >= params.F)]
-    if outside.size:
-        params._check_element(int(outside.min()))
+    params.check_elements(idx)
     values = np.zeros(params.F)
     values[idx.astype(np.int64)] = 1.0
     return DenseFunction.make(params, values)

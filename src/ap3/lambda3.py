@@ -26,9 +26,16 @@ def _as_triple(f1, f2=None, f3=None):
 
 
 def scale_table(params: FieldParams, c: int) -> np.ndarray:
-    """Index map a -> c a; c = -2 gives the partner of a in the spectral identity."""
-    D = params.digit_table()
-    return params.indices_of((c * D) % params.p)
+    """Index map a -> c a; c = -2 gives the partner of a in the spectral identity.
+
+    Scaling acts digit by digit, so the map is the index cube (p,)*n with the
+    digit permutation k -> c k mod p taken along each axis in turn.
+    """
+    perm = (c * np.arange(params.p)) % params.p
+    table = np.arange(params.F, dtype=np.int64).reshape((params.p,) * params.n)
+    for axis in range(params.n):
+        table = np.take(table, perm, axis=axis)
+    return table.reshape(-1)
 
 
 def lambda3_brute(f1: DenseFunction, f2=None, f3=None) -> float:

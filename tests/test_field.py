@@ -16,6 +16,7 @@ from ap3.field import (
     rref,
     sample_uniform_subspace,
 )
+from ap3.finder import separates
 from ap3.midpoint import SubspaceFrame
 from ap3.spectral import DenseFunction, dft
 
@@ -208,7 +209,7 @@ def test_field_params_from_json_dict(p33):
             FieldParams.from_json_dict(bad)
 
 
-LABEL_PARAMS = st.sampled_from([(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)])
+LABEL_PARAMS = st.sampled_from([(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3), (7, 2)])
 
 
 def _random_subspace(pn, data):
@@ -265,3 +266,92 @@ def test_frame_cells_match_grid(pn, data):
     frame = SubspaceFrame.build(spectrum, W)
     assert np.array_equal(frame.cell, cell)
     assert np.array_equal(frame.fhat_wv, spectrum.coeffs[idx].reshape(W.size, V.size))
+
+
+def rref_numpy(matrix, p):
+    """Row reduction by numpy row operations: the elimination rref ran before
+    it moved to Python int lists, kept as its oracle."""
+    M = np.array(matrix, dtype=np.int64) % p
+    rows, cols = M.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot_row = None
+        for i in range(r, rows):
+            if M[i, c] % p != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            M[[r, pivot_row]] = M[[pivot_row, r]]
+        M[r] = (M[r] * pow(int(M[r, c]), -1, p)) % p
+        for i in range(rows):
+            if i != r and M[i, c] % p != 0:
+                M[i] = (M[i] - M[i, c] * M[r]) % p
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return M[:r], tuple(pivots)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_rref_matches_numpy_elimination(p):
+    rng = np.random.default_rng(p)
+    for _ in range(200):
+        rows, cols = (int(v) for v in rng.integers(1, 7, size=2))
+        M = rng.integers(-2 * p, 2 * p, size=(rows, cols))
+        if rows > 1 and rng.random() < 0.3:
+            M[rng.integers(rows)] = 0  # a zero row
+        if rows > 1 and rng.random() < 0.3:
+            M[1] = M[0]  # a repeated row
+        if rows > 2 and rng.random() < 0.3:
+            M[2] = (M[0] + 2 * M[1]) % p  # rank deficiency
+        got, pivots = rref(M, p)
+        expected, expected_pivots = rref_numpy(M, p)
+        assert got.dtype == np.int64 and got.shape == expected.shape
+        assert np.array_equal(got, expected) and pivots == expected_pivots
+    assert rref(np.zeros((0, 4), dtype=np.int64), p)[0].shape == (0, 4)
+
+
+ALL_PARAMS = [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2)]
+
+
+@pytest.mark.parametrize("pn", ALL_PARAMS)
+def test_dots_and_labels_match_digit_table(pn):
+    params = FieldParams(*pn)
+    p, n = pn
+    D = params.digit_table()
+    rng = np.random.default_rng(p * 10 + n)
+    for r in (1, 2, 3):
+        rows = rng.integers(0, p, size=(r, n))
+        assert np.array_equal(params.dots(rows), (D @ rows.T) % p)
+    for dim in range(n + 1):
+        S = sample_uniform_subspace(params, dim, rng)
+        labels = S.labels()
+        expected = ((D @ S.matrix.T) % p) @ (p ** np.arange(dim, dtype=np.int64))
+        assert np.array_equal(labels, expected)
+
+
+@pytest.mark.parametrize("pn", ALL_PARAMS)
+def test_digits_and_cosets_match_digit_table(pn):
+    params = FieldParams(*pn)
+    D = params.digit_table()
+    rng = np.random.default_rng(pn[0] + pn[1])
+    for x in range(params.F):
+        assert np.array_equal(params.digits_of(x), D[x])
+    for dim in range(params.n + 1):
+        S = sample_uniform_subspace(params, dim, rng)
+        members = D[S.members()]
+        for t in rng.integers(0, params.F, size=5):
+            expected = np.sort(params.indices_of(members + D[t]))
+            assert np.array_equal(S.coset(int(t)), expected)
+
+
+def test_labels_refuse_out_of_range_indices(p33):
+    W = Subspace.from_rows(p33, [[1, 0, 0]])
+    for bad, named in [([-1], -1), ([27], 27), ([5, 30, 27], 27), ([27, 3, -4, -1], -4)]:
+        with pytest.raises(ValueError, match=rf"element index {named} outside \[0, 27\)"):
+            W.labels(bad)
+    assert W.labels([0, 26]).tolist() == [0, 2]

@@ -355,3 +355,16 @@ def test_enumerate_subspaces_matches_trials():
     g = DenseFunction.constant(params, 1.0)
     est = estimate_condition_probabilities(1, A=np.array([0, 1]), g=g, exhaustive=True)
     assert est.trials == len(enumerate_subspaces(params, 1))
+
+
+@pytest.mark.parametrize(("p", "n"), [(3, 3), (3, 4), (5, 2), (7, 2)])
+def test_is_direct_matches_separates_members(p, n):
+    # the Gram-matrix test decides exactly what W.labels on W.members() does
+    params = FieldParams(p, n)
+    verdicts = []
+    for dim in range(n + 1):
+        for W in enumerate_subspaces(params, dim):
+            assert W.is_direct() == separates(W, W.members())
+            verdicts.append(W.is_direct())
+    # -1 is not a square mod 7, so no nonzero w in F_7^2 has w.w = 0
+    assert any(verdicts) and all(verdicts) == ((p, n) == (7, 2))

@@ -12,6 +12,7 @@ from ap3.lambda3 import (
     lambda3_spectral,
     midpoint_pair_count,
     pair_table,
+    scale_table,
     trivial_lower_bound,
 )
 from ap3.spectral import DenseFunction, PaddedCube, dft
@@ -220,3 +221,11 @@ def test_lambda3_sums_midpoint_counts(p33, rng):
         g.values[m] * endpoint_pair_count(f, m) for m in range(p33.F)
     )
     assert lambda3_brute(g, f, f) == pytest.approx(total_end / p33.F**2, abs=1e-10)
+
+
+@pytest.mark.parametrize(("p", "n"), [(3, 1), (3, 4), (5, 1), (5, 3), (7, 2)])
+@pytest.mark.parametrize("c", [-2, -1, 2])
+def test_scale_table_matches_digit_table_oracle(p, n, c):
+    params = FieldParams(p, n)
+    D = params.digit_table()
+    assert np.array_equal(scale_table(params, c), params.indices_of((c * D) % p))
