@@ -176,37 +176,43 @@ def _mod_inverse(a: int, p: int) -> int:
     return pow(int(a), -1, p)
 
 
-def rref(matrix, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+def rref(matrix, p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Reduced row echelon form over GF(p).
 
-    Returns (rows, pivots) where rows is an (r, n) int64 array of the
-    nonzero rows and pivots the pivot column of each row.  The elimination
-    runs on Python int lists, which beat numpy row operations on the few
-    short rows a subspace basis has.
+    Returns (rows, pivots) where rows holds the nonzero rows as a tuple of
+    int tuples, the form Subspace.basis keeps, and pivots the pivot column of
+    each row.  The elimination runs on Python int lists, which beat numpy row
+    operations on the few short rows a subspace basis has.
     """
-    M = np.array(matrix, dtype=np.int64) % p
+    M = np.asarray(matrix, dtype=np.int64) % p
     if M.ndim != 2:
         raise ValueError("rref expects a 2-d matrix")
-    rows, cols = M.shape
+    cols = M.shape[1]
     A = M.tolist()
+    rows = len(A)
     pivots = []
     r = 0
     for c in range(cols):
-        pivot_row = next((i for i in range(r, rows) if A[i][c]), None)
-        if pivot_row is None:
+        for pivot_row in range(r, rows):
+            if A[pivot_row][c]:
+                break
+        else:
             continue
-        A[r], A[pivot_row] = A[pivot_row], A[r]
-        inv = _mod_inverse(A[r][c], p)
-        top = A[r] = [v * inv % p for v in A[r]]
+        top = A[pivot_row]
+        A[pivot_row] = A[r]
+        if top[c] != 1:
+            inv = _mod_inverse(top[c], p)
+            top = [v * inv % p for v in top]
+        A[r] = top
         for i in range(rows):
             factor = A[i][c]
-            if i != r and factor:
+            if factor and i != r:
                 A[i] = [(v - factor * t) % p for v, t in zip(A[i], top)]
         pivots.append(c)
         r += 1
         if r == rows:
             break
-    return np.array(A[:r], dtype=np.int64).reshape(r, cols), tuple(pivots)
+    return tuple(map(tuple, A[:r])), tuple(pivots)
 
 
 def gaussian_binomial(n: int, k: int, p: int) -> int:
@@ -235,8 +241,7 @@ class Subspace:
             return cls(params, ())
         if arr.shape[1] != params.n:
             raise ValueError(f"basis rows must have length {params.n}")
-        reduced, _ = rref(arr, params.p)
-        return cls(params, tuple(map(tuple, reduced.tolist())))
+        return cls(params, rref(arr, params.p)[0])
 
     @classmethod
     def zero(cls, params: FieldParams) -> "Subspace":
@@ -272,13 +277,9 @@ class Subspace:
         Labels agree exactly on the cosets of the orthogonal complement and are
         0 exactly on it: for V = W-perp, V.labels() names every coset of W and
         W.labels() every coset of V."""
-        params, weights = self.params, _power_table(self.params.p, self.dim)
         if indices is None:
-            return params.dots(self.matrix) @ weights
-        params.check_elements(indices)
-        idx = np.asarray(indices, dtype=np.int64)
-        digits = (idx[..., None] // params.powers()) % params.p
-        return ((digits @ self.matrix.T) % params.p) @ weights
+            return self.params.dots(self.matrix) @ _power_table(self.params.p, self.dim)
+        return basis_labels(self.params, self.matrix, indices)
 
     def reduce_digit_rows(self, digit_rows: np.ndarray) -> np.ndarray:
         """Eliminate this subspace from each digit row: result is the canonical
@@ -305,22 +306,15 @@ class Subspace:
         finder.separates(self, self.members()) decided on the dim x dim Gram
         matrix B B^T: it must be invertible mod p."""
         B = self.matrix
-        return rref(B @ B.T, self.params.p)[0].shape[0] == self.dim
+        return len(rref(B @ B.T, self.params.p)[0]) == self.dim
 
     def members(self) -> np.ndarray:
         """All element indices of the subspace, ascending."""
         return self.coset(0)
 
     def coset(self, t: int) -> np.ndarray:
-        """Element indices of t + subspace, ascending."""
-        td = self.params.digits_of(t)
-        if self.dim == 0:
-            return np.array([t], dtype=np.int64)
-        coeffs = _digit_table(self.params.p, self.dim)
-        digit_rows = ((coeffs @ self.matrix) + td[None, :]) % self.params.p
-        out = self.params.indices_of(digit_rows)
-        out.sort()
-        return out
+        """Element indices of t + subspace, ascending: the one-row coset_table."""
+        return coset_table(self.params, self.matrix[None], [t])[0]
 
     def coset_representatives(self) -> np.ndarray:
         """For every x in F, the index of the canonical representative of x + subspace.
@@ -347,6 +341,38 @@ class Subspace:
         return Subspace.from_rows(self.params, np.array(rows))
 
 
+def basis_labels(params: FieldParams, bases: np.ndarray, indices) -> np.ndarray:
+    """Subspace.labels(indices) for each basis stacked in bases: basis.x mod
+    p read as a base-p integer, shape bases.shape[:-2] + indices.shape for a
+    stack of (dim, n) bases and a 1-d indices; one basis takes indices of any
+    shape.  An index outside [0, F) is refused."""
+    params.check_elements(indices)
+    idx = np.asarray(indices, dtype=np.int64)
+    digits = (idx[..., None] // params.powers()) % params.p
+    weights = _power_table(params.p, bases.shape[-2])
+    return ((digits @ np.swapaxes(bases, -1, -2)) % params.p) @ weights
+
+
+def coset_table(params: FieldParams, bases: np.ndarray, translates) -> np.ndarray:
+    """Row i holds the element indices of translates[i] + span(bases[i]),
+    ascending, for a (T, dim, n) stack of bases: a (T, p^dim) table.
+
+    The digits of the members c.B + t are built as one (T, n, p^dim) array,
+    so a caller that bounds T p^dim bounds it too, and read as indices by
+    one product with the powers of p.
+    """
+    params.check_elements(translates)
+    p, powers = params.p, params.powers()
+    t = np.asarray(translates, dtype=np.int64)
+    coeffs = _digit_table(p, bases.shape[-2]).T  # (dim, p^dim): column c holds c's digits
+    digits = np.swapaxes(bases, -1, -2) @ coeffs
+    digits += (t[:, None] // powers % p)[:, :, None]
+    digits %= p
+    table = powers @ digits
+    table.sort(axis=1)
+    return table
+
+
 def sample_uniform_subspace(params: FieldParams, dim: int, rng: np.random.Generator) -> Subspace:
     """Uniformly random dim-dimensional subspace.
 
@@ -359,10 +385,9 @@ def sample_uniform_subspace(params: FieldParams, dim: int, rng: np.random.Genera
     if dim == 0:
         return Subspace.zero(params)
     while True:
-        M = rng.integers(0, params.p, size=(dim, params.n))
-        rows, _ = rref(M, params.p)
-        if rows.shape[0] == dim:
-            return Subspace(params, tuple(map(tuple, rows.tolist())))
+        basis, _ = rref(rng.integers(0, params.p, size=(dim, params.n)), params.p)
+        if len(basis) == dim:
+            return Subspace(params, basis)
 
 
 def enumerate_subspaces(

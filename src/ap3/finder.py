@@ -19,7 +19,8 @@ separates(W, A).  On the member c.B of W, W.labels reads B B^T c, so the
 direct-sum test is W.is_direct(), the rank of the Gram matrix B B^T, and
 separates(W, W.members()) is its oracle.  Both read W alone, so V, whose
 V.labels() names the cosets of W for the density test, is built only for a
-W that passes them.
+W that passes them.  separates is the one-subspace case of separating, which
+the lemma estimator runs over a stack of bases.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from .field import (
     FieldParams,
     InfeasibleError,
     Subspace,
+    basis_labels,
+    coset_table,
     enumerate_subspaces,
     sample_uniform_subspace,
 )
@@ -41,6 +44,9 @@ from .spectral import DenseFunction
 
 COSET_SUM_TOLERANCE = 1e-12
 DEFAULT_MAX_ATTEMPTS = 256
+# The sampled estimator scores its trials in blocks of about this many coset
+# members, so a block's tables stay small and only X grows with the trials.
+BLOCK_ENTRIES = 2**14
 
 
 class FinderBudgetError(RuntimeError):
@@ -80,14 +86,16 @@ def coset_sums(g: DenseFunction, V: Subspace) -> tuple[np.ndarray, np.ndarray]:
     return labels, np.bincount(labels, weights=g.values, minlength=V.size)
 
 
-def coset_sum(values: np.ndarray, coset: np.ndarray) -> float:
-    """The total of values over one coset, given as ascending indices.
+def coset_sum(values: np.ndarray, cosets: np.ndarray):
+    """The total of values over each coset, given as ascending indices along
+    the last axis: a float for one coset, an array for a table of them.
 
     The terms are added one at a time in ascending index order, the order in
     which np.bincount accumulates them in coset_sums, so both give the same
     float; ndarray.sum() adds pairwise and can differ in the last bit.
     """
-    return float(np.add.accumulate(values[coset])[-1])
+    sums = np.add.accumulate(values[cosets], axis=-1)[..., -1]
+    return float(sums) if sums.ndim == 0 else sums
 
 
 def is_dense(total, mean: float, size: int):
@@ -96,10 +104,18 @@ def is_dense(total, mean: float, size: int):
     return total >= mean * size / 2.0 - COSET_SUM_TOLERANCE
 
 
+def separating(params: FieldParams, bases: np.ndarray, A: np.ndarray):
+    """The separation event for distinct places A, for each basis stacked in
+    bases: V = W-perp holds no nonzero a - b, that is W.labels (linear, with
+    kernel V) is injective on A, so the sorted labels of A have no two equal
+    neighbours.  A bool for one (dim, n) basis, an array for a stack."""
+    labels = np.sort(basis_labels(params, bases, A), axis=-1)
+    return ~(labels[..., 1:] == labels[..., :-1]).any(axis=-1)
+
+
 def separates(W: Subspace, A: np.ndarray) -> bool:
-    """The separation event for distinct places A: V = W-perp holds no nonzero
-    a - b, that is W.labels (linear, with kernel V) is injective on A."""
-    return np.unique(W.labels(A)).size == len(A)
+    """separating for the one subspace W."""
+    return bool(separating(W.params, W.matrix, A))
 
 
 @dataclass(frozen=True)
@@ -179,6 +195,11 @@ def chebyshev_moments(X: np.ndarray, mean: float, size: int) -> tuple[float, flo
     return float(X.mean()), size * mean, float(X.var()), float(size)
 
 
+def _stack(bases: list, dim: int, params: FieldParams) -> np.ndarray:
+    """Subspace.basis tuples as one (len(bases), dim, n) int64 array."""
+    return np.array(bases, dtype=np.int64).reshape(len(bases), dim, params.n)
+
+
 def estimate_condition_probabilities(
     nprime: int,
     A: np.ndarray,
@@ -192,27 +213,38 @@ def estimate_condition_probabilities(
     for g, all from one sample.
 
     Sampled mode draws W and then t for each trial and reads only the coset
-    t + W.  Exhaustive mode enumerates every W of dimension nprime and every
-    translate t, W-major, and returns exact frequencies.
+    t + W.  The draws are made one trial at a time, and a block of trials is
+    then scored at once: one table of its cosets gives X, one table of the
+    labels of A gives separation.  Exhaustive mode enumerates every W of
+    dimension nprime and every translate t, W-major, and returns exact
+    frequencies.
     """
     params = g.params
-    sums = []  # the coset sums X, as blocks np.hstack joins
+    size = params.p**nprime
     if exhaustive:
         spaces = enumerate_subspaces(params, nprime, cap=cap)
-        for W in spaces:
-            labels, totals = coset_sums(g, W.complement())
-            sums.append(totals[labels])
+        sums = (coset_sums(g, W.complement()) for W in spaces)
+        X = np.hstack([totals[labels] for labels, totals in sums])
+        bases = _stack([W.basis for W in spaces], nprime, params)
+        hits = int(np.count_nonzero(separating(params, bases, A)))
+        count = len(spaces)
     elif rng is None:
         raise ValueError("sampled mode needs an rng")
+    elif trials < 1:
+        raise ValueError(f"trials must be a positive integer in sampled mode, got {trials}")
     else:
-        spaces = []
-        for _ in range(trials):
-            W = sample_uniform_subspace(params, nprime, rng)
-            spaces.append(W)
-            sums.append(coset_sum(g.values, W.coset(int(rng.integers(params.F)))))
-    hits = sum(1 for W in spaces if separates(W, A))
-    separation = _frequency(hits, len(spaces), exhaustive)
-    X, size = np.hstack(sums), params.p**nprime
+        X, hits, count = np.empty(trials), 0, trials
+        block = max(1, BLOCK_ENTRIES // size)
+        for start in range(0, trials, block):
+            drawn, translates = [], []
+            for _ in range(min(block, trials - start)):
+                drawn.append(sample_uniform_subspace(params, nprime, rng).basis)
+                translates.append(int(rng.integers(params.F)))
+            bases = _stack(drawn, nprime, params)
+            cosets = coset_table(params, bases, translates)
+            X[start : start + len(translates)] = coset_sum(g.values, cosets)
+            hits += int(np.count_nonzero(separating(params, bases, A)))
+    separation = _frequency(hits, count, exhaustive)
     density = _frequency(int(np.count_nonzero(is_dense(X, g.mean(), size))), X.size, exhaustive)
     moments = chebyshev_moments(X, g.mean(), size)
-    return LemmaEstimates(*separation, *density, *moments, len(spaces), exhaustive)
+    return LemmaEstimates(*separation, *density, *moments, count, exhaustive)

@@ -84,8 +84,8 @@ def test_rref_idempotent_and_rank():
     again, pivots2 = rref(reduced, 3)
     assert np.array_equal(reduced, again)
     assert pivots == pivots2
-    assert reduced.shape[0] == 2
-    assert rref(np.zeros((2, 3)), 3)[0].shape[0] == 0
+    assert len(reduced) == 2
+    assert rref(np.zeros((2, 3)), 3)[0] == ()
 
 
 def test_gaussian_binomial_known():
@@ -148,7 +148,7 @@ def test_pivots_match_rref(pn, data):
     # coset representatives by elimination on the pivots rref reports
     R = params.digit_table().copy()
     for row, c in zip(rows, pivots):
-        R = (R - R[:, c : c + 1] * row[None, :]) % params.p
+        R = (R - R[:, c : c + 1] * np.array(row)) % params.p
     assert np.array_equal(W.coset_representatives(), params.indices_of(R))
 
 
@@ -183,7 +183,7 @@ def test_frame_cells_split_every_element(p33, rng):
     for _ in range(10):
         W = sample_uniform_subspace(p33, 2, rng)
         V = W.complement()
-        if rref(np.vstack([W.matrix, V.matrix]), 3)[0].shape[0] < 3:
+        if len(rref(np.vstack([W.matrix, V.matrix]), 3)[0]) < 3:
             continue  # W meets V
         frame = SubspaceFrame.build(spectrum, W)
         for x in range(p33.F):
@@ -310,9 +310,8 @@ def test_rref_matches_numpy_elimination(p):
             M[2] = (M[0] + 2 * M[1]) % p  # rank deficiency
         got, pivots = rref(M, p)
         expected, expected_pivots = rref_numpy(M, p)
-        assert got.dtype == np.int64 and got.shape == expected.shape
-        assert np.array_equal(got, expected) and pivots == expected_pivots
-    assert rref(np.zeros((0, 4), dtype=np.int64), p)[0].shape == (0, 4)
+        assert got == tuple(map(tuple, expected.tolist())) and pivots == expected_pivots
+    assert rref(np.zeros((0, 4), dtype=np.int64), p)[0] == ()
 
 
 ALL_PARAMS = [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2)]

@@ -1,8 +1,11 @@
+import itertools
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ap3.finder
@@ -132,7 +135,7 @@ def _verify_good(found, A, g, params):
     assert not any(V.contains(b) for b in B)
     assert found.dense.sum() * found.W.size >= params.F / 4.0
     stacked = np.vstack([found.W.matrix, V.matrix])
-    assert rref(stacked, params.p)[0].shape[0] == found.W.dim + V.dim
+    assert len(rref(stacked, params.p)[0]) == found.W.dim + V.dim
     assert found.W.dim + V.dim == params.n
 
 
@@ -284,6 +287,85 @@ def test_estimate_requires_input_or_rng(p33, rng):
         estimate_condition_probabilities(1, A=A, trials=10, rng=rng)
     with pytest.raises(ValueError):
         estimate_condition_probabilities(1, A=A, g=g)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_estimate_refuses_nonpositive_trials(p33, rng, trials):
+    g = DenseFunction.constant(p33, 1.0)
+    with pytest.raises(ValueError, match=rf"trials must be a positive integer .*got {trials}"):
+        estimate_condition_probabilities(1, A=np.array([0, 1]), g=g, trials=trials, rng=rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["one", "ragged"]),
+    st.data(),
+)
+def test_batched_estimator_matches_per_trial_oracle(pn, seed, blocks, data):
+    # the blocked scoring reads the same draws as a loop over the trials that
+    # sums each coset and tests each separation on its own
+    params = FieldParams(*pn)
+    nprime = data.draw(st.integers(0, params.n))
+    trials = data.draw(st.integers(2, 40))
+    per_block = 1 if blocks == "one" else data.draw(st.integers(2, trials))
+    assume(blocks == "one" or trials % per_block)
+    g = random_function(params, np.random.default_rng(seed))
+    k = data.draw(st.integers(1, min(params.F, 6)))
+    A = np.random.default_rng(seed + 1).choice(params.F, size=k, replace=False)
+
+    seen, tables, coset_table = [], [], ap3.finder.coset_table
+
+    def recording(X, mean, size):
+        seen.append(X.copy())
+        return chebyshev_moments(X, mean, size)
+
+    def counted(*args):
+        tables.append(args[1].shape[0])
+        return coset_table(*args)
+
+    with mock.patch.object(ap3.finder, "BLOCK_ENTRIES", per_block * params.p**nprime), \
+            mock.patch.object(ap3.finder, "chebyshev_moments", recording), \
+            mock.patch.object(ap3.finder, "coset_table", counted):
+        est = estimate_condition_probabilities(
+            nprime, A=A, g=g, trials=trials, rng=np.random.default_rng(seed)
+        )
+    assert tables == [per_block] * (trials // per_block) + [trials % per_block] * (blocks == "ragged")
+
+    rng = np.random.default_rng(seed)
+    X, hits = [], 0
+    for _ in range(trials):
+        W = sample_uniform_subspace(params, nprime, rng)
+        t = int(rng.integers(params.F))
+        labels = W.complement().labels()  # names the cosets of W
+        X.append(coset_sum(g.values, np.flatnonzero(labels == labels[t])))
+        hits += np.unique(W.labels(A)).size == len(A)
+    (batched,) = seen
+    assert np.array_equal(batched, np.array(X))
+    assert est.separation == hits / trials and est.trials == trials
+
+
+def test_estimate_memory_grows_only_with_x(monkeypatch):
+    # a sampled estimate keeps X (8 bytes a trial) and one block of tables;
+    # the draws are not kept.  They cycle through a pool of real subspaces,
+    # since row reduction under tracemalloc would take most of a minute.
+    params = FieldParams(3, 7)
+    g = random_function(params, np.random.default_rng(5))
+    A = np.arange(5)
+    nprime = choose_dimension(len(A), params)
+    rng = np.random.default_rng(1)
+    pool = itertools.cycle([sample_uniform_subspace(params, nprime, rng) for _ in range(64)])
+    monkeypatch.setattr(ap3.finder, "sample_uniform_subspace", lambda *args: next(pool))
+    peaks = {}
+    for trials in (20_000, 40_000):
+        tracemalloc.start()
+        try:
+            estimate_condition_probabilities(nprime, A, g, trials=trials, rng=rng)
+            peaks[trials] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[40_000] - peaks[20_000]) <= 1.5 * 8 * 20_000
 
 
 def test_chebyshev_moments_formula():

@@ -362,6 +362,7 @@ def test_depletion_lazy_refresh_matches(p33):
         )
     assert any(s.reused for s in lazy.steps)
     assert not any(s.reused for s in always.steps)
+    assert all(type(s.reused) is bool for s in lazy.steps)
     assert lazy.lambda_lower == pytest.approx(always.lambda_lower, rel=1e-12)
     assert lazy.certificates_ok
 
