@@ -83,7 +83,7 @@ def quasinorm_regime_bound(p: int, F: int, theta: float, gamma: float) -> float:
 class HypothesisReport:
     k: int
     delta: float
-    theta: float
+    theta: float | None
     e_f: float
     e_g: float
     sigma_k: float
@@ -95,10 +95,10 @@ class HypothesisReport:
         return {**asdict(self), "items": items}
 
 
-def derived_theta(e_g: float, F: int) -> float:
-    """theta with F^(-theta) = E(g); infinite when g vanishes."""
+def derived_theta(e_g: float, F: int) -> float | None:
+    """theta with F^(-theta) = E(g); None when g vanishes, where no theta exists."""
     if e_g <= 0:
-        return math.inf
+        return None
     return -math.log(e_g) / math.log(F)
 
 
@@ -140,7 +140,7 @@ def check_hypotheses(
         and g.values.max() <= 1 + DOMINATION_TOLERANCE
     )
     items.append(("unit_range", bool(in_range), "both functions take values in [0, 1]"))
-    floor = max(F ** (-theta) if math.isfinite(theta) else 0.0, density_floor(params, k))
+    floor = max(F ** (-theta) if theta is not None else 0.0, density_floor(params, k))
     items.append(
         (
             "density_floor",

@@ -310,7 +310,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, EnumerationCapError, OSError) as exc:  # incl. ConfigError, InfeasibleError
+    except (ValueError, EnumerationCapError, OSError, MemoryError) as exc:
+        # ValueError covers ConfigError and InfeasibleError
         print(f"ap3 {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

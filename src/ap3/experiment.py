@@ -333,29 +333,10 @@ def resolve_delta(config: ExperimentConfig, spectrum: Spectrum) -> float:
     return delta_from_sigma(spectrum.sigma(config.k), config.p**config.n)
 
 
-def _jsonable(obj):
-    """Recursively coerce report values into canonical JSON-safe types."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        value = float(obj)
-        return value if math.isfinite(value) else repr(value)
-    if obj is None or isinstance(obj, str):
-        return obj
-    raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
-
-
 def report_json(report: dict) -> str:
-    """Canonical serialization; byte-stable given identical report content."""
-    return json.dumps(_jsonable(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """Canonical serialization; byte-stable given identical report content.
+    A report holds native values only, so json is its one encoder."""
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def strip_timing(report: dict) -> dict:
@@ -368,8 +349,8 @@ def strip_timing(report: dict) -> dict:
 
 def _run_dict(run, rhs_exact: float, brute: float, spectral: float) -> dict:
     """Every DepletionRun field (steps as certificate dicts) plus the values
-    measured or derived outside the run.  The fields are read shallowly:
-    _jsonable copies them once, where asdict would deep-copy them first."""
+    measured or derived outside the run.  The fields are read shallowly,
+    where asdict would deep-copy them."""
     return {
         **vars(run),
         "steps": [vars(step) for step in run.steps],
@@ -452,10 +433,9 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
     delta = resolve_delta(config, spectrum)
     hypotheses = check_hypotheses(f, g, config.k, delta)
     theta = hypotheses.theta
-    top = spectrum.magnitudes[spectrum.order[: config.k]]
     report["means"] = {"e_f": hypotheses.e_f, "e_g": hypotheses.e_g}
     report["spectrum"] = {
-        "top_magnitudes": top,
+        "top_magnitudes": spectrum.magnitudes[spectrum.order[: config.k]].tolist(),
         "sigma_k": hypotheses.sigma_k,
         "quasinorm_third": spectrum.quasinorm(1.0 / 3.0),
         "parseval_gap": parseval_gap(f),
@@ -474,12 +454,12 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
 
     report["floors"] = {
         form: lambda3_floor(params.p, params.F, config.k, theta, delta, form=form)
-        if math.isfinite(theta)
-        else -math.inf
+        if theta is not None
+        else None
         for form in ("exact", "weakened")
     }
     rhs_exact = report["floors"]["exact"]
-    if config.gamma is not None and math.isfinite(theta):
+    if config.gamma is not None and theta is not None:
         report["floors"]["stated_headline"] = quasinorm_regime_bound(
             params.p, params.F, theta, config.gamma
         )
@@ -497,7 +477,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
                 cap=config.enumeration_cap,
             )
             report["estimates"] = asdict(est)
-        except EnumerationCapError as exc:
+        except (EnumerationCapError, MemoryError) as exc:
             fail("cap", str(exc), EXIT_ERROR)
 
     oracles: dict = {}

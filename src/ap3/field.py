@@ -172,10 +172,6 @@ def check_same_params(*objs) -> FieldParams:
     return params
 
 
-def _mod_inverse(a: int, p: int) -> int:
-    return pow(int(a), -1, p)
-
-
 def rref(matrix, p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Reduced row echelon form over GF(p).
 
@@ -201,7 +197,7 @@ def rref(matrix, p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         top = A[pivot_row]
         A[pivot_row] = A[r]
         if top[c] != 1:
-            inv = _mod_inverse(top[c], p)
+            inv = pow(top[c], -1, p)
             top = [v * inv % p for v in top]
         A[r] = top
         for i in range(rows):

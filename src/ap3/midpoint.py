@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,28 +81,22 @@ class SubspaceFrame:
 
     @classmethod
     def build(cls, spectrum: Spectrum, W: Subspace) -> "SubspaceFrame":
-        """Index every x = w_i + v_j by its coset labels.
+        """Index every x = w_i + v_j by adding the digits of w_i and v_j.
 
-        With V = W-perp, W.labels(x) = W.labels(w_i) and V.labels(x) =
-        V.labels(v_j), so two position tables of size |W| and |V| give i and
-        j.  W.labels is injective on W exactly when F = V (+) W.
+        The |W| |V| = F sums hit every x, each once, exactly when F = V (+) W.
         """
         params = spectrum.params
         W.params.same_as(params)
         V = W.complement()
         w_members = W.members()
         v_members = V.members()
-        if not separates(W, w_members):
+        D = params.digit_table()
+        grid = params.indices_of(D[w_members][:, None, :] + D[v_members][None, :, :])
+        cell = np.full(params.F, -1, dtype=np.int64)
+        cell[grid.reshape(-1)] = np.arange(params.F)
+        if (cell < 0).any():
             raise ValueError("subspaces do not form a direct sum")
-        pos_w = np.empty(W.size, dtype=np.int64)
-        pos_w[W.labels(w_members)] = np.arange(W.size)
-        pos_v = np.empty(V.size, dtype=np.int64)
-        pos_v[V.labels(v_members)] = np.arange(V.size)
-        cell = pos_w[W.labels()] * V.size + pos_v[V.labels()]
-        grid = np.empty(params.F, dtype=np.int64)
-        grid[cell] = np.arange(params.F)
-        fhat_wv = spectrum.coeffs[grid.reshape(W.size, V.size)]
-        return cls(spectrum, W, V, w_members, v_members, fhat_wv, cell)
+        return cls(spectrum, W, V, w_members, v_members, spectrum.coeffs[grid], cell)
 
     def place_positions(self, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Positions of w(a) in w_members and v(a) in v_members for each a in A.
@@ -109,11 +104,12 @@ class SubspaceFrame:
         Distinctness of the w(a) is equivalent to the separation condition;
         a collision means the caller skipped it.
         """
-        if not separates(self.W, A):
+        pos_w, pos_v = np.divmod(self.cell[np.asarray(A, dtype=np.int64)], self.v_members.size)
+        if np.unique(pos_w).size < pos_w.size:
             raise ValueError(
                 "two top places share a W-component; the separation condition fails"
             )
-        return np.divmod(self.cell[np.asarray(A, dtype=np.int64)], self.v_members.size)
+        return pos_w, pos_v
 
     def phases(self, ts: np.ndarray) -> np.ndarray:
         """w^(-v.t) for each v in V and translate t in ts, shape (|V|, len(ts))."""
@@ -339,7 +335,7 @@ def run_depletion(
     steps: list[MidpointCertificate] = []
     partial = False
     warned_floor = False
-    rejections = {"separation": 0, "coset_density": 0, "direct_sum": 0}
+    rejections = Counter(separation=0, coset_density=0, direct_sum=0)
     coset = None  # the window t + W of the last (W, t) chosen
 
     for i in range(1, r + 1):
@@ -363,12 +359,10 @@ def run_depletion(
                     A, DenseFunction.make(params, gi), rng, nprime, max_attempts
                 )
             except FinderBudgetError as err:
-                for key in rejections:
-                    rejections[key] += err.rejections.get(key, 0)
+                rejections.update(err.rejections)
                 partial = True
                 break
-            for key in rejections:
-                rejections[key] += good.rejections.get(key, 0)
+            rejections.update(good.rejections)
             scores = coset_scores(energy, A, good.W, good.coset_labels)
             t, q = select_translate(scores, good.coset_labels, good.dense, sigma_k, roundoff)
             coset = good.W.coset(t)
@@ -416,5 +410,5 @@ def run_depletion(
         pair_weight=float(g.values @ table),
         density_ok=items["density_floor"][0],
         partial=partial,
-        finder_rejections=rejections,
+        finder_rejections=dict(rejections),
     )

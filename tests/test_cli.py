@@ -342,6 +342,52 @@ def test_verify_bundled_cap_config(capsys):
     assert "FAIL(exit 1)" in err
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 745. GiB for an array")
+
+
+HALF = '{"kind": "constant", "value": 0.5}'
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["estimate", "--p", "3", "--n", "3", "--k", "2", "--trials", "100000000000"],
+         "estimate_condition_probabilities"),
+        (["transform", "--recipe", HALF, "--p", "3", "--n", "30"], "build_recipe"),
+        (["lambda3", "--method", "spectral", "--recipe", HALF, "--p", "3", "--n", "30"],
+         "build_recipe"),
+    ],
+    ids=["estimate", "transform", "lambda3"],
+)
+def test_request_too_large_to_allocate_exits_error(capsys, monkeypatch, argv, name):
+    monkeypatch.setattr(ap3.cli, name, _out_of_memory)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"ap3 {argv[0]}: error: Unable to allocate 745. GiB for an array\n"
+
+
+def test_verify_estimate_too_large_to_allocate_is_a_cap_failure(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(ap3.experiment, "estimate_condition_probabilities", _out_of_memory)
+    config = {
+        "p": 3, "n": 3, "seed": 5, "k": 2, "delta": 0.0,
+        "f": {"kind": "constant", "value": 1.0}, "trials": 100000000000,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(capsys, "verify", "--config", str(path), "--out", str(out_dir))
+    assert code == 1
+    assert err == "verify: FAIL(exit 1)\n"
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["failures"] == [
+        {"type": "cap", "detail": "Unable to allocate 745. GiB for an array"}
+    ]
+    assert "estimates" not in report
+    assert report["runs"] and all(a["passed"] for a in report["assertions"])
+
+
 def test_verify_missing_config(capsys):
     code, _, err = run_cli(capsys, "verify", "--config", "configs/absent.json")
     assert code == 1

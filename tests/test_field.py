@@ -201,6 +201,17 @@ def test_direct_sum_rejects_overlap(p33):
         SubspaceFrame.build(spectrum, W)
 
 
+def test_place_positions_refuses_unseparated_places(p33):
+    spectrum = dft(DenseFunction.constant(p33, 1.0))
+    frame = SubspaceFrame.build(spectrum, Subspace.from_rows(p33, [[1, 0, 0]]))
+    w, v = int(frame.w_members[1]), int(frame.v_members[1])
+    pos_w, pos_v = frame.place_positions(np.array([0, w]))
+    assert pos_w.tolist() == [0, 1] and pos_v.tolist() == [0, 0]
+    # 0 and v share the W-component 0
+    with pytest.raises(ValueError, match="separation condition"):
+        frame.place_positions(np.array([0, v]))
+
+
 def test_field_params_from_json_dict(p33):
     assert FieldParams.from_json_dict({"p": 3, "n": 3}) == p33
     assert FieldParams.from_json_dict({"p": 3.0, "n": 3}) == p33
@@ -241,31 +252,25 @@ def test_labels_vanish_exactly_on_complement(pn, data):
     assert (S.labels() == 0).tolist() == expected
 
 
-def _grid_cells(params, W, V):
-    """The w_i + v_j grid construction of cell: x -> i |V| + j, -1 off the grid."""
-    wd = params.digit_table()[W.members()]
-    vd = params.digit_table()[V.members()]
-    idx = params.indices_of(((wd[:, None, :] + vd[None, :, :]) % params.p).reshape(-1, params.n))
-    cell = np.full(params.F, -1, dtype=np.int64)
-    cell[idx] = np.arange(idx.size)
-    return idx, cell
-
-
 @given(LABEL_PARAMS, st.data())
 @settings(max_examples=80, deadline=None)
 def test_frame_cells_match_grid(pn, data):
+    """The frame indexes x = w_i + v_j by adding digits; the fast path names
+    the same x by labels, W.labels()[x] = W.labels(w_i), V.labels()[x] =
+    V.labels(v_j)."""
     params, W = _random_subspace(pn, data)
     V = W.complement()
     values = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).random(params.F)
     spectrum = dft(DenseFunction.make(params, values))
-    idx, cell = _grid_cells(params, W, V)
-    if (cell < 0).any():
+    if not W.is_direct():
         with pytest.raises(ValueError, match="direct sum"):
             SubspaceFrame.build(spectrum, W)
         return
     frame = SubspaceFrame.build(spectrum, W)
-    assert np.array_equal(frame.cell, cell)
-    assert np.array_equal(frame.fhat_wv, spectrum.coeffs[idx].reshape(W.size, V.size))
+    i, j = np.divmod(frame.cell, V.size)
+    assert np.array_equal(W.labels(), W.labels(frame.w_members)[i])
+    assert np.array_equal(V.labels(), V.labels(frame.v_members)[j])
+    assert np.array_equal(frame.fhat_wv[i, j], spectrum.coeffs)
 
 
 def rref_numpy(matrix, p):

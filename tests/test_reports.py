@@ -5,8 +5,11 @@ A change that alters a report on purpose updates its digest here and says
 why in CHANGES.md.
 """
 
+import csv
 import functools
 import hashlib
+import io
+import json
 from dataclasses import fields
 from pathlib import Path
 
@@ -51,7 +54,7 @@ PINNED = [
     (
         "refusal_empty_minorant.json",
         2,
-        "dee3f576f5d3946fdc6b38010de42b3d5bf792fa17a0ac73d6c05b5970204e14",
+        "afd1dbc9dba7e65586daa6a054f0b0c1bb46058ec08138febec171c6eaa96736",
     ),
     (
         "sevenfold_p3_n5.json",
@@ -134,3 +137,44 @@ def test_estimate_output_is_pinned(args, digest, capsys):
     assert main(["estimate", *args.split()]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# Every JSON or CSV output a number reaches: each bundled report, the lambda3
+# JSON of a vanishing and a dense function, and estimate CSV both ways.
+OUTPUTS = [
+    *(f"verify {p.name}" for p in sorted(CONFIGS.glob("*.json"))),
+    'lambda3 --recipe {"kind":"constant","value":0} --p 3 --n 2',
+    'lambda3 --recipe {"kind":"uniform","low":0,"high":1} --p 3 --n 3 --seed 5',
+    "estimate --p 3 --n 3 --k 2,3 --trials 1 --seed 11",
+    "estimate --p 3 --n 3 --k 2,3 --exhaustive",
+]
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"non-finite number {name} in the output")
+
+
+def _leaves(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [leaf for item in value for leaf in _leaves(item)]
+    return [value]
+
+
+@pytest.mark.parametrize("command", OUTPUTS)
+def test_outputs_hold_only_finite_numbers(command, capsys):
+    """No number is non-finite, in JSON or string-encoded: theta and the
+    floors of a vanishing g are null."""
+    kind, *args = command.split()
+    if kind == "verify":
+        out = report_json(_verify(args[0])[0])
+    else:
+        assert main([kind, *args]) == 0
+        out = capsys.readouterr().out
+    if kind == "estimate":
+        leaves = [cell for row in csv.reader(io.StringIO(out)) for cell in row]
+    else:
+        leaves = _leaves(json.loads(out, parse_constant=_refuse_constant))
+    assert leaves
+    assert not {"inf", "-inf", "nan"} & {leaf.lower() for leaf in leaves if isinstance(leaf, str)}
