@@ -428,6 +428,9 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
     except (ConfigError, ValueError) as exc:
         fail("config", str(exc), EXIT_ERROR)
         return finish()
+    except MemoryError as exc:
+        fail("cap", str(exc), EXIT_ERROR)
+        return finish()
 
     spectrum = f.spectrum
     delta = resolve_delta(config, spectrum)

@@ -37,13 +37,12 @@ build_context (the window's invariants) are oracles, off the fast path.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import HypothesisRefusal, check_hypotheses, density_floor
+from .bounds import HypothesisRefusal, check_hypotheses
 from .field import Subspace, check_same_params
 from .finder import (
     DEFAULT_MAX_ATTEMPTS,
@@ -293,6 +292,8 @@ def run_depletion(
     The run neither measures Lambda3 nor judges its steps: the caller checks
     lambda_lower and pair_weight against its own oracle and asserts
     certificates_ok, so a run with a broken step is still returned whole.
+    Each step checks its own coset, so the run goes on below the density
+    floor; the steps' e_gi show where it was crossed.
     """
     params = check_same_params(f, g)
     if ordering not in ORDERINGS:
@@ -326,7 +327,6 @@ def run_depletion(
     # Each fhat(a) is off by up to about eps sum|f|, so F f_tail(m) by about
     # eps F sum|f|: Q values closer than its square are round-off apart.
     roundoff = (np.finfo(float).eps * F * float(np.abs(f.values).sum())) ** 2
-    floor_k = density_floor(params, k)
 
     r = math.ceil(e_g * F / 2.0)
     gi = g.values.copy()
@@ -334,20 +334,11 @@ def run_depletion(
     lower_sum = 0.0
     steps: list[MidpointCertificate] = []
     partial = False
-    warned_floor = False
     rejections = Counter(separation=0, coset_density=0, direct_sum=0)
     coset = None  # the window t + W of the last (W, t) chosen
 
     for i in range(1, r + 1):
         e_gi = sum_g / F
-        if e_gi < floor_k and not warned_floor:
-            warned_floor = True
-            warnings.warn(
-                f"E(g_{i})={e_gi:.6g} below the density floor {floor_k:.6g} "
-                f"at depletion step {i} of {r}; the coset-density guarantee "
-                "does not apply from here on",
-                stacklevel=2,
-            )
         reused = (
             refresh == "lazy"
             and coset is not None

@@ -7,7 +7,6 @@ capture so the verdicts survive a plain pytest run, then asserts.
 import json
 import math
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -87,11 +86,9 @@ def random_triples():
 @pytest.fixture(scope="module")
 def corpus_reports():
     out = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for name, raw in END_TO_END_CORPUS.items():
-            config = ExperimentConfig.from_dict(raw)
-            out[name] = run_experiment(config)
+    for name, raw in END_TO_END_CORPUS.items():
+        config = ExperimentConfig.from_dict(raw)
+        out[name] = run_experiment(config)
     return out
 
 
@@ -243,9 +240,7 @@ def test_averaging_identity(announce):
         spectrum = dft(f)
         A = spectrum.top_places(k)
         ones = DenseFunction.constant(params, 1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            good = find_good_subspace(A, ones, rng)
+        good = find_good_subspace(A, ones, rng)
         frame = SubspaceFrame.build(spectrum, good.W)
         sigma = spectrum.sigma(k)
         total = float(translate_scores(frame, A, np.arange(params.F)).sum())
@@ -278,9 +273,7 @@ def test_context_invariants(announce):
         spectrum = dft(f)
         A = spectrum.top_places(2)
         ones = DenseFunction.constant(params, 1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            good = find_good_subspace(A, ones, rng)
+        good = find_good_subspace(A, ones, rng)
         scores = coset_scores(tail_energy(spectrum, A), A, good.W, good.coset_labels)
         t, _ = select_translate(scores, good.coset_labels, good.dense, spectrum.sigma(2), 0.0)
         ctx = build_context(f, A, good.W, t)
@@ -405,10 +398,8 @@ def test_sevenfold_pipeline(announce):
             f"lambda3 {brute:.3f} > trivial {trivial:.2e}, d!=0 count {count:.0f}"
         )
         if n == 6:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                delta = 1.01 * float(np.sqrt(spectrum.sigma(5))) / params.F
-                run = run_depletion(f, f, k=5, delta=delta, rng=rng)
+            delta = 1.01 * float(np.sqrt(spectrum.sigma(5))) / params.F
+            run = run_depletion(f, f, k=5, delta=delta, rng=rng)
             ok &= not run.partial
             ok &= run.certificates_ok
             ok &= run.lambda_lower > 0.0
@@ -431,14 +422,12 @@ def test_report_determinism(announce, tmp_path, capsys):
     start = time.perf_counter()
     out1, out2 = tmp_path / "one", tmp_path / "two"
     codes = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for out in (out1, out2):
-            codes.append(
-                cli_main(
-                    ["verify", "--config", "configs/sevenfold_p3_n5.json", "--out", str(out)]
-                )
+    for out in (out1, out2):
+        codes.append(
+            cli_main(
+                ["verify", "--config", "configs/sevenfold_p3_n5.json", "--out", str(out)]
             )
+        )
     capsys.readouterr()
     raw1 = (out1 / "report.json").read_text()
     raw2 = (out2 / "report.json").read_text()

@@ -7,7 +7,6 @@ import shlex
 import shutil
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +25,7 @@ from conftest import random_function
 
 
 def run_cli(capsys, *argv):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        code = main(list(argv))
+    code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -388,6 +385,30 @@ def test_verify_estimate_too_large_to_allocate_is_a_cap_failure(capsys, monkeypa
     assert report["runs"] and all(a["passed"] for a in report["assertions"])
 
 
+def test_verify_recipe_too_large_to_allocate_keeps_the_other_entries(
+    capsys, monkeypatch, tmp_path
+):
+    original = ap3.experiment.build_recipe
+
+    def build_recipe(params, spec, rng):
+        return _out_of_memory() if params.n == 3 else original(params, spec, rng)
+
+    monkeypatch.setattr(ap3.experiment, "build_recipe", build_recipe)
+    entry = {"p": 3, "seed": 5, "k": 2, "delta": 0.0, "f": {"kind": "constant", "value": 1.0}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"experiments": [{**entry, "n": 2}, {**entry, "n": 3}]}))
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(capsys, "verify", "--config", str(path), "--out", str(out_dir))
+    assert code == 1
+    assert err == "verify: FAIL(exit 1)\n"
+    passing, refused = json.loads((out_dir / "report.json").read_text())["entries"]
+    assert passing["passed"] and passing["runs"] and not passing["failures"]
+    assert refused["failures"] == [
+        {"type": "cap", "detail": "Unable to allocate 745. GiB for an array"}
+    ]
+    assert not refused["runs"]
+
+
 def test_verify_missing_config(capsys):
     code, _, err = run_cli(capsys, "verify", "--config", "configs/absent.json")
     assert code == 1
@@ -492,6 +513,14 @@ def run_cli_process(*argv, timeout=30):
         [sys.executable, "-m", "ap3.cli", *argv],
         capture_output=True, text=True, timeout=timeout, env=env,
     )
+
+
+def test_verify_writes_only_its_status_line_to_stderr(tmp_path):
+    # both runs cross the density floor at step 30; the report records it
+    config = Path(__file__).resolve().parents[1] / "configs" / "dense_theorem_p5_n4.json"
+    proc = run_cli_process("verify", "--config", str(config), "--out", str(tmp_path), timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == "verify: PASS\n"
 
 
 BAD_RECIPES = [

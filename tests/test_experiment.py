@@ -1,6 +1,5 @@
 import json
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -183,9 +182,7 @@ def test_resolve_delta_modes(p33):
 
 def test_run_experiment_pass():
     config = cfg(ordering="both", trials=25)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        report, code = run_experiment(config)
+    report, code = run_experiment(config)
     assert code == EXIT_PASS
     assert report["passed"] is True
     assert {r["ordering"] for r in report["runs"]} == {"fgf", "gff"}
@@ -213,9 +210,7 @@ def test_run_experiment_one_brute_pass_per_triple(monkeypatch, overrides, calls)
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "ap3" and getattr(module, "lambda3_brute", None) is lambda3_brute:
             monkeypatch.setattr(module, "lambda3_brute", counting)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        report, code = run_experiment(cfg(ordering="both", **overrides))
+    report, code = run_experiment(cfg(ordering="both", **overrides))
     assert code == EXIT_PASS
     assert len(report["runs"]) == 2
     assert len(seen) == calls
@@ -237,9 +232,7 @@ def test_run_experiment_transforms_each_function_once(monkeypatch):
         f={"kind": "cosine", "base": 0.9, "amplitude": 0.1, "frequency": [1, 0, 0]},
         g={"kind": "uniform", "low": 0.5, "high": 0.8},
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        report, _ = run_experiment(config)
+    report, _ = run_experiment(config)
     assert len(report["runs"]) == 2
     assert len(calls) == 2 and calls[0] is not calls[1]
 
@@ -254,9 +247,7 @@ def test_run_experiment_estimates_draw_each_subspace_once(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(ap3.finder, "sample_uniform_subspace", counted)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        report, _ = run_experiment(cfg(trials=30))
+    report, _ = run_experiment(cfg(trials=30))
     assert report["estimates"]["trials"] == 30
     assert callers.count("estimate_condition_probabilities") == 30
 
@@ -278,9 +269,7 @@ def test_run_experiment_budget():
         g={"kind": "mask", "members": [0]},
         max_attempts=48,
     )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        report, code = run_experiment(config)
+    report, code = run_experiment(config)
     assert code == EXIT_BUDGET
     assert any(r["partial"] for r in report["runs"])
     assert all(r["lambda_measured_brute"] > 0.0 for r in report["runs"])
@@ -288,9 +277,7 @@ def test_run_experiment_budget():
 
 def test_run_experiment_config_error_exit():
     config = cfg(exhaustive=True, enumeration_cap=3, trials=10)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        report, code = run_experiment(config)
+    report, code = run_experiment(config)
     assert code == EXIT_ERROR
     assert any(f["type"] == "cap" for f in report["failures"])
 
@@ -304,19 +291,15 @@ def test_run_experiment_guardrail():
 
 def test_report_determinism():
     config = cfg(trials=20)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        r1, _ = run_experiment(config)
-        r2, _ = run_experiment(config)
+    r1, _ = run_experiment(config)
+    r2, _ = run_experiment(config)
     assert report_json(strip_timing(r1)) == report_json(strip_timing(r2))
     assert "timing" in r1
 
 
 def test_report_json_canonical():
     config = cfg(trials=5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        report, _ = run_experiment(config)
+    report, _ = run_experiment(config)
     text = report_json(report)
     parsed = json.loads(text)
     assert parsed["field"]["F"] == 27
@@ -330,9 +313,7 @@ def test_broken_certificate_exits_assertion(monkeypatch):
 
     real_table = ap3.midpoint.pair_table
     monkeypatch.setattr(ap3.midpoint, "pair_table", lambda *args: real_table(*args) - 1e6)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        report, code = run_experiment(cfg())
+    report, code = run_experiment(cfg())
     assert code == EXIT_ASSERTION
     failed = [a["name"] for a in report["assertions"] if not a["passed"]]
     assert "certificates[fgf]" in failed
@@ -346,9 +327,7 @@ def test_broken_certificate_fails_partial_run(monkeypatch):
 
     real_table = ap3.midpoint.pair_table
     monkeypatch.setattr(ap3.midpoint, "pair_table", lambda *args: real_table(*args) - 1e6)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        report, code = run_experiment(cfg(max_attempts=1))
+    report, code = run_experiment(cfg(max_attempts=1))
     assert code == EXIT_ASSERTION
     assert [f["type"] for f in report["failures"]] == ["finder_budget"]
     failed = [a["name"] for a in report["assertions"] if not a["passed"]]
@@ -396,9 +375,7 @@ def test_perturbed_pair_table_exits_assertion(monkeypatch, ordering, where, by):
         return table
 
     monkeypatch.setattr(mod, "pair_table", perturbed)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        report, code = run_experiment(cfg(ordering="both"))
+    report, code = run_experiment(cfg(ordering="both"))
     assert code == EXIT_ASSERTION
     failed = [a["name"] for a in report["assertions"] if not a["passed"]]
     assert failed == [f"pair_table[{ordering}]"]

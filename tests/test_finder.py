@@ -1,6 +1,5 @@
 import itertools
 import tracemalloc
-import warnings
 from unittest import mock
 
 import numpy as np
@@ -106,9 +105,7 @@ def test_sampled_estimators_read_one_coset(p33, rng, monkeypatch):
     estimate_condition_probabilities(2, A=np.array([0, 1]), g=g, trials=20, rng=rng)
     find_good_subspace(np.array([0, 1]), g, rng)
     f = DenseFunction.make(p33, np.maximum(g.values, 0.5))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        run_depletion(f, g, k=2, delta=1.0, rng=rng)
+    run_depletion(f, g, k=2, delta=1.0, rng=rng)
     assert calls == []
 
 

@@ -1,12 +1,10 @@
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ap3.midpoint
-from ap3.bounds import HypothesisRefusal
+from ap3.bounds import HypothesisRefusal, density_floor
 from ap3.field import FieldParams, Subspace
 from ap3.finder import FinderBudgetError, coset_sums, find_good_subspace, is_dense
 from ap3.functions import indicator
@@ -279,9 +277,7 @@ def test_build_context_rejects_isotropic(p33, rng):
 
 def test_depletion_constant_function(p33):
     one = DenseFunction.constant(p33, 1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        run = run_depletion(one, one, k=2, delta=0.0, rng=np.random.default_rng(7))
+    run = run_depletion(one, one, k=2, delta=0.0, rng=np.random.default_rng(7))
     F = p33.F
     assert run.r == 14  # ceil(27 / 2)
     assert len(run.steps) == 14
@@ -308,16 +304,17 @@ def test_depletion_constant_function(p33):
         assert step.e_gi >= run.e_g / 2.0 - 1e-12
 
 
-def test_depletion_warns_once_below_floor(p33):
-    # E(g) = 1/2 sits below the floor 8 / (sqrt(3) * 2) from the first step on
+def test_depletion_crossing_is_read_from_the_steps(p33, recwarn):
+    # E(g) = 1/2 sits below the floor 8 / (sqrt(3) * 2) from the first step on;
+    # the run records the crossing in its steps and warns about nothing
     one = DenseFunction.constant(p33, 1.0)
     half = DenseFunction.constant(p33, 0.5)
-    with pytest.warns(UserWarning, match="density floor") as record:
-        run = run_depletion(one, half, k=2, delta=0.0, rng=np.random.default_rng(7))
-    assert len(record) == 1
-    assert "step 1 of 7" in str(record[0].message)
+    run = run_depletion(one, half, k=2, delta=0.0, rng=np.random.default_rng(7))
+    floor = density_floor(p33, 2)
+    assert [s.step for s in run.steps if s.e_gi < floor][0] == 1
     assert not run.density_ok
     assert len(run.steps) == run.r == 7
+    assert not recwarn.list
 
 
 def test_depletion_bookkeeping_exact(p33, rng):
@@ -325,9 +322,7 @@ def test_depletion_bookkeeping_exact(p33, rng):
     vals = f.values * 0.9
     g = DenseFunction.make(p33, vals)
     delta = np.sqrt(dft(f).sigma(2)) / p33.F + 1e-12
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        run = run_depletion(f, g, k=2, delta=float(delta), rng=rng)
+    run = run_depletion(f, g, k=2, delta=float(delta), rng=rng)
     e = run.e_g
     for step in run.steps:
         assert step.e_gi == pytest.approx(e, rel=1e-10)
@@ -340,11 +335,7 @@ def test_depletion_bookkeeping_exact(p33, rng):
 
 def test_depletion_gff_ordering(p33):
     one = DenseFunction.constant(p33, 1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        run = run_depletion(
-            one, one, k=2, delta=0.0, ordering="gff", rng=np.random.default_rng(7)
-        )
+    run = run_depletion(one, one, k=2, delta=0.0, ordering="gff", rng=np.random.default_rng(7))
     assert run.ordering == "gff"
     assert run.certificates_ok
     assert lambda3_brute(one, one, one) >= run.lambda_lower
@@ -352,14 +343,8 @@ def test_depletion_gff_ordering(p33):
 
 def test_depletion_lazy_refresh_matches(p33):
     one = DenseFunction.constant(p33, 1.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        always = run_depletion(
-            one, one, k=2, delta=0.0, rng=np.random.default_rng(7)
-        )
-        lazy = run_depletion(
-            one, one, k=2, delta=0.0, refresh="lazy", rng=np.random.default_rng(7)
-        )
+    always = run_depletion(one, one, k=2, delta=0.0, rng=np.random.default_rng(7))
+    lazy = run_depletion(one, one, k=2, delta=0.0, refresh="lazy", rng=np.random.default_rng(7))
     assert any(s.reused for s in lazy.steps)
     assert not any(s.reused for s in always.steps)
     assert all(type(s.reused) is bool for s in lazy.steps)
@@ -377,9 +362,7 @@ def test_depletion_runs_without_the_oracles(p33, rng, refresh, monkeypatch):
     f = random_function(p33, rng)
     g = DenseFunction.make(p33, f.values * 0.9)
     delta = float(np.sqrt(dft(f).sigma(2)) / p33.F + 1e-12)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        run = run_depletion(f, g, k=2, delta=delta, refresh=refresh, rng=rng)
+    run = run_depletion(f, g, k=2, delta=delta, refresh=refresh, rng=rng)
     assert run.steps and run.certificates_ok
 
 
@@ -395,9 +378,7 @@ def test_depletion_builds_one_tail_energy_per_run(p33, rng, refresh, monkeypatch
     f = random_function(p33, rng)
     g = DenseFunction.make(p33, f.values * 0.9)
     delta = float(np.sqrt(dft(f).sigma(2)) / p33.F + 1e-12)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        run = run_depletion(f, g, k=2, delta=delta, refresh=refresh, rng=rng)
+    run = run_depletion(f, g, k=2, delta=delta, refresh=refresh, rng=rng)
     assert len(run.steps) > 1 and len(calls) == 1
 
 
@@ -433,16 +414,7 @@ def test_depletion_argument_validation(p33, rng):
 def test_depletion_partial_on_finder_failure(p33):
     one = DenseFunction.constant(p33, 1.0)
     g = indicator(p33, [0])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        run = run_depletion(
-            one,
-            g,
-            k=2,
-            delta=0.0,
-            max_attempts=32,
-            rng=np.random.default_rng(3),
-        )
+    run = run_depletion(one, g, k=2, delta=0.0, max_attempts=32, rng=np.random.default_rng(3))
     assert run.partial
     assert len(run.steps) == 0
     assert run.lambda_lower == 0.0
@@ -482,9 +454,7 @@ def test_tie_breaks_are_explicit_and_deterministic(pair, seed):
 
     ap3.midpoint.find_good_subspace = recording
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            run = run_depletion(f, g, k=2, delta=1.0, rng=np.random.default_rng(seed))
+        run = run_depletion(f, g, k=2, delta=1.0, rng=np.random.default_rng(seed))
     finally:
         ap3.midpoint.find_good_subspace = original
     assert len(frames) == len(run.steps)  # refresh "always": one W per step
@@ -496,7 +466,5 @@ def test_tie_breaks_are_explicit_and_deterministic(pair, seed):
         assert step.g_value == top
         gi[step.m] = 0.0
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        again = run_depletion(f, g, k=2, delta=1.0, rng=np.random.default_rng(seed))
+    again = run_depletion(f, g, k=2, delta=1.0, rng=np.random.default_rng(seed))
     assert again.steps == run.steps

@@ -25,40 +25,45 @@ from ap3.experiment import (
 )
 from ap3.midpoint import DepletionRun, MidpointCertificate
 
-pytestmark = pytest.mark.filterwarnings("ignore:.*density floor")
-
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
-# (config file, exit code, sha256 of the report without its timing)
+# (config file, exit code, the step at which each run's E(g_i) first falls
+# below the density floor, sha256 of the report without its timing)
 PINNED = [
     (
         "budget_point_mass.json",
         3,
+        (None,),
         "5e29a765c81a353fb72473b2357daee21046ebaedbea9caa628b05dba8320e2f",
     ),
     (
         "cap_exhaustive_demo.json",
         1,
+        (1,),
         "29270604bf177d9cbc5365d2518d22c2a1d99a9db9c5266ada2c97f9034fa212",
     ),
     (
         "dense_theorem_p5_n4.json",
         0,
+        (30, 30),
         "44ff8cb4f15b0128d6be6a24aac5e2cd8e8f39058ad47c43acbede0d9e270554",
     ),
     (
         "dense_theorem_p5_n4_lazy.json",
         0,
+        (31, 31),
         "bcfdbe9aa86bc95454cfce06946e09479b3570bedae8c9477333a0608bac4865",
     ),
     (
         "refusal_empty_minorant.json",
         2,
+        (),
         "afd1dbc9dba7e65586daa6a054f0b0c1bb46058ec08138febec171c6eaa96736",
     ),
     (
         "sevenfold_p3_n5.json",
         0,
+        (8,),
         "ccd6cd0d77a2c8c10b57f8ba81d189d5ea2e3ee4ec25465076a58969b1a9bf00",
     ),
 ]
@@ -70,22 +75,37 @@ def _verify(name: str) -> tuple[dict, int]:
 
 
 def test_every_bundled_config_is_pinned_once():
-    assert sorted(name for name, _, _ in PINNED) == sorted(p.name for p in CONFIGS.glob("*.json"))
+    assert sorted(name for name, *_ in PINNED) == sorted(p.name for p in CONFIGS.glob("*.json"))
 
 
 @pytest.mark.parametrize("case", PINNED, ids=lambda case: case[0].removesuffix(".json"))
 def test_bundled_report_is_pinned(case):
-    name, code, digest = case
+    name, code, _, digest = case
     report, got_code = _verify(name)
     assert got_code == code
     text = report_json(strip_timing(report))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
+@pytest.mark.parametrize("case", PINNED, ids=lambda case: case[0].removesuffix(".json"))
+def test_density_floor_crossing_is_pinned(case):
+    """The report is where the crossing is read: the first step whose e_gi
+    is below density_floor. A run that starts below the floor is not
+    density_ok; budget_point_mass's run is such a run with no step at all."""
+    name, _, crossings, _ = case
+    report, _ = _verify(name)
+    floor = report["density_floor"]
+    runs = report["runs"]
+    assert crossings == tuple(
+        next((s["step"] for s in run["steps"] if s["e_gi"] < floor), None) for run in runs
+    )
+    assert [run["density_ok"] for run in runs] == [run["e_g"] >= floor for run in runs]
+
+
 def test_report_records_every_dataclass_field():
     step_keys = {f.name for f in fields(MidpointCertificate)}
     run_keys = {f.name for f in fields(DepletionRun)}
-    runs = [run for name, _, _ in PINNED for run in _verify(name)[0]["runs"]]
+    runs = [run for name, *_ in PINNED for run in _verify(name)[0]["runs"]]
     assert runs
     for run in runs:
         assert run_keys <= set(run)

@@ -7,7 +7,6 @@ run with the table back in place.
 """
 
 import json
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -117,14 +116,12 @@ def test_depletion_without_table(name, monkeypatch):
         f = build_recipe(params, config.f_recipe, rng)
         g = derive_minorant(f, config.g_recipe, rng)
         delta = resolve_delta(config, f.spectrum)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            runs = [
-                run_depletion(
-                    f, g, config.k, delta, o, config.nprime, config.max_attempts, rng, config.refresh
-                )
-                for o in orderings
-            ]
+        runs = [
+            run_depletion(
+                f, g, config.k, delta, o, config.nprime, config.max_attempts, rng, config.refresh
+            )
+            for o in orderings
+        ]
     for run in runs:
         brute = lambda3_brute(f, g, f) if run.ordering == "fgf" else lambda3_brute(g, f, f)
         assert not run.partial and run.certificates_ok
