@@ -26,6 +26,7 @@ from .experiment import (
     EXIT_ASSERTION,
     EXIT_ERROR,
     EXIT_PASS,
+    ORDERING_CHOICES,
     ConfigError,
     build_recipe,
     load_config_file,
@@ -110,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     la.add_argument("--n", type=int)
     la.add_argument("--seed", type=_seed_type, default=0)
     la.add_argument("--method", choices=("brute", "spectral", "both"), default="both")
-    la.add_argument("--ordering", choices=("fgf", "gff", "both"), help="with two --files only (default fgf)")
+    la.add_argument("--ordering", choices=tuple(ORDERING_CHOICES), help="with two --files only (default fgf)")
     la.add_argument("--force", action="store_true", help="spend quadratic time above the brute-force limit")
     la.add_argument("--out", help="output directory (default: stdout)")
 
@@ -196,13 +197,8 @@ def _lambda3_triples(args) -> list[tuple[str, tuple[DenseFunction, ...]]]:
     if len(args.files) == 2:
         f = _load_function(args.files[0], args.p, args.n)
         g = _load_function(args.files[1], args.p, args.n)
-        ordering = args.ordering or "fgf"
-        rows = []
-        if ordering in ("fgf", "both"):
-            rows.append(("fgf", (f, g, f)))
-        if ordering in ("gff", "both"):
-            rows.append(("gff", (g, f, f)))
-        return rows
+        triples = {"fgf": (f, g, f), "gff": (g, f, f)}
+        return [(name, triples[name]) for name in ORDERING_CHOICES[args.ordering or "fgf"]]
     if len(args.files) == 3:
         fs = tuple(_load_function(path, args.p, args.n) for path in args.files)
         return [("explicit", fs)]

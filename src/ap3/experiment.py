@@ -45,25 +45,16 @@ from .lambda3 import (
 from .midpoint import ContextInvariantError, run_depletion
 from .spectral import DenseFunction, Spectrum, parseval_gap
 
+# Numbered in rising severity, so the worst of several codes is their max.
 EXIT_PASS = 0
 EXIT_ERROR = 1
 EXIT_REFUSED = 2
 EXIT_BUDGET = 3
 EXIT_ASSERTION = 4
 
-_SEVERITY = (EXIT_ASSERTION, EXIT_BUDGET, EXIT_REFUSED, EXIT_ERROR, EXIT_PASS)
-
 
 class ConfigError(ValueError):
     """The config is malformed or references an unimplemented recipe."""
-
-
-def worst_exit(codes) -> int:
-    codes = set(codes)
-    for code in _SEVERITY:
-        if code in codes:
-            return code
-    return EXIT_PASS
 
 
 def build_recipe(params: FieldParams, spec: dict, rng: np.random.Generator) -> DenseFunction:
@@ -185,7 +176,7 @@ def _flag(spec: dict, key: str) -> bool:
     return value
 
 
-_ORDERING_CHOICES = {"fgf": ("fgf",), "gff": ("gff",), "both": ("fgf", "gff")}
+ORDERING_CHOICES = {"fgf": ("fgf",), "gff": ("gff",), "both": ("fgf", "gff")}
 # Config keys whose ExperimentConfig attribute carries a different name.
 _CONFIG_KEYS = {"f_recipe": "f", "g_recipe": "g"}
 
@@ -251,7 +242,7 @@ class ExperimentConfig:
             return dict(value)
 
         ordering = raw.get("ordering", "fgf")
-        if not isinstance(ordering, str) or ordering not in _ORDERING_CHOICES:
+        if not isinstance(ordering, str) or ordering not in ORDERING_CHOICES:
             raise ConfigError(f"field 'ordering' must be fgf, gff or both, got {ordering!r}")
         refresh = raw.get("refresh", "always")
         if refresh not in ("always", "lazy"):
@@ -311,7 +302,7 @@ class ExperimentConfig:
 
     @property
     def orderings(self) -> tuple:
-        return _ORDERING_CHOICES[self.ordering]
+        return ORDERING_CHOICES[self.ordering]
 
     def as_dict(self) -> dict:
         return {_CONFIG_KEYS.get(key, key): value for key, value in asdict(self).items()}
@@ -410,7 +401,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
             all(a["passed"] for a in report["assertions"]) and not report["failures"]
         )
         report["timing"] = {"wall_seconds": round(time.perf_counter() - start, 3)}
-        return report, worst_exit(codes)
+        return report, max(codes)
 
     # refused before build_recipe allocates an F-sized array
     if params.F > BRUTE_FORCE_LIMIT and not config.force:
@@ -591,4 +582,4 @@ def run_config(configs: list[ExperimentConfig]) -> tuple[dict, int]:
         "passed": all(r.get("passed") for r, _ in results),
         "timing": {"wall_seconds": round(time.perf_counter() - start, 3)},
     }
-    return report, worst_exit(code for _, code in results)
+    return report, max(code for _, code in results)

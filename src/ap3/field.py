@@ -67,8 +67,7 @@ def is_integral(value) -> bool:
 @lru_cache(maxsize=64)
 def _digit_table(p: int, n: int) -> np.ndarray:
     """All p^n digit vectors as an (F, n) int64 array, row m = digits of m."""
-    powers = p ** np.arange(n, dtype=np.int64)
-    table = (np.arange(p**n, dtype=np.int64)[:, None] // powers[None, :]) % p
+    table = (np.arange(p**n, dtype=np.int64)[:, None] // _power_table(p, n)) % p
     table.setflags(write=False)
     return table
 
@@ -120,13 +119,11 @@ class FieldParams:
         high = _digit_table(self.p, self.n - lo) @ B[:, lo:].T
         return ((high[:, None, :] + low[None, :, :]) % self.p).reshape(self.F, -1)
 
-    def digits_of(self, x: int) -> np.ndarray:
-        self._check_element(x)
-        digits = []
-        for _ in range(self.n):
-            x, d = divmod(x, self.p)
-            digits.append(d)
-        return np.array(digits, dtype=np.int64)
+    def digits_of(self, indices) -> np.ndarray:
+        """The n base-p digits of each index, in a new last axis: the one digits
+        formula.  An index outside [0, F) is refused."""
+        self.check_elements(indices)
+        return np.asarray(indices, dtype=np.int64)[..., None] // self.powers() % self.p
 
     def index_of(self, digits) -> int:
         d = np.asarray(digits, dtype=np.int64) % self.p
@@ -138,17 +135,13 @@ class FieldParams:
         """Vectorized index_of for an (m, n) array of digit vectors."""
         return (np.asarray(digit_rows, dtype=np.int64) % self.p) @ self.powers()
 
-    def _check_element(self, x: int) -> None:
-        if not 0 <= x < self.F:
-            raise ValueError(f"element index {x} outside [0, {self.F})")
-
     def check_elements(self, indices) -> None:
-        """Refuse an array of element indices if any lies outside [0, F),
-        naming the smallest such index."""
+        """Refuse an index or an array of element indices if any lies outside
+        [0, F), naming the smallest such index."""
         idx = np.asarray(indices)
         outside = idx[(idx < 0) | (idx >= self.F)]
         if outside.size:
-            self._check_element(int(outside.min()))
+            raise ValueError(f"element index {int(outside.min())} outside [0, {self.F})")
 
     def same_as(self, other: "FieldParams") -> None:
         if self != other:
@@ -243,10 +236,6 @@ class Subspace:
     def zero(cls, params: FieldParams) -> "Subspace":
         return cls(params, ())
 
-    @classmethod
-    def full(cls, params: FieldParams) -> "Subspace":
-        return cls.from_rows(params, np.eye(params.n, dtype=np.int64))
-
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -319,22 +308,16 @@ class Subspace:
         return self.params.indices_of(reduced)
 
     def complement(self) -> "Subspace":
-        """The orthogonal complement under the coordinate dot product."""
+        """The orthogonal complement under the coordinate dot product: each free
+        column f gives e_f with -B[i][f] at the pivot column of basis row i."""
         p, n = self.params.p, self.params.n
-        if self.dim == 0:
-            return Subspace.full(self.params)
-        mat, piv = self.matrix, self.pivots
-        free_cols = [c for c in range(n) if c not in piv]
-        rows = []
-        for c in free_cols:
-            v = np.zeros(n, dtype=np.int64)
-            v[c] = 1
-            for i, pc in enumerate(piv):
-                v[pc] = (-mat[i, c]) % p
-            rows.append(v)
-        if not rows:
-            return Subspace.zero(self.params)
-        return Subspace.from_rows(self.params, np.array(rows))
+        pivot_row = dict(zip(self.pivots, self.basis))
+        rows = [
+            [-pivot_row[c][f] % p if c in pivot_row else int(c == f) for c in range(n)]
+            for f in range(n)
+            if f not in pivot_row
+        ]
+        return Subspace.from_rows(self.params, rows)
 
 
 def basis_labels(params: FieldParams, bases: np.ndarray, indices) -> np.ndarray:
@@ -342,9 +325,7 @@ def basis_labels(params: FieldParams, bases: np.ndarray, indices) -> np.ndarray:
     p read as a base-p integer, shape bases.shape[:-2] + indices.shape for a
     stack of (dim, n) bases and a 1-d indices; one basis takes indices of any
     shape.  An index outside [0, F) is refused."""
-    params.check_elements(indices)
-    idx = np.asarray(indices, dtype=np.int64)
-    digits = (idx[..., None] // params.powers()) % params.p
+    digits = params.digits_of(indices)
     weights = _power_table(params.p, bases.shape[-2])
     return ((digits @ np.swapaxes(bases, -1, -2)) % params.p) @ weights
 
@@ -357,14 +338,12 @@ def coset_table(params: FieldParams, bases: np.ndarray, translates) -> np.ndarra
     so a caller that bounds T p^dim bounds it too, and read as indices by
     one product with the powers of p.
     """
-    params.check_elements(translates)
-    p, powers = params.p, params.powers()
-    t = np.asarray(translates, dtype=np.int64)
+    p = params.p
     coeffs = _digit_table(p, bases.shape[-2]).T  # (dim, p^dim): column c holds c's digits
     digits = np.swapaxes(bases, -1, -2) @ coeffs
-    digits += (t[:, None] // powers % p)[:, :, None]
+    digits += params.digits_of(translates)[:, :, None]
     digits %= p
-    table = powers @ digits
+    table = params.powers() @ digits
     table.sort(axis=1)
     return table
 
@@ -396,8 +375,6 @@ def enumerate_subspaces(
             f"enumeration of {count} subspaces exceeds the cap of {cap}"
         )
     p, n = params.p, params.n
-    if dim == 0:
-        return [Subspace.zero(params)]
     out = []
     for piv in combinations(range(n), dim):
         free_pos = [
@@ -406,14 +383,11 @@ def enumerate_subspaces(
             for c in range(piv[i] + 1, n)
             if c not in piv
         ]
-        base = np.zeros((dim, n), dtype=np.int64)
-        for i, c in enumerate(piv):
-            base[i, c] = 1
         for assignment in product(range(p), repeat=len(free_pos)):
-            M = base.copy()
+            M = [[int(c == pc) for c in range(n)] for pc in piv]
             for (i, c), v in zip(free_pos, assignment):
-                M[i, c] = v
-            out.append(Subspace(params, tuple(tuple(int(v) for v in row) for row in M)))
+                M[i][c] = v
+            out.append(Subspace(params, tuple(map(tuple, M))))
     assert len(out) == count
     return out
 

@@ -79,8 +79,10 @@ class DenseFunction:
     def from_json(cls, text: str) -> "DenseFunction":
         data = json.loads(text)
         params = FieldParams.from_json_dict(data)
-        values = np.array(data["values"])
-        if values.ndim != 1 or values.dtype.kind not in "iuf":
+        raw = data["values"]
+        values = np.array(raw)
+        # checked per element: numpy reads a bool among numbers as 0 or 1
+        if values.ndim != 1 or values.dtype.kind not in "iuf" or bool in set(map(type, raw)):
             raise ValueError("'values' must be a flat list of numbers")
         return cls.make(params, values)
 

@@ -166,6 +166,8 @@ def test_lambda3_two_files_transform_each_once(capsys, tmp_path, rng, monkeypatc
         {"p": 3, "n": 2, "values": [[0.5] * 9]},
         {"p": 3, "n": 1, "values": ["0.5", "0.5", "0.5"]},
         {"p": 3, "n": 1, "values": [True, False, True]},
+        {"p": 3, "n": 1, "values": [True, 0.5, 0.25]},
+        {"p": 3, "n": 1, "values": [0.5, 1, False]},
     ],
 )
 def test_lambda3_rejects_bad_field_in_file(capsys, tmp_path, data):

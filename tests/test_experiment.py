@@ -18,9 +18,9 @@ from ap3.experiment import (
     derive_minorant,
     report_json,
     resolve_delta,
+    run_config,
     run_experiment,
     strip_timing,
-    worst_exit,
 )
 from ap3.functions import convolve_direct
 from ap3.lambda3 import lambda3_brute
@@ -41,12 +41,18 @@ def cfg(**overrides):
     return ExperimentConfig.from_dict(base)
 
 
-def test_worst_exit_severity_order():
-    assert worst_exit([0, 0]) == 0
-    assert worst_exit([0, 2, 1]) == 2
-    assert worst_exit([3, 2]) == 3
-    assert worst_exit([4, 3, 2, 1]) == 4
-    assert worst_exit([1, 0]) == 1
+def test_exit_codes_rise_with_severity():
+    assert EXIT_PASS < EXIT_ERROR < EXIT_REFUSED < EXIT_BUDGET < EXIT_ASSERTION
+    # a multi-entry config exits with its worst entry's code, wherever that entry sits
+    refused = cfg(g={"kind": "constant", "value": 0.0})
+    budget = cfg(g={"kind": "mask", "members": [0]}, max_attempts=48)
+    error = cfg(exhaustive=True, enumeration_cap=3, trials=10)
+    report, code = run_config([refused, budget, cfg(), error])
+    assert code == EXIT_BUDGET
+    assert [entry["passed"] for entry in report["entries"]] == [False, False, True, False]
+    assert run_config([cfg(), error, refused])[1] == EXIT_REFUSED
+    assert run_config([error, cfg()])[1] == EXIT_ERROR
+    assert run_config([cfg(), cfg(seed=5)])[1] == EXIT_PASS
 
 
 def test_build_recipe_kinds(p33, rng):

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -74,6 +75,8 @@ def test_digit_round_trip(pn, raw):
 def test_element_bounds(p33):
     with pytest.raises(ValueError):
         p33.digits_of(27)
+    with pytest.raises(ValueError, match="index -1 outside"):
+        p33.digits_of(np.array([[3, 27], [-1, 0]]))
     with pytest.raises(ParameterError):
         p33.same_as(FieldParams(3, 2))
 
@@ -121,19 +124,20 @@ def test_zero_and_full(p33):
     Z = Subspace.zero(p33)
     assert Z.members().tolist() == [0]
     assert Z.coset(5).tolist() == [5]
-    assert Subspace.full(p33).dim == 3
-    assert Z.complement() == Subspace.full(p33)
-    assert Subspace.full(p33).complement() == Z
+    full = Subspace.from_rows(p33, np.eye(3))
+    assert full.dim == 3
+    assert Z.complement() == full
+    assert full.complement() == Z
 
 
 def test_complement_orthogonality(p52, rng):
-    for _ in range(10):
-        W = sample_uniform_subspace(p52, 1, rng)
+    for dim, _ in product(range(p52.n + 1), range(10)):
+        W = sample_uniform_subspace(p52, dim, rng)
         V = W.complement()
         assert V.dim == p52.n - W.dim
-        for w in W.members():
-            for v in V.members():
-                assert (p52.digits_of(int(w)) @ p52.digits_of(int(v))) % p52.p == 0
+        assert V.complement() == W
+        dots = p52.digits_of(W.members()) @ p52.digits_of(V.members()).T
+        assert not (dots % p52.p).any()
 
 
 @given(SMALL_PARAMS, st.data())
@@ -153,13 +157,15 @@ def test_pivots_match_rref(pn, data):
 
 
 def test_enumerate_matches_gaussian_binomial():
-    for p, n, d in [(3, 2, 1), (3, 3, 1), (3, 3, 2), (5, 2, 1), (3, 4, 2)]:
+    cases = [(3, 2, 1), (3, 3, 1), (3, 3, 2), (5, 2, 1), (3, 4, 2), (3, 3, 0), (3, 3, 3), (5, 2, 2)]
+    for p, n, d in cases:
         params = FieldParams(p, n)
         spaces = enumerate_subspaces(params, d)
         assert len(spaces) == gaussian_binomial(n, d, p)
         assert len(set(spaces)) == len(spaces)
-        for W in spaces[:10]:
+        for W in spaces:
             assert W.dim == d
+            assert Subspace.from_rows(params, W.basis) == W  # each basis is its own RREF
 
 
 def test_enumeration_cap():
@@ -343,6 +349,7 @@ def test_digits_and_cosets_match_digit_table(pn):
     params = FieldParams(*pn)
     D = params.digit_table()
     rng = np.random.default_rng(pn[0] + pn[1])
+    assert np.array_equal(params.digits_of(np.arange(params.F)), D)
     for x in range(params.F):
         assert np.array_equal(params.digits_of(x), D[x])
     for dim in range(params.n + 1):
