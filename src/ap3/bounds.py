@@ -87,11 +87,11 @@ class HypothesisReport:
     e_f: float
     e_g: float
     sigma_k: float
-    items: tuple  # (name, passed, detail) triples
+    items: dict  # name -> (passed, detail), in the order checked
     passed: bool
 
     def as_dict(self) -> dict:
-        items = [{"name": n, "passed": ok, "detail": d} for n, ok, d in self.items]
+        items = [{"name": n, "passed": ok, "detail": d} for n, (ok, d) in self.items.items()]
         return {**asdict(self), "items": items}
 
 
@@ -123,15 +123,12 @@ def check_hypotheses(
     sigma_k = f.spectrum.sigma(k)
     theta = derived_theta(e_g, F)
 
-    items = []
+    items = {}
     gap = float((g.values - f.values).max())
     witness = int(np.argmax(g.values - f.values))
-    items.append(
-        (
-            "domination",
-            gap <= DOMINATION_TOLERANCE,
-            f"max(g - f) = {gap:.3g} at index {witness}",
-        )
+    items["domination"] = (
+        gap <= DOMINATION_TOLERANCE,
+        f"max(g - f) = {gap:.3g} at index {witness}",
     )
     in_range = (
         f.values.min() >= -DOMINATION_TOLERANCE
@@ -139,22 +136,16 @@ def check_hypotheses(
         and g.values.min() >= -DOMINATION_TOLERANCE
         and g.values.max() <= 1 + DOMINATION_TOLERANCE
     )
-    items.append(("unit_range", bool(in_range), "both functions take values in [0, 1]"))
+    items["unit_range"] = (bool(in_range), "both functions take values in [0, 1]")
     floor = max(F ** (-theta) if theta is not None else 0.0, density_floor(params, k))
-    items.append(
-        (
-            "density_floor",
-            e_g >= floor - DOMINATION_TOLERANCE,
-            f"E(g) = {e_g:.6g} vs floor {floor:.6g}",
-        )
+    items["density_floor"] = (
+        e_g >= floor - DOMINATION_TOLERANCE,
+        f"E(g) = {e_g:.6g} vs floor {floor:.6g}",
     )
     tail_cap = delta**2 * F**2
-    items.append(
-        (
-            "tail",
-            sigma_k <= tail_cap + TAIL_TOLERANCE,
-            f"sigma_k = {sigma_k:.6g} vs delta^2 F^2 = {tail_cap:.6g}",
-        )
+    items["tail"] = (
+        sigma_k <= tail_cap + TAIL_TOLERANCE,
+        f"sigma_k = {sigma_k:.6g} vs delta^2 F^2 = {tail_cap:.6g}",
     )
-    passed = all(ok for _, ok, _ in items)
-    return HypothesisReport(k, delta, theta, e_f, e_g, sigma_k, tuple(items), passed)
+    passed = all(ok for ok, _ in items.values())
+    return HypothesisReport(k, delta, theta, e_f, e_g, sigma_k, items, passed)

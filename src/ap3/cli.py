@@ -11,6 +11,7 @@ Exit codes: 0 pass, 1 cap/IO/guardrail error, 2 hypothesis refusal,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -136,7 +137,6 @@ def _emit(text: str, out_dir: str | None, filename: str) -> None:
     if out_dir is None:
         sys.stdout.write(text)
         return
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, filename)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
@@ -154,9 +154,13 @@ def _load_function(path: str, p: int | None, n: int | None) -> DenseFunction:
             raise ConfigError("CSV function files need --p and --n")
         return DenseFunction.from_csv(FieldParams(p, n), text)
     try:
-        return DenseFunction.from_json(text)
+        f = DenseFunction.from_json(text)
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"{path} is not a valid function file: {exc}") from exc
+    for flag, given, stored in (("--p", p, f.params.p), ("--n", n, f.params.n)):
+        if given is not None and given != stored:
+            raise ConfigError(f"{flag} {given} contradicts {flag[2:]} = {stored} in {path}")
+    return f
 
 
 def _function_from_args(args) -> DenseFunction:
@@ -241,8 +245,6 @@ def cmd_lambda3(args) -> int:
 
 def cmd_verify(args) -> int:
     config = load_config_file(args.config)
-    if args.out is not None:  # an unusable --out fails before any experiment runs
-        os.makedirs(args.out, exist_ok=True)
     report, code = run_config(config)
     _emit(report_json(report), args.out, "report.json")
     status = "PASS" if code == EXIT_PASS else f"FAIL(exit {code})"
@@ -304,11 +306,17 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
         "estimate": cmd_estimate,
     }
+    made = args.out is not None and not os.path.isdir(args.out)
     try:
+        if made:  # an unusable --out fails before any command runs
+            os.makedirs(args.out)
         return handlers[args.command](args)
     except (ValueError, EnumerationCapError, OSError, MemoryError) as exc:
         # ValueError covers ConfigError and InfeasibleError
         print(f"ap3 {args.command}: error: {exc}", file=sys.stderr)
+        if made:  # a refused command leaves no empty --out behind
+            with contextlib.suppress(OSError):
+                os.rmdir(args.out)
         return EXIT_ERROR
 
 

@@ -488,7 +488,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
         "brute": brute_fff,
         "spectral": spectral_fff,
         "trivial_bound": trivial_lower_bound(f),
-        "nonzero_difference_weight": brute_fff * params.F**2 - diagonal_weight(f),
+        "nonzero_difference_weight": brute_fff * params.F**2 - diagonal_weight(f, f, f),
     }
     agree("oracle_agreement[f]", brute_fff, spectral_fff)
     at_least("trivial_bound[f]", brute_fff, trivial_lower_bound(f), "trivial")

@@ -165,13 +165,13 @@ def check_same_params(*objs) -> FieldParams:
     return params
 
 
-def rref(matrix, p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+def rref(matrix, p: int) -> tuple[tuple[int, ...], ...]:
     """Reduced row echelon form over GF(p).
 
-    Returns (rows, pivots) where rows holds the nonzero rows as a tuple of
-    int tuples, the form Subspace.basis keeps, and pivots the pivot column of
-    each row.  The elimination runs on Python int lists, which beat numpy row
-    operations on the few short rows a subspace basis has.
+    Returns the nonzero rows as a tuple of int tuples, the form Subspace.basis
+    keeps; Subspace.pivots reads their pivot columns.  The elimination runs on
+    Python int lists, which beat numpy row operations on the few short rows a
+    subspace basis has.
     """
     M = np.asarray(matrix, dtype=np.int64) % p
     if M.ndim != 2:
@@ -179,7 +179,6 @@ def rref(matrix, p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     cols = M.shape[1]
     A = M.tolist()
     rows = len(A)
-    pivots = []
     r = 0
     for c in range(cols):
         for pivot_row in range(r, rows):
@@ -197,11 +196,10 @@ def rref(matrix, p: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
             factor = A[i][c]
             if factor and i != r:
                 A[i] = [(v - factor * t) % p for v, t in zip(A[i], top)]
-        pivots.append(c)
         r += 1
         if r == rows:
             break
-    return tuple(map(tuple, A[:r])), tuple(pivots)
+    return tuple(map(tuple, A[:r]))
 
 
 def gaussian_binomial(n: int, k: int, p: int) -> int:
@@ -226,15 +224,11 @@ class Subspace:
     @classmethod
     def from_rows(cls, params: FieldParams, rows) -> "Subspace":
         arr = np.atleast_2d(np.array(rows, dtype=np.int64)) % params.p
-        if arr.size == 0:
+        if len(rows) == 0:  # no rows, not rows with no entries: [[]] is refused
             return cls(params, ())
         if arr.shape[1] != params.n:
             raise ValueError(f"basis rows must have length {params.n}")
-        return cls(params, rref(arr, params.p)[0])
-
-    @classmethod
-    def zero(cls, params: FieldParams) -> "Subspace":
-        return cls(params, ())
+        return cls(params, rref(arr, params.p))
 
     @property
     def dim(self) -> int:
@@ -246,9 +240,7 @@ class Subspace:
 
     @property
     def matrix(self) -> np.ndarray:
-        if not self.basis:
-            return np.zeros((0, self.params.n), dtype=np.int64)
-        return np.array(self.basis, dtype=np.int64)
+        return np.array(self.basis, dtype=np.int64).reshape(self.dim, self.params.n)
 
     @property
     def pivots(self) -> tuple[int, ...]:
@@ -256,15 +248,13 @@ class Subspace:
         the basis is kept in reduced row echelon form."""
         return tuple(next(c for c, v in enumerate(row) if v) for row in self.basis)
 
-    def labels(self, indices=None) -> np.ndarray:
-        """basis.x mod p read as a base-p integer in [0, p^dim), for each x in
-        indices (every element when None; an index outside [0, F) is refused).
-        Labels agree exactly on the cosets of the orthogonal complement and are
-        0 exactly on it: for V = W-perp, V.labels() names every coset of W and
-        W.labels() every coset of V."""
-        if indices is None:
-            return self.params.dots(self.matrix) @ _power_table(self.params.p, self.dim)
-        return basis_labels(self.params, self.matrix, indices)
+    def labels(self) -> np.ndarray:
+        """basis.x mod p read as a base-p integer in [0, p^dim), for every x in
+        F; basis_labels labels chosen elements.  Labels agree exactly on the
+        cosets of the orthogonal complement and are 0 exactly on it: for
+        V = W-perp, V.labels() names every coset of W and W.labels() every
+        coset of V."""
+        return self.params.dots(self.matrix) @ _power_table(self.params.p, self.dim)
 
     def reduce_digit_rows(self, digit_rows: np.ndarray) -> np.ndarray:
         """Eliminate this subspace from each digit row: result is the canonical
@@ -275,11 +265,9 @@ class Subspace:
         single = R.ndim == 1
         if single:
             R = R[None, :]
-        if self.basis:
-            mat = self.matrix
-            for row, c in zip(mat, self.pivots):
-                coef = R[:, c].copy()
-                R = (R - coef[:, None] * row[None, :]) % p
+        for row, c in zip(self.matrix, self.pivots):
+            coef = R[:, c].copy()
+            R = (R - coef[:, None] * row[None, :]) % p
         return R[0] if single else R
 
     def contains(self, x: int) -> bool:
@@ -291,7 +279,7 @@ class Subspace:
         finder.separates(self, self.members()) decided on the dim x dim Gram
         matrix B B^T: it must be invertible mod p."""
         B = self.matrix
-        return len(rref(B @ B.T, self.params.p)[0]) == self.dim
+        return len(rref(B @ B.T, self.params.p)) == self.dim
 
     def members(self) -> np.ndarray:
         """All element indices of the subspace, ascending."""
@@ -321,10 +309,10 @@ class Subspace:
 
 
 def basis_labels(params: FieldParams, bases: np.ndarray, indices) -> np.ndarray:
-    """Subspace.labels(indices) for each basis stacked in bases: basis.x mod
-    p read as a base-p integer, shape bases.shape[:-2] + indices.shape for a
-    stack of (dim, n) bases and a 1-d indices; one basis takes indices of any
-    shape.  An index outside [0, F) is refused."""
+    """Subspace.labels at the given indices for each basis stacked in bases:
+    basis.x mod p read as a base-p integer, shape bases.shape[:-2] +
+    indices.shape for a stack of (dim, n) bases and a 1-d indices; one basis
+    takes indices of any shape.  An index outside [0, F) is refused."""
     digits = params.digits_of(indices)
     weights = _power_table(params.p, bases.shape[-2])
     return ((digits @ np.swapaxes(bases, -1, -2)) % params.p) @ weights
@@ -357,10 +345,8 @@ def sample_uniform_subspace(params: FieldParams, dim: int, rng: np.random.Genera
     """
     if not 0 <= dim <= params.n:
         raise ValueError(f"dimension {dim} outside [0, {params.n}]")
-    if dim == 0:
-        return Subspace.zero(params)
     while True:
-        basis, _ = rref(rng.integers(0, params.p, size=(dim, params.n)), params.p)
+        basis = rref(rng.integers(0, params.p, size=(dim, params.n)), params.p)
         if len(basis) == dim:
             return Subspace(params, basis)
 

@@ -17,14 +17,6 @@ AGREEMENT_TOLERANCE = 1e-8
 BRUTE_FORCE_LIMIT = 20_000
 
 
-def _as_triple(f1, f2=None, f3=None):
-    if f2 is None and f3 is None:
-        return f1, f1, f1
-    if f2 is None or f3 is None:
-        raise ValueError("provide one function or all three")
-    return f1, f2, f3
-
-
 def scale_table(params: FieldParams, c: int) -> np.ndarray:
     """Index map a -> c a; c = -2 gives the partner of a in the spectral identity.
 
@@ -38,12 +30,11 @@ def scale_table(params: FieldParams, c: int) -> np.ndarray:
     return table.reshape(-1)
 
 
-def lambda3_brute(f1: DenseFunction, f2=None, f3=None) -> float:
+def lambda3_brute(f1: DenseFunction, f2: DenseFunction, f3: DenseFunction) -> float:
     """Exact double sum over all (m, d) pairs; cost O(F^2).
 
     Each d reads f2(m + d) and f3(m + 2d) as shifted views of padded cubes.
     """
-    f1, f2, f3 = _as_triple(f1, f2, f3)
     params = check_same_params(f1, f2, f3)
     cube2 = PaddedCube(params, f2.values)
     cube3 = cube2 if f3 is f2 else PaddedCube(params, f3.values)
@@ -55,9 +46,8 @@ def lambda3_brute(f1: DenseFunction, f2=None, f3=None) -> float:
     return total / params.F**2
 
 
-def lambda3_spectral(f1: DenseFunction, f2=None, f3=None) -> float:
+def lambda3_spectral(f1: DenseFunction, f2: DenseFunction, f3: DenseFunction) -> float:
     """F^(-3) sum_a f1hat(a) f2hat(-2a) f3hat(a); imaginary part must vanish."""
-    f1, f2, f3 = _as_triple(f1, f2, f3)
     params = check_same_params(f1, f2, f3)
     c2 = f2.spectrum.coeffs[scale_table(params, -2)]
     total = complex(np.sum(f1.spectrum.coeffs * c2 * f3.spectrum.coeffs))
@@ -66,9 +56,8 @@ def lambda3_spectral(f1: DenseFunction, f2=None, f3=None) -> float:
     return total.real / params.F**3
 
 
-def diagonal_weight(f1: DenseFunction, f2=None, f3=None) -> float:
+def diagonal_weight(f1: DenseFunction, f2: DenseFunction, f3: DenseFunction) -> float:
     """The d = 0 contribution sum_m f1(m) f2(m) f3(m) to F^2 * Lambda3."""
-    f1, f2, f3 = _as_triple(f1, f2, f3)
     check_same_params(f1, f2, f3)
     return float(np.sum(f1.values * f2.values * f3.values))
 

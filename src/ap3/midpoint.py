@@ -307,16 +307,15 @@ def run_depletion(
     F = params.F
 
     hypotheses = check_hypotheses(f, g, k, delta)
-    items = {name: (ok, detail) for name, ok, detail in hypotheses.items}
-    ok, detail = items["domination"]
+    ok, detail = hypotheses.items["domination"]
     if not ok:
         raise HypothesisRefusal(f"g exceeds f: {detail}; need g <= f pointwise")
-    if not items["unit_range"][0]:
+    if not hypotheses.items["unit_range"][0]:
         raise HypothesisRefusal("f or g takes a value outside [0, 1]")
     e_g = hypotheses.e_g
     if e_g <= 0.0:
         raise HypothesisRefusal("E(g) = 0: nothing to deplete")
-    ok, detail = items["tail"]
+    ok, detail = hypotheses.items["tail"]
     if not ok:
         raise HypothesisRefusal(f"{detail}; the tail hypothesis fails for this delta")
     spectrum = f.spectrum
@@ -399,7 +398,7 @@ def run_depletion(
         steps=tuple(steps),
         lambda_lower=lower_sum / F**2,
         pair_weight=float(g.values @ table),
-        density_ok=items["density_floor"][0],
+        density_ok=hypotheses.items["density_floor"][0],
         partial=partial,
         finder_rejections=dict(rejections),
     )

@@ -126,19 +126,19 @@ def test_lambda3_oracle_equivalence(announce, random_triples):
     for p, n in ((3, 3), (5, 2), (7, 2)):
         params = FieldParams(p, n)
         one = DenseFunction.constant(params, 1.0)
-        examples_ok &= abs(lambda3_brute(one) - 1.0) < 1e-12
-        examples_ok &= abs(lambda3_spectral(one) - 1.0) < 1e-8
+        examples_ok &= abs(lambda3_brute(one, one, one) - 1.0) < 1e-12
+        examples_ok &= abs(lambda3_spectral(one, one, one) - 1.0) < 1e-8
         point = indicator(params, [0])
         expected = params.F**-2.0
-        examples_ok &= abs(lambda3_brute(point) - expected) < 1e-12
-        examples_ok &= abs(lambda3_spectral(point) - expected) < 1e-8
+        examples_ok &= abs(lambda3_brute(point, point, point) - expected) < 1e-12
+        examples_ok &= abs(lambda3_spectral(point, point, point) - expected) < 1e-8
     for p in (3, 5):
         params = FieldParams(p, 2)
         H = Subspace.from_rows(params, [[1, 0]])
         f = indicator(H.params, H.members())
         density = H.size / params.F
-        examples_ok &= abs(lambda3_brute(f) - density**2) < 1e-12
-        examples_ok &= abs(lambda3_spectral(f) - density**2) < 1e-8
+        examples_ok &= abs(lambda3_brute(f, f, f) - density**2) < 1e-12
+        examples_ok &= abs(lambda3_spectral(f, f, f) - density**2) < 1e-8
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-8 and bool(examples_ok) and elapsed < 120.0
     announce(
@@ -155,7 +155,7 @@ def test_trivial_bound_corpus(announce, random_triples):
     worst_margin = math.inf
     for params, fs in random_triples:
         f = fs[0]
-        margin = lambda3_brute(f) - trivial_lower_bound(f)
+        margin = lambda3_brute(f, f, f) - trivial_lower_bound(f)
         worst_margin = min(worst_margin, margin)
     elapsed = time.perf_counter() - start
     ok = worst_margin >= -1e-12
@@ -379,8 +379,8 @@ def test_sevenfold_pipeline(announce):
         spectrum = dft(f)
         quasinorm = spectrum.quasinorm(1.0 / 3.0)
         benchmark = params.F**1.03
-        brute = lambda3_brute(f)
-        spectral = lambda3_spectral(f)
+        brute = lambda3_brute(f, f, f)
+        spectral = lambda3_spectral(f, f, f)
         ok &= abs(brute - spectral) <= 1e-8
         trivial = trivial_lower_bound(f)
         ok &= brute > trivial

@@ -92,11 +92,10 @@ def test_check_hypotheses_constant_fails_floor(p33):
     one = DenseFunction.constant(p33, 1.0)
     report = check_hypotheses(one, one, k=2, delta=0.0)
     assert not report.passed
-    items = {name: ok for name, ok, _ in report.items}
-    assert items["domination"]
-    assert items["unit_range"]
-    assert not items["density_floor"]  # 8 / (2 sqrt 3) = 2.31 > 1
-    assert items["tail"]  # sigma_2 = 0 for a constant
+    assert report.items["domination"][0]
+    assert report.items["unit_range"][0]
+    assert not report.items["density_floor"][0]  # 8 / (2 sqrt 3) = 2.31 > 1
+    assert report.items["tail"][0]  # sigma_2 = 0 for a constant
     assert report.theta == 0.0
 
 
@@ -120,8 +119,7 @@ def test_check_hypotheses_domination_witness(p33):
     vals[11] = 0.8
     g = DenseFunction.make(p33, vals)
     report = check_hypotheses(f, g, k=5, delta=1.0)
-    items = {name: (ok, detail) for name, ok, detail in report.items}
-    ok, detail = items["domination"]
+    ok, detail = report.items["domination"]
     assert not ok
     assert "index 11" in detail
 
@@ -131,11 +129,9 @@ def test_check_hypotheses_tail_item(p33, rng):
     sigma = f.spectrum.sigma(2)
     tight = math.sqrt(sigma) / p33.F
     report = check_hypotheses(f, f, k=2, delta=tight * 1.01)
-    items = {name: ok for name, ok, _ in report.items}
-    assert items["tail"]
+    assert report.items["tail"][0]
     report2 = check_hypotheses(f, f, k=2, delta=tight * 0.5)
-    items2 = {name: ok for name, ok, _ in report2.items}
-    assert not items2["tail"]
+    assert not report2.items["tail"][0]
 
 
 def test_hypothesis_report_as_dict(p33):
@@ -143,9 +139,10 @@ def test_hypothesis_report_as_dict(p33):
     report = check_hypotheses(one, one, k=5, delta=0.0)
     d = report.as_dict()
     assert d["passed"] is True
-    assert {row["name"] for row in d["items"]} == {
+    assert [row["name"] for row in d["items"]] == [
         "domination",
         "unit_range",
         "density_floor",
         "tail",
-    }
+    ]
+    assert [(row["passed"], row["detail"]) for row in d["items"]] == list(report.items.values())

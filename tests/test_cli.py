@@ -179,6 +179,27 @@ def test_lambda3_rejects_bad_field_in_file(capsys, tmp_path, data):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["lambda3", "--files", "FILE", "--p", "5", "--n", "3"], "--p 5 contradicts p = 3"),
+        (["transform", "--in", "FILE", "--p", "7", "--n", "1"], "--p 7 contradicts p = 3"),
+        (["transform", "--in", "FILE", "--n", "1"], "--n 1 contradicts n = 2"),
+        (["lambda3", "--files", "FILE", "FILE", "--p", "3", "--n", "2"], None),
+    ],
+    ids=["lambda3", "transform", "n-only", "matching"],
+)
+def test_p_n_must_match_a_function_file(capsys, tmp_path, argv, named):
+    path = tmp_path / "f.json"
+    path.write_text(DenseFunction.constant(FieldParams(3, 2), 0.5).to_json())
+    code, out, err = run_cli(capsys, *[str(path) if a == "FILE" else a for a in argv])
+    if named is None:
+        assert code == 0 and json.loads(out)["field"] == {"p": 3, "n": 2, "F": 9}
+        return
+    assert code == 1 and out == ""
+    assert err == f"ap3 {argv[0]}: error: {named} in {path}\n"
+
+
 @pytest.mark.parametrize("files", [1, 3, 0])
 def test_lambda3_ordering_needs_two_files(capsys, tmp_path, files):
     path = tmp_path / "f.json"
@@ -278,24 +299,26 @@ def test_verify_writes_report_file(capsys, tmp_path):
     assert str(out_dir / "report.json") in out
 
 
-@pytest.mark.parametrize("command", ["transform", "verify"])
+@pytest.mark.parametrize("command", ["transform", "verify", "estimate", "lambda3"])
 def test_out_that_cannot_be_a_directory_exits_error(capsys, monkeypatch, tmp_path, command):
     blocker = tmp_path / "file"
     blocker.write_text("")
     config = tmp_path / "config.json"
     constant = {"kind": "constant", "value": 1.0}
     config.write_text(json.dumps({"p": 3, "n": 2, "seed": 1, "k": 2, "f": constant}))
-    if command == "transform":
-        out = blocker
-        argv = ["--recipe", json.dumps(constant), "--p", "3", "--n", "2"]
-    else:
-        out = blocker / "sub"
-        argv = ["--config", str(config)]
+    recipe = ["--recipe", json.dumps(constant), "--p", "3", "--n", "2"]
+    argv, computation = {
+        "transform": (recipe, "build_recipe"),
+        "verify": (["--config", str(config)], "run_config"),
+        "estimate": (["--p", "3", "--n", "2", "--k", "2"], "estimate_condition_probabilities"),
+        "lambda3": (recipe, "build_recipe"),
+    }[command]
+    out = blocker if command == "transform" else blocker / "sub"
 
-        def fail(config):
-            pytest.fail("verify ran the config before making --out")
+    def fail(*args, **kwargs):
+        pytest.fail(f"{command} reached {computation} before making --out")
 
-        monkeypatch.setattr(ap3.cli, "run_config", fail)
+    monkeypatch.setattr(ap3.cli, computation, fail)
     code, _, err = run_cli(capsys, command, *argv, "--out", str(out))
     assert code == 1
     assert f"ap3 {command}: error:" in err and str(blocker) in err
@@ -535,6 +558,9 @@ BAD_RECIPES = [
     ({"f": {"kind": "constant", "value": -1}}, "'value'"),
     ({"f": {"kind": "constant", "value": 1e30}}, "'value'"),
     ({"f": {"kind": "constant", "value": 1e30}, "gamma": 0}, "'value'"),
+    # a row of the wrong length, an empty one included, is refused, not read as no row
+    ({"f": {"kind": "subspace", "basis": [[]]}}, "length 2"),
+    ({"f": {"kind": "subspace", "basis": [[1]]}}, "length 2"),
     # beyond int64: the refusal must not become an OverflowError
     ({"g": {"kind": "mask", "members": [10**30]}}, f"index {10**30}"),
 ]

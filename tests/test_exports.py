@@ -2,7 +2,8 @@ import ast
 import importlib
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def _spans_constant(name: str) -> tuple:
@@ -27,3 +28,30 @@ def test_benchmark_span_targets_resolve():
         if not callable(obj):
             missing.append(f"{module}.{attribute}")
     assert missing == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names path imports and never reads; `import a.b` must be read as a.b."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    read = set()
+    for node in ast.walk(tree):  # a.b.c visits a.b.c, a.b and a
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if isinstance(node, ast.Name):
+            read.add(".".join([node.id, *reversed(parts)]))
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.asname or alias.name for alias in node.names]
+            unused += [f"{path.name}:{node.lineno} {name}" for name in names if name not in read]
+    return unused
+
+
+def test_every_import_is_read():
+    modules = sorted([*ROOT.glob("src/ap3/*.py"), *ROOT.glob("tests/*.py")])
+    assert len(modules) > 20
+    assert [entry for path in modules for entry in _unused_imports(path)] == []

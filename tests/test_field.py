@@ -11,13 +11,13 @@ from ap3.field import (
     FieldParams,
     ParameterError,
     Subspace,
+    basis_labels,
     enumerate_subspaces,
     gaussian_binomial,
     is_prime,
     rref,
     sample_uniform_subspace,
 )
-from ap3.finder import separates
 from ap3.midpoint import SubspaceFrame
 from ap3.spectral import DenseFunction, dft
 
@@ -83,12 +83,10 @@ def test_element_bounds(p33):
 
 def test_rref_idempotent_and_rank():
     M = [[1, 2, 0], [2, 4, 1], [0, 0, 2]]
-    reduced, pivots = rref(M, 3)
-    again, pivots2 = rref(reduced, 3)
-    assert np.array_equal(reduced, again)
-    assert pivots == pivots2
+    reduced = rref(M, 3)
+    assert rref(reduced, 3) == reduced
     assert len(reduced) == 2
-    assert rref(np.zeros((2, 3)), 3)[0] == ()
+    assert rref(np.zeros((2, 3)), 3) == ()
 
 
 def test_gaussian_binomial_known():
@@ -121,7 +119,7 @@ def test_subspace_members_and_cosets(p33):
 
 
 def test_zero_and_full(p33):
-    Z = Subspace.zero(p33)
+    Z = Subspace.from_rows(p33, [])
     assert Z.members().tolist() == [0]
     assert Z.coset(5).tolist() == [5]
     full = Subspace.from_rows(p33, np.eye(3))
@@ -147,9 +145,9 @@ def test_pivots_match_rref(pn, data):
     dim = data.draw(st.integers(0, params.n))
     seed = data.draw(st.integers(0, 2**32 - 1))
     W = sample_uniform_subspace(params, dim, np.random.default_rng(seed))
-    rows, pivots = rref(W.matrix, params.p)
-    assert W.pivots == pivots
-    # coset representatives by elimination on the pivots rref reports
+    rows, pivots = rref_numpy(W.matrix, params.p)
+    assert W.basis == tuple(map(tuple, rows.tolist())) and W.pivots == pivots
+    # coset representatives by elimination on the oracle's pivots
     R = params.digit_table().copy()
     for row, c in zip(rows, pivots):
         R = (R - R[:, c : c + 1] * np.array(row)) % params.p
@@ -175,6 +173,10 @@ def test_enumeration_cap():
 
 def test_sampling_covers_all_lines(rng):
     params = FieldParams(3, 2)
+    # dim 0 reduces an empty draw to the zero subspace and uses none of the stream
+    zero_rng = np.random.default_rng(7)
+    assert sample_uniform_subspace(params, 0, zero_rng) == Subspace.from_rows(params, [])
+    assert zero_rng.random() == np.random.default_rng(7).random()
     seen = {sample_uniform_subspace(params, 1, rng) for _ in range(200)}
     assert len(seen) == 4
     counts = {}
@@ -189,7 +191,7 @@ def test_frame_cells_split_every_element(p33, rng):
     for _ in range(10):
         W = sample_uniform_subspace(p33, 2, rng)
         V = W.complement()
-        if len(rref(np.vstack([W.matrix, V.matrix]), 3)[0]) < 3:
+        if len(rref(np.vstack([W.matrix, V.matrix]), 3)) < 3:
             continue  # W meets V
         frame = SubspaceFrame.build(spectrum, W)
         for x in range(p33.F):
@@ -246,7 +248,7 @@ def test_labels_partition_matches_coset_representatives(pn, data):
     pairs = np.unique(np.stack([labels, reps]), axis=1).shape[1]
     assert pairs == np.unique(labels).size == np.unique(reps).size
     some = np.arange(0, params.F, 3)
-    assert np.array_equal(S.labels(some), labels[some])
+    assert np.array_equal(basis_labels(params, S.matrix, some), labels[some])
 
 
 @given(LABEL_PARAMS, st.data())
@@ -262,8 +264,8 @@ def test_labels_vanish_exactly_on_complement(pn, data):
 @settings(max_examples=80, deadline=None)
 def test_frame_cells_match_grid(pn, data):
     """The frame indexes x = w_i + v_j by adding digits; the fast path names
-    the same x by labels, W.labels()[x] = W.labels(w_i), V.labels()[x] =
-    V.labels(v_j)."""
+    the same x by labels, W.labels()[x] = basis_labels(W.matrix, w_i) and
+    V.labels()[x] = basis_labels(V.matrix, v_j)."""
     params, W = _random_subspace(pn, data)
     V = W.complement()
     values = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).random(params.F)
@@ -274,8 +276,8 @@ def test_frame_cells_match_grid(pn, data):
         return
     frame = SubspaceFrame.build(spectrum, W)
     i, j = np.divmod(frame.cell, V.size)
-    assert np.array_equal(W.labels(), W.labels(frame.w_members)[i])
-    assert np.array_equal(V.labels(), V.labels(frame.v_members)[j])
+    assert np.array_equal(W.labels(), basis_labels(params, W.matrix, frame.w_members)[i])
+    assert np.array_equal(V.labels(), basis_labels(params, V.matrix, frame.v_members)[j])
     assert np.array_equal(frame.fhat_wv[i, j], spectrum.coeffs)
 
 
@@ -319,10 +321,11 @@ def test_rref_matches_numpy_elimination(p):
             M[1] = M[0]  # a repeated row
         if rows > 2 and rng.random() < 0.3:
             M[2] = (M[0] + 2 * M[1]) % p  # rank deficiency
-        got, pivots = rref(M, p)
+        got = rref(M, p)
         expected, expected_pivots = rref_numpy(M, p)
-        assert got == tuple(map(tuple, expected.tolist())) and pivots == expected_pivots
-    assert rref(np.zeros((0, 4), dtype=np.int64), p)[0] == ()
+        assert got == tuple(map(tuple, expected.tolist()))
+        assert Subspace(FieldParams(p, cols), got).pivots == expected_pivots
+    assert rref(np.zeros((0, 4), dtype=np.int64), p) == ()
 
 
 ALL_PARAMS = [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2), (5, 3), (7, 1), (7, 2)]
@@ -364,5 +367,5 @@ def test_labels_refuse_out_of_range_indices(p33):
     W = Subspace.from_rows(p33, [[1, 0, 0]])
     for bad, named in [([-1], -1), ([27], 27), ([5, 30, 27], 27), ([27, 3, -4, -1], -4)]:
         with pytest.raises(ValueError, match=rf"element index {named} outside \[0, 27\)"):
-            W.labels(bad)
-    assert W.labels([0, 26]).tolist() == [0, 2]
+            basis_labels(p33, W.matrix, bad)
+    assert basis_labels(p33, W.matrix, [0, 26]).tolist() == [0, 2]

@@ -14,6 +14,7 @@ from ap3.field import (
     FieldParams,
     InfeasibleError,
     Subspace,
+    basis_labels,
     enumerate_subspaces,
     rref,
     sample_uniform_subspace,
@@ -132,7 +133,7 @@ def _verify_good(found, A, g, params):
     assert not any(V.contains(b) for b in B)
     assert found.dense.sum() * found.W.size >= params.F / 4.0
     stacked = np.vstack([found.W.matrix, V.matrix])
-    assert len(rref(stacked, params.p)[0]) == found.W.dim + V.dim
+    assert len(rref(stacked, params.p)) == found.W.dim + V.dim
     assert found.W.dim + V.dim == params.n
 
 
@@ -149,7 +150,7 @@ def test_separates(p33):
     for A in place_sets:
         B = difference_set(p33, A)
         for W in spaces:
-            expected = not (W.labels(B[B != 0]) == 0).any()
+            expected = not (basis_labels(p33, W.matrix, B[B != 0]) == 0).any()
             assert separates(W, A) == expected
             separated += expected
     assert 0 < separated < len(place_sets) * len(spaces)
@@ -337,7 +338,7 @@ def test_batched_estimator_matches_per_trial_oracle(pn, seed, blocks, data):
         t = int(rng.integers(params.F))
         labels = W.complement().labels()  # names the cosets of W
         X.append(coset_sum(g.values, np.flatnonzero(labels == labels[t])))
-        hits += np.unique(W.labels(A)).size == len(A)
+        hits += np.unique(basis_labels(params, W.matrix, A)).size == len(A)
     (batched,) = seen
     assert np.array_equal(batched, np.array(X))
     assert est.separation == hits / trials and est.trials == trials

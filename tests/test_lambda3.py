@@ -68,23 +68,23 @@ def test_brute_equals_rolled_reference(pn, seed, shape):
 
 def test_constant_triple_is_one(p33):
     one = DenseFunction.constant(p33, 1.0)
-    assert lambda3_brute(one) == pytest.approx(1.0, abs=1e-12)
-    assert lambda3_spectral(one) == pytest.approx(1.0, abs=1e-9)
+    assert lambda3_brute(one, one, one) == pytest.approx(1.0, abs=1e-12)
+    assert lambda3_spectral(one, one, one) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_point_mass_triple(p33):
     delta = indicator(p33, [0])
     expected = 1.0 / p33.F**2
-    assert lambda3_brute(delta) == pytest.approx(expected, abs=1e-15)
-    assert lambda3_spectral(delta) == pytest.approx(expected, abs=1e-12)
+    assert lambda3_brute(delta, delta, delta) == pytest.approx(expected, abs=1e-15)
+    assert lambda3_spectral(delta, delta, delta) == pytest.approx(expected, abs=1e-12)
 
 
 def test_indicator_of_subspace_squares_density():
     params = FieldParams(3, 2)
     H = Subspace.from_rows(params, [[1, 0]])
     f = indicator(H.params, H.members())
-    assert lambda3_brute(f) == pytest.approx(1.0 / 9.0, abs=1e-12)
-    assert lambda3_spectral(f) == pytest.approx(1.0 / 9.0, abs=1e-9)
+    assert lambda3_brute(f, f, f) == pytest.approx(1.0 / 9.0, abs=1e-12)
+    assert lambda3_spectral(f, f, f) == pytest.approx(1.0 / 9.0, abs=1e-9)
 
 
 def test_brute_matches_literal_loop(rng):
@@ -101,12 +101,6 @@ def test_spectral_matches_brute(p, n, rng):
         assert abs(lambda3_brute(*fs) - lambda3_spectral(*fs)) < 1e-8
 
 
-def test_single_argument_means_diagonal_triple(p33, rng):
-    f = random_function(p33, rng)
-    assert lambda3_brute(f) == lambda3_brute(f, f, f)
-    assert lambda3_spectral(f) == lambda3_spectral(f, f, f)
-
-
 def test_translation_invariance(p33, rng):
     fs = [random_function(p33, rng) for _ in range(3)]
     base = lambda3_brute(*fs)
@@ -119,8 +113,8 @@ def test_translation_invariance(p33, rng):
 def test_monotone_in_minorant(p33, rng):
     f = random_function(p33, rng)
     g = DenseFunction.make(p33, f.values * rng.random(p33.F))
-    assert lambda3_brute(f, g, f) <= lambda3_brute(f) + 1e-12
-    assert lambda3_brute(g, f, f) <= lambda3_brute(f) + 1e-12
+    assert lambda3_brute(f, g, f) <= lambda3_brute(f, f, f) + 1e-12
+    assert lambda3_brute(g, f, f) <= lambda3_brute(f, f, f) + 1e-12
 
 
 def test_trivial_lower_bound(p33, rng):
@@ -129,12 +123,12 @@ def test_trivial_lower_bound(p33, rng):
     assert trivial_lower_bound(DenseFunction.constant(p33, 0.0)) == 0.0
     for _ in range(5):
         f = random_function(p33, rng)
-        assert lambda3_brute(f) >= trivial_lower_bound(f) - 1e-12
+        assert lambda3_brute(f, f, f) >= trivial_lower_bound(f) - 1e-12
 
 
 def test_diagonal_and_nonzero_difference_split(p33, rng):
     f = random_function(p33, rng)
-    total = lambda3_brute(f) * p33.F**2
+    total = lambda3_brute(f, f, f) * p33.F**2
     diag = diagonal_weight(f, f, f)
     assert diag == pytest.approx(float((f.values**3).sum()), abs=1e-9)
     cube = PaddedCube(p33, f.values)

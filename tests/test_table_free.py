@@ -15,7 +15,7 @@ import pytest
 import ap3.field
 from ap3.cli import main
 from ap3.experiment import build_recipe, derive_minorant, load_config_file, resolve_delta
-from ap3.field import FieldParams, sample_uniform_subspace
+from ap3.field import FieldParams, basis_labels, sample_uniform_subspace
 from ap3.finder import find_good_subspace
 from ap3.lambda3 import (
     endpoint_pair_count,
@@ -84,7 +84,8 @@ def test_fast_path_without_table(pn, monkeypatch):
         energy = tail_energy(f.spectrum, A)
         found = find_good_subspace(A, g, np.random.default_rng(1), nprime=1)
         scores = coset_scores(energy, A, found.W, found.coset_labels)
-        labels_all, labels_A, coset = W.labels(), W.labels(A), W.coset(t)
+        labels_all, coset = W.labels(), W.coset(t)
+        labels_A = basis_labels(params, W.matrix, A)
         wave = build_recipe(params, cosine, rng)
 
     D = params.digit_table()
