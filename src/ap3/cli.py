@@ -306,7 +306,10 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
         "estimate": cmd_estimate,
     }
-    made = args.out is not None and not os.path.isdir(args.out)
+    made, path = [], args.out  # the directories --out makes, leaf first
+    while path and not os.path.isdir(path):
+        made.append(path)
+        path = os.path.dirname(path)
     try:
         if made:  # an unusable --out fails before any command runs
             os.makedirs(args.out)
@@ -314,9 +317,9 @@ def main(argv=None) -> int:
     except (ValueError, EnumerationCapError, OSError, MemoryError) as exc:
         # ValueError covers ConfigError and InfeasibleError
         print(f"ap3 {args.command}: error: {exc}", file=sys.stderr)
-        if made:  # a refused command leaves no empty --out behind
+        for path in made:  # a refused command leaves no empty directory it made
             with contextlib.suppress(OSError):
-                os.rmdir(args.out)
+                os.rmdir(path)
         return EXIT_ERROR
 
 

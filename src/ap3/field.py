@@ -257,18 +257,15 @@ class Subspace:
         return self.params.dots(self.matrix) @ _power_table(self.params.p, self.dim)
 
     def reduce_digit_rows(self, digit_rows: np.ndarray) -> np.ndarray:
-        """Eliminate this subspace from each digit row: result is the canonical
-        coset representative of each row modulo the subspace.  An oracle path;
-        the fast path names cosets by labels."""
+        """Eliminate this subspace from each digit row (one row is a one-row table):
+        each result row is the canonical coset representative of its row.  An
+        oracle path; the fast path names cosets by labels."""
         p = self.params.p
-        R = np.array(digit_rows, dtype=np.int64) % p
-        single = R.ndim == 1
-        if single:
-            R = R[None, :]
+        R = np.atleast_2d(np.array(digit_rows, dtype=np.int64) % p)
         for row, c in zip(self.matrix, self.pivots):
             coef = R[:, c].copy()
             R = (R - coef[:, None] * row[None, :]) % p
-        return R[0] if single else R
+        return R
 
     def contains(self, x: int) -> bool:
         return not self.reduce_digit_rows(self.params.digits_of(x)).any()
@@ -336,44 +333,52 @@ def coset_table(params: FieldParams, bases: np.ndarray, translates) -> np.ndarra
     return table
 
 
-def sample_uniform_subspace(params: FieldParams, dim: int, rng: np.random.Generator) -> Subspace:
-    """Uniformly random dim-dimensional subspace.
+@lru_cache(maxsize=64)
+def echelon_patterns(p: int, n: int, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One (templates, masks, cdf) entry per pivot set P, in combinations order:
+    P's pivot 1s as a (dim, n) matrix, its free entries (right of a pivot, outside
+    the pivot columns) and its cumulative share of the p^free(P) fillings, a float
+    (p^free overflows int64) ending at exactly 1.  Each subspace is one (P, filling)."""
+    pivots = np.array(list(combinations(range(n), dim)), dtype=np.int64)[..., None]
+    templates = (np.arange(n) == pivots).astype(np.int64)
+    masks = (np.arange(n) > pivots) & ~templates.any(axis=1, keepdims=True)
+    cumsum = np.cumsum(float(p) ** masks.sum(axis=(1, 2)))
+    cdf = cumsum / cumsum[-1]
+    for table in (templates, masks, cdf):
+        table.setflags(write=False)
+    return templates, masks, cdf
 
-    Rejection sampling on uniform dim x n matrices until full rank; every
-    subspace has the same number of ordered bases, so the canonicalized
-    result is uniform over the dimension's subspaces.
-    """
+
+def sample_uniform_bases(
+    params: FieldParams, dim: int, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """count uniform dim-dimensional subspaces as a (count, dim, n) stack of RREF
+    bases: a pivot set drawn by its cdf share, its free entries filled uniformly."""
     if not 0 <= dim <= params.n:
         raise ValueError(f"dimension {dim} outside [0, {params.n}]")
-    while True:
-        basis = rref(rng.integers(0, params.p, size=(dim, params.n)), params.p)
-        if len(basis) == dim:
-            return Subspace(params, basis)
+    templates, masks, cdf = echelon_patterns(params.p, params.n, dim)
+    j = np.searchsorted(cdf, rng.random(count), side="right")
+    return templates[j] + masks[j] * rng.integers(0, params.p, size=(count, dim, params.n))
+
+
+def sample_uniform_subspace(params: FieldParams, dim: int, rng: np.random.Generator) -> Subspace:
+    """One uniformly random dim-dimensional subspace: sample_uniform_bases' one draw."""
+    (basis,) = sample_uniform_bases(params, dim, 1, rng).tolist()
+    return Subspace(params, tuple(map(tuple, basis)))
 
 
 def enumerate_subspaces(
     params: FieldParams, dim: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list[Subspace]:
-    """All dim-dimensional subspaces, via their unique echelon-form bases."""
+    """All dim-dimensional subspaces: each echelon pattern's fillings, in order."""
     count = gaussian_binomial(params.n, dim, params.p)
     if count > cap:
-        raise EnumerationCapError(
-            f"enumeration of {count} subspaces exceeds the cap of {cap}"
-        )
-    p, n = params.p, params.n
+        raise EnumerationCapError(f"enumeration of {count} subspaces exceeds the cap of {cap}")
     out = []
-    for piv in combinations(range(n), dim):
-        free_pos = [
-            (i, c)
-            for i in range(dim)
-            for c in range(piv[i] + 1, n)
-            if c not in piv
-        ]
-        for assignment in product(range(p), repeat=len(free_pos)):
-            M = [[int(c == pc) for c in range(n)] for pc in piv]
-            for (i, c), v in zip(free_pos, assignment):
-                M[i][c] = v
-            out.append(Subspace(params, tuple(map(tuple, M))))
+    for template, mask in zip(*echelon_patterns(params.p, params.n, dim)[:2]):
+        for filling in product(range(params.p), repeat=int(mask.sum())):
+            basis = template.copy()
+            basis[mask] = filling
+            out.append(Subspace(params, tuple(map(tuple, basis.tolist()))))
     assert len(out) == count
     return out
-

@@ -38,6 +38,7 @@ from .field import (
     basis_labels,
     coset_table,
     enumerate_subspaces,
+    sample_uniform_bases,
     sample_uniform_subspace,
 )
 from .spectral import DenseFunction
@@ -195,11 +196,6 @@ def chebyshev_moments(X: np.ndarray, mean: float, size: int) -> tuple[float, flo
     return float(X.mean()), size * mean, float(X.var()), float(size)
 
 
-def _stack(bases: list, dim: int, params: FieldParams) -> np.ndarray:
-    """Subspace.basis tuples as one (len(bases), dim, n) int64 array."""
-    return np.array(bases, dtype=np.int64).reshape(len(bases), dim, params.n)
-
-
 def estimate_condition_probabilities(
     nprime: int,
     A: np.ndarray,
@@ -212,9 +208,9 @@ def estimate_condition_probabilities(
     """Estimate P(separation) for A, and P(coset density) and the moments of X
     for g, all from one sample.
 
-    Sampled mode draws W and then t for each trial and reads only the coset
-    t + W.  The draws are made one trial at a time, and a block of trials is
-    then scored at once: one table of its cosets gives X, one table of the
+    Sampled mode draws (W, t) for each trial and reads only the coset t + W.
+    It works a block of trials at a time: one call draws the block's bases,
+    one its translates, one table of its cosets gives X and one table of the
     labels of A gives separation.  Exhaustive mode enumerates every W of
     dimension nprime and every translate t, W-major, and returns exact
     frequencies.
@@ -225,7 +221,7 @@ def estimate_condition_probabilities(
         spaces = enumerate_subspaces(params, nprime, cap=cap)
         sums = (coset_sums(g, W.complement()) for W in spaces)
         X = np.hstack([totals[labels] for labels, totals in sums])
-        bases = _stack([W.basis for W in spaces], nprime, params)
+        bases = np.array([W.matrix for W in spaces])
         hits = int(np.count_nonzero(separating(params, bases, A)))
         count = len(spaces)
     elif rng is None:
@@ -236,13 +232,9 @@ def estimate_condition_probabilities(
         X, hits, count = np.empty(trials), 0, trials
         block = max(1, BLOCK_ENTRIES // size)
         for start in range(0, trials, block):
-            drawn, translates = [], []
-            for _ in range(min(block, trials - start)):
-                drawn.append(sample_uniform_subspace(params, nprime, rng).basis)
-                translates.append(int(rng.integers(params.F)))
-            bases = _stack(drawn, nprime, params)
-            cosets = coset_table(params, bases, translates)
-            X[start : start + len(translates)] = coset_sum(g.values, cosets)
+            bases = sample_uniform_bases(params, nprime, min(block, trials - start), rng)
+            cosets = coset_table(params, bases, rng.integers(params.F, size=len(bases)))
+            X[start : start + len(bases)] = coset_sum(g.values, cosets)
             hits += int(np.count_nonzero(separating(params, bases, A)))
     separation = _frequency(hits, count, exhaustive)
     density = _frequency(int(np.count_nonzero(is_dense(X, g.mean(), size))), X.size, exhaustive)

@@ -529,6 +529,20 @@ def test_verify_rejects_out_of_range_config(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("out", ["nest/a/b", "nest/a/b/", "kept/a/b"])
+def test_refused_command_removes_every_directory_out_made(capsys, tmp_path, monkeypatch, out):
+    # os.makedirs makes the missing parents of --out too; a refused command
+    # removes each of them, leaf first, and keeps the first one that existed
+    (tmp_path / "kept").mkdir()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"p": 3, "n": 2, "k": 2, "f": {"kind": "constant", "value": 1.0}}))
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, "verify", "--config", str(config), "--out", out)
+    assert code == 1 and "seed" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "kept"]
+    assert not any((tmp_path / "kept").iterdir())
+
+
 def run_cli_process(*argv, timeout=30):
     """The CLI in a fresh interpreter, so an input that hangs fails the test."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -664,11 +678,13 @@ def _counting(monkeypatch, name):
 
 @pytest.mark.parametrize("lemma", ["separation", "moments", "both"])
 def test_estimate_row_draws_each_subspace_once(capsys, monkeypatch, lemma):
-    draws = _counting(monkeypatch, "sample_uniform_subspace")
+    # k=3 gives nprime 2, so blocks of 16 trials: one draw of 16 bases per block
+    monkeypatch.setattr(ap3.finder, "BLOCK_ENTRIES", 16 * 3**2)
+    draws = _counting(monkeypatch, "sample_uniform_bases")
     args = ("--p", "3", "--n", "3", "--k", "3", "--trials", "40", "--lemma", lemma)
     code, _, _ = run_cli(capsys, "estimate", *args)
     assert code == 0
-    assert len(draws) == 40
+    assert [count for _, _, count, _ in draws] == [16, 16, 8]
 
 
 @pytest.mark.parametrize("lemma", ["separation", "moments", "both"])

@@ -22,6 +22,7 @@ from ap3.experiment import (
     run_experiment,
     strip_timing,
 )
+from ap3.finder import FinderBudgetError
 from ap3.functions import convolve_direct
 from ap3.lambda3 import lambda3_brute
 from ap3.spectral import DenseFunction, dft
@@ -245,17 +246,19 @@ def test_run_experiment_transforms_each_function_once(monkeypatch):
 
 def test_run_experiment_estimates_draw_each_subspace_once(monkeypatch):
     # separation, coset density and the moments read one sample of (W, t)
-    callers = []
-    original = ap3.finder.sample_uniform_subspace
+    # in blocks of 12 trials: one draw of 12 bases per block
+    monkeypatch.setattr(ap3.finder, "BLOCK_ENTRIES", 12 * 3)
+    draws = []
+    original = ap3.finder.sample_uniform_bases
 
-    def counted(*args, **kwargs):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return original(*args, **kwargs)
+    def counted(params, dim, count, rng):
+        draws.append((sys._getframe(1).f_code.co_name, count))
+        return original(params, dim, count, rng)
 
-    monkeypatch.setattr(ap3.finder, "sample_uniform_subspace", counted)
+    monkeypatch.setattr(ap3.finder, "sample_uniform_bases", counted)
     report, _ = run_experiment(cfg(trials=30))
     assert report["estimates"]["trials"] == 30
-    assert callers.count("estimate_condition_probabilities") == 30
+    assert draws == [("estimate_condition_probabilities", count) for count in (12, 12, 6)]
 
 
 def test_run_experiment_refusal():
@@ -333,8 +336,18 @@ def test_broken_certificate_fails_partial_run(monkeypatch):
 
     real_table = ap3.midpoint.pair_table
     monkeypatch.setattr(ap3.midpoint, "pair_table", lambda *args: real_table(*args) - 1e6)
-    report, code = run_experiment(cfg(max_attempts=1))
-    assert code == EXIT_ASSERTION
+    # the first search for W succeeds and the second runs out of attempts
+    real_find, finds = ap3.midpoint.find_good_subspace, []
+
+    def succeeds_once(*args):
+        finds.append(args)
+        if len(finds) > 1:
+            raise FinderBudgetError("no good subspace", {"separation": 1})
+        return real_find(*args)
+
+    monkeypatch.setattr(ap3.midpoint, "find_good_subspace", succeeds_once)
+    report, code = run_experiment(cfg())
+    assert code == EXIT_ASSERTION and len(finds) == 2
     assert [f["type"] for f in report["failures"]] == ["finder_budget"]
     failed = [a["name"] for a in report["assertions"] if not a["passed"]]
     assert failed == ["certificates[fgf]"]

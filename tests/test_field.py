@@ -1,5 +1,5 @@
 import math
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -12,10 +12,12 @@ from ap3.field import (
     ParameterError,
     Subspace,
     basis_labels,
+    echelon_patterns,
     enumerate_subspaces,
     gaussian_binomial,
     is_prime,
     rref,
+    sample_uniform_bases,
     sample_uniform_subspace,
 )
 from ap3.midpoint import SubspaceFrame
@@ -173,10 +175,7 @@ def test_enumeration_cap():
 
 def test_sampling_covers_all_lines(rng):
     params = FieldParams(3, 2)
-    # dim 0 reduces an empty draw to the zero subspace and uses none of the stream
-    zero_rng = np.random.default_rng(7)
-    assert sample_uniform_subspace(params, 0, zero_rng) == Subspace.from_rows(params, [])
-    assert zero_rng.random() == np.random.default_rng(7).random()
+    assert sample_uniform_subspace(params, 0, rng) == Subspace.from_rows(params, [])
     seen = {sample_uniform_subspace(params, 1, rng) for _ in range(200)}
     assert len(seen) == 4
     counts = {}
@@ -184,6 +183,85 @@ def test_sampling_covers_all_lines(rng):
         W = sample_uniform_subspace(params, 1, rng)
         counts[W] = counts.get(W, 0) + 1
     assert min(counts.values()) > 2000 / 4 * 0.7
+
+
+def sample_by_rejection(params, dim, rng):
+    """Row-reduce uniform dim x n matrices until one has full rank: the
+    sampler the echelon-pattern draw replaced, kept as its oracle.  Every
+    subspace has the same number of ordered bases, so it is uniform."""
+    while True:
+        basis = rref(rng.integers(0, params.p, size=(dim, params.n)), params.p)
+        if len(basis) == dim:
+            return Subspace(params, basis)
+
+
+def enumerate_by_lists(params, dim):
+    """Every echelon basis built as Python int lists, pivot set by pivot set
+    with the last free entry varying fastest: the enumeration the echelon
+    patterns replaced, kept as their oracle."""
+    p, n = params.p, params.n
+    out = []
+    for piv in combinations(range(n), dim):
+        free_pos = [(i, c) for i in range(dim) for c in range(piv[i] + 1, n) if c not in piv]
+        for assignment in product(range(p), repeat=len(free_pos)):
+            M = [[int(c == pc) for c in range(n)] for pc in piv]
+            for (i, c), v in zip(free_pos, assignment):
+                M[i][c] = v
+            out.append(tuple(map(tuple, M)))
+    return out
+
+
+ECHELON_CASES = [
+    (p, n, d) for p, n in [(3, 1), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)] for d in range(n + 1)
+]
+
+
+@pytest.mark.parametrize("p,n,dim", ECHELON_CASES)
+def test_echelon_patterns_match_the_python_int_walk(p, n, dim):
+    params = FieldParams(p, n)
+    templates, masks, cdf = echelon_patterns(p, n, dim)
+    weights = [p ** int(mask.sum()) for mask in masks]
+    assert sum(weights) == gaussian_binomial(n, dim, p)
+    assert np.allclose(cdf, np.cumsum(weights) / sum(weights), rtol=1e-15) and cdf[-1] == 1.0
+    assert [W.basis for W in enumerate_subspaces(params, dim)] == enumerate_by_lists(params, dim)
+
+
+@pytest.mark.parametrize("p,n,dim", [(3, 3, 1), (3, 4, 2), (5, 3, 2), (7, 2, 1)])
+def test_sampling_is_uniform(p, n, dim):
+    # chi-squared over all subspaces: of 100,000 echelon draws against the
+    # uniform law, and of those draws against 4,000 draws of the oracle
+    params = FieldParams(p, n)
+    index = {W.basis: i for i, W in enumerate(enumerate_subspaces(params, dim))}
+    cells, df = len(index), len(index) - 1
+    rng = np.random.default_rng(p * 100 + n * 10 + dim)
+    bases = sample_uniform_bases(params, dim, 100_000, rng).tolist()
+    drawn = np.bincount([index[tuple(map(tuple, b))] for b in bases], minlength=cells)
+    oracle = np.bincount(
+        [index[sample_by_rejection(params, dim, rng).basis] for _ in range(4_000)], minlength=cells
+    )
+    expected = drawn.sum() / cells
+    uniform_chi2 = ((drawn - expected) ** 2 / expected).sum()
+    k1, k2 = np.sqrt(oracle.sum() / drawn.sum()), np.sqrt(drawn.sum() / oracle.sum())
+    two_sample_chi2 = ((k1 * drawn - k2 * oracle) ** 2 / (drawn + oracle)).sum()
+    for chi2 in (uniform_chi2, two_sample_chi2):
+        assert chi2 < df + 6 * np.sqrt(2 * df)  # six standard deviations
+
+
+@given(SMALL_PARAMS, st.integers(0, 2**32 - 1), st.integers(0, 12), st.data())
+@settings(max_examples=60, deadline=None)
+def test_drawn_bases_are_already_rref(pn, seed, count, data):
+    # Subspace equality compares bases, so each draw must be its own RREF
+    params = FieldParams(*pn)
+    dim = data.draw(st.integers(0, params.n))
+    bases = sample_uniform_bases(params, dim, count, np.random.default_rng(seed))
+    assert bases.shape == (count, dim, params.n)
+    for basis in bases.tolist():
+        assert Subspace.from_rows(params, basis).basis == tuple(map(tuple, basis))
+    # sample_uniform_subspace is the one-draw case
+    (first,) = sample_uniform_bases(params, dim, 1, np.random.default_rng(seed)).tolist()
+    assert sample_uniform_subspace(params, dim, np.random.default_rng(seed)).basis == tuple(
+        map(tuple, first)
+    )
 
 
 def test_frame_cells_split_every_element(p33, rng):

@@ -34,25 +34,25 @@ PINNED = [
         "budget_point_mass.json",
         3,
         (None,),
-        "5e29a765c81a353fb72473b2357daee21046ebaedbea9caa628b05dba8320e2f",
+        "0a82e84484c4d8a996d81b20f62359ec5b41b289201121a321f4e904ab194388",
     ),
     (
         "cap_exhaustive_demo.json",
         1,
         (1,),
-        "29270604bf177d9cbc5365d2518d22c2a1d99a9db9c5266ada2c97f9034fa212",
+        "3ae08acf1d9336fe631d4a31648d97fb1cee5c56f1d34c1e47c629539b62ee10",
     ),
     (
         "dense_theorem_p5_n4.json",
         0,
         (30, 30),
-        "44ff8cb4f15b0128d6be6a24aac5e2cd8e8f39058ad47c43acbede0d9e270554",
+        "f415e2539dc53007696ba0f367c1412e7d4c32580542d5cc3d775438d8d8260e",
     ),
     (
         "dense_theorem_p5_n4_lazy.json",
         0,
         (31, 31),
-        "bcfdbe9aa86bc95454cfce06946e09479b3570bedae8c9477333a0608bac4865",
+        "7752782b1f8e3bbbbbbd16c4ee381bedc3241f4f10d3a3e8ee282f302c7f2726",
     ),
     (
         "refusal_empty_minorant.json",
@@ -64,7 +64,7 @@ PINNED = [
         "sevenfold_p3_n5.json",
         0,
         (8,),
-        "ccd6cd0d77a2c8c10b57f8ba81d189d5ea2e3ee4ec25465076a58969b1a9bf00",
+        "04b9882a3419dc200a6cf8b24fd7f08ee64ce3bf0be8c8e91b3f148dff0d0ce8",
     ),
 ]
 
@@ -123,11 +123,11 @@ def test_config_survives_its_report(name):
 PINNED_ESTIMATES = [
     (
         "--p 3 --n 3 --k 2,3 --trials 64 --seed 11",
-        "6e181a645d89cc052c11768eddfb0604f89ba5ab730a190f489eb0982848f93c",
+        "7a869d5b7b5747ec707a76d27ca9e0047766ebffd7b7ebbd7e18765f9e5f601f",
     ),
     (
         "--p 3 --n 7 --k 5 --trials 1000 --seed 3",
-        "8e25836e8d54ab426649aeef4a8d1902ec632e8c68b1dee1e52ece4aca2f28fc",
+        "eb37a0f46ed50341644be0a13586dcd662e0a4b7e5be7e86d6d2d07006eb0114",
     ),
     (
         "--p 3 --n 3 --k 2,3 --exhaustive",
@@ -135,7 +135,7 @@ PINNED_ESTIMATES = [
     ),
     (
         "--p 3 --n 3 --k 2,3 --lemma separation --trials 64 --seed 11",
-        "bcc535296df98f3791780c14d2f8dfb07941310f857cf692ed87aa58ace1bec7",
+        "48d5a9c5fe0dd00c66780b0e4ddd80df051847322ffc737f4bd5f01b7e7d9ac1",
     ),
     (
         "--p 3 --n 3 --k 2,3 --lemma separation --exhaustive",
@@ -143,7 +143,7 @@ PINNED_ESTIMATES = [
     ),
     (
         "--p 3 --n 3 --k 2,3 --lemma moments --trials 64 --seed 11",
-        "a2ba9b3e7b61e3464e00aaf7614a10b6389f4b3c75309fbf79af823b7bb11c92",
+        "2a23e5d3202565d6766b2aefdfd6202047f90ecbe734b43fb3bdb987d51a1bf4",
     ),
     (
         "--p 3 --n 3 --k 2,3 --lemma moments --exhaustive",
