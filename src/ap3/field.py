@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -367,18 +367,16 @@ def sample_uniform_subspace(params: FieldParams, dim: int, rng: np.random.Genera
     return Subspace(params, tuple(map(tuple, basis)))
 
 
-def enumerate_subspaces(
+def enumerate_bases(
     params: FieldParams, dim: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> list[Subspace]:
-    """All dim-dimensional subspaces: each echelon pattern's fillings, in order."""
+) -> np.ndarray:
+    """All dim-dimensional subspaces as a (count, dim, n) RREF stack, pattern by pattern."""
     count = gaussian_binomial(params.n, dim, params.p)
     if count > cap:
         raise EnumerationCapError(f"enumeration of {count} subspaces exceeds the cap of {cap}")
-    out = []
-    for template, mask in zip(*echelon_patterns(params.p, params.n, dim)[:2]):
-        for filling in product(range(params.p), repeat=int(mask.sum())):
-            basis = template.copy()
-            basis[mask] = filling
-            out.append(Subspace(params, tuple(map(tuple, basis.tolist()))))
-    assert len(out) == count
-    return out
+    templates, masks, _ = echelon_patterns(params.p, params.n, dim)
+    sizes = [params.p ** int(mask.sum()) for mask in masks]
+    bases = np.repeat(templates, sizes, axis=0)
+    for mask, block in zip(masks, np.split(bases, np.cumsum(sizes)[:-1])):
+        block[:, mask] = _digit_table(params.p, int(mask.sum()))[:, ::-1]  # last entry fastest
+    return bases

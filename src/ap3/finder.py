@@ -37,7 +37,7 @@ from .field import (
     Subspace,
     basis_labels,
     coset_table,
-    enumerate_subspaces,
+    enumerate_bases,
     sample_uniform_bases,
     sample_uniform_subspace,
 )
@@ -45,8 +45,8 @@ from .spectral import DenseFunction
 
 COSET_SUM_TOLERANCE = 1e-12
 DEFAULT_MAX_ATTEMPTS = 256
-# The sampled estimator scores its trials in blocks of about this many coset
-# members, so a block's tables stay small and only X grows with the trials.
+# The lemma estimator scores its cosets in blocks of about this many coset
+# members, so a block's tables stay small and only X grows with the sample.
 BLOCK_ENTRIES = 2**14
 
 
@@ -209,33 +209,35 @@ def estimate_condition_probabilities(
     for g, all from one sample.
 
     Sampled mode draws (W, t) for each trial and reads only the coset t + W.
-    It works a block of trials at a time: one call draws the block's bases,
-    one its translates, one table of its cosets gives X and one table of the
-    labels of A gives separation.  Exhaustive mode enumerates every W of
-    dimension nprime and every translate t, W-major, and returns exact
-    frequencies.
+    Exhaustive mode enumerates every W of dimension nprime and reads each of
+    its cosets t + W once, W-major, t over the span of the unit vectors off
+    W's pivot columns, so its frequencies are exact.  Both work a block of W
+    at a time: one table of the block's cosets gives X and one table of the
+    labels of A gives separation.
     """
     params = g.params
     size = params.p**nprime
     if exhaustive:
-        spaces = enumerate_subspaces(params, nprime, cap=cap)
-        sums = (coset_sums(g, W.complement()) for W in spaces)
-        X = np.hstack([totals[labels] for labels, totals in sums])
-        bases = np.array([W.matrix for W in spaces])
-        hits = int(np.count_nonzero(separating(params, bases, A)))
-        count = len(spaces)
+        spaces = enumerate_bases(params, nprime, cap=cap)
     elif rng is None:
         raise ValueError("sampled mode needs an rng")
     elif trials < 1:
         raise ValueError(f"trials must be a positive integer in sampled mode, got {trials}")
-    else:
-        X, hits, count = np.empty(trials), 0, trials
-        block = max(1, BLOCK_ENTRIES // size)
-        for start in range(0, trials, block):
-            bases = sample_uniform_bases(params, nprime, min(block, trials - start), rng)
-            cosets = coset_table(params, bases, rng.integers(params.F, size=len(bases)))
-            X[start : start + len(bases)] = coset_sum(g.values, cosets)
-            hits += int(np.count_nonzero(separating(params, bases, A)))
+    count, cosets = (len(spaces), params.F // size) if exhaustive else (trials, 1)
+    X, hits = np.empty(count * cosets), 0
+    block = max(1, BLOCK_ENTRIES // (size * cosets))
+    for start in range(0, count, block):
+        if exhaustive:
+            bases = spaces[start : start + block]
+            pivots = (np.arange(params.n) == (bases != 0).argmax(axis=2)[..., None]).any(axis=1)
+            off = np.eye(params.n, dtype=np.int64)[np.argsort(~pivots, axis=1)[:, nprime:]]
+            translates = coset_table(params, off, [0] * len(bases)).ravel()
+        else:
+            bases = sample_uniform_bases(params, nprime, min(block, count - start), rng)
+            translates = rng.integers(params.F, size=len(bases))
+        table = coset_table(params, np.repeat(bases, cosets, axis=0), translates)
+        X[start * cosets : (start + len(bases)) * cosets] = coset_sum(g.values, table)
+        hits += int(np.count_nonzero(separating(params, bases, A)))
     separation = _frequency(hits, count, exhaustive)
     density = _frequency(int(np.count_nonzero(is_dense(X, g.mean(), size))), X.size, exhaustive)
     moments = chebyshev_moments(X, g.mean(), size)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ap3.field import FieldParams
+from ap3.field import FieldParams, Subspace, enumerate_bases
 from ap3.spectral import DenseFunction
 
 
@@ -13,6 +13,11 @@ def rng():
 def random_function(params: FieldParams, rng, unit_range: bool = True) -> DenseFunction:
     values = rng.random(params.F)
     return DenseFunction.make(params, values, unit_range=unit_range)
+
+
+def all_subspaces(params: FieldParams, dim: int) -> list[Subspace]:
+    """enumerate_bases' stack as Subspace objects, in its order."""
+    return [Subspace(params, tuple(map(tuple, b))) for b in enumerate_bases(params, dim).tolist()]
 
 
 @pytest.fixture

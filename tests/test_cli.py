@@ -689,7 +689,7 @@ def test_estimate_row_draws_each_subspace_once(capsys, monkeypatch, lemma):
 
 @pytest.mark.parametrize("lemma", ["separation", "moments", "both"])
 def test_estimate_enumerates_once_per_exhaustive_row(capsys, monkeypatch, lemma):
-    enumerations = _counting(monkeypatch, "enumerate_subspaces")
+    enumerations = _counting(monkeypatch, "enumerate_bases")
     args = ("--p", "3", "--n", "3", "--k", "2,3", "--exhaustive", "--lemma", lemma)
     code, _, _ = run_cli(capsys, "estimate", *args)
     assert code == 0

@@ -13,7 +13,7 @@ from ap3.field import (
     Subspace,
     basis_labels,
     echelon_patterns,
-    enumerate_subspaces,
+    enumerate_bases,
     gaussian_binomial,
     is_prime,
     rref,
@@ -22,6 +22,8 @@ from ap3.field import (
 )
 from ap3.midpoint import SubspaceFrame
 from ap3.spectral import DenseFunction, dft
+
+from conftest import all_subspaces
 
 SMALL_PARAMS = st.sampled_from([(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 2)])
 
@@ -160,7 +162,7 @@ def test_enumerate_matches_gaussian_binomial():
     cases = [(3, 2, 1), (3, 3, 1), (3, 3, 2), (5, 2, 1), (3, 4, 2), (3, 3, 0), (3, 3, 3), (5, 2, 2)]
     for p, n, d in cases:
         params = FieldParams(p, n)
-        spaces = enumerate_subspaces(params, d)
+        spaces = all_subspaces(params, d)
         assert len(spaces) == gaussian_binomial(n, d, p)
         assert len(set(spaces)) == len(spaces)
         for W in spaces:
@@ -170,7 +172,7 @@ def test_enumerate_matches_gaussian_binomial():
 
 def test_enumeration_cap():
     with pytest.raises(EnumerationCapError):
-        enumerate_subspaces(FieldParams(3, 4), 2, cap=100)
+        enumerate_bases(FieldParams(3, 4), 2, cap=100)
 
 
 def test_sampling_covers_all_lines(rng):
@@ -223,7 +225,8 @@ def test_echelon_patterns_match_the_python_int_walk(p, n, dim):
     weights = [p ** int(mask.sum()) for mask in masks]
     assert sum(weights) == gaussian_binomial(n, dim, p)
     assert np.allclose(cdf, np.cumsum(weights) / sum(weights), rtol=1e-15) and cdf[-1] == 1.0
-    assert [W.basis for W in enumerate_subspaces(params, dim)] == enumerate_by_lists(params, dim)
+    assert enumerate_bases(params, dim).shape == (sum(weights), dim, n)
+    assert [W.basis for W in all_subspaces(params, dim)] == enumerate_by_lists(params, dim)
 
 
 @pytest.mark.parametrize("p,n,dim", [(3, 3, 1), (3, 4, 2), (5, 3, 2), (7, 2, 1)])
@@ -231,7 +234,7 @@ def test_sampling_is_uniform(p, n, dim):
     # chi-squared over all subspaces: of 100,000 echelon draws against the
     # uniform law, and of those draws against 4,000 draws of the oracle
     params = FieldParams(p, n)
-    index = {W.basis: i for i, W in enumerate(enumerate_subspaces(params, dim))}
+    index = {W.basis: i for i, W in enumerate(all_subspaces(params, dim))}
     cells, df = len(index), len(index) - 1
     rng = np.random.default_rng(p * 100 + n * 10 + dim)
     bases = sample_uniform_bases(params, dim, 100_000, rng).tolist()

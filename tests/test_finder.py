@@ -11,10 +11,11 @@ from ap3.bounds import density_floor
 from ap3.field import (
     EnumerationCapError,
     FieldParams,
+    gaussian_binomial,
     InfeasibleError,
     Subspace,
     basis_labels,
-    enumerate_subspaces,
+    enumerate_bases,
     rref,
     sample_uniform_bases,
     sample_uniform_subspace,
@@ -29,12 +30,13 @@ from ap3.finder import (
     find_good_subspace,
     is_dense,
     separates,
+    separating,
 )
 from ap3.functions import indicator
 from ap3.midpoint import run_depletion
 from ap3.spectral import DenseFunction, difference_set
 
-from conftest import random_function
+from conftest import all_subspaces, random_function
 
 
 @pytest.mark.parametrize(
@@ -140,7 +142,7 @@ def _verify_good(found, A, g, params):
 def test_separates(p33):
     # W.labels injective on A  <=>  no nonzero a - b lies in V = W-perp
     rng = np.random.default_rng(136)
-    spaces = [W for dim in (1, 2) for W in enumerate_subspaces(p33, dim)]
+    spaces = [W for dim in (1, 2) for W in all_subspaces(p33, dim)]
     place_sets = [
         np.sort(rng.choice(p33.F, size=size, replace=False))
         for size in range(2, 6)
@@ -163,7 +165,7 @@ def test_direct_sum_matches_isotropy_oracle(p, n):
     params = FieldParams(p, n)
     isotropic = 0
     for dim in range(1, n):
-        for W in enumerate_subspaces(params, dim):
+        for W in all_subspaces(params, dim):
             V = W.complement()
             meets = any(V.contains(int(w)) for w in W.members() if w != 0)
             assert separates(W, W.members()) == (not meets)
@@ -362,6 +364,68 @@ def test_estimate_memory_grows_only_with_x():
         finally:
             tracemalloc.stop()
     assert abs(peaks[40_000] - peaks[20_000]) <= 1.5 * 8 * 20_000
+    # an exhaustive estimate keeps one coset sum per coset, count F / |W| floats
+    # and one block of tables: far below 8 count F bytes, an X holding each
+    # coset sum once for every (W, t)
+    params = FieldParams(3, 6)
+    g = random_function(params, np.random.default_rng(5))
+    tracemalloc.start()
+    try:
+        estimate_condition_probabilities(4, A, g, exhaustive=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * gaussian_binomial(6, 4, 3) * params.F
+
+
+def estimate_by_complements(params, nprime, A, g):
+    """(X, separating hits, count) scored one enumerated W at a time: the coset
+    sums of W through coset_sums(g, W.complement()), read at every translate
+    t, so each coset sum appears |W| times.  The exhaustive estimator the
+    block walk replaced, kept as its oracle."""
+    spaces = all_subspaces(params, nprime)
+    sums = (coset_sums(g, W.complement()) for W in spaces)
+    X = np.hstack([totals[labels] for labels, totals in sums])
+    hits = int(np.count_nonzero(separating(params, np.array([W.matrix for W in spaces]), A)))
+    return X, hits, len(spaces)
+
+
+EXHAUSTIVE_CASES = [
+    (p, n, nprime)
+    for p, n in [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)]
+    for nprime in range(1, n + 1)
+]
+
+
+@pytest.mark.parametrize("p,n,nprime", EXHAUSTIVE_CASES)
+def test_exhaustive_estimate_matches_per_subspace_oracle(p, n, nprime, monkeypatch):
+    params = FieldParams(p, n)
+    rng = np.random.default_rng(p * 100 + n * 10 + nprime)
+    g = random_function(params, rng)
+    A = rng.choice(params.F, size=min(4, params.F), replace=False)
+    seen = []
+
+    def recording(X, mean, size):
+        seen.append(X)
+        return chebyshev_moments(X, mean, size)
+
+    monkeypatch.setattr(ap3.finder, "chebyshev_moments", recording)
+    est = estimate_condition_probabilities(nprime, A, g, exhaustive=True)
+    (X,) = seen
+    oracle_X, hits, count = estimate_by_complements(params, nprime, A, g)
+    size = p**nprime
+    assert est.trials == count and X.size == count * params.F // size
+    assert est.separation == hits / count
+    assert est.coset_density == np.count_nonzero(is_dense(oracle_X, g.mean(), size)) / oracle_X.size
+    # each W's coset sums, repeated |W| times, are the oracle's bit for bit
+    repeated = np.repeat(X.reshape(count, -1), size, axis=1)
+    assert np.array_equal(np.sort(repeated, axis=1), np.sort(oracle_X.reshape(count, -1), axis=1))
+    # the sums add up in another order; at nprime = n, X is constant and its
+    # variance is 0 up to rounding
+    _, identity, variance, bound = chebyshev_moments(oracle_X, g.mean(), size)
+    assert est.moment_mean == pytest.approx(oracle_X.mean(), rel=1e-12)
+    assert est.moment_variance == pytest.approx(variance, rel=1e-12, abs=1e-12)
+    assert (est.moment_mean_identity, est.moment_variance_bound) == (identity, bound)
 
 
 def test_chebyshev_moments_formula():
@@ -383,7 +447,7 @@ def test_estimate_reads_one_sample(p33, rng, monkeypatch, exhaustive):
         1, A=np.array([0, 1]), g=g, trials=40, rng=rng, exhaustive=exhaustive
     )
     (X,) = seen
-    assert X.size == est.trials * (p33.F if exhaustive else 1)
+    assert X.size == est.trials * (p33.F // 3 if exhaustive else 1)
     assert est.coset_density == np.count_nonzero(is_dense(X, g.mean(), 3)) / X.size
     assert (est.moment_mean, est.moment_variance) == (X.mean(), X.var())
 
@@ -428,11 +492,11 @@ def test_enumeration_cap_propagates():
         )
 
 
-def test_enumerate_subspaces_matches_trials():
+def test_enumerate_bases_matches_trials():
     params = FieldParams(3, 2)
     g = DenseFunction.constant(params, 1.0)
     est = estimate_condition_probabilities(1, A=np.array([0, 1]), g=g, exhaustive=True)
-    assert est.trials == len(enumerate_subspaces(params, 1))
+    assert est.trials == len(enumerate_bases(params, 1))
 
 
 @pytest.mark.parametrize(("p", "n"), [(3, 3), (3, 4), (5, 2), (7, 2)])
@@ -441,7 +505,7 @@ def test_is_direct_matches_separates_members(p, n):
     params = FieldParams(p, n)
     verdicts = []
     for dim in range(n + 1):
-        for W in enumerate_subspaces(params, dim):
+        for W in all_subspaces(params, dim):
             assert W.is_direct() == separates(W, W.members())
             verdicts.append(W.is_direct())
     # -1 is not a square mod 7, so no nonzero w in F_7^2 has w.w = 0

@@ -131,7 +131,7 @@ PINNED_ESTIMATES = [
     ),
     (
         "--p 3 --n 3 --k 2,3 --exhaustive",
-        "e1cec20720253971241ef565b26a9059e80d0dbcf7aecada2cf06b2e5c7b4a95",
+        "93fa6665d65becfc3fc230cc752ced0e5fbcd46dba35c3dc1880648f131459b1",
     ),
     (
         "--p 3 --n 3 --k 2,3 --lemma separation --trials 64 --seed 11",
@@ -147,7 +147,7 @@ PINNED_ESTIMATES = [
     ),
     (
         "--p 3 --n 3 --k 2,3 --lemma moments --exhaustive",
-        "e29ae5205b37ec7adb3806faae0514544d2bca3755feaba6df98f67a94f5dafb",
+        "d700f7f51184df81f45f657deaffdde57539f0f0828c234ee48092db272bf0df",
     ),
 ]
 
