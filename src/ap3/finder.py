@@ -32,12 +32,14 @@ import numpy as np
 
 from .field import (
     DEFAULT_ENUMERATION_CAP,
+    EnumerationCapError,
     FieldParams,
     InfeasibleError,
     Subspace,
     basis_labels,
     coset_table,
     enumerate_bases,
+    gaussian_binomial,
     sample_uniform_bases,
     sample_uniform_subspace,
 )
@@ -48,6 +50,9 @@ DEFAULT_MAX_ATTEMPTS = 256
 # The lemma estimator scores its cosets in blocks of about this many coset
 # members, so a block's tables stay small and only X grows with the sample.
 BLOCK_ENTRIES = 2**14
+# Exhaustive X holds one float per coset of every enumerated W; the estimator
+# refuses before enumerating when that exceeds this many floats (256 MB).
+EXHAUSTIVE_X_FLOATS = 2**25
 
 
 class FinderBudgetError(RuntimeError):
@@ -211,19 +216,27 @@ def estimate_condition_probabilities(
     Sampled mode draws (W, t) for each trial and reads only the coset t + W.
     Exhaustive mode enumerates every W of dimension nprime and reads each of
     its cosets t + W once, W-major, t over the span of the unit vectors off
-    W's pivot columns, so its frequencies are exact.  Both work a block of W
-    at a time: one table of the block's cosets gives X and one table of the
-    labels of A gives separation.
+    W's pivot columns, so its frequencies are exact; it raises
+    EnumerationCapError before enumerating when X would exceed
+    EXHAUSTIVE_X_FLOATS.  Both work a block of W at a time: one table of the
+    block's cosets gives X and one table of the labels of A gives separation.
     """
     params = g.params
     size = params.p**nprime
     if exhaustive:
+        count, cosets = gaussian_binomial(params.n, nprime, params.p), params.F // size
+        if count * cosets > EXHAUSTIVE_X_FLOATS:
+            raise EnumerationCapError(
+                f"exhaustive X of {count} subspaces x {cosets} cosets exceeds the budget "
+                f"of {EXHAUSTIVE_X_FLOATS} floats"
+            )
         spaces = enumerate_bases(params, nprime, cap=cap)
     elif rng is None:
         raise ValueError("sampled mode needs an rng")
     elif trials < 1:
         raise ValueError(f"trials must be a positive integer in sampled mode, got {trials}")
-    count, cosets = (len(spaces), params.F // size) if exhaustive else (trials, 1)
+    else:
+        count, cosets = trials, 1
     X, hits = np.empty(count * cosets), 0
     block = max(1, BLOCK_ENTRIES // (size * cosets))
     for start in range(0, count, block):

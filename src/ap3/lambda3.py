@@ -1,17 +1,18 @@
 """Three-term progression density and the pair counts behind its certificates.
 
 Lambda3(f1, f2, f3) = F^(-2) sum_{m, d} f1(m) f2(m+d) f3(m+2d).  The brute
-evaluator walks every difference d; the spectral evaluator uses the identity
-Lambda3 = F^(-3) sum_a f1hat(a) f2hat(-2a) f3hat(a).  For p = 3 the index map
-a -> -2a is the identity, so the pairing there looks degenerate but is correct.
+evaluator multiplies out every (m, d) term; the spectral evaluator uses the
+identity Lambda3 = F^(-3) sum_a f1hat(a) f2hat(-2a) f3hat(a).  For p = 3 the
+index map a -> -2a is the identity, so the pairing there looks degenerate but
+is correct.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .field import FieldParams, check_same_params
-from .spectral import DenseFunction, PaddedCube, Spectrum, idft
+from .field import FieldParams, _digit_table, _power_table, check_same_params
+from .spectral import DenseFunction, Spectrum, idft
 
 AGREEMENT_TOLERANCE = 1e-8
 BRUTE_FORCE_LIMIT = 20_000
@@ -30,19 +31,37 @@ def scale_table(params: FieldParams, c: int) -> np.ndarray:
     return table.reshape(-1)
 
 
+def _difference_index(p: int, k: int) -> np.ndarray:
+    """T[a, b] = the index of 2a - b in F_p^k, built digit by digit from the
+    (p^k, k) digit table."""
+    D = _digit_table(p, k)
+    table = np.zeros((p**k, p**k), dtype=np.int64)
+    for i, power in enumerate(_power_table(p, k).tolist()):
+        table += (2 * D[:, None, i] - D[None, :, i]) % p * power
+    return table
+
+
 def lambda3_brute(f1: DenseFunction, f2: DenseFunction, f3: DenseFunction) -> float:
     """Exact double sum over all (m, d) pairs; cost O(F^2).
 
-    Each d reads f2(m + d) and f3(m + 2d) as shifted views of padded cubes.
+    (m, d) -> (x, y) = (m + d, m + 2d) is a bijection of F^2 with m = 2x - y,
+    so F^2 Lambda3 = sum_{x, y} f1(2x - y) f2(x) f3(y).  With lo = n // 2, an
+    index splits into a high and a low digit half, values.reshape(p^(n-lo),
+    p^lo) is the table V[x_hi, x_lo], and 2x - y splits the same way: its
+    halves are T_hi[x_hi, y_hi] and T_lo[x_lo, y_lo].  For each high half z
+    of 2x - y, y_hi = T_hi[x_hi, z], so the terms with that z are one matrix
+    product: sum((V2 @ V1[z][T_lo]) * V3[T_hi[:, z]]).  Every one of the F^2
+    terms is still multiplied out; no transform, scale table or (F, n) digit
+    table is read.
     """
     params = check_same_params(f1, f2, f3)
-    cube2 = PaddedCube(params, f2.values)
-    cube3 = cube2 if f3 is f2 else PaddedCube(params, f3.values)
-    base = f1.values
-    D = params.digit_table()
+    p, lo = params.p, params.n // 2
+    T_lo = _difference_index(p, lo)
+    T_hi = T_lo if params.n - lo == lo else _difference_index(p, params.n - lo)
+    V1, V2, V3 = (f.values.reshape(len(T_hi), len(T_lo)) for f in (f1, f2, f3))
     total = 0.0
-    for dd, dd2 in zip(D, (2 * D) % params.p):
-        total += float(base @ (cube2.shifted(dd) * cube3.shifted(dd2)).reshape(-1))
+    for z in range(len(T_hi)):
+        total += float(np.sum((V2 @ V1[z][T_lo]) * V3[T_hi[:, z]]))
     return total / params.F**2
 
 

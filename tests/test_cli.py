@@ -650,6 +650,21 @@ def test_estimate_exhaustive_cap_is_an_error(capsys):
     assert "exceeds the cap of 1" in err
 
 
+def test_estimate_exhaustive_x_budget_is_an_error(capsys, monkeypatch):
+    # n'=1 passes the subspace cap (29,524 subspaces), but X would hold
+    # 29,524 x 19,683 coset sums, 4.6 GB: refused before anything is enumerated
+    def refused(*args, **kwargs):
+        raise AssertionError("enumerate_bases ran past the X budget")
+
+    monkeypatch.setattr(ap3.finder, "enumerate_bases", refused)
+    code, out, err = run_cli(
+        capsys, "estimate", "--p", "3", "--n", "10", "--k", "2", "--exhaustive"
+    )
+    assert code == 1
+    assert out == ""
+    assert "29524 subspaces x 19683 cosets exceeds the budget" in err
+
+
 def test_estimate_k_grid_deterministic(capsys):
     args = ("estimate", "--p", "3", "--n", "3", "--k", "2,3", "--trials", "64", "--seed", "11")
     code1, out1, _ = run_cli(capsys, *args)

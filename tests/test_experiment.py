@@ -1,10 +1,12 @@
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ap3.finder
+import ap3.lambda3
 import ap3.spectral
 from ap3.experiment import (
     EXIT_ASSERTION,
@@ -16,6 +18,7 @@ from ap3.experiment import (
     ExperimentConfig,
     build_recipe,
     derive_minorant,
+    load_config_file,
     report_json,
     resolve_delta,
     run_config,
@@ -26,6 +29,9 @@ from ap3.finder import FinderBudgetError
 from ap3.functions import convolve_direct
 from ap3.lambda3 import lambda3_brute
 from ap3.spectral import DenseFunction, dft
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def cfg(**overrides):
@@ -291,6 +297,17 @@ def test_run_experiment_config_error_exit():
     assert any(f["type"] == "cap" for f in report["failures"])
 
 
+def test_exhaustive_x_budget_is_a_cap_failure(monkeypatch):
+    # 13 lines x 9 cosets of each: 117 coset sums against a budget of 10
+    monkeypatch.setattr(ap3.finder, "EXHAUSTIVE_X_FLOATS", 10)
+    report, code = run_experiment(cfg(exhaustive=True))
+    assert code == EXIT_ERROR
+    [failure] = report["failures"]
+    assert failure["type"] == "cap"
+    assert "13 subspaces x 9 cosets exceeds the budget of 10 floats" in failure["detail"]
+    assert "estimates" not in report
+
+
 def test_run_experiment_guardrail():
     config = cfg(p=3, n=10, delta=1.0)
     report, code = run_experiment(config)
@@ -400,3 +417,32 @@ def test_perturbed_pair_table_exits_assertion(monkeypatch, ordering, where, by):
     assert failed == [f"pair_table[{ordering}]"]
     names = {a["name"] for a in report["assertions"]}
     assert {"pair_table[fgf]", "pair_table[gff]"} <= names
+
+
+def test_scale_table_mutant_fails_oracle_agreement(monkeypatch):
+    """A scale_table that skips its last axis breaks the spectral Lambda3 of
+    dense_theorem_p5_n4, and the brute oracle catches it (a gap of 2.5e-7).
+
+    Two other mutants leave Lambda3 unchanged, so the brute oracle cannot
+    catch them here.  a -> 2a in place of a -> -2a: for real f2,
+    f2hat(2a) = conj f2hat(-2a) is the transform of the reflection
+    m -> f2(-m), so the sum is Lambda3 of (f1, f2(-.), f3), and reflecting all
+    three functions changes no Lambda3; this config's f is an even cosine, so
+    every triple it measures (fff, fgf, gff) keeps its value.  And at p = 3
+    every per-axis mutant of a -> -2a is still the identity, because
+    -2 = 1 mod 3, so no p = 3 config shows one through Lambda3.
+    """
+
+    def skips_last_axis(params, c):
+        perm = (c * np.arange(params.p)) % params.p
+        table = np.arange(params.F, dtype=np.int64).reshape((params.p,) * params.n)
+        for axis in range(params.n - 1):
+            table = np.take(table, perm, axis=axis)
+        return table.reshape(-1)
+
+    (config,) = load_config_file(str(CONFIGS / "dense_theorem_p5_n4.json"))
+    monkeypatch.setattr(ap3.lambda3, "scale_table", skips_last_axis)
+    report, code = run_experiment(config)
+    assert code == EXIT_ASSERTION
+    failed = [a["name"] for a in report["assertions"] if not a["passed"]]
+    assert "oracle_agreement[f]" in failed

@@ -17,7 +17,7 @@ from ap3.lambda3 import (
 )
 from ap3.spectral import DenseFunction, PaddedCube, dft
 
-from conftest import random_function
+from conftest import lambda3_rolled, random_function
 
 
 def lambda3_loop(f1, f2, f3):
@@ -33,37 +33,42 @@ def lambda3_loop(f1, f2, f3):
     return total / params.F**2
 
 
-def lambda3_rolled(f1, f2, f3):
-    """The brute double sum with one cyclic np.roll of each cube per d."""
-    params = f1.params
-    p, n, F = params.p, params.n, params.F
-    axes = tuple(range(n))
-    cube2 = f2.values.reshape((p,) * n)
-    cube3 = f3.values.reshape((p,) * n)
-    D = params.digit_table()
-    total = 0.0
-    for d in range(F):
-        dd = D[d]
-        shift2 = tuple(-int(x) for x in dd[::-1])
-        shift3 = tuple(-int(2 * x % p) for x in dd[::-1])
-        t2 = np.roll(cube2, shift=shift2, axis=axes).reshape(-1)
-        t3 = np.roll(cube3, shift=shift3, axis=axes).reshape(-1)
-        total += float(f1.values @ (t2 * t3))
-    return total / F**2
+# n = 1 and odd n give halves of different sizes in lambda3_brute
+BRUTE_PARAMS = [(3, 1), (3, 2), (3, 4), (3, 5), (5, 2), (5, 3), (7, 2)]
+TRIPLE_SHAPES = ["fff", "fgf", "gff", "explicit"]
+
+
+def _triple(params, rng, shape, dyadic):
+    if dyadic:
+        f, g, h = (DenseFunction.make(params, rng.integers(0, 5, params.F) / 4.0) for _ in range(3))
+    else:
+        f, g, h = (random_function(params, rng) for _ in range(3))
+    return {"fff": (f, f, f), "fgf": (f, g, f), "gff": (g, f, f), "explicit": (f, g, h)}[shape]
 
 
 @settings(max_examples=30, deadline=None)
 @given(
-    st.sampled_from([(3, 1), (3, 2), (3, 4), (5, 2), (5, 3), (7, 2)]),
+    st.sampled_from(BRUTE_PARAMS),
     st.integers(0, 2**32 - 1),
-    st.sampled_from(["fff", "fgf", "gff", "explicit"]),
+    st.sampled_from(TRIPLE_SHAPES),
 )
 def test_brute_equals_rolled_reference(pn, seed, shape):
-    params = FieldParams(*pn)
-    rng = np.random.default_rng(seed)
-    f, g, h = (random_function(params, rng) for _ in range(3))
-    triple = {"fff": (f, f, f), "fgf": (f, g, f), "gff": (g, f, f), "explicit": (f, g, h)}[shape]
+    # values k/4 make every product a multiple of 1/64 and every partial sum
+    # exact, so the matrix-product order and the per-d roll order agree exactly
+    triple = _triple(FieldParams(*pn), np.random.default_rng(seed), shape, dyadic=True)
     assert lambda3_brute(*triple) == lambda3_rolled(*triple)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(BRUTE_PARAMS),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(TRIPLE_SHAPES),
+)
+def test_brute_matches_rolled_reference_on_reals(pn, seed, shape):
+    # on real values the two summation orders round differently, by far less than 1e-13
+    triple = _triple(FieldParams(*pn), np.random.default_rng(seed), shape, dyadic=False)
+    assert lambda3_brute(*triple) == pytest.approx(lambda3_rolled(*triple), rel=1e-13, abs=0.0)
 
 
 def test_constant_triple_is_one(p33):

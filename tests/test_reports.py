@@ -46,13 +46,13 @@ PINNED = [
         "dense_theorem_p5_n4.json",
         0,
         (30, 30),
-        "f415e2539dc53007696ba0f367c1412e7d4c32580542d5cc3d775438d8d8260e",
+        "03e609b220348604ad5948ff084264275643f76cc9e107c2bc7690e5a7519f4a",
     ),
     (
         "dense_theorem_p5_n4_lazy.json",
         0,
         (31, 31),
-        "7752782b1f8e3bbbbbbd16c4ee381bedc3241f4f10d3a3e8ee282f302c7f2726",
+        "5aa7ad2fb1c66c64cf25f7cea7ebce35d57c2f627598cfd5e4926d94c287a1b6",
     ),
     (
         "refusal_empty_minorant.json",
@@ -64,7 +64,7 @@ PINNED = [
         "sevenfold_p3_n5.json",
         0,
         (8,),
-        "04b9882a3419dc200a6cf8b24fd7f08ee64ce3bf0be8c8e91b3f148dff0d0ce8",
+        "0a956fe7447c3ce0e39968809e8fdb70bb1cbd48b9bca4eae8aedfdaf4c7cb0f",
     ),
 ]
 

@@ -1,4 +1,4 @@
-"""The fast path reads no (F, n) digit table.
+"""The fast path and the brute Lambda3 oracle read no (F, n) digit table.
 
 Each test refuses FieldParams.digit_table and the full-width
 ap3.field._digit_table, while half-width and dimension-sized tables stay
@@ -7,6 +7,7 @@ run with the table back in place.
 """
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from ap3.midpoint import (
 )
 from ap3.spectral import DenseFunction
 
-from conftest import random_function
+from conftest import lambda3_rolled, random_function
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 TABLE_FREE_PARAMS = [(3, 4), (3, 5), (5, 2), (5, 3)]
@@ -104,6 +105,37 @@ def test_fast_path_without_table(pn, monkeypatch):
     np.testing.assert_allclose(
         scores[found.coset_labels], oracle, rtol=1e-12, atol=1e-12 * oracle.max()
     )
+
+
+@pytest.mark.parametrize("pn", TABLE_FREE_PARAMS, ids=lambda pn: f"p{pn[0]}n{pn[1]}")
+def test_brute_oracle_without_table(pn, monkeypatch):
+    params = FieldParams(*pn)
+    rng = np.random.default_rng(sum(pn))
+    f, g, h = (random_function(params, rng) for _ in range(3))
+    triples = [(f, f, f), (f, g, f), (g, f, f), (f, g, h)]
+    with monkeypatch.context() as patch:
+        _refuse_full_table(patch, params)
+        values = [lambda3_brute(*triple) for triple in triples]
+    for value, triple in zip(values, triples):
+        assert value == pytest.approx(lambda3_rolled(*triple), rel=1e-13, abs=0.0)
+
+
+def test_brute_oracle_memory(monkeypatch):
+    # at p=3, n=8 the brute oracle holds two 81 x 81 index tables and one
+    # 81 x 81 product at a time; a walk over padded cubes peaked at 7.5 MB here
+    params = FieldParams(3, 8)
+    rng = np.random.default_rng(8)
+    f, g = (random_function(params, rng) for _ in range(2))
+    with monkeypatch.context() as patch:
+        _refuse_full_table(patch, params)
+        tracemalloc.start()
+        try:
+            brute = lambda3_brute(f, g, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 2**20
+    assert brute == pytest.approx(lambda3_spectral(f, g, f), rel=1e-12)
 
 
 @pytest.mark.parametrize("name", ["sevenfold_p3_n5.json", "dense_theorem_p5_n4.json"])
