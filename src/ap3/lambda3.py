@@ -114,7 +114,7 @@ def _pair_count(f: DenseFunction, m: int, a: int, b: int) -> float:
     D = params.digit_table()
     dm = params.digits_of(m)
     first, second = (params.indices_of((dm[None, :] + c * D) % params.p) for c in (a, b))
-    return float(f.values[first] @ f.values[second])
+    return float(np.sum(f.values[first] * f.values[second]))
 
 
 def trivial_lower_bound(f: DenseFunction) -> float:

@@ -47,10 +47,10 @@ from .field import Subspace, check_same_params
 from .finder import (
     DEFAULT_MAX_ATTEMPTS,
     FinderBudgetError,
+    GoodSubspace,
     coset_sum,
     find_good_subspace,
     is_dense,
-    separates,
 )
 from .functions import convolve_direct, indicator
 from .lambda3 import pair_table
@@ -59,7 +59,6 @@ from .spectral import DenseFunction, PaddedCube, Spectrum, _root_powers
 HHAT_TOLERANCE = 1e-8
 INVARIANT_TOLERANCE = 1e-9
 CERT_TOLERANCE = 1e-9
-ORDERINGS = ("fgf", "gff")
 
 
 class ContextInvariantError(AssertionError):
@@ -142,13 +141,11 @@ def tail_energy(spectrum: Spectrum, A: np.ndarray) -> np.ndarray:
     return np.abs(tail) ** 2
 
 
-def coset_scores(energy: np.ndarray, A: np.ndarray, W: Subspace, labels: np.ndarray) -> np.ndarray:
-    """Q for every W-coset, indexed by label: scores[labels[t]] = Q(t), the
-    tail energy on t + W over |W|.  labels names the cosets of W, as the
-    finder's coset_labels do."""
-    if not separates(W, A):
-        raise ValueError("two top places share a V-coset; the separation condition fails")
-    return np.bincount(labels, weights=energy, minlength=energy.size // W.size) / W.size
+def coset_scores(energy: np.ndarray, good: GoodSubspace) -> np.ndarray:
+    """Q for every coset of the finder's W, indexed by label:
+    scores[good.coset_labels[t]] = Q(t), the tail energy on t + W over |W|.
+    The finder accepted W only once it separated the places behind energy."""
+    return np.bincount(good.coset_labels, weights=energy, minlength=good.dense.size) / good.W.size
 
 
 def select_translate(
@@ -296,8 +293,6 @@ def run_depletion(
     floor; the steps' e_gi show where it was crossed.
     """
     params = check_same_params(f, g)
-    if ordering not in ORDERINGS:
-        raise ValueError(f"ordering must be one of {ORDERINGS}")
     if refresh not in ("always", "lazy"):
         raise ValueError(f"refresh must be 'always' or 'lazy', got {refresh!r}")
     if delta < 0:
@@ -353,7 +348,7 @@ def run_depletion(
                 partial = True
                 break
             rejections.update(good.rejections)
-            scores = coset_scores(energy, A, good.W, good.coset_labels)
+            scores = coset_scores(energy, good)
             t, q = select_translate(scores, good.coset_labels, good.dense, sigma_k, roundoff)
             coset = good.W.coset(t)
 
@@ -397,7 +392,7 @@ def run_depletion(
         r=r,
         steps=tuple(steps),
         lambda_lower=lower_sum / F**2,
-        pair_weight=float(g.values @ table),
+        pair_weight=float(np.sum(g.values * table)),
         density_ok=hypotheses.items["density_floor"][0],
         partial=partial,
         finder_rejections=dict(rejections),

@@ -246,7 +246,7 @@ def test_averaging_identity(announce):
         total = float(translate_scores(frame, A, np.arange(params.F)).sum())
         rel = abs(total - params.F * sigma) / max(params.F * sigma, 1e-12)
         worst_rel = max(worst_rel, rel)
-        scores = coset_scores(tail_energy(spectrum, A), A, good.W, good.coset_labels)
+        scores = coset_scores(tail_energy(spectrum, A), good)
         t, q = select_translate(scores, good.coset_labels, good.dense, sigma, 0.0)
         min_ok &= q <= 4.0 * sigma + 1e-9
     elapsed = time.perf_counter() - start
@@ -274,7 +274,7 @@ def test_context_invariants(announce):
         A = spectrum.top_places(2)
         ones = DenseFunction.constant(params, 1.0)
         good = find_good_subspace(A, ones, rng)
-        scores = coset_scores(tail_energy(spectrum, A), A, good.W, good.coset_labels)
+        scores = coset_scores(tail_energy(spectrum, A), good)
         t, _ = select_translate(scores, good.coset_labels, good.dense, spectrum.sigma(2), 0.0)
         ctx = build_context(f, A, good.W, t)
         built += 1

@@ -419,30 +419,49 @@ def test_perturbed_pair_table_exits_assertion(monkeypatch, ordering, where, by):
     assert {"pair_table[fgf]", "pair_table[gff]"} <= names
 
 
-def test_scale_table_mutant_fails_oracle_agreement(monkeypatch):
-    """A scale_table that skips its last axis breaks the spectral Lambda3 of
+def _skips_last_axis(params, c):
+    perm = (c * np.arange(params.p)) % params.p
+    table = np.arange(params.F, dtype=np.int64).reshape((params.p,) * params.n)
+    for axis in range(params.n - 1):
+        table = np.take(table, perm, axis=axis)
+    return table.reshape(-1)
+
+
+def _negated(params, c, scale_table=ap3.lambda3.scale_table):
+    """a -> -c a, so the spectral partner a -> -2a becomes a -> 2a."""
+    return scale_table(params, -c)
+
+
+@pytest.mark.parametrize(
+    "name,mutant,caught",
+    [
+        ("dense_theorem_p5_n4", _skips_last_axis, "oracle_agreement[f]"),
+        ("smoothed_p3_n5", _skips_last_axis, "pair_table[fgf]"),
+        ("smoothed_p3_n5", _negated, "pair_table[fgf]"),
+    ],
+    ids=[
+        "dense_theorem_p5_n4-skips_last_axis",
+        "smoothed_p3_n5-skips_last_axis",
+        "smoothed_p3_n5-negated",
+    ],
+)
+def test_scale_table_mutant_fails_oracle_agreement(monkeypatch, name, mutant, caught):
+    """A broken scale_table fails an oracle check of a bundled config.
+
+    A scale_table that skips its last axis breaks the spectral Lambda3 of
     dense_theorem_p5_n4, and the brute oracle catches it (a gap of 2.5e-7).
-
-    Two other mutants leave Lambda3 unchanged, so the brute oracle cannot
-    catch them here.  a -> 2a in place of a -> -2a: for real f2,
-    f2hat(2a) = conj f2hat(-2a) is the transform of the reflection
-    m -> f2(-m), so the sum is Lambda3 of (f1, f2(-.), f3), and reflecting all
-    three functions changes no Lambda3; this config's f is an even cosine, so
-    every triple it measures (fff, fgf, gff) keeps its value.  And at p = 3
+    Lambda3 alone misses the other mutants.  a -> 2a in place of a -> -2a:
+    for real f2, f2hat(2a) = conj f2hat(-2a) is the transform of the
+    reflection m -> f2(-m), so the sum is Lambda3 of (f1, f2(-.), f3), which
+    an even f such as that config's cosine leaves unchanged.  And at p = 3
     every per-axis mutant of a -> -2a is still the identity, because
-    -2 = 1 mod 3, so no p = 3 config shows one through Lambda3.
+    -2 = 1 mod 3.  smoothed_p3_n5 catches both through pair_table[fgf]: its
+    midpoint map a -> 2a is a reflection at p = 3, and its f is far enough
+    from constant that the last step's pair count misses the direct count.
     """
-
-    def skips_last_axis(params, c):
-        perm = (c * np.arange(params.p)) % params.p
-        table = np.arange(params.F, dtype=np.int64).reshape((params.p,) * params.n)
-        for axis in range(params.n - 1):
-            table = np.take(table, perm, axis=axis)
-        return table.reshape(-1)
-
-    (config,) = load_config_file(str(CONFIGS / "dense_theorem_p5_n4.json"))
-    monkeypatch.setattr(ap3.lambda3, "scale_table", skips_last_axis)
+    (config,) = load_config_file(str(CONFIGS / f"{name}.json"))
+    monkeypatch.setattr(ap3.lambda3, "scale_table", mutant)
     report, code = run_experiment(config)
     assert code == EXIT_ASSERTION
     failed = [a["name"] for a in report["assertions"] if not a["passed"]]
-    assert "oracle_agreement[f]" in failed
+    assert caught in failed

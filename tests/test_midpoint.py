@@ -3,10 +3,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import ap3.finder
 import ap3.midpoint
 from ap3.bounds import HypothesisRefusal, density_floor
 from ap3.field import FieldParams, Subspace
-from ap3.finder import FinderBudgetError, coset_sums, find_good_subspace, is_dense
+from ap3.finder import FinderBudgetError, GoodSubspace, coset_sums, find_good_subspace, is_dense
 from ap3.functions import indicator
 from ap3.lambda3 import lambda3_brute
 from ap3.midpoint import (
@@ -34,7 +35,7 @@ def separated_frame(f, k, rng):
 
 
 def scores_of(spectrum, A, good):
-    return coset_scores(tail_energy(spectrum, A), A, good.W, good.coset_labels)
+    return coset_scores(tail_energy(spectrum, A), good)
 
 
 def test_sum_of_scores_is_F_sigma(p33, rng):
@@ -113,12 +114,21 @@ def test_coset_scores_match_translate_scores(pn, seed):
     assert accepted >= 1
 
 
-def test_coset_scores_rejects_unseparated_places(p33, rng):
-    spectrum = dft(random_function(p33, rng))
-    W = Subspace.from_rows(p33, [[1, 0, 0]])
-    A = np.array([0, 3])  # 3 = (0, 1, 0) lies in V = W-perp
-    with pytest.raises(ValueError, match="separation"):
-        coset_scores(tail_energy(spectrum, A), A, W, W.complement().labels())
+def test_coset_scores_makes_no_separation_test(p33, rng, monkeypatch):
+    # the finder tested separation when it accepted W; scoring does not repeat it
+    spectrum, A, good = separated_frame(random_function(p33, rng), 2, rng)
+    energy = tail_energy(spectrum, A)
+    calls = []
+    separating = ap3.finder.separating
+
+    def counted(*args):
+        calls.append(args)
+        return separating(*args)
+
+    monkeypatch.setattr(ap3.finder, "separating", counted)
+    scores = coset_scores(energy, good)
+    assert calls == []
+    assert scores.shape == good.dense.shape
 
 
 @pytest.mark.parametrize("p,n", [(3, 3), (5, 2), (7, 2)])
@@ -170,7 +180,7 @@ def test_select_translate_exact_tie_takes_smallest_dense_translate(p33):
     labels, sums = coset_sums(g, V)
     dense = is_dense(sums, g.mean(), W.size)
     assert 0 < dense.sum() < V.size and not dense[labels[0]]
-    scores = coset_scores(tail_energy(spectrum, A), A, W, labels)
+    scores = coset_scores(tail_energy(spectrum, A), GoodSubspace(W, dense, labels, 1, {}))
     assert not scores.any()
     t, q = select_translate(scores, labels, dense, spectrum.sigma(2), 0.0)
     assert t == int(np.flatnonzero(dense[labels])[0]) == 3  # the coset {3, 4, 5}
@@ -202,7 +212,7 @@ def test_select_translate_ignores_roundoff_noise():
     exact_picks = set()
     for _ in range(10):
         jittered = energy * (1 + 1e-3 * noise.random(params.F))
-        scores = coset_scores(jittered, A, good.W, good.coset_labels)
+        scores = coset_scores(jittered, good)
         args = (scores, good.coset_labels, good.dense, f.spectrum.sigma(4))
         t, q = select_translate(*args, roundoff)
         assert t == first_dense and q == scores[good.coset_labels[t]]

@@ -3,6 +3,11 @@ byte, and the report schema.
 
 A change that alters a report on purpose updates its digest here and says
 why in CHANGES.md.
+
+The brute oracle sums its terms through BLAS matrix products, so the last
+bits of its outputs depend on the kernel OpenBLAS picks for the CPU.  A
+report's digest is taken with those values replaced by MASK, and each
+replaced value is checked against its spectral counterpart instead.
 """
 
 import csv
@@ -10,11 +15,13 @@ import functools
 import hashlib
 import io
 import json
+import re
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+import ap3.experiment
 from ap3.cli import main
 from ap3.experiment import (
     ExperimentConfig,
@@ -23,55 +30,114 @@ from ap3.experiment import (
     run_config,
     strip_timing,
 )
+from ap3.lambda3 import diagonal_weight
 from ap3.midpoint import DepletionRun, MidpointCertificate
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # (config file, exit code, the step at which each run's E(g_i) first falls
-# below the density floor, sha256 of the report without its timing)
+# below the density floor, sha256 of the masked report without its timing)
 PINNED = [
     (
         "budget_point_mass.json",
         3,
         (None,),
-        "0a82e84484c4d8a996d81b20f62359ec5b41b289201121a321f4e904ab194388",
+        "8ecbb1743bfcc3bc8b61cb52fe18284ccde36a57065fe28452319b69e22cf349",
     ),
     (
         "cap_exhaustive_demo.json",
         1,
         (1,),
-        "3ae08acf1d9336fe631d4a31648d97fb1cee5c56f1d34c1e47c629539b62ee10",
+        "51c575f6b7028ee580f6d9056dcfdd1d53f7fb529caadeea7c71b030b4c8f507",
     ),
     (
         "dense_theorem_p5_n4.json",
         0,
         (30, 30),
-        "03e609b220348604ad5948ff084264275643f76cc9e107c2bc7690e5a7519f4a",
+        "aec600181f0a58c9a419a085092e7608aebb9c81eacefa821958c9963ff76868",
     ),
     (
         "dense_theorem_p5_n4_lazy.json",
         0,
         (31, 31),
-        "5aa7ad2fb1c66c64cf25f7cea7ebce35d57c2f627598cfd5e4926d94c287a1b6",
+        "64779ef6b58c3e69a2c8a2b9b1283b940b67a87a19d517abf7524977f4a3696b",
     ),
     (
         "refusal_empty_minorant.json",
         2,
         (),
-        "afd1dbc9dba7e65586daa6a054f0b0c1bb46058ec08138febec171c6eaa96736",
+        "8a8b6380235824918454af70d03e21fd4b5bdd4f48f6c182ee969ffb735ef7ca",
     ),
     (
         "sevenfold_p3_n5.json",
         0,
         (8,),
-        "0a956fe7447c3ce0e39968809e8fdb70bb1cbd48b9bca4eae8aedfdaf4c7cb0f",
+        "fbf56c75aa65e9ee605a5b8afaec94bef3317f1d0f1b51cf9016576201614830",
+    ),
+    (
+        "smoothed_p3_n5.json",
+        0,
+        (8,),
+        "38819490bebb06d7759ba20094ecfa19087667b4a0c79ec5adc5e82b4301f66c",
     ),
 ]
 
 
+# Stands in for a kernel-dependent value in a pinned report.
+MASK = "<blas>"
+# The numbers printed in an oracle_agreement or pair_table detail.
+GAP = re.compile(r"[=:,] ([-+0-9.e]+)")
+
+
 @functools.cache
-def _verify(name: str) -> tuple[dict, int]:
-    return run_config(load_config_file(str(CONFIGS / name)))
+def _verify(name: str) -> tuple[dict, int, tuple]:
+    """The report, its exit code, and the d = 0 weight of each entry's f,
+    recorded as the report is built."""
+    diagonals = []
+
+    def record(*triple):
+        diagonals.append(diagonal_weight(*triple))
+        return diagonals[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ap3.experiment, "diagonal_weight", record)
+        report, code = run_config(load_config_file(str(CONFIGS / name)))
+    return report, code, tuple(diagonals)
+
+
+def _masked(report: dict, diagonals: tuple) -> tuple[dict, list]:
+    """The report with each kernel-dependent value replaced by MASK, and each
+    replaced number as (value, spectral counterpart, scale).
+
+    The replaced numbers are the brute oracle's outputs and the round-off
+    gaps printed in the oracle_agreement and pair_table details.  A gap's
+    counterpart is 0; its scale is the spectral Lambda3 for a gap on Lambda3
+    and 1 for a relative one.
+    """
+    masked = json.loads(report_json(report))
+    entries = [e for e in masked.get("entries", [masked]) if "lambda3_f" in e]
+    assert len(entries) == len(diagonals)
+    checks = []
+    for entry, diagonal in zip(entries, diagonals):
+        lam = entry["lambda3_f"]
+        spectral = {"f": lam["spectral"]}
+        weight = lam["spectral"] * entry["field"]["F"] ** 2 - diagonal
+        checks.append((lam["brute"], lam["spectral"], abs(lam["spectral"])))
+        checks.append((lam["nonzero_difference_weight"], weight, abs(weight)))
+        lam["brute"] = lam["nonzero_difference_weight"] = MASK
+        for run in entry["runs"]:
+            lam_run = spectral[run["ordering"]] = run["lambda_measured_spectral"]
+            checks.append((run["lambda_measured_brute"], lam_run, abs(lam_run)))
+            run["lambda_measured_brute"] = MASK
+        for assertion in entry["assertions"]:
+            kind, _, ordering = assertion["name"].rstrip("]").partition("[")
+            if kind in ("oracle_agreement", "pair_table"):
+                gaps = [float(gap) for gap in GAP.findall(assertion["detail"])]
+                assert len(gaps) == {"oracle_agreement": 1, "pair_table": 3}[kind]
+                scales = [abs(spectral[ordering]), 1.0, 1.0]
+                checks += [(gap, 0.0, scale) for gap, scale in zip(gaps, scales)]
+                assertion["detail"] = MASK
+    return masked, checks
 
 
 def test_every_bundled_config_is_pinned_once():
@@ -80,11 +146,16 @@ def test_every_bundled_config_is_pinned_once():
 
 @pytest.mark.parametrize("case", PINNED, ids=lambda case: case[0].removesuffix(".json"))
 def test_bundled_report_is_pinned(case):
+    """Every byte but the masked values is pinned; each masked value lies
+    within 1e-12 relative of its spectral counterpart."""
     name, code, _, digest = case
-    report, got_code = _verify(name)
+    report, got_code, diagonals = _verify(name)
     assert got_code == code
-    text = report_json(strip_timing(report))
+    masked, checks = _masked(strip_timing(report), diagonals)
+    text = report_json(masked)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+    for value, counterpart, scale in checks:
+        assert abs(value - counterpart) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("case", PINNED, ids=lambda case: case[0].removesuffix(".json"))
@@ -93,7 +164,7 @@ def test_density_floor_crossing_is_pinned(case):
     is below density_floor. A run that starts below the floor is not
     density_ok; budget_point_mass's run is such a run with no step at all."""
     name, _, crossings, _ = case
-    report, _ = _verify(name)
+    report, *_ = _verify(name)
     floor = report["density_floor"]
     runs = report["runs"]
     assert crossings == tuple(

@@ -84,7 +84,7 @@ def test_fast_path_without_table(pn, monkeypatch):
         spectral = lambda3_spectral(f, g, f)
         energy = tail_energy(f.spectrum, A)
         found = find_good_subspace(A, g, np.random.default_rng(1), nprime=1)
-        scores = coset_scores(energy, A, found.W, found.coset_labels)
+        scores = coset_scores(energy, found)
         labels_all, coset = W.labels(), W.coset(t)
         labels_A = basis_labels(params, W.matrix, A)
         wave = build_recipe(params, cosine, rng)
