@@ -29,26 +29,22 @@ def density_floor(params: FieldParams, k: int) -> float:
     return DENSITY_FLOOR_COEFF / (math.sqrt(params.p) * k)
 
 
-def lambda3_floor(
-    p: int, F: int, k: int, theta: float, delta: float, form: str = "exact"
-) -> float:
-    """The certified progression-density floor.
+def lambda3_floors(p: int, F: int, k: int, theta: float, delta: float) -> dict:
+    """The certified progression-density floor in both stated forms.
 
-    form="exact":    p^-2 C(k,2)^-1 F^(-4 theta) / 128 - 9 delta F^(-2 theta) / 8
-    form="weakened": p^-2 k^-2      F^(-4 theta) / 64  - 9 delta F^(-2 theta) / 8
+    exact:    p^-2 C(k,2)^-1 F^(-4 theta) / 128 - 9 delta F^(-2 theta) / 8
+    weakened: p^-2 k^-2      F^(-4 theta) / 64  - 9 delta F^(-2 theta) / 8
 
     The weakened form replaces C(k,2)^-1/128 by the smaller k^-2/64.  Negative
     values mean the floor is vacuous at these parameters.
     """
     if k < 2:
         raise ValueError(f"the floor needs k >= 2, got {k}")
-    if form == "exact":
-        main = F ** (-4.0 * theta) / (p**2 * math.comb(k, 2) * 128.0)
-    elif form == "weakened":
-        main = F ** (-4.0 * theta) / (p**2 * k**2 * 64.0)
-    else:
-        raise ValueError(f"unknown form {form!r}")
-    return main - 9.0 * delta * F ** (-2.0 * theta) / 8.0
+    loss = 9.0 * delta * F ** (-2.0 * theta) / 8.0
+    return {
+        "exact": F ** (-4.0 * theta) / (p**2 * math.comb(k, 2) * 128.0) - loss,
+        "weakened": F ** (-4.0 * theta) / (p**2 * k**2 * 64.0) - loss,
+    }
 
 
 def plugin_delta(F: int, gamma: float, k: int) -> float:

@@ -190,23 +190,21 @@ def _lambda3_triples(args) -> list[tuple[str, tuple[DenseFunction, ...]]]:
         raise ConfigError("give --files or --recipe, not both")
     if args.ordering is not None and len(args.files or ()) != 2:
         raise ConfigError("--ordering needs exactly two --files")
-    if args.recipe or (args.files and len(args.files) == 1):
-        if args.recipe:
-            f = _function_from_args(args)
-        else:
-            f = _load_function(args.files[0], args.p, args.n)
-        return [("fff", (f, f, f))]
-    if not args.files:
+    if not args.files and not args.recipe:
         raise ConfigError("give --files or --recipe")
-    if len(args.files) == 2:
-        f = _load_function(args.files[0], args.p, args.n)
-        g = _load_function(args.files[1], args.p, args.n)
+    if args.files and len(args.files) > 3:
+        raise ConfigError(f"--files takes 1, 2, or 3 paths, got {len(args.files)}")
+    if args.recipe:
+        fs = [_function_from_args(args)]
+    else:
+        fs = [_load_function(path, args.p, args.n) for path in args.files]
+    if len(fs) == 1:
+        return [("fff", (fs[0], fs[0], fs[0]))]
+    if len(fs) == 2:
+        f, g = fs
         triples = {"fgf": (f, g, f), "gff": (g, f, f)}
         return [(name, triples[name]) for name in ORDERING_CHOICES[args.ordering or "fgf"]]
-    if len(args.files) == 3:
-        fs = tuple(_load_function(path, args.p, args.n) for path in args.files)
-        return [("explicit", fs)]
-    raise ConfigError(f"--files takes 1, 2, or 3 paths, got {len(args.files)}")
+    return [("explicit", tuple(fs))]
 
 
 def cmd_lambda3(args) -> int:

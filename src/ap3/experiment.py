@@ -25,7 +25,7 @@ from .bounds import (
     check_hypotheses,
     delta_from_sigma,
     density_floor,
-    lambda3_floor,
+    lambda3_floors,
     plugin_delta,
     quasinorm_regime_bound,
 )
@@ -307,21 +307,15 @@ class ExperimentConfig:
     def as_dict(self) -> dict:
         return {_CONFIG_KEYS.get(key, key): value for key, value in asdict(self).items()}
 
-    def delta_mode(self) -> str:
-        if self.delta is not None:
-            return "explicit"
-        if self.gamma is not None:
-            return "plugin"
-        return "tail"
 
-
-def resolve_delta(config: ExperimentConfig, spectrum: Spectrum) -> float:
-    mode = config.delta_mode()
-    if mode == "explicit":
-        return config.delta
-    if mode == "plugin":
-        return plugin_delta(config.p**config.n, config.gamma, config.k)
-    return delta_from_sigma(spectrum.sigma(config.k), config.p**config.n)
+def resolve_delta(config: ExperimentConfig, spectrum: Spectrum) -> tuple[float, str]:
+    """delta and where it came from: the config, the plug-in from gamma, or
+    the measured tail sigma_k."""
+    if config.delta is not None:
+        return config.delta, "explicit"
+    if config.gamma is not None:
+        return plugin_delta(config.p**config.n, config.gamma, config.k), "plugin"
+    return delta_from_sigma(spectrum.sigma(config.k), config.p**config.n), "tail"
 
 
 def report_json(report: dict) -> str:
@@ -424,7 +418,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
         return finish()
 
     spectrum = f.spectrum
-    delta = resolve_delta(config, spectrum)
+    delta, delta_mode = resolve_delta(config, spectrum)
     hypotheses = check_hypotheses(f, g, config.k, delta)
     theta = hypotheses.theta
     report["means"] = {"e_f": hypotheses.e_f, "e_g": hypotheses.e_g}
@@ -435,7 +429,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
         "parseval_gap": parseval_gap(f),
     }
     report["delta"] = delta
-    report["delta_mode"] = config.delta_mode()
+    report["delta_mode"] = delta_mode
     report["theta"] = theta
     report["hypotheses"] = hypotheses.as_dict()
     try:
@@ -446,12 +440,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
         return finish()
     report["density_floor"] = density_floor(params, config.k)
 
-    report["floors"] = {
-        form: lambda3_floor(params.p, params.F, config.k, theta, delta, form=form)
-        if theta is not None
-        else None
-        for form in ("exact", "weakened")
-    }
+    if theta is not None:
+        report["floors"] = lambda3_floors(params.p, params.F, config.k, theta, delta)
+    else:
+        report["floors"] = {"exact": None, "weakened": None}
     rhs_exact = report["floors"]["exact"]
     if config.gamma is not None and theta is not None:
         report["floors"]["stated_headline"] = quasinorm_regime_bound(

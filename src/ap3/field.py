@@ -125,14 +125,9 @@ class FieldParams:
         self.check_elements(indices)
         return np.asarray(indices, dtype=np.int64)[..., None] // self.powers() % self.p
 
-    def index_of(self, digits) -> int:
-        d = np.asarray(digits, dtype=np.int64) % self.p
-        if d.shape != (self.n,):
-            raise ValueError(f"expected {self.n} digits, got shape {d.shape}")
-        return int(d @ self.powers())
-
     def indices_of(self, digit_rows: np.ndarray) -> np.ndarray:
-        """Vectorized index_of for an (m, n) array of digit vectors."""
+        """The index of each digit vector along the last axis, digits taken mod p:
+        the one index formula, the inverse of digits_of."""
         return (np.asarray(digit_rows, dtype=np.int64) % self.p) @ self.powers()
 
     def check_elements(self, indices) -> None:

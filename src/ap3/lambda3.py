@@ -81,39 +81,42 @@ def diagonal_weight(f1: DenseFunction, f2: DenseFunction, f3: DenseFunction) -> 
     return float(np.sum(f1.values * f2.values * f3.values))
 
 
+# The ordering's c in its pair count sum_d f(m+d) f(m+c d): -1 pairs the two
+# ends of a progression around its midpoint, 2 the two points after its start.
+PAIR_SCALES = {"fgf": -1, "gff": 2}
+
+
 def pair_table(spectrum: Spectrum, ordering: str) -> np.ndarray:
     """The pair count of f at every m, from one inverse transform of its spectrum.
 
-    fgf (midpoint): P(m) = sum_d f(m-d) f(m+d) = (f*f)(2m).
-    gff (endpoint): E(m) = sum_d f(m+d) f(m+2d) = F^(-1) sum_a fhat(a) fhat(-2a) w^(a.m).
-    sum_m g(m) P(m) = F^2 Lambda3(f, g, f) and sum_m g(m) E(m) = F^2 Lambda3(g, f, f).
+    With c = PAIR_SCALES[ordering], the count sum_d f(m+d) f(m+c d) equals
+    F^(-1) sum_a fhat(a) fhat(-c a) w^(a.(1-c)m): the inverse transform of
+    fhat(a) fhat(-c a), read at (1-c) m.
+    sum_m g(m) table[m] is F^2 Lambda3(f, g, f) for fgf and F^2 Lambda3(g, f, f) for gff.
     midpoint_pair_count and endpoint_pair_count are the direct oracles.
     """
-    params = spectrum.params
-    c = spectrum.coeffs
-    if ordering == "fgf":
-        return idft(params, c * c).values[scale_table(params, 2)]
-    if ordering == "gff":
-        return idft(params, c * c[scale_table(params, -2)]).values[scale_table(params, -1)]
-    raise ValueError(f"unknown ordering {ordering!r}")
+    if ordering not in PAIR_SCALES:
+        raise ValueError(f"unknown ordering {ordering!r}")
+    params, c, coeffs = spectrum.params, PAIR_SCALES[ordering], spectrum.coeffs
+    return idft(params, coeffs * coeffs[scale_table(params, -c)]).values[scale_table(params, 1 - c)]
 
 
 def midpoint_pair_count(f: DenseFunction, m: int) -> float:
     """sum_d f(m-d) f(m+d), counted directly; the oracle for pair_table(., "fgf")."""
-    return _pair_count(f, m, -1, 1)
+    return _pair_count(f, m, -1)
 
 
 def endpoint_pair_count(f: DenseFunction, m: int) -> float:
     """sum_d f(m+d) f(m+2d), counted directly; the oracle for pair_table(., "gff")."""
-    return _pair_count(f, m, 1, 2)
+    return _pair_count(f, m, 2)
 
 
-def _pair_count(f: DenseFunction, m: int, a: int, b: int) -> float:
-    """sum_d f(m + a d) f(m + b d), counted directly."""
+def _pair_count(f: DenseFunction, m: int, c: int) -> float:
+    """sum_d f(m + d) f(m + c d), counted directly."""
     params = f.params
     D = params.digit_table()
     dm = params.digits_of(m)
-    first, second = (params.indices_of((dm[None, :] + c * D) % params.p) for c in (a, b))
+    first, second = (params.indices_of((dm[None, :] + s * D) % params.p) for s in (1, c))
     return float(np.sum(f.values[first] * f.values[second]))
 
 

@@ -138,7 +138,8 @@ def tail_energy(spectrum: Spectrum, A: np.ndarray) -> np.ndarray:
     coeffs = spectrum.coeffs.copy()
     coeffs[np.asarray(A, dtype=np.int64)] = 0.0
     tail = np.fft.fftn(coeffs.reshape((params.p,) * params.n)).reshape(-1)
-    return np.abs(tail) ** 2
+    # not np.abs(tail) ** 2, whose last bits depend on numpy's SIMD dispatch
+    return tail.real**2 + tail.imag**2
 
 
 def coset_scores(energy: np.ndarray, good: GoodSubspace) -> np.ndarray:

@@ -285,7 +285,7 @@ def test_context_invariants(announce):
         ok &= bool(np.abs(ctx.h.values[coset] - f.values[coset]).max() < 1e-9)
         h_cube = PaddedCube(params, ctx.h.values)
         for row in good.W.complement().basis:
-            v = int(params.index_of(np.asarray(row)))
+            v = int(params.indices_of(np.asarray(row)))
             shifted = h_cube.shifted(params.digits_of(v)).reshape(-1)
             ok &= bool(np.abs(shifted - ctx.h.values).max() < 1e-9)
     elapsed = time.perf_counter() - start

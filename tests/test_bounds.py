@@ -7,7 +7,7 @@ from ap3.bounds import (
     check_hypotheses,
     delta_from_sigma,
     derived_theta,
-    lambda3_floor,
+    lambda3_floors,
     plugin_delta,
     quasinorm_regime_bound,
 )
@@ -20,38 +20,35 @@ from conftest import random_function
 def test_pair_count():
     # the exact floor at theta = delta = 0 is p^-2 C(k,2)^-1 / 128
     for k, pairs in ((2, 1), (3, 3), (4, 6), (10, 45)):
-        assert lambda3_floor(3, 27, k, 0.0, 0.0) == 1 / (9 * pairs * 128)
+        assert lambda3_floors(3, 27, k, 0.0, 0.0)["exact"] == 1 / (9 * pairs * 128)
 
 
 def test_floor_exact_frozen_value():
-    assert lambda3_floor(3, 27, 2, 0.0, 0.0) == pytest.approx(1.0 / 1152.0)
+    assert lambda3_floors(3, 27, 2, 0.0, 0.0)["exact"] == pytest.approx(1.0 / 1152.0)
 
 
 def test_floor_weakened_frozen_value():
-    got = lambda3_floor(3, 27, 2, 0.0, 0.0, form="weakened")
+    got = lambda3_floors(3, 27, 2, 0.0, 0.0)["weakened"]
     assert got == pytest.approx(1.0 / 2304.0)
 
 
 def test_floor_exact_dominates_weakened():
     for k in (2, 3, 5, 11):
-        exact = lambda3_floor(3, 81, k, 0.1, 0.0)
-        weak = lambda3_floor(3, 81, k, 0.1, 0.0, form="weakened")
-        assert exact >= weak
+        floors = lambda3_floors(3, 81, k, 0.1, 0.0)
+        assert floors["exact"] >= floors["weakened"]
 
 
 def test_floor_negative_and_decay():
-    assert lambda3_floor(3, 27, 2, 0.0, 1.0) < 0.0
-    assert lambda3_floor(3, 27, 2, 50.0, 0.0) == pytest.approx(0.0, abs=1e-60)
+    assert lambda3_floors(3, 27, 2, 0.0, 1.0)["exact"] < 0.0
+    assert lambda3_floors(3, 27, 2, 50.0, 0.0)["exact"] == pytest.approx(0.0, abs=1e-60)
     # decreasing in theta
-    vals = [lambda3_floor(3, 27, 2, th, 0.0) for th in (0.0, 0.5, 1.0)]
+    vals = [lambda3_floors(3, 27, 2, th, 0.0)["exact"] for th in (0.0, 0.5, 1.0)]
     assert vals[0] > vals[1] > vals[2]
 
 
 def test_floor_validation():
     with pytest.raises(ValueError):
-        lambda3_floor(3, 27, 1, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        lambda3_floor(3, 27, 2, 0.0, 0.0, form="sharp")
+        lambda3_floors(3, 27, 1, 0.0, 0.0)
 
 
 def test_plugin_delta_covers_measured_tail(rng):

@@ -169,14 +169,13 @@ def test_config_validation():
         ExperimentConfig.from_dict([1, 2])
 
 
-def test_config_defaults_and_modes():
+def test_config_defaults_and_modes(p33):
+    spectrum = dft(DenseFunction.constant(p33, 1.0))
     c = cfg()
     assert c.orderings == ("fgf",)
-    assert c.delta_mode() == "explicit"
-    c2 = cfg(delta=None, gamma=0.1)
-    assert c2.delta_mode() == "plugin"
-    c3 = cfg(delta=None)
-    assert c3.delta_mode() == "tail"
+    assert resolve_delta(c, spectrum)[1] == "explicit"
+    assert resolve_delta(cfg(delta=None, gamma=0.1), spectrum)[1] == "plugin"
+    assert resolve_delta(cfg(delta=None), spectrum)[1] == "tail"
     c4 = cfg(ordering="both")
     assert c4.orderings == ("fgf", "gff")
     assert cfg(ordering="gff").orderings == ("gff",)
@@ -187,10 +186,11 @@ def test_config_defaults_and_modes():
 def test_resolve_delta_modes(p33):
     f = DenseFunction.constant(p33, 1.0)
     spectrum = dft(f)
-    assert resolve_delta(cfg(delta=0.25), spectrum) == 0.25
-    got = resolve_delta(cfg(delta=None, gamma=0.0), spectrum)
-    assert got == pytest.approx(1.0 / (2.0 * 2**2.5))
-    assert resolve_delta(cfg(delta=None), spectrum) == pytest.approx(0.0, abs=1e-12)
+    assert resolve_delta(cfg(delta=0.25), spectrum) == (0.25, "explicit")
+    got, mode = resolve_delta(cfg(delta=None, gamma=0.0), spectrum)
+    assert (got, mode) == (pytest.approx(1.0 / (2.0 * 2**2.5)), "plugin")
+    got, mode = resolve_delta(cfg(delta=None), spectrum)
+    assert (got, mode) == (pytest.approx(0.0, abs=1e-12), "tail")
 
 
 def test_run_experiment_pass():

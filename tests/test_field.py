@@ -73,7 +73,7 @@ def test_params_refuse_large_n_before_computing_p_to_the_n():
 def test_digit_round_trip(pn, raw):
     params = FieldParams(*pn)
     x = raw % params.F
-    assert params.index_of(params.digits_of(x)) == x
+    assert params.indices_of(params.digits_of(x)) == x
 
 
 def test_element_bounds(p33):
@@ -279,7 +279,7 @@ def test_frame_cells_split_every_element(p33, rng):
             (pos_w,), (pos_v,) = frame.place_positions(np.array([x]))
             w, v = int(frame.w_members[pos_w]), int(frame.v_members[pos_v])
             assert W.contains(w) and V.contains(v)
-            assert p33.index_of(p33.digits_of(w) + p33.digits_of(v)) == x
+            assert p33.indices_of(p33.digits_of(w) + p33.digits_of(v)) == x
 
 
 def test_direct_sum_rejects_overlap(p33):

@@ -68,7 +68,7 @@ def test_coset_sums_exact(p33, rng):
     D = p33.digit_table()
     seen = set()
     for m in range(p33.F):
-        members = [p33.index_of(D[m] + D[w]) for w in W.members()]
+        members = [p33.indices_of(D[m] + D[w]) for w in W.members()]
         direct = sum(g.values[x] for x in members)
         assert sums[labels[m]] == pytest.approx(direct, abs=1e-12)
         seen.add(int(labels[m]))
@@ -131,7 +131,7 @@ def test_dense_translates_point_mass(p33):
 def _verify_good(found, A, g, params):
     V = found.W.complement()
     D = params.digit_table()
-    B = {params.index_of(D[a] - D[b]) for a in A for b in A} - {0}
+    B = {params.indices_of(D[a] - D[b]) for a in A for b in A} - {0}
     assert not any(V.contains(b) for b in B)
     assert found.dense.sum() * found.W.size >= params.F / 4.0
     stacked = np.vstack([found.W.matrix, V.matrix])

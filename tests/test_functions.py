@@ -40,7 +40,7 @@ def test_convolve_identity_and_points(p33):
     x, y = 4, 17
     conv = convolve_direct(indicator(p33, [x]), indicator(p33, [y]))
     expected = np.zeros(p33.F)
-    expected[p33.index_of(p33.digits_of(x) + p33.digits_of(y))] = 1.0
+    expected[p33.indices_of(p33.digits_of(x) + p33.digits_of(y))] = 1.0
     assert np.abs(conv.values - expected).max() < 1e-9
 
 
@@ -104,7 +104,7 @@ def test_conv_power_support_in_sumset():
     members = [0, 1]
     f = normalized_conv_power(indicator(params, members), 2)
     D = params.digit_table()
-    sumset = {params.index_of(D[a] + D[b]) for a in members for b in members}
+    sumset = {params.indices_of(D[a] + D[b]) for a in members for b in members}
     support = set(np.flatnonzero(f.values > 1e-12).tolist())
     assert support == sumset
 

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ap3.experiment import ORDERING_CHOICES
 from ap3.field import FieldParams, Subspace
 from ap3.functions import indicator
 from ap3.lambda3 import (
+    PAIR_SCALES,
     diagonal_weight,
     endpoint_pair_count,
     lambda3_brute,
@@ -27,8 +29,8 @@ def lambda3_loop(f1, f2, f3):
     total = 0.0
     for m in range(params.F):
         for d in range(params.F):
-            m1 = params.index_of(D[m] + D[d])
-            m2 = params.index_of(D[m] + 2 * D[d])
+            m1 = params.indices_of(D[m] + D[d])
+            m2 = params.indices_of(D[m] + 2 * D[d])
             total += f1.values[m] * f2.values[m1] * f3.values[m2]
     return total / params.F**2
 
@@ -164,7 +166,7 @@ def test_midpoint_pair_count_routes_agree(p33, rng):
         assert abs(direct - table[m]) < 1e-8
         # the midpoint count is the self-convolution at 2m
         loop = sum(
-            f.values[p33.index_of(D[m] - D[d])] * f.values[p33.index_of(D[m] + D[d])]
+            f.values[p33.indices_of(D[m] - D[d])] * f.values[p33.indices_of(D[m] + D[d])]
             for d in range(p33.F)
         )
         assert direct == pytest.approx(loop, abs=1e-9)
@@ -178,7 +180,7 @@ def test_endpoint_pair_count_routes_agree(p33, rng):
         direct = endpoint_pair_count(f, m)
         assert abs(direct - table[m]) < 1e-8
         loop = sum(
-            f.values[p33.index_of(D[m] + D[d])] * f.values[p33.index_of(D[m] + 2 * D[d])]
+            f.values[p33.indices_of(D[m] + D[d])] * f.values[p33.indices_of(D[m] + 2 * D[d])]
             for d in range(p33.F)
         )
         assert direct == pytest.approx(loop, abs=1e-9)
@@ -188,6 +190,11 @@ def test_pair_count_method_validation(p33, rng):
     f = random_function(p33, rng)
     with pytest.raises(ValueError):
         pair_table(dft(f), "guess")
+
+
+def test_pair_scales_cover_the_config_orderings():
+    # every ordering a config accepts has a pair table, and no other does
+    assert set(PAIR_SCALES) == set(ORDERING_CHOICES["both"])
 
 
 @pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (7, 2)])

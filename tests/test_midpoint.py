@@ -252,7 +252,7 @@ def test_build_context_window_indicator(p33, rng):
     D = p33.digit_table()
     counts = np.array(
         [
-            sum(1 for b in V.members() if p33.index_of(D[m] - D[b]) in members)
+            sum(1 for b in V.members() if p33.indices_of(D[m] - D[b]) in members)
             for m in range(p33.F)
         ],
         dtype=float,
@@ -271,7 +271,7 @@ def test_build_context_invariants_random(p33, rng):
     assert ctx.h.values.min() >= -1e-9 and ctx.h.values.max() <= 1 + 1e-9
     h_cube = PaddedCube(p33, ctx.h.values)
     for row in good.W.complement().basis:
-        v = p33.index_of(np.asarray(row))
+        v = p33.indices_of(np.asarray(row))
         shifted = h_cube.shifted(p33.digits_of(int(v))).reshape(-1)
         assert np.allclose(shifted, ctx.h.values, atol=1e-9)
     assert ctx.w1_positions.size == len(A)

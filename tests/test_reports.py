@@ -5,9 +5,12 @@ A change that alters a report on purpose updates its digest here and says
 why in CHANGES.md.
 
 The brute oracle sums its terms through BLAS matrix products, so the last
-bits of its outputs depend on the kernel OpenBLAS picks for the CPU.  A
-report's digest is taken with those values replaced by MASK, and each
-replaced value is checked against its spectral counterpart instead.
+bits of its outputs depend on the kernel OpenBLAS picks for the CPU.  The
+quasinorm ||fhat||_{1/3} goes through np.power, whose last bits depend on
+the SIMD kernel numpy dispatches on (AVX-512 or not).  A report's digest is
+taken with those values replaced by MASK, and each replaced value is checked
+against a counterpart instead: a BLAS value against the spectral route, the
+quasinorm against a libm recomputation.
 """
 
 import csv
@@ -15,6 +18,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -32,6 +36,7 @@ from ap3.experiment import (
 )
 from ap3.lambda3 import diagonal_weight
 from ap3.midpoint import DepletionRun, MidpointCertificate
+from ap3.spectral import parseval_gap
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -42,82 +47,95 @@ PINNED = [
         "budget_point_mass.json",
         3,
         (None,),
-        "8ecbb1743bfcc3bc8b61cb52fe18284ccde36a57065fe28452319b69e22cf349",
+        "485e301e24252836a27bb8b024be01846609c1b0ee137c203a57499cc5023778",
     ),
     (
         "cap_exhaustive_demo.json",
         1,
         (1,),
-        "51c575f6b7028ee580f6d9056dcfdd1d53f7fb529caadeea7c71b030b4c8f507",
+        "3d7d505ab4c0a76ff9a7ca2072d2c3ca6b18022c5815980807f8e6cdc46deb3a",
     ),
     (
         "dense_theorem_p5_n4.json",
         0,
         (30, 30),
-        "aec600181f0a58c9a419a085092e7608aebb9c81eacefa821958c9963ff76868",
+        "365a39de0935f35cab961dac1adead56933d8043e9cf0d3f5dc9616c07869177",
     ),
     (
         "dense_theorem_p5_n4_lazy.json",
         0,
         (31, 31),
-        "64779ef6b58c3e69a2c8a2b9b1283b940b67a87a19d517abf7524977f4a3696b",
+        "bc5e96a4b92f7dbf4f2ed0092484fc185e0d6b82b0bf9fd7413e849d259b7d02",
     ),
     (
         "refusal_empty_minorant.json",
         2,
         (),
-        "8a8b6380235824918454af70d03e21fd4b5bdd4f48f6c182ee969ffb735ef7ca",
+        "762eb74df0777279f439e972b3654408345cc656b9105207aa23afb3f0f43203",
     ),
     (
         "sevenfold_p3_n5.json",
         0,
         (8,),
-        "fbf56c75aa65e9ee605a5b8afaec94bef3317f1d0f1b51cf9016576201614830",
+        "623e44cea48b9a7039d2f06abb540a7be539deb326f0bdfcec97060549743124",
     ),
     (
         "smoothed_p3_n5.json",
         0,
         (8,),
-        "38819490bebb06d7759ba20094ecfa19087667b4a0c79ec5adc5e82b4301f66c",
+        "2cea1f2a057e6a09243e0fd23438bb1f2577f4589b0f63d5d27c1adee3aecd3a",
     ),
 ]
 
 
 # Stands in for a kernel-dependent value in a pinned report.
-MASK = "<blas>"
+MASK = "<kernel>"
 # The numbers printed in an oracle_agreement or pair_table detail.
 GAP = re.compile(r"[=:,] ([-+0-9.e]+)")
 
 
 @functools.cache
-def _verify(name: str) -> tuple[dict, int, tuple]:
-    """The report, its exit code, and the d = 0 weight of each entry's f,
-    recorded as the report is built."""
-    diagonals = []
+def _verify(name: str) -> tuple[dict, int, tuple, tuple]:
+    """The report, its exit code, the d = 0 weight of each entry's f, and
+    each entry's quasinorm ||fhat||_{1/3} summed through libm, recorded as
+    the report is built."""
+    diagonals, quasinorms = [], []
 
     def record(*triple):
         diagonals.append(diagonal_weight(*triple))
         return diagonals[-1]
 
+    def record_quasinorm(f):
+        quasinorms.append(math.fsum(abs(complex(c)) ** (1 / 3) for c in f.spectrum.coeffs) ** 3)
+        return parseval_gap(f)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ap3.experiment, "diagonal_weight", record)
+        patch.setattr(ap3.experiment, "parseval_gap", record_quasinorm)
         report, code = run_config(load_config_file(str(CONFIGS / name)))
-    return report, code, tuple(diagonals)
+    return report, code, tuple(diagonals), tuple(quasinorms)
 
 
-def _masked(report: dict, diagonals: tuple) -> tuple[dict, list]:
+def _masked(report: dict, diagonals: tuple, quasinorms: tuple) -> tuple[dict, list]:
     """The report with each kernel-dependent value replaced by MASK, and each
-    replaced number as (value, spectral counterpart, scale).
+    replaced number as (value, counterpart, scale).
 
-    The replaced numbers are the brute oracle's outputs and the round-off
-    gaps printed in the oracle_agreement and pair_table details.  A gap's
-    counterpart is 0; its scale is the spectral Lambda3 for a gap on Lambda3
-    and 1 for a relative one.
+    The replaced numbers are each entry's quasinorm, whose counterpart is
+    the libm sum, the brute oracle's outputs, and the round-off gaps printed
+    in the oracle_agreement and pair_table details.  A gap's counterpart is
+    0; its scale is the spectral Lambda3 for a gap on Lambda3 and 1 for a
+    relative one.
     """
     masked = json.loads(report_json(report))
-    entries = [e for e in masked.get("entries", [masked]) if "lambda3_f" in e]
-    assert len(entries) == len(diagonals)
+    entries = masked.get("entries", [masked])
+    spectra = [e["spectrum"] for e in entries if "spectrum" in e]
+    assert len(spectra) == len(quasinorms)
     checks = []
+    for spectrum, quasinorm in zip(spectra, quasinorms):
+        checks.append((spectrum["quasinorm_third"], quasinorm, quasinorm))
+        spectrum["quasinorm_third"] = MASK
+    entries = [e for e in entries if "lambda3_f" in e]
+    assert len(entries) == len(diagonals)
     for entry, diagonal in zip(entries, diagonals):
         lam = entry["lambda3_f"]
         spectral = {"f": lam["spectral"]}
@@ -147,11 +165,11 @@ def test_every_bundled_config_is_pinned_once():
 @pytest.mark.parametrize("case", PINNED, ids=lambda case: case[0].removesuffix(".json"))
 def test_bundled_report_is_pinned(case):
     """Every byte but the masked values is pinned; each masked value lies
-    within 1e-12 relative of its spectral counterpart."""
+    within 1e-12 relative of its counterpart."""
     name, code, _, digest = case
-    report, got_code, diagonals = _verify(name)
+    report, got_code, diagonals, quasinorms = _verify(name)
     assert got_code == code
-    masked, checks = _masked(strip_timing(report), diagonals)
+    masked, checks = _masked(strip_timing(report), diagonals, quasinorms)
     text = report_json(masked)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
     for value, counterpart, scale in checks:

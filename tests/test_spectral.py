@@ -198,7 +198,7 @@ def test_translate_shifts_and_modulates(p33, p52, rng):
         for d in (0, 1, 13, params.F - 1):
             g = DenseFunction.make(params, cube.shifted(D[d]))
             for m in range(params.F):
-                assert g.values[m] == f.values[params.index_of(D[m] + D[d])]
+                assert g.values[m] == f.values[params.indices_of(D[m] + D[d])]
             phases = np.exp(-2j * np.pi * ((D @ D[d]) % params.p) / params.p)
             assert np.abs(dft(g).coeffs - phases * dft(f).coeffs).max() < 1e-8
 

@@ -148,7 +148,7 @@ def test_depletion_without_table(name, monkeypatch):
         rng = np.random.default_rng(config.seed)
         f = build_recipe(params, config.f_recipe, rng)
         g = derive_minorant(f, config.g_recipe, rng)
-        delta = resolve_delta(config, f.spectrum)
+        delta, _ = resolve_delta(config, f.spectrum)
         runs = [
             run_depletion(
                 f, g, config.k, delta, o, config.nprime, config.max_attempts, rng, config.refresh
