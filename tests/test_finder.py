@@ -235,10 +235,16 @@ def test_find_good_subspace_success_rate(p33):
     assert successes / runs >= 0.99
 
 
-def test_find_good_subspace_budget_error(p33, rng):
-    g = indicator(p33, [0])
+# A point mass at p=3, n=3, and 6 points at p=3, n=4: those leave every line W
+# at most 6 dense cosets, a pool of at most 18 translates, below F/4 = 20.25
+# though above F/8 for most W
+@pytest.mark.parametrize(
+    "n,members", [(3, [0]), (4, [3, 21, 24, 39, 49, 64])], ids=["point_mass", "six_points"]
+)
+def test_find_good_subspace_budget_error(rng, n, members):
+    g = indicator(FieldParams(3, n), members)
     with pytest.raises(FinderBudgetError) as exc:
-        find_good_subspace(np.array([0]), g, rng, max_attempts=16)
+        find_good_subspace(np.array([0]), g, rng, nprime=1, max_attempts=16)
     # every attempt is rejected; isotropic draws fall to direct_sum first
     assert sum(exc.value.rejections.values()) == 16
     assert exc.value.rejections["separation"] == 0

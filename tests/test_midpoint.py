@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import ap3.finder
 import ap3.midpoint
-from ap3.bounds import HypothesisRefusal, density_floor
+from ap3.bounds import HypothesisRefusal, delta_from_sigma, density_floor
 from ap3.field import FieldParams, Subspace
 from ap3.finder import FinderBudgetError, GoodSubspace, coset_sums, find_good_subspace, is_dense
 from ap3.functions import indicator
@@ -390,6 +390,26 @@ def test_depletion_builds_one_tail_energy_per_run(p33, rng, refresh, monkeypatch
     delta = float(np.sqrt(dft(f).sigma(2)) / p33.F + 1e-12)
     run = run_depletion(f, g, k=2, delta=delta, refresh=refresh, rng=rng)
     assert len(run.steps) > 1 and len(calls) == 1
+
+
+def test_depletion_holds_no_step_above_four_sigma(monkeypatch):
+    """A translate whose Q exceeds 4 sigma_k voids its step's hypotheses.
+    select_translate raises before returning such a t whenever the dense
+    pool covers F/4, so here it is patched to report Q = 8 sigma_k; a held
+    check that reads Q <= 16 sigma_k would hold every step."""
+
+    def above(scores, labels, dense, sigma_k, roundoff):
+        t, _ = select_translate(scores, labels, dense, sigma_k, roundoff)
+        return t, 8.0 * sigma_k
+
+    monkeypatch.setattr(ap3.midpoint, "select_translate", above)
+    params = FieldParams(3, 4)
+    rng = np.random.default_rng(0)
+    f = DenseFunction.make(params, rng.uniform(0.6, 1.0, params.F))
+    delta = delta_from_sigma(f.spectrum.sigma(2), params.F)
+    run = run_depletion(f, f, k=2, delta=delta, rng=rng)
+    assert run.steps and not any(step.hypotheses_held for step in run.steps)
+    assert run.certificates_ok
 
 
 def test_depletion_refusals(p33, rng):
