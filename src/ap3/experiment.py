@@ -319,9 +319,12 @@ def resolve_delta(config: ExperimentConfig, spectrum: Spectrum) -> tuple[float, 
 
 
 def report_json(report: dict) -> str:
-    """Canonical serialization; byte-stable given identical report content.
-    A report holds native values only, so json is its one encoder."""
-    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    """Canonical serialization: one compact line with sorted keys, byte-stable
+    given identical report content.  A report holds native values only, so
+    json's C encoder writes it; `indent` would fall back to the pure-Python
+    encoder, whose time grows with the run's steps.  Read it indented with
+    `python -m json.tool --indent 2 --sort-keys`."""
+    return json.dumps(report, separators=(",", ":"), sort_keys=True, allow_nan=False) + "\n"
 
 
 def strip_timing(report: dict) -> dict:
@@ -535,6 +538,9 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
             f"vs direct count: {step_gaps[0]:.3g}, {step_gaps[1]:.3g} relative",
         )
         check(f"certificates[{ordering}]", run.certificates_ok, certificate_detail)
+        # lambda_lower adds every step's floor, so every step must have held
+        not_held = sum(1 for step in run.steps if not step.hypotheses_held)
+        check(f"hypotheses_held[{ordering}]", not_held == 0, f"{not_held} steps did not hold")
         at_least(
             f"certified_le_measured[{ordering}]", brute, run.lambda_lower, "certified", tol=1e-9
         )

@@ -8,6 +8,7 @@ import pytest
 import ap3.finder
 import ap3.lambda3
 import ap3.spectral
+from ap3.cli import main
 from ap3.experiment import (
     EXIT_ASSERTION,
     EXIT_BUDGET,
@@ -323,15 +324,27 @@ def test_report_determinism():
     assert "timing" in r1
 
 
-def test_report_json_canonical():
+def test_report_json_canonical(tmp_path):
+    """One compact line with sorted keys, NaN refused; lambda3.json written
+    through --out is the same encoding."""
     config = cfg(trials=5)
     report, _ = run_experiment(config)
     text = report_json(report)
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert text == json.dumps(report, separators=(",", ":"), sort_keys=True) + "\n"
     parsed = json.loads(text)
     assert parsed["field"]["F"] == 27
     assert "np." not in text
     round2 = report_json(strip_timing(report))
     assert json.loads(round2) == strip_timing(parsed)
+    with pytest.raises(ValueError):
+        report_json({**report, "delta": float("nan")})
+
+    recipe = '{"kind": "uniform", "low": 0, "high": 1}'
+    argv = ["lambda3", "--recipe", recipe, "--p", "3", "--n", "2", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    written = (tmp_path / "lambda3.json").read_text(encoding="utf-8")
+    assert written.count("\n") == 1 and json.loads(written)["results"]
 
 
 def test_broken_certificate_exits_assertion(monkeypatch):
@@ -346,6 +359,27 @@ def test_broken_certificate_exits_assertion(monkeypatch):
     [run] = report["runs"]
     assert run["certificates_ok"] is False
     assert run["steps"] and run["lambda_lower"] > 0.0
+
+
+def test_unheld_step_exits_assertion(monkeypatch):
+    """lambda_lower adds every step's floor, so a step whose hypotheses did
+    not hold fails hypotheses_held, though certificates skips it."""
+    import ap3.midpoint
+
+    real_select = ap3.midpoint.select_translate
+
+    def above(scores, labels, dense, sigma_k, roundoff):
+        t, _ = real_select(scores, labels, dense, sigma_k, roundoff)
+        return t, 4.0 * sigma_k + 1.0
+
+    monkeypatch.setattr(ap3.midpoint, "select_translate", above)
+    report, code = run_experiment(cfg())
+    assert code == EXIT_ASSERTION
+    [run] = report["runs"]
+    failed = [a for a in report["assertions"] if not a["passed"]]
+    assert [a["name"] for a in failed] == ["hypotheses_held[fgf]"]
+    assert failed[0]["detail"] == f"{len(run['steps'])} steps did not hold"
+    assert run["certificates_ok"] is True
 
 
 def test_broken_certificate_fails_partial_run(monkeypatch):

@@ -1,9 +1,10 @@
 """The bundled `verify` reports and `ap3 estimate` outputs, pinned field by
 field against the golden files in tests/golden, and the report schema.
 
-Each golden file is exactly what its command prints:
+Each golden file is exactly what its command prints, a report indented so
+that a change to it diffs field by field:
 
-    ap3 verify --config configs/<config>.json > tests/golden/<config>.json
+    ap3 verify --config configs/<config>.json | python -m json.tool --indent 2 --sort-keys > tests/golden/<config>.json
     ap3 estimate <args> > tests/golden/<name>.csv
 
 with the estimate names and arguments in ESTIMATES below.  A change that
@@ -131,6 +132,14 @@ def test_every_bundled_config_is_pinned_once():
     assert sorted(name for name, _ in ESTIMATES) == sorted(p.name for p in GOLDEN.glob("*.csv"))
 
 
+@pytest.mark.parametrize("name", [name for name, *_ in PINNED])
+def test_golden_report_is_indented_json_tool_output(name):
+    """The form `python -m json.tool --indent 2 --sort-keys` writes, so the
+    documented command is the one way a golden report is made."""
+    text = (GOLDEN / name).read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
 @pytest.mark.parametrize("case", PINNED, ids=lambda case: case[0].removesuffix(".json"))
 def test_bundled_report_is_pinned(case):
     """The report matches its golden file, and the brute oracle agrees with
@@ -159,6 +168,20 @@ def test_density_floor_crossing_is_pinned(case):
         next((s["step"] for s in run["steps"] if s["e_gi"] < floor), None) for run in runs
     )
     assert [run["density_ok"] for run in runs] == [run["e_g"] >= floor for run in runs]
+
+
+def test_readme_lists_the_assertions_bundled_runs_emit():
+    """The README's assertion list names, with an ordering written [o], exactly
+    the assertions the bundled configs emit."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = readme.split("Every `verify` report lists its `assertions`")[1].split("\n\n")[0]
+    listed = set(re.findall(r"`(\w+\[[fo]\])`", paragraph))
+    emitted = {
+        re.sub(r"\[(fgf|gff)\]", "[o]", a["name"])
+        for name, *_ in PINNED
+        for a in _verify(name)[0]["assertions"]
+    }
+    assert listed == emitted
 
 
 def test_report_records_every_dataclass_field():
