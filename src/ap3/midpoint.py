@@ -29,7 +29,11 @@ With psi = f_tail 1_{t+W}, |psihat| is constant on each V-coset and equals
 tail_energy holds F^2 |f_tail|^2, one transform per run since f and A stay
 fixed; coset_scores sums it over every W-coset with one bincount.
 select_translate takes the smallest t of the first minimal dense coset,
-counting Q values within round-off of the minimum as tied.
+counting Q values within round-off of the minimum as tied, and
+retarget_translate takes the same t in O(|V|) from each coset's smallest
+member.  run_depletion works a window at a time: a Window is one (W, t) and
+the run of steps it serves, each certified by step_floor, step_weight and
+step_held.
 SubspaceFrame, translate_scores (Q one translate at a time) and
 build_context (the window's invariants) are oracles, off the fast path.
 """
@@ -149,6 +153,22 @@ def coset_scores(energy: np.ndarray, good: GoodSubspace) -> np.ndarray:
     return np.bincount(good.coset_labels, weights=energy, minlength=good.dense.size) / good.W.size
 
 
+def _minimal(scores: np.ndarray, dense: np.ndarray, roundoff: float) -> np.ndarray:
+    """The dense cosets whose score is within roundoff of the least dense score."""
+    return dense & (scores <= scores[dense].min() + roundoff)
+
+
+def _bounded(q: float, pool: int, F: int, sigma_k: float) -> float:
+    """q, unless dense cosets covering pool >= F/4 translates give a minimum
+    above 4 sigma_k, which the averaging identity rules out: a broken
+    invariant, not a data condition."""
+    if pool >= F / 4.0 and q > 4.0 * sigma_k + INVARIANT_TOLERANCE:
+        raise ContextInvariantError(
+            f"min Q over {pool} translates is {q}, above 4*sigma_k={4*sigma_k}"
+        )
+    return q
+
+
 def select_translate(
     scores: np.ndarray, labels: np.ndarray, dense: np.ndarray, sigma_k: float, roundoff: float
 ) -> tuple[int, float]:
@@ -158,18 +178,37 @@ def select_translate(
     Dense cosets scoring within roundoff of the minimum tie, so t is the
     first x whose coset is dense and ties; q is that coset's score.  With the
     dense cosets covering at least F/4 translates the averaging identity
-    guarantees the minimum is at most 4 sigma_k; a violation is a broken
-    invariant, not a data condition.
+    guarantees the minimum is at most 4 sigma_k; a violation raises
+    ContextInvariantError.
     """
-    tied = dense & (scores <= scores[dense].min() + roundoff)
-    t = int(np.argmax(tied[labels]))
+    t = int(np.argmax(_minimal(scores, dense, roundoff)[labels]))
     q = float(scores[labels[t]])
-    pool = int(dense.sum()) * (labels.size // dense.size)
-    if pool >= labels.size / 4.0 and q > 4.0 * sigma_k + INVARIANT_TOLERANCE:
-        raise ContextInvariantError(
-            f"min Q over {pool} translates is {q}, above 4*sigma_k={4*sigma_k}"
-        )
-    return t, q
+    return t, _bounded(q, int(dense.sum()) * (labels.size // dense.size), labels.size, sigma_k)
+
+
+def retarget_translate(
+    scores: np.ndarray,
+    dense: np.ndarray,
+    smallest: np.ndarray,
+    size: int,
+    sigma_k: float,
+    roundoff: float,
+) -> tuple[int, float] | None:
+    """select_translate in O(|V|) within a W already accepted, or None when its
+    dense cosets of size |W| cover less than F/4 translates and the finder
+    must run again.
+
+    smallest[c] is the smallest member of coset c, so the first x whose coset
+    ties is the least smallest[c] over the tied cosets c.  Separation and
+    directness are properties of W and Q depends on f alone, so any dense pool
+    of F/4 translates certifies as a fresh W would.
+    """
+    pool = int(dense.sum()) * size
+    if pool < dense.size * size / 4.0:
+        return None
+    tied = np.flatnonzero(_minimal(scores, dense, roundoff))
+    label = tied[np.argmin(smallest[tied])]
+    return int(smallest[label]), _bounded(float(scores[label]), pool, dense.size * size, sigma_k)
 
 
 @dataclass(frozen=True)
@@ -224,6 +263,29 @@ def build_context(f: DenseFunction, A: np.ndarray, W: Subspace, t: int) -> Coset
     return CosetContext(alpha, h, hhat_formula, pos_w, w2)
 
 
+def step_floor(e_gi, cosets: int, delta: float, F: int):
+    """The certified pair-count floor E(g_i)^2 |V| / 4 - 9 delta F of a step
+    taken in a window with |V| = F / |W| cosets, elementwise on an array of
+    E(g_i).  The square is e * e: Python's e**2 calls libm pow, which can
+    differ in the last bit from numpy's array square."""
+    return e_gi * e_gi * cosets / 4.0 - 9.0 * delta * F
+
+
+def step_weight(e_g: float) -> float:
+    """The weight E(g) / 4 of each step's floor in the assembled bound."""
+    return e_g / 4.0
+
+
+def step_held(g_value, e_gi, q: float, sigma_k: float, delta: float):
+    """Whether a step's hypotheses held: g_i(m) >= E(g_i) / 2, Q(t) <= 4 sigma_k
+    and delta <= 1.  A bool for scalars, elementwise on arrays."""
+    return (
+        (g_value >= e_gi / 2.0 - INVARIANT_TOLERANCE)
+        & (q <= 4.0 * sigma_k + INVARIANT_TOLERANCE)
+        & (delta <= 1.0)
+    )
+
+
 @dataclass(frozen=True)
 class MidpointCertificate:
     step: int
@@ -255,6 +317,8 @@ class DepletionRun:
     density_ok: bool
     partial: bool
     finder_rejections: dict
+    finder_calls: int  # find_good_subspace calls, the one that ran out of budget included
+    retargets: int  # windows opened by moving t within the current W
 
     @property
     def certificates_ok(self) -> bool:
@@ -266,6 +330,73 @@ class DepletionRun:
     @property
     def vacuous_steps(self) -> int:
         return sum(1 for s in self.steps if s.vacuous)
+
+
+@dataclass
+class Window:
+    """One accepted W, the translate t it serves now and the state a lazy run
+    retargets from: V = W-perp, scores[c] = Q on coset c, t + W = coset.
+
+    sums[c] (each coset's sum of the live g_i) and members[c] (its members,
+    ascending) are built on the first retarget and kept for the rest of W."""
+
+    good: GoodSubspace
+    scores: np.ndarray
+    t: int
+    q: float
+    coset: np.ndarray
+    sums: np.ndarray | None = None
+    members: np.ndarray | None = None
+
+    @classmethod
+    def open(
+        cls, good: GoodSubspace, energy: np.ndarray, sigma_k: float, roundoff: float
+    ) -> "Window":
+        scores = coset_scores(energy, good)
+        t, q = select_translate(scores, good.coset_labels, good.dense, sigma_k, roundoff)
+        return cls(good, scores, t, q, good.W.coset(t))
+
+    def retarget(self, gi: np.ndarray, e_gi: float, sigma_k: float, roundoff: float) -> bool:
+        """Move t to the coset select_translate would pick among the cosets dense
+        at the current E(g_i), in O(|V|); False, with t kept, when they cover
+        less than F/4."""
+        labels, size = self.good.coset_labels, self.good.W.size
+        if self.sums is None:
+            self.sums = np.bincount(labels, weights=gi, minlength=self.scores.size)
+            # every label names |W| members of F, so a stable sort groups them by coset
+            self.members = np.argsort(labels, kind="stable").reshape(self.scores.size, size)
+        dense = is_dense(self.sums, e_gi, size)
+        found = retarget_translate(self.scores, dense, self.members[:, 0], size, sigma_k, roundoff)
+        if found is None:
+            return False
+        self.t, self.q = found
+        self.coset = self.members[labels[self.t]]
+        return True
+
+    def take(self, gi: np.ndarray, sum_g: float, room: int):
+        """The run of at most room steps t + W serves, from total g_i mass sum_g:
+        arrays of m, g_i(m) and E(g_i) before each pick, and the mass left after
+        the last.
+
+        The picks are the coset's members by descending g_i, ties to the lower
+        index.  The field's and the coset's remaining mass fall by one
+        subtraction per pick, in order, so they carry the bits of a per-step
+        loop.  The run ends before the first pick whose coset is no longer
+        dense at that E(g_i)."""
+        local = gi[self.coset]
+        order = np.argsort(-local, kind="stable")[:room]
+        g_value = local[order]
+        label = self.good.coset_labels[self.t]
+        start = coset_sum(gi, self.coset) if self.sums is None else self.sums[label]
+        left = np.subtract.accumulate(np.concatenate(([start], g_value)))
+        mass = np.subtract.accumulate(np.concatenate(([sum_g], g_value)))
+        e_gi = mass[:-1] / gi.size
+        dense = is_dense(left[:-1], e_gi, self.good.W.size)
+        dense[0] = True  # the window opened on a dense coset
+        length = dense.size if dense.all() else int(dense.argmin())
+        if self.sums is not None:
+            self.sums[label] = left[length]
+        return self.coset[order[:length]], g_value[:length], e_gi[:length], float(mass[length])
 
 
 def run_depletion(
@@ -281,17 +412,29 @@ def run_depletion(
 ) -> DepletionRun:
     """Deplete r = ceil(E(g) F / 2) certified midpoints and assemble the bound.
 
-    refresh="always" re-runs the subspace finder every step (the conservative
-    reading); refresh="lazy" reuses (W, t) while the coset-density condition
-    still holds for the depleted g, which certifies identically because Q
-    depends only on f.  Depletion never changes f, so every step reads its
-    pair count from one pair_table and its coset scores from one tail_energy,
-    both built before the loop.  nprime and max_attempts go to the finder.
-    The run neither measures Lambda3 nor judges its steps: the caller checks
-    lambda_lower and pair_weight against its own oracle and asserts
-    certificates_ok, so a run with a broken step is still returned whole.
-    Each step checks its own coset, so the run goes on below the density
-    floor; the steps' e_gi show where it was crossed.
+    The loop runs once per window, a (W, t) and the steps it serves.
+    refresh="always" calls the subspace finder for every step, so each window
+    is one step: the coset's first largest g_i (the conservative reading).
+    refresh="lazy" keeps the accepted W for as long as it can, which
+    certifies identically because separation and directness are properties
+    of W and Q depends on f alone.  A lazy window takes the coset's members by
+    descending g_i, ties to the lower index, and ends before the first pick
+    whose coset is no longer dense at that E(g_i); each step's E(g_i) and the
+    coset's remaining mass come from sequential subtraction, so they carry
+    the bits of a per-step loop.  Then t retargets within W to the coset
+    select_translate would pick among those dense at the current E(g_i), and
+    the finder runs again only when they cover less than F/4.  A step is
+    `reused` when it has the previous step's (W, t); the run counts its
+    finder_calls and retargets.
+
+    Depletion never changes f, so every step reads its pair count from one
+    pair_table and its coset scores from one tail_energy, both built before
+    the loop.  nprime and max_attempts go to the finder.  The run neither
+    measures Lambda3 nor judges its steps: the caller checks lambda_lower and
+    pair_weight against its own oracle and asserts certificates_ok, so a run
+    with a broken step is still returned whole.  Each step checks its own
+    coset, so the run goes on below the density floor; the steps' e_gi show
+    where it was crossed.
     """
     params = check_same_params(f, g)
     if refresh not in ("always", "lazy"):
@@ -330,16 +473,15 @@ def run_depletion(
     steps: list[MidpointCertificate] = []
     partial = False
     rejections = Counter(separation=0, coset_density=0, direct_sum=0)
-    coset = None  # the window t + W of the last (W, t) chosen
+    finder_calls = retargets = 0
+    lazy = refresh == "lazy"
+    window = None
 
-    for i in range(1, r + 1):
-        e_gi = sum_g / F
-        reused = (
-            refresh == "lazy"
-            and coset is not None
-            and is_dense(coset_sum(gi, coset), e_gi, good.W.size)
-        )
-        if not reused:
+    while len(steps) < r:
+        if lazy and window is not None and window.retarget(gi, sum_g / F, sigma_k, roundoff):
+            retargets += 1
+        else:
+            finder_calls += 1
             try:
                 good = find_good_subspace(
                     A, DenseFunction.make(params, gi), rng, nprime, max_attempts
@@ -349,39 +491,43 @@ def run_depletion(
                 partial = True
                 break
             rejections.update(good.rejections)
-            scores = coset_scores(energy, good)
-            t, q = select_translate(scores, good.coset_labels, good.dense, sigma_k, roundoff)
-            coset = good.W.coset(t)
-
-        local = gi[coset]
-        pos = int(np.argmax(local))
-        m = int(coset[pos])
-        g_value = float(local[pos])
-        floor = e_gi**2 * (F // good.W.size) / 4.0 - 9.0 * delta * F
-        pair = float(table[m])
-        held = (
-            g_value >= e_gi / 2.0 - INVARIANT_TOLERANCE
-            and q <= 4.0 * sigma_k + INVARIANT_TOLERANCE
-            and delta <= 1.0
-        )
-        cert = MidpointCertificate(
-            step=i,
-            ordering=ordering,
-            m=m,
-            t=t,
-            g_value=g_value,
-            e_gi=e_gi,
-            q_value=q,
-            pair_count=pair,
-            floor=floor,
-            vacuous=floor <= 0.0,
-            hypotheses_held=held,
-            reused=reused,
-            finder_attempts=good.attempts,
-        )
-        steps.append(cert)
-        lower_sum += (e_g / 4.0) * floor
-        sum_g -= g_value
+            window = Window.open(good, energy, sigma_k, roundoff)
+        cosets, q = F // window.good.W.size, window.q
+        if lazy:
+            m, g_value, e_gi, left = window.take(gi, sum_g, r - len(steps))
+        else:  # one step, in Python floats: no sort and no arrays
+            local = gi[window.coset]
+            pos = int(np.argmax(local))
+            m, g_value, e_gi = int(window.coset[pos]), float(local[pos]), sum_g / F
+            left = sum_g - g_value
+        floor = step_floor(e_gi, cosets, delta, F)
+        held = step_held(g_value, e_gi, q, sigma_k, delta)
+        weight = step_weight(e_g) * floor
+        pair = table[m]
+        if lazy:
+            columns = zip(*(c.tolist() for c in (m, g_value, e_gi, pair, floor, held, weight)))
+        else:
+            columns = [(m, g_value, e_gi, float(pair), floor, held, weight)]
+        for j, (m_j, g_j, e_j, pair_j, floor_j, held_j, weight_j) in enumerate(columns):
+            steps.append(
+                MidpointCertificate(
+                    step=len(steps) + 1,
+                    ordering=ordering,
+                    m=m_j,
+                    t=window.t,
+                    g_value=g_j,
+                    e_gi=e_j,
+                    q_value=q,
+                    pair_count=pair_j,
+                    floor=floor_j,
+                    vacuous=floor_j <= 0.0,
+                    hypotheses_held=held_j,
+                    reused=j > 0,
+                    finder_attempts=window.good.attempts,
+                )
+            )
+            lower_sum += weight_j
+        sum_g = left
         gi[m] = 0.0
 
     return DepletionRun(
@@ -397,4 +543,6 @@ def run_depletion(
         density_ok=hypotheses.items["density_floor"][0],
         partial=partial,
         finder_rejections=dict(rejections),
+        finder_calls=finder_calls,
+        retargets=retargets,
     )

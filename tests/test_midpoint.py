@@ -1,22 +1,43 @@
+import copy
+import functools
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import ap3.experiment
 import ap3.finder
 import ap3.midpoint
 from ap3.bounds import HypothesisRefusal, delta_from_sigma, density_floor
-from ap3.field import FieldParams, Subspace
-from ap3.finder import FinderBudgetError, GoodSubspace, coset_sums, find_good_subspace, is_dense
+from ap3.experiment import ExperimentConfig, load_config_file, run_experiment
+from ap3.field import FieldParams, Subspace, sample_uniform_subspace
+from ap3.finder import (
+    DEFAULT_MAX_ATTEMPTS,
+    FinderBudgetError,
+    GoodSubspace,
+    coset_sum,
+    coset_sums,
+    find_good_subspace,
+    is_dense,
+)
 from ap3.functions import indicator
-from ap3.lambda3 import lambda3_brute
+from ap3.lambda3 import lambda3_brute, pair_table
 from ap3.midpoint import (
     ContextInvariantError,
+    MidpointCertificate,
     SubspaceFrame,
+    Window,
     build_context,
     coset_scores,
+    retarget_translate,
     run_depletion,
     select_translate,
+    step_floor,
+    step_held,
+    step_weight,
     tail_energy,
     translate_scores,
 )
@@ -498,3 +519,249 @@ def test_tie_breaks_are_explicit_and_deterministic(pair, seed):
 
     again = run_depletion(f, g, k=2, delta=1.0, rng=np.random.default_rng(seed))
     assert again.steps == run.steps
+
+
+def reference_depletion(
+    f, g, k, delta, ordering="fgf", nprime=None, max_attempts=DEFAULT_MAX_ATTEMPTS, rng=None,
+    refresh="always",
+):
+    """The per-step depletion loop, an oracle for run_depletion's windows.
+
+    One step per pass: m is the first largest g_i on the coset (argmax), a
+    lazy step reuses (W, t) while the coset's sum, added afresh from the live
+    g_i, is dense, and once it is not, the step retargets through
+    select_translate over coset sums added afresh by one bincount, falling
+    back to the finder when the dense cosets cover less than F/4.  Returns
+    (steps, lambda_lower, partial, finder_calls, retargets).
+    """
+    params = f.params
+    F = params.F
+    spectrum = f.spectrum
+    sigma_k = spectrum.sigma(k)
+    A = spectrum.top_places(k)
+    table = pair_table(spectrum, ordering)
+    energy = tail_energy(spectrum, A)
+    roundoff = (np.finfo(float).eps * F * float(np.abs(f.values).sum())) ** 2
+    e_g = g.mean()
+    gi = g.values.copy()
+    sum_g = float(gi.sum())
+    lower_sum = 0.0
+    steps = []
+    partial = False
+    calls = retargets = 0
+    good = coset = None
+    for i in range(1, math.ceil(e_g * F / 2.0) + 1):
+        e_gi = sum_g / F
+        reused = (
+            refresh == "lazy"
+            and coset is not None
+            and is_dense(coset_sum(gi, coset), e_gi, good.W.size)
+        )
+        if not reused:
+            dense = None
+            if refresh == "lazy" and good is not None:
+                sums = np.bincount(good.coset_labels, weights=gi, minlength=good.dense.size)
+                dense = is_dense(sums, e_gi, good.W.size)
+                if dense.sum() * good.W.size < F / 4.0:
+                    dense = None
+            if dense is None:
+                calls += 1
+                try:
+                    good = find_good_subspace(
+                        A, DenseFunction.make(params, gi), rng, nprime, max_attempts
+                    )
+                except FinderBudgetError:
+                    partial = True
+                    break
+                dense = good.dense
+                scores = coset_scores(energy, good)
+            else:
+                retargets += 1
+            t, q = select_translate(scores, good.coset_labels, dense, sigma_k, roundoff)
+            coset = good.W.coset(t)
+        local = gi[coset]
+        pos = int(np.argmax(local))
+        m, g_value = int(coset[pos]), float(local[pos])
+        floor = step_floor(e_gi, F // good.W.size, delta, F)
+        steps.append(
+            MidpointCertificate(
+                step=i,
+                ordering=ordering,
+                m=m,
+                t=t,
+                g_value=g_value,
+                e_gi=e_gi,
+                q_value=q,
+                pair_count=float(table[m]),
+                floor=floor,
+                vacuous=floor <= 0.0,
+                hypotheses_held=step_held(g_value, e_gi, q, sigma_k, delta),
+                reused=bool(reused),
+                finder_attempts=good.attempts,
+            )
+        )
+        lower_sum += step_weight(e_g) * floor
+        sum_g -= g_value
+        gi[m] = 0.0
+    return tuple(steps), lower_sum / F**2, partial, calls, retargets
+
+
+def assert_matches_reference(run, reference):
+    steps, lambda_lower, partial, calls, retargets = reference
+    assert run.steps == steps
+    assert (run.lambda_lower, run.partial) == (lambda_lower, partial)
+    assert (run.finder_calls, run.retargets) == (calls, retargets)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tied_pair(), st.integers(0, 2**32 - 1), st.sampled_from(["always", "lazy"]))
+def test_depletion_equals_the_per_step_reference(pair, seed, refresh):
+    f, g = pair
+    run = run_depletion(f, g, k=2, delta=1.0, rng=np.random.default_rng(seed), refresh=refresh)
+    reference = reference_depletion(
+        f, g, k=2, delta=1.0, rng=np.random.default_rng(seed), refresh=refresh
+    )
+    assert_matches_reference(run, reference)
+
+
+# In-test lazy configs at the sizes the finder used to dominate.  They are not
+# bundled: their golden reports would run to about 1 MB each.
+SEVENFOLD_P3_N8 = {
+    "label": "sevenfold smoothing of a near-full random set, p=3 n=8, lazy refresh",
+    "p": 3,
+    "n": 8,
+    "seed": 1,
+    "f": {"kind": "conv_power", "size": math.ceil(0.95 * 3**8), "power": 7},
+    "g": {"kind": "same"},
+    "k": 5,
+    "ordering": "fgf",
+    "refresh": "lazy",
+    "trials": 0,
+}
+COSINE_P5_N5 = {
+    "label": "dense cosine majorant with a uniform minorant, p=5 n=5, lazy refresh",
+    "p": 5,
+    "n": 5,
+    "seed": 11,
+    "f": {"kind": "cosine", "base": 0.99, "amplitude": 0.01, "frequency": [1, 0, 0, 0, 0]},
+    "g": {"kind": "uniform", "low": 0.9, "high": 0.98},
+    "k": 4,
+    "ordering": "both",
+    "refresh": "lazy",
+    "trials": 0,
+}
+BUNDLED_LAZY = Path(__file__).resolve().parents[1] / "configs" / "dense_theorem_p5_n4_lazy.json"
+LAZY_CONFIGS = {
+    "sevenfold_p3_n8": lambda: ExperimentConfig.from_dict(SEVENFOLD_P3_N8),
+    "cosine_p5_n5": lambda: ExperimentConfig.from_dict(COSINE_P5_N5),
+    "dense_theorem_p5_n4_lazy": lambda: load_config_file(str(BUNDLED_LAZY))[0],
+}
+
+
+@functools.cache
+def lazy_experiment(name):
+    """(report, exit code, [(run, reference run)]) for one of LAZY_CONFIGS, each
+    run_depletion call repeated by reference_depletion on a copy of its rng."""
+    pairs = []
+
+    def both(f, g, k, delta, rng, **kwargs):
+        reference = reference_depletion(f, g, k, delta, rng=copy.deepcopy(rng), **kwargs)
+        run = run_depletion(f, g, k, delta, rng=rng, **kwargs)
+        pairs.append((run, reference))
+        return run
+
+    original = ap3.experiment.run_depletion
+    ap3.experiment.run_depletion = both
+    try:
+        report, code = run_experiment(LAZY_CONFIGS[name]())
+    finally:
+        ap3.experiment.run_depletion = original
+    return report, code, pairs
+
+
+@pytest.mark.parametrize("name", ["dense_theorem_p5_n4_lazy", "sevenfold_p3_n8"])
+def test_lazy_config_equals_the_per_step_reference(name):
+    _, _, pairs = lazy_experiment(name)
+    assert pairs
+    for run, reference in pairs:
+        assert run.retargets > 0
+        assert_matches_reference(run, reference)
+
+
+@pytest.mark.parametrize("name", ["sevenfold_p3_n8", "cosine_p5_n5"])
+def test_lazy_run_calls_the_finder_once_per_ordering(name):
+    report, code, _ = lazy_experiment(name)
+    assert code == 0 and report["passed"]
+    assert [run["ordering"] for run in report["runs"]] == list(LAZY_CONFIGS[name]().orderings)
+    for run in report["runs"]:
+        assert run["finder_calls"] == 1 and run["retargets"] > 0
+        assert len(run["steps"]) == run["r"] and not run["partial"]
+        assert all(step["hypotheses_held"] for step in run["steps"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(3, 3, 1), (3, 4, 1), (3, 4, 2), (5, 2, 1), (5, 3, 1)]),
+    st.integers(0, 2**32 - 1),
+)
+def test_retarget_translate_is_select_translate(pnd, seed):
+    """The O(|V|) retarget picks the (t, q) select_translate picks, raises where
+    it raises, and asks for the finder exactly when the pool is below F/4."""
+    p, n, dim = pnd
+    params = FieldParams(p, n)
+    rng = np.random.default_rng(seed)
+    W = sample_uniform_subspace(params, dim, rng)
+    labels = W.complement().labels()
+    cosets = params.F // W.size
+    _, smallest = np.unique(labels, return_index=True)  # first x of each coset
+    scores = rng.integers(0, 3, cosets).astype(float)  # small integers, so Q ties
+    dense = rng.random(cosets) < rng.random()
+    sigma_k, roundoff = rng.choice([0.2, 10.0]), rng.choice([0.0, 1.0])
+
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except ContextInvariantError as err:
+            return str(err)
+
+    got = outcome(retarget_translate, scores, dense, smallest, W.size, sigma_k, roundoff)
+    if dense.sum() * W.size < params.F / 4.0:
+        assert got is None
+    else:
+        assert got == outcome(select_translate, scores, labels, dense, sigma_k, roundoff)
+
+
+def test_retarget_translate_calls_for_the_finder_below_a_quarter():
+    labels = np.arange(16) % 8  # eight cosets of two translates each
+    scores = np.zeros(8)
+    smallest = np.arange(8)
+    assert retarget_translate(scores, np.zeros(8, dtype=bool), smallest, 2, 1.0, 0.0) is None
+    one = np.zeros(8, dtype=bool)
+    one[5] = True  # 2 of 16 translates
+    assert retarget_translate(scores, one, smallest, 2, 1.0, 0.0) is None
+    one[6] = True  # 4 of 16: the pool reaches F/4
+    assert retarget_translate(scores, one, smallest, 2, 1.0, 0.0) == (5, 0.0)
+    assert select_translate(scores, labels, one, 1.0, 0.0) == (5, 0.0)
+
+
+def test_step_formulas_give_one_bit_pattern_for_scalars_and_arrays():
+    e = np.random.default_rng(2).uniform(0.3, 1.0, 200)
+    floors = step_floor(e, 27, 1e-3, 729)
+    assert floors.tolist() == [step_floor(x, 27, 1e-3, 729) for x in e.tolist()]
+    held = step_held(e / 2.0 + 1e-3, e, 1.0, 0.5, 1e-3)
+    assert held.all() and held.dtype == bool
+    assert step_held(0.1, 0.3, 1.0, 0.5, 1e-3) is False
+    assert step_weight(0.8) == 0.2
+
+
+def test_always_builds_no_retarget_tables(p33, rng, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("refresh always reached the lazy window path")
+
+    monkeypatch.setattr(Window, "retarget", forbidden)
+    monkeypatch.setattr(Window, "take", forbidden)
+    f = random_function(p33, rng)
+    g = DenseFunction.make(p33, f.values * 0.9)
+    delta = float(np.sqrt(dft(f).sigma(2)) / p33.F + 1e-12)
+    run = run_depletion(f, g, k=2, delta=delta, rng=rng)
+    assert run.finder_calls == len(run.steps) == run.r and run.retargets == 0
