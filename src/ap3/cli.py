@@ -309,6 +309,8 @@ def main(argv=None) -> int:
         made.append(path)
         path = os.path.dirname(path)
     try:
+        if args.out == "":  # else the output would land in the working directory
+            raise ValueError("--out is empty; name a directory")
         if made:  # an unusable --out fails before any command runs
             os.makedirs(args.out)
         return handlers[args.command](args)

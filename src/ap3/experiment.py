@@ -336,12 +336,11 @@ def strip_timing(report: dict) -> dict:
 
 
 def _run_dict(run, rhs_exact: float, brute: float, spectral: float) -> dict:
-    """Every DepletionRun field (steps as certificate dicts) plus the values
-    measured or derived outside the run.  The fields are read shallowly,
-    where asdict would deep-copy them."""
+    """Every DepletionRun field, its steps already the rows the report writes,
+    plus the values measured or derived outside the run.  The fields are read
+    shallowly, where asdict would deep-copy them."""
     return {
         **vars(run),
-        "steps": [vars(step) for step in run.steps],
         "lambda_measured_brute": brute,
         "lambda_measured_spectral": spectral,
         "certificates_ok": run.certificates_ok,
@@ -529,8 +528,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
         weight_gap = abs(run.pair_weight / params.F**2 - brute)
         step_gaps = []
         for step in (run.steps[0], run.steps[-1]):
-            count = direct(f, step.m)
-            step_gaps.append(abs(step.pair_count - count) / max(1.0, abs(count)))
+            count = direct(f, step["m"])
+            step_gaps.append(abs(step["pair_count"] - count) / max(1.0, abs(count)))
         check(
             f"pair_table[{ordering}]",
             weight_gap <= AGREEMENT_TOLERANCE and max(step_gaps) <= 1e-9,
@@ -539,7 +538,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
         )
         check(f"certificates[{ordering}]", run.certificates_ok, certificate_detail)
         # lambda_lower adds every step's floor, so every step must have held
-        not_held = sum(1 for step in run.steps if not step.hypotheses_held)
+        not_held = sum(1 for step in run.steps if not step["hypotheses_held"])
         check(f"hypotheses_held[{ordering}]", not_held == 0, f"{not_held} steps did not hold")
         at_least(
             f"certified_le_measured[{ordering}]", brute, run.lambda_lower, "certified", tol=1e-9

@@ -287,23 +287,6 @@ def step_held(g_value, e_gi, q: float, sigma_k: float, delta: float):
 
 
 @dataclass(frozen=True)
-class MidpointCertificate:
-    step: int
-    ordering: str
-    m: int
-    t: int
-    g_value: float
-    e_gi: float
-    q_value: float
-    pair_count: float
-    floor: float
-    vacuous: bool
-    hypotheses_held: bool
-    reused: bool
-    finder_attempts: int
-
-
-@dataclass(frozen=True)
 class DepletionRun:
     ordering: str
     k: int
@@ -311,6 +294,10 @@ class DepletionRun:
     sigma_k: float
     e_g: float
     r: int
+    # One dict per step, the row the report writes, of native Python values:
+    # step (from 1), ordering, m, t, g_value = g_i(m), e_gi = E(g_i),
+    # q_value = Q(t), pair_count, floor, vacuous (floor <= 0),
+    # hypotheses_held, reused and the window's finder_attempts.
     steps: tuple
     lambda_lower: float
     pair_weight: float  # sum_m g(m) * pair_table[m]; F^2 times the measured Lambda3
@@ -323,13 +310,13 @@ class DepletionRun:
     @property
     def certificates_ok(self) -> bool:
         return all(
-            (not s.hypotheses_held) or s.pair_count >= s.floor - CERT_TOLERANCE
+            (not s["hypotheses_held"]) or s["pair_count"] >= s["floor"] - CERT_TOLERANCE
             for s in self.steps
         )
 
     @property
     def vacuous_steps(self) -> int:
-        return sum(1 for s in self.steps if s.vacuous)
+        return sum(1 for s in self.steps if s["vacuous"])
 
 
 @dataclass
@@ -470,7 +457,7 @@ def run_depletion(
     gi = g.values.copy()
     sum_g = float(gi.sum())
     lower_sum = 0.0
-    steps: list[MidpointCertificate] = []
+    steps: list[dict] = []
     partial = False
     rejections = Counter(separation=0, coset_density=0, direct_sum=0)
     finder_calls = retargets = 0
@@ -510,21 +497,21 @@ def run_depletion(
             columns = [(m, g_value, e_gi, float(pair), floor, held, weight)]
         for j, (m_j, g_j, e_j, pair_j, floor_j, held_j, weight_j) in enumerate(columns):
             steps.append(
-                MidpointCertificate(
-                    step=len(steps) + 1,
-                    ordering=ordering,
-                    m=m_j,
-                    t=window.t,
-                    g_value=g_j,
-                    e_gi=e_j,
-                    q_value=q,
-                    pair_count=pair_j,
-                    floor=floor_j,
-                    vacuous=floor_j <= 0.0,
-                    hypotheses_held=held_j,
-                    reused=j > 0,
-                    finder_attempts=window.good.attempts,
-                )
+                {
+                    "step": len(steps) + 1,
+                    "ordering": ordering,
+                    "m": m_j,
+                    "t": window.t,
+                    "g_value": g_j,
+                    "e_gi": e_j,
+                    "q_value": q,
+                    "pair_count": pair_j,
+                    "floor": floor_j,
+                    "vacuous": floor_j <= 0.0,
+                    "hypotheses_held": held_j,
+                    "reused": j > 0,
+                    "finder_attempts": window.good.attempts,
+                }
             )
             lower_sum += weight_j
         sum_g = left

@@ -324,6 +324,14 @@ def test_out_that_cannot_be_a_directory_exits_error(capsys, monkeypatch, tmp_pat
     assert f"ap3 {command}: error:" in err and str(blocker) in err
     assert "Traceback" not in err
 
+    # an empty --out names no directory, not the working one
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run_cli(capsys, command, *argv, "--out", "")
+    assert code == 1 and not stdout
+    assert f"ap3 {command}: error: --out is empty" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "file"]
+
 
 def test_verify_multi_entry_config(capsys, tmp_path):
     entry = {

@@ -27,7 +27,6 @@ from ap3.functions import indicator
 from ap3.lambda3 import lambda3_brute, pair_table
 from ap3.midpoint import (
     ContextInvariantError,
-    MidpointCertificate,
     SubspaceFrame,
     Window,
     build_context,
@@ -328,11 +327,11 @@ def test_depletion_constant_function(p33):
     assert run.lambda_lower == pytest.approx(expected_lower / F**2, rel=1e-12)
     assert measured >= run.lambda_lower
     for step in run.steps:
-        assert step.hypotheses_held
-        assert not step.vacuous
-        assert step.g_value == pytest.approx(1.0)
-        assert step.pair_count == pytest.approx(F)
-        assert step.e_gi >= run.e_g / 2.0 - 1e-12
+        assert step["hypotheses_held"]
+        assert not step["vacuous"]
+        assert step["g_value"] == pytest.approx(1.0)
+        assert step["pair_count"] == pytest.approx(F)
+        assert step["e_gi"] >= run.e_g / 2.0 - 1e-12
 
 
 def test_depletion_crossing_is_read_from_the_steps(p33, recwarn):
@@ -342,7 +341,7 @@ def test_depletion_crossing_is_read_from_the_steps(p33, recwarn):
     half = DenseFunction.constant(p33, 0.5)
     run = run_depletion(one, half, k=2, delta=0.0, rng=np.random.default_rng(7))
     floor = density_floor(p33, 2)
-    assert [s.step for s in run.steps if s.e_gi < floor][0] == 1
+    assert [s["step"] for s in run.steps if s["e_gi"] < floor][0] == 1
     assert not run.density_ok
     assert len(run.steps) == run.r == 7
     assert not recwarn.list
@@ -356,9 +355,9 @@ def test_depletion_bookkeeping_exact(p33, rng):
     run = run_depletion(f, g, k=2, delta=float(delta), rng=rng)
     e = run.e_g
     for step in run.steps:
-        assert step.e_gi == pytest.approx(e, rel=1e-10)
-        assert step.e_gi >= run.e_g / 2.0 - 1e-12
-        e -= step.g_value / p33.F
+        assert step["e_gi"] == pytest.approx(e, rel=1e-10)
+        assert step["e_gi"] >= run.e_g / 2.0 - 1e-12
+        e -= step["g_value"] / p33.F
     if not run.partial:
         assert len(run.steps) == run.r
         assert lambda3_brute(f, g, f) >= run.lambda_lower - 1e-9
@@ -376,11 +375,42 @@ def test_depletion_lazy_refresh_matches(p33):
     one = DenseFunction.constant(p33, 1.0)
     always = run_depletion(one, one, k=2, delta=0.0, rng=np.random.default_rng(7))
     lazy = run_depletion(one, one, k=2, delta=0.0, refresh="lazy", rng=np.random.default_rng(7))
-    assert any(s.reused for s in lazy.steps)
-    assert not any(s.reused for s in always.steps)
-    assert all(type(s.reused) is bool for s in lazy.steps)
+    assert any(s["reused"] for s in lazy.steps)
+    assert not any(s["reused"] for s in always.steps)
     assert lazy.lambda_lower == pytest.approx(always.lambda_lower, rel=1e-12)
     assert lazy.certificates_ok
+
+
+STEP_TYPES = {
+    "step": int,
+    "ordering": str,
+    "m": int,
+    "t": int,
+    "g_value": float,
+    "e_gi": float,
+    "q_value": float,
+    "pair_count": float,
+    "floor": float,
+    "vacuous": bool,
+    "hypotheses_held": bool,
+    "reused": bool,
+    "finder_attempts": int,
+}
+
+
+@pytest.mark.parametrize("refresh", ["always", "lazy"])
+@pytest.mark.parametrize("ordering", ["fgf", "gff"])
+def test_step_values_are_native(p33, rng, refresh, ordering):
+    """Each step is the row the report writes, so every value is exactly a
+    Python int, float, bool or str: a numpy scalar there would make
+    report_json raise."""
+    f = random_function(p33, rng)
+    g = DenseFunction.make(p33, f.values * 0.9)
+    delta = float(np.sqrt(dft(f).sigma(2)) / p33.F + 1e-12)
+    run = run_depletion(f, g, k=2, delta=delta, ordering=ordering, refresh=refresh, rng=rng)
+    assert run.steps
+    for step in run.steps:
+        assert {key: type(value) for key, value in step.items()} == STEP_TYPES
 
 
 @pytest.mark.parametrize("refresh", ["always", "lazy"])
@@ -429,7 +459,7 @@ def test_depletion_holds_no_step_above_four_sigma(monkeypatch):
     f = DenseFunction.make(params, rng.uniform(0.6, 1.0, params.F))
     delta = delta_from_sigma(f.spectrum.sigma(2), params.F)
     run = run_depletion(f, f, k=2, delta=delta, rng=rng)
-    assert run.steps and not any(step.hypotheses_held for step in run.steps)
+    assert run.steps and not any(step["hypotheses_held"] for step in run.steps)
     assert run.certificates_ok
 
 
@@ -511,11 +541,11 @@ def test_tie_breaks_are_explicit_and_deterministic(pair, seed):
     assert len(frames) == len(run.steps)  # refresh "always": one W per step
     gi = g.values.copy()
     for step, W in zip(run.steps, frames):
-        coset = W.coset(step.t)
+        coset = W.coset(step["t"])
         top = gi[coset].max()
-        assert step.m == int(coset[gi[coset] == top].min())
-        assert step.g_value == top
-        gi[step.m] = 0.0
+        assert step["m"] == int(coset[gi[coset] == top].min())
+        assert step["g_value"] == top
+        gi[step["m"]] = 0.0
 
     again = run_depletion(f, g, k=2, delta=1.0, rng=np.random.default_rng(seed))
     assert again.steps == run.steps
@@ -584,21 +614,21 @@ def reference_depletion(
         m, g_value = int(coset[pos]), float(local[pos])
         floor = step_floor(e_gi, F // good.W.size, delta, F)
         steps.append(
-            MidpointCertificate(
-                step=i,
-                ordering=ordering,
-                m=m,
-                t=t,
-                g_value=g_value,
-                e_gi=e_gi,
-                q_value=q,
-                pair_count=float(table[m]),
-                floor=floor,
-                vacuous=floor <= 0.0,
-                hypotheses_held=step_held(g_value, e_gi, q, sigma_k, delta),
-                reused=bool(reused),
-                finder_attempts=good.attempts,
-            )
+            {
+                "step": i,
+                "ordering": ordering,
+                "m": m,
+                "t": t,
+                "g_value": g_value,
+                "e_gi": e_gi,
+                "q_value": q,
+                "pair_count": float(table[m]),
+                "floor": floor,
+                "vacuous": floor <= 0.0,
+                "hypotheses_held": step_held(g_value, e_gi, q, sigma_k, delta),
+                "reused": bool(reused),
+                "finder_attempts": good.attempts,
+            }
         )
         lower_sum += step_weight(e_g) * floor
         sum_g -= g_value

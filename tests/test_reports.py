@@ -36,7 +36,7 @@ from ap3.experiment import (
     run_config,
     strip_timing,
 )
-from ap3.midpoint import DepletionRun, MidpointCertificate
+from ap3.midpoint import DepletionRun
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -185,14 +185,11 @@ def test_readme_lists_the_assertions_bundled_runs_emit():
 
 
 def test_report_records_every_dataclass_field():
-    step_keys = {f.name for f in fields(MidpointCertificate)}
     run_keys = {f.name for f in fields(DepletionRun)}
     runs = [run for name, *_ in PINNED for run in _verify(name)[0]["runs"]]
     assert runs
     for run in runs:
         assert run_keys <= set(run)
-        for step in run["steps"]:
-            assert set(step) == step_keys
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
