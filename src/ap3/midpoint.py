@@ -391,12 +391,12 @@ def run_depletion(
     g: DenseFunction,
     k: int,
     delta: float,
-    ordering: str = "fgf",
+    orderings: tuple = ("fgf",),
     nprime: int | None = None,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     rng: np.random.Generator | None = None,
     refresh: str = "always",
-) -> DepletionRun:
+) -> tuple[DepletionRun, ...]:
     """Deplete r = ceil(E(g) F / 2) certified midpoints and assemble the bound.
 
     The loop runs once per window, a (W, t) and the steps it serves.
@@ -414,14 +414,16 @@ def run_depletion(
     `reused` when it has the previous step's (W, t); the run counts its
     finder_calls and retargets.
 
-    Depletion never changes f, so every step reads its pair count from one
-    pair_table and its coset scores from one tail_energy, both built before
-    the loop.  nprime and max_attempts go to the finder.  The run neither
-    measures Lambda3 nor judges its steps: the caller checks lambda_lower and
-    pair_weight against its own oracle and asserts certificates_ok, so a run
-    with a broken step is still returned whole.  Each step checks its own
-    coset, so the run goes on below the density floor; the steps' e_gi show
-    where it was crossed.
+    The ordering decides only which pair table a step's count is read from,
+    so the loop runs once and returns one DepletionRun per ordering in
+    orderings, their steps equal but for ordering and pair_count.  Depletion
+    never changes f, so each ordering's pair_table and the coset scores' one
+    tail_energy are built before the loop.  nprime and max_attempts go to the
+    finder.  No run measures Lambda3 or judges its steps: the caller checks
+    lambda_lower and pair_weight against its own oracle and asserts
+    certificates_ok, so a run with a broken step is still returned whole.
+    Each step checks its own coset, so the run goes on below the density
+    floor; the steps' e_gi show where it was crossed.
     """
     params = check_same_params(f, g)
     if refresh not in ("always", "lazy"):
@@ -447,7 +449,7 @@ def run_depletion(
     spectrum = f.spectrum
     sigma_k = hypotheses.sigma_k
     A = spectrum.top_places(k)
-    table = pair_table(spectrum, ordering)
+    tables = [pair_table(spectrum, ordering) for ordering in orderings]
     energy = tail_energy(spectrum, A)
     # Each fhat(a) is off by up to about eps sum|f|, so F f_tail(m) by about
     # eps F sum|f|: Q values closer than its square are round-off apart.
@@ -490,22 +492,19 @@ def run_depletion(
         floor = step_floor(e_gi, cosets, delta, F)
         held = step_held(g_value, e_gi, q, sigma_k, delta)
         weight = step_weight(e_g) * floor
-        pair = table[m]
         if lazy:
-            columns = zip(*(c.tolist() for c in (m, g_value, e_gi, pair, floor, held, weight)))
+            columns = zip(*(c.tolist() for c in (m, g_value, e_gi, floor, held, weight)))
         else:
-            columns = [(m, g_value, e_gi, float(pair), floor, held, weight)]
-        for j, (m_j, g_j, e_j, pair_j, floor_j, held_j, weight_j) in enumerate(columns):
+            columns = [(m, g_value, e_gi, floor, held, weight)]
+        for j, (m_j, g_j, e_j, floor_j, held_j, weight_j) in enumerate(columns):
             steps.append(
                 {
                     "step": len(steps) + 1,
-                    "ordering": ordering,
                     "m": m_j,
                     "t": window.t,
                     "g_value": g_j,
                     "e_gi": e_j,
                     "q_value": q,
-                    "pair_count": pair_j,
                     "floor": floor_j,
                     "vacuous": floor_j <= 0.0,
                     "hypotheses_held": held_j,
@@ -517,19 +516,21 @@ def run_depletion(
         sum_g = left
         gi[m] = 0.0
 
-    return DepletionRun(
-        ordering=ordering,
-        k=k,
-        delta=delta,
-        sigma_k=sigma_k,
-        e_g=e_g,
-        r=r,
-        steps=tuple(steps),
-        lambda_lower=lower_sum / F**2,
-        pair_weight=float(np.sum(g.values * table)),
-        density_ok=hypotheses.items["density_floor"][0],
-        partial=partial,
-        finder_rejections=dict(rejections),
-        finder_calls=finder_calls,
-        retargets=retargets,
+    shared = dict(
+        k=k, delta=delta, sigma_k=sigma_k, e_g=e_g, r=r, lambda_lower=lower_sum / F**2,
+        density_ok=hypotheses.items["density_floor"][0], partial=partial,
+        finder_rejections=dict(rejections), finder_calls=finder_calls, retargets=retargets,
+    )
+    ms = [step["m"] for step in steps]
+    return tuple(
+        DepletionRun(
+            ordering=ordering,
+            steps=tuple(
+                {**step, "ordering": ordering, "pair_count": count}
+                for step, count in zip(steps, table[ms].tolist())
+            ),
+            pair_weight=float(np.sum(g.values * table)),
+            **shared,
+        )
+        for ordering, table in zip(orderings, tables)
     )

@@ -399,7 +399,7 @@ def test_sevenfold_pipeline(announce):
         )
         if n == 6:
             delta = 1.01 * float(np.sqrt(spectrum.sigma(5))) / params.F
-            run = run_depletion(f, f, k=5, delta=delta, rng=rng)
+            (run,) = run_depletion(f, f, k=5, delta=delta, rng=rng)
             ok &= not run.partial
             ok &= run.certificates_ok
             ok &= run.lambda_lower > 0.0

@@ -269,7 +269,7 @@ def test_run_experiment_estimates_draw_each_subspace_once(monkeypatch):
 
 
 def test_run_experiment_refusal():
-    # f, g, k and delta alone decide a refusal, so both orderings record it once
+    # the orderings share one depletion, so a refusal is recorded once
     config = cfg(g={"kind": "constant", "value": 0.0}, ordering="both")
     report, code = run_experiment(config)
     assert code == EXIT_REFUSED
@@ -279,15 +279,21 @@ def test_run_experiment_refusal():
     assert "deplete" in failure["detail"]
 
 
-def test_run_experiment_budget():
+@pytest.mark.parametrize("ordering", ["fgf", "both"])
+def test_run_experiment_budget(ordering):
+    # the orderings share one depletion, so a spent budget is one failure
     config = cfg(
         f={"kind": "constant", "value": 1.0},
         g={"kind": "mask", "members": [0]},
         max_attempts=48,
+        ordering=ordering,
     )
     report, code = run_experiment(config)
     assert code == EXIT_BUDGET
-    assert any(r["partial"] for r in report["runs"])
+    assert [f["type"] for f in report["failures"]] == ["finder_budget"]
+    assert report["failures"][0]["detail"].startswith(f"ordering {ordering}: ")
+    assert [r["ordering"] for r in report["runs"]] == list(config.orderings)
+    assert all(r["partial"] for r in report["runs"])
     assert all(r["lambda_measured_brute"] > 0.0 for r in report["runs"])
 
 
@@ -407,7 +413,8 @@ def test_broken_certificate_fails_partial_run(monkeypatch):
     assert run["certificates_ok"] is False
 
 
-def test_context_invariant_error_exits_assertion(monkeypatch):
+@pytest.mark.parametrize("ordering", ["fgf", "both"])
+def test_context_invariant_error_exits_assertion(monkeypatch, ordering):
     import ap3.experiment as mod
     from ap3.midpoint import ContextInvariantError
 
@@ -415,9 +422,9 @@ def test_context_invariant_error_exits_assertion(monkeypatch):
         raise ContextInvariantError("Q exceeds 4 sigma_k")
 
     monkeypatch.setattr(mod, "run_depletion", explode)
-    report, code = run_experiment(cfg())
+    report, code = run_experiment(cfg(ordering=ordering))
     assert code == EXIT_ASSERTION
-    assert report["failures"][0]["type"] == "certificate"
+    assert [f["type"] for f in report["failures"]] == ["certificate"]
     assert "4 sigma_k" in report["failures"][0]["detail"]
     assert report["runs"] == []
 

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import math
 from pathlib import Path
@@ -307,7 +308,7 @@ def test_build_context_rejects_isotropic(p33, rng):
 
 def test_depletion_constant_function(p33):
     one = DenseFunction.constant(p33, 1.0)
-    run = run_depletion(one, one, k=2, delta=0.0, rng=np.random.default_rng(7))
+    (run,) = run_depletion(one, one, k=2, delta=0.0, rng=np.random.default_rng(7))
     F = p33.F
     assert run.r == 14  # ceil(27 / 2)
     assert len(run.steps) == 14
@@ -339,7 +340,7 @@ def test_depletion_crossing_is_read_from_the_steps(p33, recwarn):
     # the run records the crossing in its steps and warns about nothing
     one = DenseFunction.constant(p33, 1.0)
     half = DenseFunction.constant(p33, 0.5)
-    run = run_depletion(one, half, k=2, delta=0.0, rng=np.random.default_rng(7))
+    (run,) = run_depletion(one, half, k=2, delta=0.0, rng=np.random.default_rng(7))
     floor = density_floor(p33, 2)
     assert [s["step"] for s in run.steps if s["e_gi"] < floor][0] == 1
     assert not run.density_ok
@@ -352,7 +353,7 @@ def test_depletion_bookkeeping_exact(p33, rng):
     vals = f.values * 0.9
     g = DenseFunction.make(p33, vals)
     delta = np.sqrt(dft(f).sigma(2)) / p33.F + 1e-12
-    run = run_depletion(f, g, k=2, delta=float(delta), rng=rng)
+    (run,) = run_depletion(f, g, k=2, delta=float(delta), rng=rng)
     e = run.e_g
     for step in run.steps:
         assert step["e_gi"] == pytest.approx(e, rel=1e-10)
@@ -365,7 +366,8 @@ def test_depletion_bookkeeping_exact(p33, rng):
 
 def test_depletion_gff_ordering(p33):
     one = DenseFunction.constant(p33, 1.0)
-    run = run_depletion(one, one, k=2, delta=0.0, ordering="gff", rng=np.random.default_rng(7))
+    rng = np.random.default_rng(7)
+    (run,) = run_depletion(one, one, k=2, delta=0.0, orderings=("gff",), rng=rng)
     assert run.ordering == "gff"
     assert run.certificates_ok
     assert lambda3_brute(one, one, one) >= run.lambda_lower
@@ -373,8 +375,8 @@ def test_depletion_gff_ordering(p33):
 
 def test_depletion_lazy_refresh_matches(p33):
     one = DenseFunction.constant(p33, 1.0)
-    always = run_depletion(one, one, k=2, delta=0.0, rng=np.random.default_rng(7))
-    lazy = run_depletion(one, one, k=2, delta=0.0, refresh="lazy", rng=np.random.default_rng(7))
+    (always,) = run_depletion(one, one, k=2, delta=0.0, rng=np.random.default_rng(7))
+    (lazy,) = run_depletion(one, one, k=2, delta=0.0, refresh="lazy", rng=np.random.default_rng(7))
     assert any(s["reused"] for s in lazy.steps)
     assert not any(s["reused"] for s in always.steps)
     assert lazy.lambda_lower == pytest.approx(always.lambda_lower, rel=1e-12)
@@ -407,7 +409,9 @@ def test_step_values_are_native(p33, rng, refresh, ordering):
     f = random_function(p33, rng)
     g = DenseFunction.make(p33, f.values * 0.9)
     delta = float(np.sqrt(dft(f).sigma(2)) / p33.F + 1e-12)
-    run = run_depletion(f, g, k=2, delta=delta, ordering=ordering, refresh=refresh, rng=rng)
+    (run,) = run_depletion(
+        f, g, k=2, delta=delta, orderings=(ordering,), refresh=refresh, rng=rng
+    )
     assert run.steps
     for step in run.steps:
         assert {key: type(value) for key, value in step.items()} == STEP_TYPES
@@ -423,7 +427,7 @@ def test_depletion_runs_without_the_oracles(p33, rng, refresh, monkeypatch):
     f = random_function(p33, rng)
     g = DenseFunction.make(p33, f.values * 0.9)
     delta = float(np.sqrt(dft(f).sigma(2)) / p33.F + 1e-12)
-    run = run_depletion(f, g, k=2, delta=delta, refresh=refresh, rng=rng)
+    (run,) = run_depletion(f, g, k=2, delta=delta, refresh=refresh, rng=rng)
     assert run.steps and run.certificates_ok
 
 
@@ -439,7 +443,7 @@ def test_depletion_builds_one_tail_energy_per_run(p33, rng, refresh, monkeypatch
     f = random_function(p33, rng)
     g = DenseFunction.make(p33, f.values * 0.9)
     delta = float(np.sqrt(dft(f).sigma(2)) / p33.F + 1e-12)
-    run = run_depletion(f, g, k=2, delta=delta, refresh=refresh, rng=rng)
+    (run,) = run_depletion(f, g, k=2, delta=delta, refresh=refresh, rng=rng)
     assert len(run.steps) > 1 and len(calls) == 1
 
 
@@ -458,7 +462,7 @@ def test_depletion_holds_no_step_above_four_sigma(monkeypatch):
     rng = np.random.default_rng(0)
     f = DenseFunction.make(params, rng.uniform(0.6, 1.0, params.F))
     delta = delta_from_sigma(f.spectrum.sigma(2), params.F)
-    run = run_depletion(f, f, k=2, delta=delta, rng=rng)
+    (run,) = run_depletion(f, f, k=2, delta=delta, rng=rng)
     assert run.steps and not any(step["hypotheses_held"] for step in run.steps)
     assert run.certificates_ok
 
@@ -485,7 +489,7 @@ def test_depletion_refusals(p33, rng):
 def test_depletion_argument_validation(p33, rng):
     one = DenseFunction.constant(p33, 1.0)
     with pytest.raises(ValueError, match="ordering"):
-        run_depletion(one, one, k=2, delta=0.0, ordering="ffg", rng=rng)
+        run_depletion(one, one, k=2, delta=0.0, orderings=("ffg",), rng=rng)
     with pytest.raises(ValueError, match="refresh"):
         run_depletion(one, one, k=2, delta=0.0, refresh="sometimes", rng=rng)
     with pytest.raises(ValueError, match="delta"):
@@ -495,7 +499,7 @@ def test_depletion_argument_validation(p33, rng):
 def test_depletion_partial_on_finder_failure(p33):
     one = DenseFunction.constant(p33, 1.0)
     g = indicator(p33, [0])
-    run = run_depletion(one, g, k=2, delta=0.0, max_attempts=32, rng=np.random.default_rng(3))
+    (run,) = run_depletion(one, g, k=2, delta=0.0, max_attempts=32, rng=np.random.default_rng(3))
     assert run.partial
     assert len(run.steps) == 0
     assert run.lambda_lower == 0.0
@@ -535,7 +539,7 @@ def test_tie_breaks_are_explicit_and_deterministic(pair, seed):
 
     ap3.midpoint.find_good_subspace = recording
     try:
-        run = run_depletion(f, g, k=2, delta=1.0, rng=np.random.default_rng(seed))
+        (run,) = run_depletion(f, g, k=2, delta=1.0, rng=np.random.default_rng(seed))
     finally:
         ap3.midpoint.find_good_subspace = original
     assert len(frames) == len(run.steps)  # refresh "always": one W per step
@@ -547,7 +551,7 @@ def test_tie_breaks_are_explicit_and_deterministic(pair, seed):
         assert step["g_value"] == top
         gi[step["m"]] = 0.0
 
-    again = run_depletion(f, g, k=2, delta=1.0, rng=np.random.default_rng(seed))
+    (again,) = run_depletion(f, g, k=2, delta=1.0, rng=np.random.default_rng(seed))
     assert again.steps == run.steps
 
 
@@ -647,7 +651,7 @@ def assert_matches_reference(run, reference):
 @given(tied_pair(), st.integers(0, 2**32 - 1), st.sampled_from(["always", "lazy"]))
 def test_depletion_equals_the_per_step_reference(pair, seed, refresh):
     f, g = pair
-    run = run_depletion(f, g, k=2, delta=1.0, rng=np.random.default_rng(seed), refresh=refresh)
+    (run,) = run_depletion(f, g, k=2, delta=1.0, rng=np.random.default_rng(seed), refresh=refresh)
     reference = reference_depletion(
         f, g, k=2, delta=1.0, rng=np.random.default_rng(seed), refresh=refresh
     )
@@ -680,53 +684,116 @@ COSINE_P5_N5 = {
     "refresh": "lazy",
     "trials": 0,
 }
-BUNDLED_LAZY = Path(__file__).resolve().parents[1] / "configs" / "dense_theorem_p5_n4_lazy.json"
-LAZY_CONFIGS = {
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def bundled(name):
+    (config,) = load_config_file(str(CONFIGS / f"{name}.json"))
+    return config
+
+
+EXPERIMENTS = {
     "sevenfold_p3_n8": lambda: ExperimentConfig.from_dict(SEVENFOLD_P3_N8),
     "cosine_p5_n5": lambda: ExperimentConfig.from_dict(COSINE_P5_N5),
-    "dense_theorem_p5_n4_lazy": lambda: load_config_file(str(BUNDLED_LAZY))[0],
+    "dense_theorem_p5_n4": lambda: bundled("dense_theorem_p5_n4"),
+    "dense_theorem_p5_n4_lazy": lambda: bundled("dense_theorem_p5_n4_lazy"),
 }
 
 
 @functools.cache
-def lazy_experiment(name):
-    """(report, exit code, [(run, reference run)]) for one of LAZY_CONFIGS, each
-    run_depletion call repeated by reference_depletion on a copy of its rng."""
-    pairs = []
+def traced_experiment(name):
+    """(report, exit code, depletions, finder calls) for one of EXPERIMENTS.
 
-    def both(f, g, k, delta, rng, **kwargs):
-        reference = reference_depletion(f, g, k, delta, rng=copy.deepcopy(rng), **kwargs)
-        run = run_depletion(f, g, k, delta, rng=rng, **kwargs)
-        pairs.append((run, reference))
-        return run
+    depletions holds a list per run_depletion call, of (run, reference) with
+    each ordering's run beside reference_depletion of that ordering on a copy
+    of the same rng; finder calls counts run_depletion's find_good_subspace
+    calls, the references' not included."""
+    depletions, finds = [], []
 
-    original = ap3.experiment.run_depletion
-    ap3.experiment.run_depletion = both
+    def traced(f, g, k, delta, orderings, rng, **kwargs):
+        references = [
+            reference_depletion(f, g, k, delta, ordering, rng=copy.deepcopy(rng), **kwargs)
+            for ordering in orderings
+        ]
+        runs = run_depletion(f, g, k, delta, orderings, rng=rng, **kwargs)
+        depletions.append(list(zip(runs, references)))
+        return runs
+
+    def counted(*args):
+        finds.append(args)
+        return find_good_subspace(*args)
+
+    originals = ap3.experiment.run_depletion, ap3.midpoint.find_good_subspace
+    ap3.experiment.run_depletion, ap3.midpoint.find_good_subspace = traced, counted
     try:
-        report, code = run_experiment(LAZY_CONFIGS[name]())
+        report, code = run_experiment(EXPERIMENTS[name]())
     finally:
-        ap3.experiment.run_depletion = original
-    return report, code, pairs
+        ap3.experiment.run_depletion, ap3.midpoint.find_good_subspace = originals
+    return report, code, depletions, len(finds)
 
 
 @pytest.mark.parametrize("name", ["dense_theorem_p5_n4_lazy", "sevenfold_p3_n8"])
 def test_lazy_config_equals_the_per_step_reference(name):
-    _, _, pairs = lazy_experiment(name)
-    assert pairs
+    _, _, depletions, _ = traced_experiment(name)
+    (pairs,) = depletions
     for run, reference in pairs:
         assert run.retargets > 0
         assert_matches_reference(run, reference)
 
 
 @pytest.mark.parametrize("name", ["sevenfold_p3_n8", "cosine_p5_n5"])
-def test_lazy_run_calls_the_finder_once_per_ordering(name):
-    report, code, _ = lazy_experiment(name)
+def test_lazy_run_calls_the_finder_once_per_experiment(name):
+    report, code, _, finder_calls = traced_experiment(name)
     assert code == 0 and report["passed"]
-    assert [run["ordering"] for run in report["runs"]] == list(LAZY_CONFIGS[name]().orderings)
+    assert finder_calls == 1
+    assert [run["ordering"] for run in report["runs"]] == list(EXPERIMENTS[name]().orderings)
     for run in report["runs"]:
         assert run["finder_calls"] == 1 and run["retargets"] > 0
         assert len(run["steps"]) == run["r"] and not run["partial"]
         assert all(step["hypotheses_held"] for step in run["steps"])
+
+
+ONE_DEPLETION = ("lambda_lower", "finder_calls", "retargets", "finder_rejections", "partial")
+
+
+def depletion_of(run):
+    """What one depletion fixes in a report run for every ordering: its steps
+    without ordering and pair_count, and the ONE_DEPLETION fields."""
+    steps = [
+        {key: value for key, value in step.items() if key not in ("ordering", "pair_count")}
+        for step in run["steps"]
+    ]
+    return steps, [run[key] for key in ONE_DEPLETION]
+
+
+@pytest.mark.parametrize(
+    "name", ["dense_theorem_p5_n4", "dense_theorem_p5_n4_lazy", "cosine_p5_n5"]
+)
+def test_a_both_experiment_is_one_depletion(name):
+    report, code, depletions, finder_calls = traced_experiment(name)
+    assert code == 0
+    (pairs,) = depletions
+    for run, reference in pairs:
+        assert_matches_reference(run, reference)
+    fgf, gff = report["runs"]
+    assert (fgf["ordering"], gff["ordering"]) == ("fgf", "gff")
+    assert depletion_of(fgf) == depletion_of(gff)
+    assert finder_calls == fgf["finder_calls"]
+    # at p=5, a -> -2a is not the identity, so the orderings count different pairs
+    assert fgf["pair_weight"] != gff["pair_weight"]
+
+
+def test_at_p3_the_orderings_coincide():
+    """-2a = a mod 3, so both pair tables and both Lambda3 values are equal,
+    and a both run at p=3 is the fgf run twice."""
+    config = dataclasses.replace(bundled("sevenfold_p3_n5"), ordering="both")
+    report, code = run_experiment(config)
+    assert code == 0
+    fgf, gff = (
+        {**run, "ordering": None, "steps": [{**s, "ordering": None} for s in run["steps"]]}
+        for run in report["runs"]
+    )
+    assert fgf == gff
 
 
 @settings(max_examples=60, deadline=None)
@@ -793,5 +860,5 @@ def test_always_builds_no_retarget_tables(p33, rng, monkeypatch):
     f = random_function(p33, rng)
     g = DenseFunction.make(p33, f.values * 0.9)
     delta = float(np.sqrt(dft(f).sigma(2)) / p33.F + 1e-12)
-    run = run_depletion(f, g, k=2, delta=delta, rng=rng)
+    (run,) = run_depletion(f, g, k=2, delta=delta, rng=rng)
     assert run.finder_calls == len(run.steps) == run.r and run.retargets == 0

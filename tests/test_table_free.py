@@ -142,19 +142,16 @@ def test_brute_oracle_memory(monkeypatch):
 def test_depletion_without_table(name, monkeypatch):
     (config,) = load_config_file(str(CONFIGS / name))
     params = FieldParams(config.p, config.n)
-    orderings = ("fgf", "gff") if config.ordering == "both" else (config.ordering,)
     with monkeypatch.context() as patch:
         _refuse_full_table(patch, params)
         rng = np.random.default_rng(config.seed)
         f = build_recipe(params, config.f_recipe, rng)
         g = derive_minorant(f, config.g_recipe, rng)
         delta, _ = resolve_delta(config, f.spectrum)
-        runs = [
-            run_depletion(
-                f, g, config.k, delta, o, config.nprime, config.max_attempts, rng, config.refresh
-            )
-            for o in orderings
-        ]
+        runs = run_depletion(
+            f, g, config.k, delta, config.orderings, config.nprime, config.max_attempts, rng,
+            config.refresh,
+        )
     for run in runs:
         brute = lambda3_brute(f, g, f) if run.ordering == "fgf" else lambda3_brute(g, f, f)
         assert not run.partial and run.certificates_ok
