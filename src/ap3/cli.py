@@ -38,7 +38,7 @@ from .field import DEFAULT_ENUMERATION_CAP, EnumerationCapError, FieldParams
 from .finder import choose_dimension, estimate_condition_probabilities
 from .lambda3 import (
     AGREEMENT_TOLERANCE,
-    BRUTE_FORCE_LIMIT,
+    check_brute_budget,
     lambda3_brute,
     lambda3_spectral,
     trivial_lower_bound,
@@ -113,7 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     la.add_argument("--seed", type=_seed_type, default=0)
     la.add_argument("--method", choices=("brute", "spectral", "both"), default="both")
     la.add_argument("--ordering", choices=tuple(ORDERING_CHOICES), help="with two --files only (default fgf)")
-    la.add_argument("--force", action="store_true", help="spend quadratic time above the brute-force limit")
     la.add_argument("--out", help="output directory (default: stdout)")
 
     ve = sub.add_parser("verify", help="run configured experiments end to end")
@@ -208,13 +207,13 @@ def _lambda3_triples(args) -> list[tuple[str, tuple[DenseFunction, ...]]]:
 
 
 def cmd_lambda3(args) -> int:
+    brute = args.method in ("brute", "both")
+    if brute and args.p is not None and args.n is not None:
+        check_brute_budget(FieldParams(args.p, args.n))  # before a recipe is built
     triples = _lambda3_triples(args)
     params = triples[0][1][0].params
-    if args.method in ("brute", "both") and params.F > BRUTE_FORCE_LIMIT and not args.force:
-        raise ConfigError(
-            f"F = {params.F} exceeds the brute-force limit {BRUTE_FORCE_LIMIT}; "
-            "pass --force or --method spectral"
-        )
+    if brute:
+        check_brute_budget(params)  # a JSON function file names its own field
     rows = []
     worst = EXIT_PASS
     for name, fs in triples:

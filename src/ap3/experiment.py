@@ -35,7 +35,7 @@ from .finder import DEFAULT_MAX_ATTEMPTS, choose_dimension, estimate_condition_p
 from .functions import indicator, normalized_conv_power, random_set
 from .lambda3 import (
     AGREEMENT_TOLERANCE,
-    BRUTE_FORCE_LIMIT,
+    check_brute_budget,
     diagonal_weight,
     endpoint_pair_count,
     lambda3_brute,
@@ -170,13 +170,6 @@ def _recipe_set(params: FieldParams, spec: dict, rng: np.random.Generator) -> De
     return random_set(params, _integer(spec, "size"), rng)
 
 
-def _flag(spec: dict, key: str) -> bool:
-    value = spec.get(key, False)
-    if not isinstance(value, bool):
-        raise ConfigError(f"field {key!r} must be true or false, got {value!r}")
-    return value
-
-
 ORDERING_CHOICES = {"fgf": ("fgf",), "gff": ("gff",), "both": ("fgf", "gff")}
 # Config keys whose ExperimentConfig attribute carries a different name.
 _CONFIG_KEYS = {"f_recipe": "f", "g_recipe": "g"}
@@ -218,7 +211,6 @@ class ExperimentConfig:
     trials: int
     exhaustive: bool
     enumeration_cap: int
-    force: bool
     label: str
 
     @classmethod
@@ -274,6 +266,9 @@ class ExperimentConfig:
         trials = integer("trials", 0)
         if trials < 0:
             raise ConfigError(f"field 'trials' must be nonnegative, got {trials}")
+        exhaustive = raw.get("exhaustive", False)
+        if not isinstance(exhaustive, bool):
+            raise ConfigError(f"field 'exhaustive' must be true or false, got {exhaustive!r}")
         label = "" if raw.get("label") is None else raw["label"]
         if not isinstance(label, str):
             raise ConfigError(f"field 'label' must be a string, got {label!r}")
@@ -295,9 +290,8 @@ class ExperimentConfig:
             refresh=refresh,
             nprime=nprime,
             trials=trials,
-            exhaustive=_flag(raw, "exhaustive"),
+            exhaustive=exhaustive,
             **limits,
-            force=_flag(raw, "force"),
             label=label,
         )
 
@@ -400,14 +394,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
         report["timing"] = {"wall_seconds": round(time.perf_counter() - start, 3)}
         return report, max(codes)
 
-    # refused before build_recipe allocates an F-sized array
-    if params.F > BRUTE_FORCE_LIMIT and not config.force:
-        fail(
-            "guardrail",
-            f"F = {params.F} exceeds the brute-force limit {BRUTE_FORCE_LIMIT}; "
-            "pass force to spend the quadratic time",
-            EXIT_ERROR,
-        )
+    try:
+        check_brute_budget(params)  # before build_recipe allocates an F-sized array
+    except ValueError as exc:
+        fail("guardrail", str(exc), EXIT_ERROR)
         return finish()
 
     try:

@@ -15,7 +15,18 @@ from .field import FieldParams, _digit_table, _power_table, check_same_params
 from .spectral import DenseFunction, Spectrum, idft
 
 AGREEMENT_TOLERANCE = 1e-8
-BRUTE_FORCE_LIMIT = 20_000
+BRUTE_COST_LIMIT = 3**18  # lambda3_brute's loop at p = 3, n = 12: about 9 s on a 2-core VM
+
+
+def check_brute_budget(params: FieldParams) -> None:
+    """Refuse, allocating nothing, a field where lambda3_brute's loop, F values
+    per column of T_hi, costs F * p^(n - n//2) > BRUTE_COST_LIMIT."""
+    cost = params.F * params.p ** (params.n - params.n // 2)
+    if cost > BRUTE_COST_LIMIT:
+        raise ValueError(
+            f"the brute oracle at p = {params.p}, n = {params.n} costs {cost}, over the "
+            f"brute-force limit {BRUTE_COST_LIMIT}; lambda3 --method spectral skips it"
+        )
 
 
 def scale_table(params: FieldParams, c: int) -> np.ndarray:
@@ -31,18 +42,18 @@ def scale_table(params: FieldParams, c: int) -> np.ndarray:
     return table.reshape(-1)
 
 
-def _difference_index(p: int, k: int) -> np.ndarray:
-    """T[a, b] = the index of 2a - b in F_p^k, built digit by digit from the
+def _difference_index(p: int, k: int, b: np.ndarray) -> np.ndarray:
+    """T[a, j] = the index of 2a - b[j] in F_p^k, built digit by digit from the
     (p^k, k) digit table."""
     D = _digit_table(p, k)
-    table = np.zeros((p**k, p**k), dtype=np.int64)
+    table = np.zeros((p**k, len(b)), dtype=np.int64)
     for i, power in enumerate(_power_table(p, k).tolist()):
-        table += (2 * D[:, None, i] - D[None, :, i]) % p * power
+        table += (2 * D[:, None, i] - D[None, b, i]) % p * power
     return table
 
 
 def lambda3_brute(f1: DenseFunction, f2: DenseFunction, f3: DenseFunction) -> float:
-    """Exact double sum over all (m, d) pairs; cost O(F^2).
+    """Exact double sum over all (m, d) pairs; F^2 multiply-adds in O(F) memory.
 
     (m, d) -> (x, y) = (m + d, m + 2d) is a bijection of F^2 with m = 2x - y,
     so F^2 Lambda3 = sum_{x, y} f1(2x - y) f2(x) f3(y).  With lo = n // 2, an
@@ -50,18 +61,18 @@ def lambda3_brute(f1: DenseFunction, f2: DenseFunction, f3: DenseFunction) -> fl
     p^lo) is the table V[x_hi, x_lo], and 2x - y splits the same way: its
     halves are T_hi[x_hi, y_hi] and T_lo[x_lo, y_lo].  For each high half z
     of 2x - y, y_hi = T_hi[x_hi, z], so the terms with that z are one matrix
-    product: sum((V2 @ V1[z][T_lo]) * V3[T_hi[:, z]]).  Every one of the F^2
-    terms is still multiplied out; no transform, scale table or (F, n) digit
-    table is read.
+    product: sum((V2 @ V1[z][T_lo]) * V3[T_hi[:, z]]), with T_hi built p^lo
+    columns at a time.  Every one of the F^2 terms is still multiplied out;
+    no transform, scale table or (F, n) digit table is read.
     """
     params = check_same_params(f1, f2, f3)
-    p, lo = params.p, params.n // 2
-    T_lo = _difference_index(p, lo)
-    T_hi = T_lo if params.n - lo == lo else _difference_index(p, params.n - lo)
-    V1, V2, V3 = (f.values.reshape(len(T_hi), len(T_lo)) for f in (f1, f2, f3))
+    p, lo, hi = params.p, params.n // 2, params.n - params.n // 2
+    T_lo = _difference_index(p, lo, np.arange(p**lo))
+    V1, V2, V3 = (f.values.reshape(p**hi, p**lo) for f in (f1, f2, f3))
     total = 0.0
-    for z in range(len(T_hi)):
-        total += float(np.sum((V2 @ V1[z][T_lo]) * V3[T_hi[:, z]]))
+    for block in np.arange(p**hi).reshape(-1, p**lo):
+        for z, column in zip(block.tolist(), _difference_index(p, hi, block).T):
+            total += float(np.sum((V2 @ V1[z][T_lo]) * V3[column]))
     return total / params.F**2
 
 

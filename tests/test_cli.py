@@ -229,13 +229,18 @@ def test_lambda3_explicit_triple(capsys, tmp_path, rng):
     assert row["agreement_gap"] < 1e-8
 
 
-def test_lambda3_brute_guardrail(capsys):
-    code, _, err = run_cli(
-        capsys,
-        "lambda3",
-        "--recipe", '{"kind": "constant", "value": 1.0}',
-        "--p", "3", "--n", "10",
-    )
+def test_lambda3_brute_guardrail(capsys, monkeypatch):
+    def refused(*args):
+        raise AssertionError("lambda3 built the recipe before it checked the brute budget")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ap3.cli, "build_recipe", refused)
+        code, _, err = run_cli(
+            capsys,
+            "lambda3",
+            "--recipe", '{"kind": "constant", "value": 1.0}',
+            "--p", "3", "--n", "13",
+        )
     assert code == 1
     assert "brute-force limit" in err
     # the spectral route stays open at the same size
@@ -243,7 +248,7 @@ def test_lambda3_brute_guardrail(capsys):
         capsys,
         "lambda3",
         "--recipe", '{"kind": "constant", "value": 1.0}',
-        "--p", "3", "--n", "10",
+        "--p", "3", "--n", "13",
         "--method", "spectral",
     )
     assert code2 == 0
@@ -263,6 +268,12 @@ def test_usage_error_is_64(capsys):
     with pytest.raises(SystemExit) as exc3:
         main(["verify", "--config", "configs/sevenfold_p3_n5.json", "--seed", "3"])
     assert exc3.value.code == 64
+    capsys.readouterr()
+    # the brute oracle's budget is fixed: no flag spends past it
+    with pytest.raises(SystemExit) as exc4:
+        main(["lambda3", "--recipe", '{"kind": "constant", "value": 1.0}',
+              "--p", "3", "--n", "2", "--force"])
+    assert exc4.value.code == 64
     capsys.readouterr()
 
 
@@ -483,8 +494,9 @@ def test_verify_non_object_config(capsys, tmp_path, raw):
         ({"enumeration_cap": 10.5}, [], "'enumeration_cap'"),
         ({"delta": math.nan}, [], "'delta'"),
         ({"exhaustive": "false"}, [], "'exhaustive'"),
-        ({"force": "no"}, [], "'force'"),
-        ({"force": 1}, [], "'force'"),
+        # force is no longer a field: an old config that names it is refused
+        ({"force": True}, [], "'force'"),
+        ({"force": False}, [], "'force'"),
         ({"delta": "0.1"}, [], "'delta'"),
         ({"max_attempts": 0}, [], "'max_attempts'"),
         ({"enumeration_cap": 0}, [], "'enumeration_cap'"),

@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -316,10 +317,25 @@ def test_exhaustive_x_budget_is_a_cap_failure(monkeypatch):
 
 
 def test_run_experiment_guardrail():
-    config = cfg(p=3, n=10, delta=1.0)
+    config = cfg(p=3, n=13, delta=1.0)
     report, code = run_experiment(config)
     assert code == EXIT_ERROR
-    assert any("brute" in f["detail"] for f in report["failures"])
+    [failure] = report["failures"]
+    assert failure["type"] == "guardrail" and "brute-force limit" in failure["detail"]
+
+
+def test_sevenfold_p3_n10_verifies_without_a_flag():
+    # F = 59,049 was refused by a fixed F > 20,000 limit; its brute oracle
+    # costs 3^15, well inside the budget
+    config = ExperimentConfig.from_dict({
+        "p": 3, "n": 10, "seed": 1,
+        "f": {"kind": "conv_power", "size": math.ceil(0.95 * 3**10), "power": 7},
+        "k": 5, "refresh": "lazy", "trials": 0,
+    })
+    report, code = run_experiment(config)
+    assert code == EXIT_PASS and not report["failures"]
+    assert report["assertions"] and all(a["passed"] for a in report["assertions"])
+    assert [run["finder_calls"] for run in report["runs"]] == [1]
 
 
 def test_report_determinism():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,9 @@ from ap3.experiment import ORDERING_CHOICES
 from ap3.field import FieldParams, Subspace
 from ap3.functions import indicator
 from ap3.lambda3 import (
+    AGREEMENT_TOLERANCE,
     PAIR_SCALES,
+    check_brute_budget,
     diagonal_weight,
     endpoint_pair_count,
     lambda3_brute,
@@ -98,6 +102,37 @@ def test_brute_matches_literal_loop(rng):
     params = FieldParams(3, 2)
     fs = [random_function(params, rng) for _ in range(3)]
     assert lambda3_brute(*fs) == pytest.approx(lambda3_loop(*fs), abs=1e-12)
+
+
+def test_brute_holds_o_f_memory():
+    # at n = 1 the high half is the whole field: a full T_hi table would be
+    # F x F int64 values, 32 MB here
+    params = FieldParams(2003, 1)
+    f = random_function(params, np.random.default_rng(3))
+    tracemalloc.start()
+    try:
+        brute = lambda3_brute(f, f, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert abs(brute - lambda3_spectral(f, f, f)) <= AGREEMENT_TOLERANCE
+
+
+@pytest.mark.parametrize(
+    ("p", "n", "admitted"),
+    [
+        (3, 12, True), (5, 8, True), (727, 2, True), (19681, 1, True),
+        (3, 13, False), (5, 9, False), (733, 2, False), (19687, 1, False),
+    ],
+)
+def test_brute_budget_boundary(p, n, admitted):
+    params = FieldParams(p, n)
+    if admitted:
+        check_brute_budget(params)
+    else:
+        with pytest.raises(ValueError, match="brute-force limit"):
+            check_brute_budget(params)
 
 
 @pytest.mark.parametrize("p,n", [(3, 3), (5, 2), (7, 2)])
