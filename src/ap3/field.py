@@ -248,7 +248,8 @@ class Subspace:
         F; basis_labels labels chosen elements.  Labels agree exactly on the
         cosets of the orthogonal complement and are 0 exactly on it: for
         V = W-perp, V.labels() names every coset of W and W.labels() every
-        coset of V."""
+        coset of V.  With complement(), the oracle for coset_labels, which
+        renumbers these cosets."""
         return self.params.dots(self.matrix) @ _power_table(self.params.p, self.dim)
 
     def reduce_digit_rows(self, digit_rows: np.ndarray) -> np.ndarray:
@@ -269,7 +270,8 @@ class Subspace:
         """Does F split as this subspace (+) its complement, that is do the two
         meet only in 0?  labels() reads B B^T c at the member c.B, so this is
         finder.separates(self, self.members()) decided on the dim x dim Gram
-        matrix B B^T: it must be invertible mod p."""
+        matrix B B^T: it must be invertible mod p.  The oracle for
+        direct_sums, the finder's stacked test."""
         B = self.matrix
         return len(rref(B @ B.T, self.params.p)) == self.dim
 
@@ -289,7 +291,9 @@ class Subspace:
 
     def complement(self) -> "Subspace":
         """The orthogonal complement under the coordinate dot product: each free
-        column f gives e_f with -B[i][f] at the pivot column of basis row i."""
+        column f gives e_f with -B[i][f] at the pivot column of basis row i.
+        An oracle: coset_labels reads these rows for a stack of bases without
+        building the subspace."""
         p, n = self.params.p, self.params.n
         pivot_row = dict(zip(self.pivots, self.basis))
         rows = [
@@ -308,6 +312,37 @@ def basis_labels(params: FieldParams, bases: np.ndarray, indices) -> np.ndarray:
     digits = params.digits_of(indices)
     weights = _power_table(params.p, bases.shape[-2])
     return ((digits @ np.swapaxes(bases, -1, -2)) % params.p) @ weights
+
+
+def direct_sums(params: FieldParams, bases: np.ndarray) -> np.ndarray:
+    """Subspace.is_direct for each basis B stacked in a (T, dim, n) bases: the
+    span meets its complement only in 0 when c -> B B^T c mod p, what
+    Subspace.labels reads at the member c.B, is injective on F_p^dim, that is
+    when c = 0 is the only c it maps to 0.  A (T,) bool array."""
+    gram = bases @ np.swapaxes(bases, -1, -2) % params.p
+    images = gram @ _digit_table(params.p, bases.shape[-2]).T % params.p  # column c: B B^T c
+    return np.count_nonzero(~images.any(axis=-2), axis=-1) == 1
+
+
+def coset_labels(params: FieldParams, bases: np.ndarray) -> np.ndarray:
+    """For each RREF basis B stacked in a (T, dim, n) bases, a label in
+    [0, p^(n - dim)) for every x in F naming the coset x + span(B): the digits
+    of x reduced by B at B's free columns, read as a base-p integer.  A (T, F)
+    array.
+
+    Reducing x subtracts x[c_i] B_i for each pivot column c_i, so the digit
+    at the free column f is x.(e_f - sum_i B_i[f] e_{c_i}): a row of
+    Subspace.complement before its rref, whose kernel is span(B).  So the
+    labels renumber the cosets complement().labels() names, and all T (n -
+    dim) rows take one params.dots call.
+    """
+    n, (count, dim) = params.n, bases.shape[:2]
+    pivots = (np.arange(n) == (bases != 0).argmax(axis=-1)[..., None]).astype(np.int64)
+    free = np.argsort(pivots.any(axis=1), axis=1, kind="stable")[:, : n - dim]  # ascending
+    at_free = np.take_along_axis(bases, free[:, None, :], axis=2)  # (T, dim, n - dim)
+    rows = (np.arange(n) == free[..., None]) - np.swapaxes(at_free, 1, 2) @ pivots
+    digits = params.dots(rows).reshape(params.F, count, n - dim)
+    return np.ascontiguousarray((digits @ _power_table(params.p, n - dim)).T)
 
 
 def coset_table(params: FieldParams, bases: np.ndarray, translates) -> np.ndarray:
@@ -357,7 +392,9 @@ def sample_uniform_bases(
 
 
 def sample_uniform_subspace(params: FieldParams, dim: int, rng: np.random.Generator) -> Subspace:
-    """One uniformly random dim-dimensional subspace: sample_uniform_bases' one draw."""
+    """One uniformly random dim-dimensional subspace: sample_uniform_bases' one
+    draw.  The oracle for the finder's CandidateStream, which makes the same
+    draw per candidate."""
     (basis,) = sample_uniform_bases(params, dim, 1, rng).tolist()
     return Subspace(params, tuple(map(tuple, basis)))
 

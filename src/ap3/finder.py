@@ -12,15 +12,22 @@ with probability > 1/2 resp. > 3/4 when the density hypothesis E(g) >
 the hypothesis the finder proceeds all the same and the attempt budget does
 the guarding; check_hypotheses and run_depletion report the shortfall.
 
-All three tests read coset labels (Subspace.labels).  W.labels is linear
-with kernel V, so each of the direct-sum and the separation test asks that
-W.labels be injective: on W for the first, on A for the second, which is
-separates(W, A).  On the member c.B of W, W.labels reads B B^T c, so the
-direct-sum test is W.is_direct(), the rank of the Gram matrix B B^T, and
-separates(W, W.members()) is its oracle.  Both read W alone, so V, whose
-V.labels() names the cosets of W for the density test, is built only for a
-W that passes them.  separates is the one-subspace case of separating, which
-the lemma estimator runs over a stack of bases.
+All three tests read coset labels.  W.labels is linear with kernel V, so
+each of the direct-sum and the separation test asks that W.labels be
+injective: on W for the first, on A for the second.  On the member c.B of W,
+W.labels reads B B^T c, so the direct-sum test asks that c -> B B^T c be
+injective on F_p^nprime (direct_sums); the separation test is separating.
+Both read W alone, so a CandidateStream draws W one at a time from the rng
+and decides them for a block of draws with stacked calls (screen), blocks
+doubling up to about BLOCK_ENTRIES labels.  For the W that pass both, one
+params.dots call gives coset_labels: x + W is named by the digits of x
+reduced by W's RREF basis at its free columns, a renumbering of the cosets
+V.labels() names.  find_good_subspace reads the stream and runs only the
+density test, one bincount of g, per attempt.  run_depletion opens one stream
+per run and every finder call reads from it, so the W sequence, the attempts
+and the rejections are those of drawing one W per attempt.
+Subspace.is_direct, separates (the one-subspace case of separating) and
+Subspace.complement().labels() are the per-subspace oracles of the stream.
 """
 
 from __future__ import annotations
@@ -37,18 +44,20 @@ from .field import (
     InfeasibleError,
     Subspace,
     basis_labels,
+    coset_labels,
     coset_table,
+    direct_sums,
     enumerate_bases,
     gaussian_binomial,
     sample_uniform_bases,
-    sample_uniform_subspace,
 )
 from .spectral import DenseFunction
 
 COSET_SUM_TOLERANCE = 1e-12
 DEFAULT_MAX_ATTEMPTS = 256
 # The lemma estimator scores its cosets in blocks of about this many coset
-# members, so a block's tables stay small and only X grows with the sample.
+# members, so a block's tables stay small and only X grows with the sample;
+# a CandidateStream labels at most this many elements (or one W) per block.
 BLOCK_ENTRIES = 2**14
 # Exhaustive X holds one float per coset of every enumerated W; the estimator
 # refuses before enumerating when that exceeds this many floats (256 MB).
@@ -85,20 +94,13 @@ def choose_dimension(k: int, params: FieldParams) -> int:
     return nprime
 
 
-def coset_sums(g: DenseFunction, V: Subspace) -> tuple[np.ndarray, np.ndarray]:
-    """(labels, sums) for the cosets of W = V-perp: labels[x] = V.labels(x)
-    names the coset x + W and sums[labels[x]] is the total of g over it."""
-    labels = V.labels()
-    return labels, np.bincount(labels, weights=g.values, minlength=V.size)
-
-
 def coset_sum(values: np.ndarray, cosets: np.ndarray):
     """The total of values over each coset, given as ascending indices along
     the last axis: a float for one coset, an array for a table of them.
 
     The terms are added one at a time in ascending index order, the order in
-    which np.bincount accumulates them in coset_sums, so both give the same
-    float; ndarray.sum() adds pairwise and can differ in the last bit.
+    which np.bincount accumulates a coset's terms over its labels, so both give
+    the same float; ndarray.sum() adds pairwise and can differ in the last bit.
     """
     sums = np.add.accumulate(values[cosets], axis=-1)[..., -1]
     return float(sums) if sums.ndim == 0 else sums
@@ -120,48 +122,95 @@ def separating(params: FieldParams, bases: np.ndarray, A: np.ndarray):
 
 
 def separates(W: Subspace, A: np.ndarray) -> bool:
-    """separating for the one subspace W."""
+    """separating for the one subspace W: the oracle the finder's stacked
+    separation test is checked against."""
     return bool(separating(W.params, W.matrix, A))
+
+
+def screen(params: FieldParams, bases: np.ndarray, A: np.ndarray):
+    """The finder's two tests that do not read g, on each basis stacked in
+    bases, and the coset labels of the bases that pass both: (direct,
+    separated, labels), with labels[j] the coset_labels of the j-th passing
+    basis in stack order."""
+    direct = direct_sums(params, bases)
+    separated = separating(params, bases, A)
+    return direct, separated, coset_labels(params, bases[direct & separated])
+
+
+class CandidateStream:
+    """The finder's candidate subspaces for one run, in the order the rng
+    draws them.  next(stream) gives (basis, the first g-free test the W fails
+    or None, and its coset labels when it passes both).
+
+    Each W is one sample_uniform_bases(params, nprime, 1, rng) draw, the one
+    sample_uniform_subspace makes, so the stream reads the rng as a finder
+    drawing one W per attempt would, and a draw it has tested but not yet
+    handed out waits for the next find_good_subspace call.  The draws are
+    screened a block at a time, blocks doubling from 1 up to max(1,
+    BLOCK_ENTRIES // F) candidates, so a run that needs one W draws about
+    one.
+    """
+
+    def __init__(
+        self,
+        params: FieldParams,
+        A: np.ndarray,
+        rng: np.random.Generator,
+        nprime: int | None = None,
+    ):
+        self.params = params
+        self.nprime = choose_dimension(len(A), params) if nprime is None else nprime
+        self._candidates = self._screened(np.asarray(A, dtype=np.int64), rng)
+
+    def __next__(self) -> tuple[np.ndarray, str | None, np.ndarray | None]:
+        return next(self._candidates)
+
+    def _screened(self, A: np.ndarray, rng: np.random.Generator):
+        params, block = self.params, 1
+        while True:
+            draws = [sample_uniform_bases(params, self.nprime, 1, rng) for _ in range(block)]
+            bases = np.concatenate(draws)
+            direct, separated, labels = screen(params, bases, A)
+            passed = iter(labels)
+            for basis, is_direct, is_separated in zip(bases, direct.tolist(), separated.tolist()):
+                if not is_direct:
+                    yield basis, "direct_sum", None
+                elif not is_separated:
+                    yield basis, "separation", None
+                else:
+                    yield basis, None, next(passed)
+            block = min(2 * block, max(1, BLOCK_ENTRIES // params.F))
 
 
 @dataclass(frozen=True)
 class GoodSubspace:
     W: Subspace
     dense: np.ndarray  # by coset label: does that W-coset carry E(g) |W| / 2 of g's mass?
-    coset_labels: np.ndarray  # V.labels() over all of F: x + W is named by coset_labels[x]
+    coset_labels: np.ndarray  # over all of F: x + W is named by coset_labels[x]
     attempts: int
     rejections: dict
 
 
 def find_good_subspace(
-    A: np.ndarray,
-    g: DenseFunction,
-    rng: np.random.Generator,
-    nprime: int | None = None,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
+    stream: CandidateStream, g: np.ndarray, max_attempts: int = DEFAULT_MAX_ATTEMPTS
 ) -> GoodSubspace:
-    """Rejection-sample W until separation, coset density, and directness hold.
-
-    W has dimension nprime, by default choose_dimension(len(A)).
-    """
-    params = g.params
-    if nprime is None:
-        nprime = choose_dimension(len(A), params)
-    mean = g.mean()
+    """The first of the next max_attempts candidates of stream that passes
+    directness, separation and coset density for the values g, or
+    FinderBudgetError.  Only the density test, one bincount of g over the
+    candidate's labels, runs here per attempt."""
+    params, size = stream.params, stream.params.p**stream.nprime
+    mean = float(g.mean())
     rejections = {"separation": 0, "coset_density": 0, "direct_sum": 0}
     for attempt in range(1, max_attempts + 1):
-        W = sample_uniform_subspace(params, nprime, rng)
-        if not W.is_direct():
-            rejections["direct_sum"] += 1
+        basis, failed, labels = next(stream)
+        if failed is not None:
+            rejections[failed] += 1
             continue
-        if not separates(W, A):
-            rejections["separation"] += 1
-            continue
-        labels, sums = coset_sums(g, W.complement())
-        dense = is_dense(sums, mean, W.size)
-        if dense.sum() * W.size < params.F / 4.0:
+        dense = is_dense(np.bincount(labels, weights=g, minlength=params.F // size), mean, size)
+        if dense.sum() * size < params.F / 4.0:
             rejections["coset_density"] += 1
             continue
+        W = Subspace(params, tuple(map(tuple, basis.tolist())))
         return GoodSubspace(W, dense, labels, attempt, rejections)
     raise FinderBudgetError(
         f"no good subspace in {max_attempts} attempts (rejections: {rejections})",

@@ -50,6 +50,7 @@ from .bounds import HypothesisRefusal, check_hypotheses
 from .field import Subspace, check_same_params
 from .finder import (
     DEFAULT_MAX_ATTEMPTS,
+    CandidateStream,
     FinderBudgetError,
     GoodSubspace,
     coset_sum,
@@ -340,8 +341,9 @@ class Window:
         cls, good: GoodSubspace, energy: np.ndarray, sigma_k: float, roundoff: float
     ) -> "Window":
         scores = coset_scores(energy, good)
-        t, q = select_translate(scores, good.coset_labels, good.dense, sigma_k, roundoff)
-        return cls(good, scores, t, q, good.W.coset(t))
+        labels = good.coset_labels
+        t, q = select_translate(scores, labels, good.dense, sigma_k, roundoff)
+        return cls(good, scores, t, q, np.flatnonzero(labels == labels[t]))
 
     def retarget(self, gi: np.ndarray, e_gi: float, sigma_k: float, roundoff: float) -> bool:
         """Move t to the coset select_translate would pick among the cosets dense
@@ -418,8 +420,12 @@ def run_depletion(
     so the loop runs once and returns one DepletionRun per ordering in
     orderings, their steps equal but for ordering and pair_count.  Depletion
     never changes f, so each ordering's pair_table and the coset scores' one
-    tail_energy are built before the loop.  nprime and max_attempts go to the
-    finder.  No run measures Lambda3 or judges its steps: the caller checks
+    tail_energy are built before the loop, and so is the run's one
+    CandidateStream: every finder call reads its next candidates, screened a
+    doubling block at a time, so the run draws the W sequence a finder
+    drawing one W per attempt would, and a window opens on the coset labels
+    the stream gives (t + W is the x with t's label).  nprime goes to the
+    stream and max_attempts to each finder call.  No run measures Lambda3 or judges its steps: the caller checks
     lambda_lower and pair_weight against its own oracle and asserts
     certificates_ok, so a run with a broken step is still returned whole.
     Each step checks its own coset, so the run goes on below the density
@@ -465,6 +471,7 @@ def run_depletion(
     finder_calls = retargets = 0
     lazy = refresh == "lazy"
     window = None
+    stream = CandidateStream(params, A, rng, nprime)
 
     while len(steps) < r:
         if lazy and window is not None and window.retarget(gi, sum_g / F, sigma_k, roundoff):
@@ -472,9 +479,7 @@ def run_depletion(
         else:
             finder_calls += 1
             try:
-                good = find_good_subspace(
-                    A, DenseFunction.make(params, gi), rng, nprime, max_attempts
-                )
+                good = find_good_subspace(stream, gi, max_attempts)
             except FinderBudgetError as err:
                 rejections.update(err.rejections)
                 partial = True

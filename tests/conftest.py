@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from ap3.field import FieldParams, Subspace, enumerate_bases
+from ap3.field import FieldParams, Subspace, enumerate_bases, sample_uniform_subspace
+from ap3.finder import (
+    DEFAULT_MAX_ATTEMPTS,
+    FinderBudgetError,
+    GoodSubspace,
+    is_dense,
+    separates,
+)
 from ap3.spectral import DenseFunction
 
 
@@ -37,6 +44,39 @@ def lambda3_rolled(f1, f2, f3):
 def all_subspaces(params: FieldParams, dim: int) -> list[Subspace]:
     """enumerate_bases' stack as Subspace objects, in its order."""
     return [Subspace(params, tuple(map(tuple, b))) for b in enumerate_bases(params, dim).tolist()]
+
+
+def coset_sums(g: DenseFunction, V: Subspace) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, sums) for the cosets of W = V-perp: labels[x] = V.labels(x)
+    names the coset x + W and sums[labels[x]] is the total of g over it.  The
+    per-subspace oracle for the finder's coset_labels and its density sums."""
+    labels = V.labels()
+    return labels, np.bincount(labels, weights=g.values, minlength=V.size)
+
+
+def reference_find(A, g, rng, nprime, max_attempts=DEFAULT_MAX_ATTEMPTS) -> GoodSubspace:
+    """The per-attempt finder, an oracle for find_good_subspace's stream: one
+    sample_uniform_subspace draw per attempt, tested by W.is_direct(),
+    separates(W, A) and the coset sums over W.complement().labels(), for the
+    values g.  Its coset labels are V.labels(), so its dense mask is the
+    stream's up to a renumbering of the cosets."""
+    params = g.params
+    rejections = {"separation": 0, "coset_density": 0, "direct_sum": 0}
+    for attempt in range(1, max_attempts + 1):
+        W = sample_uniform_subspace(params, nprime, rng)
+        if not W.is_direct():
+            rejections["direct_sum"] += 1
+            continue
+        if not separates(W, A):
+            rejections["separation"] += 1
+            continue
+        labels, sums = coset_sums(g, W.complement())
+        dense = is_dense(sums, g.mean(), W.size)
+        if dense.sum() * W.size < params.F / 4.0:
+            rejections["coset_density"] += 1
+            continue
+        return GoodSubspace(W, dense, labels, attempt, rejections)
+    raise FinderBudgetError(f"no good subspace in {max_attempts} attempts", rejections)
 
 
 @pytest.fixture

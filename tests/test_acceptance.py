@@ -15,6 +15,7 @@ from ap3.cli import main as cli_main
 from ap3.experiment import ExperimentConfig, run_experiment
 from ap3.field import FieldParams, Subspace
 from ap3.finder import (
+    CandidateStream,
     choose_dimension,
     estimate_condition_probabilities,
     find_good_subspace,
@@ -239,8 +240,7 @@ def test_averaging_identity(announce):
         f = DenseFunction.make(params, rng.random(params.F))
         spectrum = dft(f)
         A = spectrum.top_places(k)
-        ones = DenseFunction.constant(params, 1.0)
-        good = find_good_subspace(A, ones, rng)
+        good = find_good_subspace(CandidateStream(params, A, rng), np.ones(params.F))
         frame = SubspaceFrame.build(spectrum, good.W)
         sigma = spectrum.sigma(k)
         total = float(translate_scores(frame, A, np.arange(params.F)).sum())
@@ -272,8 +272,7 @@ def test_context_invariants(announce):
         f = DenseFunction.make(params, rng.random(params.F))
         spectrum = dft(f)
         A = spectrum.top_places(2)
-        ones = DenseFunction.constant(params, 1.0)
-        good = find_good_subspace(A, ones, rng)
+        good = find_good_subspace(CandidateStream(params, A, rng), np.ones(params.F))
         scores = coset_scores(tail_energy(spectrum, A), good)
         t, _ = select_translate(scores, good.coset_labels, good.dense, spectrum.sigma(2), 0.0)
         ctx = build_context(f, A, good.W, t)

@@ -260,7 +260,9 @@ def test_run_experiment_estimates_draw_each_subspace_once(monkeypatch):
     original = ap3.finder.sample_uniform_bases
 
     def counted(params, dim, count, rng):
-        draws.append((sys._getframe(1).f_code.co_name, count))
+        caller = sys._getframe(1).f_code.co_name
+        if caller == "estimate_condition_probabilities":  # not the finder's stream
+            draws.append((caller, count))
         return original(params, dim, count, rng)
 
     monkeypatch.setattr(ap3.finder, "sample_uniform_bases", counted)

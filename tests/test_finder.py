@@ -1,4 +1,6 @@
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -7,7 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ap3.finder
+import ap3.midpoint
 from ap3.bounds import density_floor
+from ap3.experiment import load_config_file, run_experiment
 from ap3.field import (
     EnumerationCapError,
     FieldParams,
@@ -15,20 +19,22 @@ from ap3.field import (
     InfeasibleError,
     Subspace,
     basis_labels,
+    coset_labels,
     enumerate_bases,
     rref,
     sample_uniform_bases,
     sample_uniform_subspace,
 )
 from ap3.finder import (
+    CandidateStream,
     FinderBudgetError,
     chebyshev_moments,
     choose_dimension,
     coset_sum,
-    coset_sums,
     estimate_condition_probabilities,
     find_good_subspace,
     is_dense,
+    screen,
     separates,
     separating,
 )
@@ -36,7 +42,9 @@ from ap3.functions import indicator
 from ap3.midpoint import run_depletion
 from ap3.spectral import DenseFunction, difference_set
 
-from conftest import all_subspaces, random_function
+from conftest import all_subspaces, coset_sums, random_function, reference_find
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.mark.parametrize(
@@ -89,6 +97,9 @@ def test_coset_sum_matches_coset_sums(pn, seed, data):
     t = data.draw(st.integers(0, params.F - 1))
     labels, sums = coset_sums(g, W.complement())
     assert coset_sum(g.values, W.coset(t)) == sums[labels[t]]
+    # the finder's labels sum each coset in the same ascending order
+    (fast,) = coset_labels(params, W.matrix[None])
+    assert coset_sum(g.values, W.coset(t)) == np.bincount(fast, weights=g.values)[fast[t]]
 
 
 def test_sampled_estimators_read_one_coset(p33, rng, monkeypatch):
@@ -106,7 +117,7 @@ def test_sampled_estimators_read_one_coset(p33, rng, monkeypatch):
     g = random_function(p33, rng)
     estimate_condition_probabilities(1, A=np.array([0, 1]), g=g, trials=20, rng=rng)
     estimate_condition_probabilities(2, A=np.array([0, 1]), g=g, trials=20, rng=rng)
-    find_good_subspace(np.array([0, 1]), g, rng)
+    find_good_subspace(CandidateStream(p33, np.array([0, 1]), rng), g.values)
     f = DenseFunction.make(p33, np.maximum(g.values, 0.5))
     run_depletion(f, g, k=2, delta=1.0, rng=rng)
     assert calls == []
@@ -173,30 +184,149 @@ def test_direct_sum_matches_isotropy_oracle(p, n):
     assert isotropic > 0
 
 
-def test_find_good_subspace_builds_one_complement(p33, monkeypatch):
-    # V = W-perp is built only for the W that passes direct sum and separation
-    calls = []
-    original = Subspace.complement
+def find(A, g, rng, nprime=None, max_attempts=256):
+    """find_good_subspace on a stream of its own."""
+    return find_good_subspace(CandidateStream(g.params, A, rng, nprime), g.values, max_attempts)
 
-    def counted(self):
-        calls.append(self)
-        return original(self)
 
-    monkeypatch.setattr(Subspace, "complement", counted)
-    rng = np.random.default_rng(7)
-    g = DenseFunction.constant(p33, 1.0)
+def test_find_good_subspace_labels_only_candidates_that_pass(p33, monkeypatch):
+    # the stream labels a W only once it is direct and separates A
+    labelled = []
+
+    def counted(params, bases):
+        labelled.extend(Subspace(params, tuple(map(tuple, b))) for b in bases.tolist())
+        return coset_labels(params, bases)
+
+    monkeypatch.setattr(ap3.finder, "coset_labels", counted)
+    A = np.array([0, 1, 3])
+    stream = CandidateStream(p33, A, np.random.default_rng(7), nprime=1)
     rejected = 0
     for _ in range(20):
-        found = find_good_subspace(np.array([0, 1, 3]), g, rng, nprime=1)
-        assert calls.pop() is found.W and calls == []
+        found = find_good_subspace(stream, np.ones(p33.F))
         rejected += found.rejections["direct_sum"] + found.rejections["separation"]
-    assert rejected > 0
+    assert rejected > 0 and found.W in labelled
+    assert all(W.is_direct() and separates(W, A) for W in labelled)
+
+
+def test_lazy_run_draws_at_most_twice_the_attempts_it_uses(monkeypatch):
+    # blocks double from one draw, so a run that needs one W draws about one
+    draws, attempts = [], []
+    real_draw, real_find = ap3.finder.sample_uniform_bases, ap3.midpoint.find_good_subspace
+
+    def counted(params, dim, count, rng):
+        if sys._getframe(1).f_code.co_name != "estimate_condition_probabilities":
+            draws.append(count)
+        return real_draw(params, dim, count, rng)
+
+    def used(*args):
+        found = real_find(*args)
+        attempts.append(found.attempts)
+        return found
+
+    monkeypatch.setattr(ap3.finder, "sample_uniform_bases", counted)
+    monkeypatch.setattr(ap3.midpoint, "find_good_subspace", used)
+    (config,) = load_config_file(str(CONFIGS / "dense_theorem_p5_n4_lazy.json"))
+    _, code = run_experiment(config)
+    assert code == 0 and attempts
+    assert sum(draws) <= 2 * sum(attempts)
+
+
+def assert_same_find(found, reference):
+    """The stream's accepted W, attempts and rejections are the reference's, and
+    its labels split F into the reference's cosets with the same dense mask."""
+    assert found.W == reference.W
+    assert (found.attempts, found.rejections) == (reference.attempts, reference.rejections)
+    assert found.dense.size == reference.dense.size
+    pairs = np.unique(np.stack([found.coset_labels, reference.coset_labels]), axis=1)
+    assert pairs.shape[1] == reference.dense.size
+    assert np.array_equal(found.dense[found.coset_labels], reference.dense[reference.coset_labels])
+
+
+@pytest.mark.parametrize(("p", "n", "k"), [(3, 3, 2), (3, 4, 3), (5, 3, 3), (7, 2, 2)])
+def test_shared_stream_equals_the_per_attempt_reference(p, n, k):
+    # consecutive calls on one stream accept what a finder drawing one W per
+    # attempt accepts from a copy of the rng, with g_i depleted between calls
+    params = FieldParams(p, n)
+    g = random_function(params, np.random.default_rng(p * 100 + n))
+    A = g.spectrum.top_places(k)
+    nprime = choose_dimension(k, params)
+    stream = CandidateStream(params, A, np.random.default_rng(5), nprime)
+    reference_rng = np.random.default_rng(5)
+    gi = g.values.copy()
+    for _ in range(params.F // 3):
+        found = find_good_subspace(stream, gi)
+        reference = reference_find(A, DenseFunction.make(params, gi), reference_rng, nprime)
+        assert_same_find(found, reference)
+        gi[int(np.argmax(gi))] = 0.0
+
+
+def test_a_budget_spent_mid_block_leaves_the_stream_in_step(p33, monkeypatch):
+    # a point mass fails coset density on every line: 5 attempts read blocks of
+    # 1, 2 and 4 draws, so the spent call leaves two tested draws in the stream
+    draws = []
+    real_draw = ap3.finder.sample_uniform_bases
+
+    def counted(params, dim, count, rng):
+        draws.append(count)
+        return real_draw(params, dim, count, rng)
+
+    monkeypatch.setattr(ap3.finder, "sample_uniform_bases", counted)
+    A, point, ones = np.array([0]), indicator(p33, [0]), DenseFunction.constant(p33, 1.0)
+    stream = CandidateStream(p33, A, np.random.default_rng(11), nprime=1)
+    reference_rng = np.random.default_rng(11)
+    with pytest.raises(FinderBudgetError) as spent:
+        find_good_subspace(stream, point.values, max_attempts=5)
+    with pytest.raises(FinderBudgetError) as oracle:
+        reference_find(A, point, reference_rng, 1, max_attempts=5)
+    assert spent.value.rejections == oracle.value.rejections
+    assert sum(spent.value.rejections.values()) == 5 and len(draws) == 7
+    for _ in range(3):
+        found = find_good_subspace(stream, ones.values)
+        assert_same_find(found, reference_find(A, ones, reference_rng, 1))
+
+
+def test_the_whole_space_has_one_coset(p33, rng):
+    # nprime = n: |V| = 1, no complement rows, every label 0
+    A = np.array([0, 5, 7])
+    g = random_function(p33, rng)
+    found = find_good_subspace(CandidateStream(p33, A, np.random.default_rng(3), 3), g.values)
+    assert found.W.size == p33.F and found.attempts == 1
+    assert found.dense.tolist() == [True] and not found.coset_labels.any()
+    assert_same_find(found, reference_find(A, g, np.random.default_rng(3), 3))
+
+
+def check_labels(labels, W):
+    """labels name the cosets of W: each of the |V| labels is hit |W| times,
+    and the cosets are those W.complement().labels() names."""
+    V = W.complement()
+    assert labels.min() >= 0 and labels.max() < V.size
+    assert np.bincount(labels, minlength=V.size).tolist() == [W.size] * V.size
+    assert np.unique(np.stack([labels, V.labels()]), axis=1).shape[1] == V.size
+
+
+@pytest.mark.parametrize(("p", "n", "d"), [(3, 3, 1), (3, 3, 2), (5, 2, 1), (3, 4, 2), (7, 2, 1)])
+def test_screen_matches_the_per_subspace_oracles(p, n, d):
+    params = FieldParams(p, n)
+    bases = enumerate_bases(params, d)
+    spaces = all_subspaces(params, d)
+    A = np.random.default_rng(p * 100 + n * 10 + d).choice(params.F, size=3, replace=False)
+    direct, separated, labels = screen(params, bases, A)
+    assert direct.tolist() == [W.is_direct() for W in spaces]
+    assert direct.tolist() == [separates(W, W.members()) for W in spaces]
+    assert separated.tolist() == [separates(W, A) for W in spaces]
+    assert 0 < separated.sum() < len(spaces)
+    passing = [W for W, ok in zip(spaces, direct & separated) if ok]
+    assert len(labels) == len(passing) > 0
+    for row, W in zip(labels, passing):
+        check_labels(row, W)
+    for row, W in zip(coset_labels(params, bases), spaces):
+        check_labels(row, W)
 
 
 def test_find_good_subspace_basic(p33, rng):
     g = DenseFunction.constant(p33, 1.0)
     A = np.array([0, 1, 2], dtype=np.int64)
-    found = find_good_subspace(A, g, rng, nprime=1)
+    found = find(A, g, rng, nprime=1)
     _verify_good(found, A, g, p33)
     assert found.attempts <= 256
 
@@ -205,14 +335,14 @@ def test_find_good_subspace_default_dimension(rng):
     params = FieldParams(3, 4)
     g = DenseFunction.constant(params, 1.0)
     for A in ([0, 1, 2], [0, 1, 2, 3, 4]):
-        found = find_good_subspace(np.array(A), g, rng)
+        found = find(np.array(A), g, rng)
         assert found.W.dim == choose_dimension(len(A), params)
-    assert find_good_subspace(np.array([0, 1, 2]), g, rng, nprime=3).W.dim == 3
+    assert find(np.array([0, 1, 2]), g, rng, nprime=3).W.dim == 3
 
 
 def test_find_good_subspace_singleton(p33, rng):
     g = DenseFunction.constant(p33, 0.8)
-    found = find_good_subspace(np.array([0]), g, rng)
+    found = find(np.array([0]), g, rng)
     _verify_good(found, np.array([0]), g, p33)
 
 
@@ -228,7 +358,7 @@ def test_find_good_subspace_success_rate(p33):
         g = DenseFunction.make(p33, vals)
         A = rng.choice(p33.F, size=2, replace=False).astype(np.int64)
         try:
-            find_good_subspace(A, g, rng, max_attempts=10)
+            find(A, g, rng, max_attempts=10)
             successes += 1
         except FinderBudgetError:
             pass
@@ -244,7 +374,7 @@ def test_find_good_subspace_success_rate(p33):
 def test_find_good_subspace_budget_error(rng, n, members):
     g = indicator(FieldParams(3, n), members)
     with pytest.raises(FinderBudgetError) as exc:
-        find_good_subspace(np.array([0]), g, rng, nprime=1, max_attempts=16)
+        find(np.array([0]), g, rng, nprime=1, max_attempts=16)
     # every attempt is rejected; isotropic draws fall to direct_sum first
     assert sum(exc.value.rejections.values()) == 16
     assert exc.value.rejections["separation"] == 0

@@ -17,10 +17,11 @@ from ap3.experiment import ExperimentConfig, load_config_file, run_experiment
 from ap3.field import FieldParams, Subspace, sample_uniform_subspace
 from ap3.finder import (
     DEFAULT_MAX_ATTEMPTS,
+    CandidateStream,
     FinderBudgetError,
     GoodSubspace,
+    choose_dimension,
     coset_sum,
-    coset_sums,
     find_good_subspace,
     is_dense,
 )
@@ -43,15 +44,14 @@ from ap3.midpoint import (
 )
 from ap3.spectral import DenseFunction, PaddedCube, _root_powers, dft
 
-from conftest import random_function
+from conftest import coset_sums, random_function, reference_find
 
 
 def separated_frame(f, k, rng):
     """A frame whose W separates the top-k places of f."""
     spectrum = dft(f)
     A = spectrum.top_places(k)
-    ones = DenseFunction.constant(f.params, 1.0)
-    good = find_good_subspace(A, ones, rng)
+    good = find_good_subspace(CandidateStream(f.params, A, rng), np.ones(f.params.F))
     return spectrum, A, good
 
 
@@ -116,11 +116,10 @@ def test_coset_scores_match_translate_scores(pn, seed):
     f = random_function(params, rng)
     spectrum = dft(f)
     A = spectrum.top_places(2)
-    ones = DenseFunction.constant(params, 1.0)
     accepted = 0
     for nprime in range(params.n + 1):
         try:
-            good = find_good_subspace(A, ones, rng, nprime=nprime)
+            good = find_good_subspace(CandidateStream(params, A, rng, nprime), np.ones(params.F))
         except FinderBudgetError:
             continue
         accepted += 1
@@ -225,7 +224,8 @@ def test_select_translate_ignores_roundoff_noise():
     x = params.digit_table()[:, 0]
     f = DenseFunction.make(params, 0.99 + 0.01 * np.cos(2 * np.pi * x / 5), unit_range=True)
     A = f.spectrum.top_places(4)
-    good = find_good_subspace(A, f, np.random.default_rng(4), nprime=2)  # five cosets
+    stream = CandidateStream(params, A, np.random.default_rng(4), nprime=2)
+    good = find_good_subspace(stream, f.values)  # five cosets
     first_dense = int(np.flatnonzero(good.dense[good.coset_labels])[0])
     roundoff = (np.finfo(float).eps * params.F * np.abs(f.values).sum()) ** 2
     energy = tail_energy(f.spectrum, A)
@@ -565,11 +565,13 @@ def reference_depletion(
     lazy step reuses (W, t) while the coset's sum, added afresh from the live
     g_i, is dense, and once it is not, the step retargets through
     select_translate over coset sums added afresh by one bincount, falling
-    back to the finder when the dense cosets cover less than F/4.  Returns
-    (steps, lambda_lower, partial, finder_calls, retargets).
+    back to the finder when the dense cosets cover less than F/4.  Its finder
+    is reference_find, one draw per attempt from rng.  Returns (steps,
+    lambda_lower, partial, finder_calls, retargets).
     """
     params = f.params
     F = params.F
+    dim = choose_dimension(k, params) if nprime is None else nprime
     spectrum = f.spectrum
     sigma_k = spectrum.sigma(k)
     A = spectrum.top_places(k)
@@ -601,8 +603,8 @@ def reference_depletion(
             if dense is None:
                 calls += 1
                 try:
-                    good = find_good_subspace(
-                        A, DenseFunction.make(params, gi), rng, nprime, max_attempts
+                    good = reference_find(
+                        A, DenseFunction.make(params, gi), rng, dim, max_attempts
                     )
                 except FinderBudgetError:
                     partial = True

@@ -17,7 +17,7 @@ import ap3.field
 from ap3.cli import main
 from ap3.experiment import build_recipe, derive_minorant, load_config_file, resolve_delta
 from ap3.field import FieldParams, basis_labels, sample_uniform_subspace
-from ap3.finder import find_good_subspace
+from ap3.finder import CandidateStream, find_good_subspace
 from ap3.lambda3 import (
     endpoint_pair_count,
     lambda3_brute,
@@ -83,7 +83,8 @@ def test_fast_path_without_table(pn, monkeypatch):
         tables = {o: pair_table(f.spectrum, o) for o in ("fgf", "gff")}
         spectral = lambda3_spectral(f, g, f)
         energy = tail_energy(f.spectrum, A)
-        found = find_good_subspace(A, g, np.random.default_rng(1), nprime=1)
+        stream = CandidateStream(params, A, np.random.default_rng(1), nprime=1)
+        found = find_good_subspace(stream, g.values)
         scores = coset_scores(energy, found)
         labels_all, coset = W.labels(), W.coset(t)
         labels_A = basis_labels(params, W.matrix, A)
