@@ -32,14 +32,15 @@ def check_brute_budget(params: FieldParams) -> None:
 def scale_table(params: FieldParams, c: int) -> np.ndarray:
     """Index map a -> c a; c = -2 gives the partner of a in the spectral identity.
 
-    Scaling acts digit by digit, so the map is the index cube (p,)*n with the
-    digit permutation k -> c k mod p taken along each axis in turn.
+    Scaling acts digit by digit through the permutation k -> c k mod p, so the
+    table is built one digit at a time, lowest first: after digit i it maps
+    every index below p^(i+1), and the passes write about F p / (p - 1) entries.
     """
-    perm = (c * np.arange(params.p)) % params.p
-    table = np.arange(params.F, dtype=np.int64).reshape((params.p,) * params.n)
-    for axis in range(params.n):
-        table = np.take(table, perm, axis=axis)
-    return table.reshape(-1)
+    perm = (c * np.arange(params.p, dtype=np.int64)) % params.p
+    table = np.zeros(1, dtype=np.int64)
+    for i in range(params.n):
+        table = (perm[:, None] * params.p**i + table[None, :]).reshape(-1)
+    return table
 
 
 def _difference_index(p: int, k: int, b: np.ndarray) -> np.ndarray:

@@ -59,7 +59,7 @@ from .finder import (
 )
 from .functions import convolve_direct, indicator
 from .lambda3 import pair_table
-from .spectral import DenseFunction, PaddedCube, Spectrum, _root_powers
+from .spectral import DenseFunction, PaddedCube, Spectrum, _root_powers, axis_transforms
 
 HHAT_TOLERANCE = 1e-8
 INVARIANT_TOLERANCE = 1e-9
@@ -142,7 +142,7 @@ def tail_energy(spectrum: Spectrum, A: np.ndarray) -> np.ndarray:
     params = spectrum.params
     coeffs = spectrum.coeffs.copy()
     coeffs[np.asarray(A, dtype=np.int64)] = 0.0
-    tail = np.fft.fftn(coeffs.reshape((params.p,) * params.n)).reshape(-1)
+    tail = axis_transforms(params, coeffs, np.fft.fft)
     # not np.abs(tail) ** 2, whose last bits depend on numpy's SIMD dispatch
     return tail.real**2 + tail.imag**2
 

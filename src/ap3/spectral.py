@@ -2,9 +2,9 @@
 
 Convention: fhat(a) = sum_m f(m) w^(a.m) with w = exp(2*pi*i/p) and a.m the
 coordinate dot product mod p.  Inversion is f(m) = F^(-1) sum_a fhat(a) w^(-a.m).
-The fast path reshapes to a (p,)*n cube and transforms one axis per coordinate;
-a naive O(F^2) evaluator written straight from the definition serves as the
-independent oracle.
+The fast path, axis_transforms, transforms one digit per pass over a
+contiguous (F/p, p) view; a naive O(F^2) evaluator written straight from the
+definition serves as the independent oracle.
 """
 
 from __future__ import annotations
@@ -81,8 +81,15 @@ class DenseFunction:
         params = FieldParams.from_json_dict(data)
         raw = data["values"]
         values = np.array(raw)
-        # checked per element: numpy reads a bool among numbers as 0 or 1
-        if values.ndim != 1 or values.dtype.kind not in "iuf" or bool in set(map(type, raw)):
+        # numpy reads a bool among numbers as 0 or 1, so the elements are checked,
+        # but only when the text could hold JSON's true or false: finding a 't'
+        # or an 'f' is a memchr, while searching for the words costs as much as
+        # the scan
+        if (
+            values.ndim != 1
+            or values.dtype.kind not in "iuf"
+            or (("t" in text or "f" in text) and bool in set(map(type, raw)))
+        ):
             raise ValueError("'values' must be a flat list of numbers")
         return cls.make(params, values)
 
@@ -170,9 +177,11 @@ class Spectrum:
         tails.setflags(write=False)
         return tails
 
-    @property
+    @cached_property
     def magnitudes(self) -> np.ndarray:
-        return np.abs(self.coeffs)
+        mags = np.abs(self.coeffs)
+        mags.setflags(write=False)
+        return mags
 
     def sigma(self, k: int) -> float:
         """Energy outside the top-k coefficients."""
@@ -208,9 +217,28 @@ class Spectrum:
         return buf.getvalue()
 
 
+def axis_transforms(params: FieldParams, values: np.ndarray, transform) -> np.ndarray:
+    """transform (np.fft.fft or np.fft.ifft) along every digit of the flat values.
+
+    Each pass transforms the last axis of a contiguous (F/p, p) view, which
+    holds the lowest digit not yet transformed, then moves that digit to the
+    front with one transpose copy; after n passes the digits are back in
+    place.  These are the 1-D transforms fftn runs on the (p,)*n cube, on the
+    same fibres in the same order (last axis first), so the result equals
+    fftn's bit for bit; the passes read contiguous memory where fftn strides.
+    A pass's input is dropped before its copy, so at most two F-sized arrays
+    are held beside values.
+    """
+    out = values
+    for _ in range(params.n):
+        out = transform(out.reshape(-1, params.p))
+        out = out.T.copy()
+    return out.reshape(-1)
+
+
 def dft(f: DenseFunction) -> Spectrum:
-    """fhat(a) = sum_m f(m) w^(a.m), one axis transform per coordinate."""
-    coeffs = (np.fft.ifftn(f.cube()) * f.params.F).reshape(-1)
+    """fhat(a) = sum_m f(m) w^(a.m): the inverse transform along every digit, times F."""
+    coeffs = axis_transforms(f.params, f.values, np.fft.ifft) * f.params.F
     coeffs.setflags(write=False)
     return Spectrum(f.params, coeffs)
 
@@ -230,8 +258,8 @@ def dft_naive(f: DenseFunction, block: int = 256) -> np.ndarray:
 
 def idft(params: FieldParams, coeffs: np.ndarray) -> DenseFunction:
     """f(m) = F^(-1) sum_a fhat(a) w^(-a.m); the imaginary residue must vanish."""
-    cube = np.asarray(coeffs, dtype=np.complex128).reshape((params.p,) * params.n)
-    values = np.fft.fftn(cube).reshape(-1) / params.F
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    values = axis_transforms(params, coeffs, np.fft.fft) / params.F
     residue = float(np.abs(values.imag).max()) if params.F else 0.0
     if residue > IMAG_TOLERANCE:
         raise ValueError(f"imaginary residue {residue} exceeds {IMAG_TOLERANCE}")

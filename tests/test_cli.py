@@ -179,6 +179,19 @@ def test_lambda3_rejects_bad_field_in_file(capsys, tmp_path, data):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("note", [True, "false"], ids=["bool", "string"])
+def test_a_bool_outside_the_values_leaves_them_loaded(tmp_path, rng, note):
+    """A 't' or an 'f' in the text sends the loader to its per-element bool
+    scan; a true or false outside 'values' must not refuse the file or move a
+    value."""
+    f = random_function(FieldParams(3, 3), rng)
+    path = tmp_path / "fn.json"
+    path.write_text(json.dumps({"p": 3, "n": 3, "values": f.values.tolist(), "note": note}))
+    loaded = ap3.cli._load_function(str(path), None, None)
+    assert loaded.params == f.params
+    assert np.array_equal(loaded.values, f.values)
+
+
 @pytest.mark.parametrize(
     "argv,named",
     [

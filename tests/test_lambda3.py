@@ -264,8 +264,10 @@ def test_lambda3_sums_midpoint_counts(p33, rng):
     assert lambda3_brute(g, f, f) == pytest.approx(total_end / p33.F**2, abs=1e-10)
 
 
-@pytest.mark.parametrize(("p", "n"), [(3, 1), (3, 4), (5, 1), (5, 3), (7, 2)])
-@pytest.mark.parametrize("c", [-2, -1, 2])
+@pytest.mark.parametrize(
+    ("p", "n"), [(3, 1), (3, 4), (3, 9), (5, 1), (5, 3), (7, 2), (13, 2), (101, 2)]
+)
+@pytest.mark.parametrize("c", [-2, -1, 2, 3])
 def test_scale_table_matches_digit_table_oracle(p, n, c):
     params = FieldParams(p, n)
     D = params.digit_table()

@@ -7,6 +7,7 @@ from ap3.field import FieldParams, Subspace
 from ap3.spectral import (
     DenseFunction,
     PaddedCube,
+    axis_transforms,
     dft,
     dft_naive,
     difference_set,
@@ -70,6 +71,34 @@ def test_spectrum_is_cached_transform(p33, rng):
     f = random_function(p33, rng)
     assert f.spectrum is f.spectrum
     assert np.array_equal(f.spectrum.coeffs, dft(f).coeffs)
+
+
+def test_magnitudes_are_cached_and_read_only(p33, rng):
+    s = dft(random_function(p33, rng))
+    assert s.magnitudes is s.magnitudes
+    assert not s.magnitudes.flags.writeable
+    assert np.array_equal(s.magnitudes, np.abs(s.coeffs))
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 6), (3, 9), (5, 4), (7, 3), (13, 2), (101, 2)])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize(
+    "transform,cube_transform",
+    [(np.fft.fft, np.fft.fftn), (np.fft.ifft, np.fft.ifftn)],
+    ids=["fft", "ifft"],
+)
+def test_axis_transforms_equal_the_cube_transform_bit_for_bit(
+    p, n, kind, transform, cube_transform, rng
+):
+    """The contiguous passes run fftn's 1-D transforms on the same fibres in
+    the same order, so not even the last bit may differ; the (p,)*n cube
+    transform is the oracle."""
+    params = FieldParams(p, n)
+    values = rng.uniform(-1.0, 1.0, params.F)
+    if kind == "complex":
+        values = values + 1j * rng.uniform(-1.0, 1.0, params.F)
+    expected = cube_transform(values.reshape((p,) * n)).reshape(-1)
+    assert np.array_equal(axis_transforms(params, values, transform), expected)
 
 
 def test_idft_of_spike_is_constant(p33):
