@@ -34,8 +34,8 @@ from .experiment import (
     report_json,
     run_config,
 )
-from .field import DEFAULT_ENUMERATION_CAP, EnumerationCapError, FieldParams
-from .finder import choose_dimension, estimate_condition_probabilities
+from .field import FieldParams
+from .finder import EstimateBudgetError, choose_dimension, estimate_condition_probabilities
 from .lambda3 import (
     AGREEMENT_TOLERANCE,
     check_brute_budget,
@@ -127,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     es.add_argument("--trials", type=_positive_int, default=1000)
     es.add_argument("--exhaustive", action="store_true")
     es.add_argument("--seed", type=_seed_type, default=0)
-    es.add_argument("--cap", type=_positive_int, default=DEFAULT_ENUMERATION_CAP, help="exhaustive enumeration cap")
     es.add_argument("--out", help="output directory (default: stdout)")
     return parser
 
@@ -255,7 +254,6 @@ def _estimate_row(
     lemma: str,
     trials: int,
     exhaustive: bool,
-    cap: int,
     child: np.random.SeedSequence,
 ) -> dict:
     rng = np.random.default_rng(child)
@@ -263,7 +261,7 @@ def _estimate_row(
     g = DenseFunction.make(params, rng.uniform(0.0, 1.0, params.F))
     A = rng.choice(params.F, size=k, replace=False).astype(np.int64)
     est = estimate_condition_probabilities(
-        nprime, A=A, g=g, trials=trials, rng=rng, exhaustive=exhaustive, cap=cap
+        nprime, A=A, g=g, trials=trials, rng=rng, exhaustive=exhaustive
     )
     figures = asdict(est)
     figures["separation_bound"] = 1.0 - math.comb(k, 2) * float(params.p) ** (-nprime)
@@ -283,7 +281,7 @@ def cmd_estimate(args) -> int:
     params = FieldParams(args.p, args.n)
     children = np.random.SeedSequence(args.seed).spawn(len(args.k))
     rows = [
-        _estimate_row(params, k, args.lemma, args.trials, args.exhaustive, args.cap, child)
+        _estimate_row(params, k, args.lemma, args.trials, args.exhaustive, child)
         for k, child in zip(args.k, children)
     ]
     buf = io.StringIO()
@@ -313,7 +311,7 @@ def main(argv=None) -> int:
         if made:  # an unusable --out fails before any command runs
             os.makedirs(args.out)
         return handlers[args.command](args)
-    except (ValueError, EnumerationCapError, OSError, MemoryError) as exc:
+    except (ValueError, EstimateBudgetError, OSError, MemoryError) as exc:
         # ValueError covers ConfigError and InfeasibleError
         print(f"ap3 {args.command}: error: {exc}", file=sys.stderr)
         for path in made:  # a refused command leaves no empty directory it made

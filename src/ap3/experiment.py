@@ -30,8 +30,8 @@ from .bounds import (
     plugin_delta,
     quasinorm_regime_bound,
 )
-from .field import DEFAULT_ENUMERATION_CAP, EnumerationCapError, FieldParams, Subspace, is_integral
-from .finder import DEFAULT_MAX_ATTEMPTS, choose_dimension, estimate_condition_probabilities
+from .field import FieldParams, Subspace, is_integral
+from .finder import EstimateBudgetError, choose_dimension, estimate_condition_probabilities
 from .functions import indicator, normalized_conv_power, random_set
 from .lambda3 import (
     AGREEMENT_TOLERANCE,
@@ -206,11 +206,9 @@ class ExperimentConfig:
     gamma: float | None
     ordering: str
     refresh: str
-    max_attempts: int
     nprime: int | None
     trials: int
     exhaustive: bool
-    enumeration_cap: int
     label: str
 
     @classmethod
@@ -272,11 +270,6 @@ class ExperimentConfig:
         label = "" if raw.get("label") is None else raw["label"]
         if not isinstance(label, str):
             raise ConfigError(f"field 'label' must be a string, got {label!r}")
-        limits = {"max_attempts": DEFAULT_MAX_ATTEMPTS, "enumeration_cap": DEFAULT_ENUMERATION_CAP}
-        for key, default in limits.items():
-            limits[key] = integer(key, default)
-            if limits[key] < 1:
-                raise ConfigError(f"field {key!r} must be at least 1, got {limits[key]}")
         return cls(
             p=p,
             n=n,
@@ -291,7 +284,6 @@ class ExperimentConfig:
             nprime=nprime,
             trials=trials,
             exhaustive=exhaustive,
-            **limits,
             label=label,
         )
 
@@ -453,10 +445,9 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
                 trials=config.trials,
                 rng=rng_est,
                 exhaustive=config.exhaustive,
-                cap=config.enumeration_cap,
             )
             report["estimates"] = asdict(est)
-        except (EnumerationCapError, MemoryError) as exc:
+        except (EstimateBudgetError, MemoryError) as exc:
             fail("cap", str(exc), EXIT_ERROR)
 
     oracles: dict = {}
@@ -486,7 +477,6 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
             delta,
             orderings=config.orderings,
             nprime=nprime,
-            max_attempts=config.max_attempts,
             rng=rng_depletion,
             refresh=config.refresh,
         )

@@ -14,15 +14,9 @@ from itertools import combinations
 
 import numpy as np
 
-DEFAULT_ENUMERATION_CAP = 200_000
-
 
 class ParameterError(ValueError):
     """Operands built over different field parameters."""
-
-
-class EnumerationCapError(RuntimeError):
-    """A subspace enumeration would exceed the configured cap."""
 
 
 class InfeasibleError(ValueError):
@@ -399,13 +393,9 @@ def sample_uniform_subspace(params: FieldParams, dim: int, rng: np.random.Genera
     return Subspace(params, tuple(map(tuple, basis)))
 
 
-def enumerate_bases(
-    params: FieldParams, dim: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> np.ndarray:
-    """All dim-dimensional subspaces as a (count, dim, n) RREF stack, pattern by pattern."""
-    count = gaussian_binomial(params.n, dim, params.p)
-    if count > cap:
-        raise EnumerationCapError(f"enumeration of {count} subspaces exceeds the cap of {cap}")
+def enumerate_bases(params: FieldParams, dim: int) -> np.ndarray:
+    """All gaussian_binomial(n, dim, p) dim-dimensional subspaces as a (count,
+    dim, n) RREF stack, pattern by pattern."""
     templates, masks, _ = echelon_patterns(params.p, params.n, dim)
     sizes = [params.p ** int(mask.sum()) for mask in masks]
     bases = np.repeat(templates, sizes, axis=0)

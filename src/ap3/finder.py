@@ -38,8 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import (
-    DEFAULT_ENUMERATION_CAP,
-    EnumerationCapError,
     FieldParams,
     InfeasibleError,
     Subspace,
@@ -54,14 +52,22 @@ from .field import (
 from .spectral import DenseFunction
 
 COSET_SUM_TOLERANCE = 1e-12
-DEFAULT_MAX_ATTEMPTS = 256
+# find_good_subspace's attempt budget per call.
+MAX_ATTEMPTS = 256
 # The lemma estimator scores its cosets in blocks of about this many coset
 # members, so a block's tables stay small and only X grows with the sample;
 # a CandidateStream labels at most this many elements (or one W) per block.
 BLOCK_ENTRIES = 2**14
-# Exhaustive X holds one float per coset of every enumerated W; the estimator
-# refuses before enumerating when that exceeds this many floats (256 MB).
-EXHAUSTIVE_X_FLOATS = 2**25
+# The lemma estimator's work is the coset-table entries it fills, one per
+# member of each coset it sums; it refuses a sample above this before
+# enumerating or drawing anything.  X then holds at most this many floats
+# (256 MB); at the limit one sampled call took 8.6 s on a 2-core VM.
+ESTIMATE_WORK_LIMIT = 2**25
+
+
+class EstimateBudgetError(RuntimeError):
+    """A lemma estimate would fill more coset-table entries than
+    ESTIMATE_WORK_LIMIT."""
 
 
 class FinderBudgetError(RuntimeError):
@@ -191,17 +197,15 @@ class GoodSubspace:
     rejections: dict
 
 
-def find_good_subspace(
-    stream: CandidateStream, g: np.ndarray, max_attempts: int = DEFAULT_MAX_ATTEMPTS
-) -> GoodSubspace:
-    """The first of the next max_attempts candidates of stream that passes
+def find_good_subspace(stream: CandidateStream, g: np.ndarray) -> GoodSubspace:
+    """The first of the next MAX_ATTEMPTS candidates of stream that passes
     directness, separation and coset density for the values g, or
     FinderBudgetError.  Only the density test, one bincount of g over the
     candidate's labels, runs here per attempt."""
     params, size = stream.params, stream.params.p**stream.nprime
     mean = float(g.mean())
     rejections = {"separation": 0, "coset_density": 0, "direct_sum": 0}
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, MAX_ATTEMPTS + 1):
         basis, failed, labels = next(stream)
         if failed is not None:
             rejections[failed] += 1
@@ -213,7 +217,7 @@ def find_good_subspace(
         W = Subspace(params, tuple(map(tuple, basis.tolist())))
         return GoodSubspace(W, dense, labels, attempt, rejections)
     raise FinderBudgetError(
-        f"no good subspace in {max_attempts} attempts (rejections: {rejections})",
+        f"no good subspace in {MAX_ATTEMPTS} attempts (rejections: {rejections})",
         rejections,
     )
 
@@ -257,7 +261,6 @@ def estimate_condition_probabilities(
     trials: int = 1000,
     rng: np.random.Generator | None = None,
     exhaustive: bool = False,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> LemmaEstimates:
     """Estimate P(separation) for A, and P(coset density) and the moments of X
     for g, all from one sample.
@@ -265,27 +268,31 @@ def estimate_condition_probabilities(
     Sampled mode draws (W, t) for each trial and reads only the coset t + W.
     Exhaustive mode enumerates every W of dimension nprime and reads each of
     its cosets t + W once, W-major, t over the span of the unit vectors off
-    W's pivot columns, so its frequencies are exact; it raises
-    EnumerationCapError before enumerating when X would exceed
-    EXHAUSTIVE_X_FLOATS.  Both work a block of W at a time: one table of the
-    block's cosets gives X and one table of the labels of A gives separation.
+    W's pivot columns, so its frequencies are exact.  Both work a block of W at
+    a time: one table of the block's cosets gives X and one table of the
+    labels of A gives separation.  Before either enumerates or draws, it
+    raises EstimateBudgetError when the sample's coset-table entries, count x
+    cosets x |W| (count x F exhaustive, trials x |W| sampled), exceed
+    ESTIMATE_WORK_LIMIT.
     """
     params = g.params
     size = params.p**nprime
     if exhaustive:
         count, cosets = gaussian_binomial(params.n, nprime, params.p), params.F // size
-        if count * cosets > EXHAUSTIVE_X_FLOATS:
-            raise EnumerationCapError(
-                f"exhaustive X of {count} subspaces x {cosets} cosets exceeds the budget "
-                f"of {EXHAUSTIVE_X_FLOATS} floats"
-            )
-        spaces = enumerate_bases(params, nprime, cap=cap)
     elif rng is None:
         raise ValueError("sampled mode needs an rng")
     elif trials < 1:
         raise ValueError(f"trials must be a positive integer in sampled mode, got {trials}")
     else:
         count, cosets = trials, 1
+    work = count * cosets * size
+    if work > ESTIMATE_WORK_LIMIT:
+        raise EstimateBudgetError(
+            f"estimate of {count} subspaces x {cosets} cosets x {size} members = {work} "
+            f"coset-table entries exceeds the budget of {ESTIMATE_WORK_LIMIT}"
+        )
+    if exhaustive:
+        spaces = enumerate_bases(params, nprime)
     X, hits = np.empty(count * cosets), 0
     block = max(1, BLOCK_ENTRIES // (size * cosets))
     for start in range(0, count, block):

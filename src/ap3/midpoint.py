@@ -49,7 +49,6 @@ import numpy as np
 from .bounds import HypothesisRefusal, check_hypotheses
 from .field import Subspace, check_same_params
 from .finder import (
-    DEFAULT_MAX_ATTEMPTS,
     CandidateStream,
     FinderBudgetError,
     GoodSubspace,
@@ -395,7 +394,6 @@ def run_depletion(
     delta: float,
     orderings: tuple = ("fgf",),
     nprime: int | None = None,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     rng: np.random.Generator | None = None,
     refresh: str = "always",
 ) -> tuple[DepletionRun, ...]:
@@ -425,7 +423,7 @@ def run_depletion(
     doubling block at a time, so the run draws the W sequence a finder
     drawing one W per attempt would, and a window opens on the coset labels
     the stream gives (t + W is the x with t's label).  nprime goes to the
-    stream and max_attempts to each finder call.  No run measures Lambda3 or judges its steps: the caller checks
+    stream.  No run measures Lambda3 or judges its steps: the caller checks
     lambda_lower and pair_weight against its own oracle and asserts
     certificates_ok, so a run with a broken step is still returned whole.
     Each step checks its own coset, so the run goes on below the density
@@ -479,7 +477,7 @@ def run_depletion(
         else:
             finder_calls += 1
             try:
-                good = find_good_subspace(stream, gi, max_attempts)
+                good = find_good_subspace(stream, gi)
             except FinderBudgetError as err:
                 rejections.update(err.rejections)
                 partial = True

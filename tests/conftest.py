@@ -3,7 +3,7 @@ import pytest
 
 from ap3.field import FieldParams, Subspace, enumerate_bases, sample_uniform_subspace
 from ap3.finder import (
-    DEFAULT_MAX_ATTEMPTS,
+    MAX_ATTEMPTS,
     FinderBudgetError,
     GoodSubspace,
     is_dense,
@@ -54,7 +54,7 @@ def coset_sums(g: DenseFunction, V: Subspace) -> tuple[np.ndarray, np.ndarray]:
     return labels, np.bincount(labels, weights=g.values, minlength=V.size)
 
 
-def reference_find(A, g, rng, nprime, max_attempts=DEFAULT_MAX_ATTEMPTS) -> GoodSubspace:
+def reference_find(A, g, rng, nprime, max_attempts=MAX_ATTEMPTS) -> GoodSubspace:
     """The per-attempt finder, an oracle for find_good_subspace's stream: one
     sample_uniform_subspace draw per attempt, tested by W.is_direct(),
     separates(W, A) and the coset sums over W.complement().labels(), for the

@@ -288,6 +288,11 @@ def test_usage_error_is_64(capsys):
               "--p", "3", "--n", "2", "--force"])
     assert exc4.value.code == 64
     capsys.readouterr()
+    # nor does the estimator's: it prices its own work
+    with pytest.raises(SystemExit) as exc5:
+        main(["estimate", "--p", "3", "--n", "3", "--k", "2", "--cap", "5"])
+    assert exc5.value.code == 64
+    assert "unrecognized arguments: --cap 5" in capsys.readouterr().err
 
 
 def test_verify_pass_and_overrides(capsys, tmp_path):
@@ -390,7 +395,7 @@ def test_verify_bundled_budget_config(capsys):
 
 def test_verify_bundled_cap_config(capsys):
     code, _, err = run_cli(
-        capsys, "verify", "--config", "configs/cap_exhaustive_demo.json"
+        capsys, "verify", "--config", "configs/cap_estimate_demo.json"
     )
     assert code == 1
     assert "FAIL(exit 1)" in err
@@ -503,16 +508,17 @@ def test_verify_non_object_config(capsys, tmp_path, raw):
         ({"seed": 1.5}, [], "'seed'"),
         ({"nprime": 1.5}, [], "'nprime'"),
         ({"trials": 2.5}, [], "'trials'"),
-        ({"max_attempts": "7"}, [], "'max_attempts'"),
-        ({"enumeration_cap": 10.5}, [], "'enumeration_cap'"),
+        # max_attempts and enumeration_cap are no longer fields either
+        ({"max_attempts": 64}, [], "'max_attempts'"),
+        ({"enumeration_cap": 10}, [], "'enumeration_cap'"),
         ({"delta": math.nan}, [], "'delta'"),
         ({"exhaustive": "false"}, [], "'exhaustive'"),
         # force is no longer a field: an old config that names it is refused
         ({"force": True}, [], "'force'"),
         ({"force": False}, [], "'force'"),
         ({"delta": "0.1"}, [], "'delta'"),
-        ({"max_attempts": 0}, [], "'max_attempts'"),
-        ({"enumeration_cap": 0}, [], "'enumeration_cap'"),
+        ({"max_attempts": 256}, ["--out", "out"], "'max_attempts'"),
+        ({"enumeration_cap": 200000}, ["--out", "out"], "'enumeration_cap'"),
         ({"gamma": math.inf}, [], "'gamma'"),
         ({"f": 5}, [], "'f'"),
         ({"f": "constant"}, [], "'f'"),
@@ -674,28 +680,50 @@ def test_estimate_exhaustive_csv(capsys):
     assert float(row["moment_variance"]) <= float(row["moment_variance_bound"]) + 1e-9
 
 
-def test_estimate_exhaustive_cap_is_an_error(capsys):
-    code, out, err = run_cli(
-        capsys, "estimate", "--p", "3", "--n", "4", "--k", "3", "--exhaustive", "--cap", "1"
-    )
-    assert code == 1
-    assert out == ""
-    assert "exceeds the cap of 1" in err
+def _refuse_estimate_allocation(monkeypatch):
+    """Make every routine that enumerates, draws or tables a W fail the test."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the estimator allocated past its work budget")
+
+    for name in ("enumerate_bases", "sample_uniform_bases", "coset_table"):
+        monkeypatch.setattr(ap3.finder, name, refused)
 
 
 def test_estimate_exhaustive_x_budget_is_an_error(capsys, monkeypatch):
-    # n'=1 passes the subspace cap (29,524 subspaces), but X would hold
-    # 29,524 x 19,683 coset sums, 4.6 GB: refused before anything is enumerated
-    def refused(*args, **kwargs):
-        raise AssertionError("enumerate_bases ran past the X budget")
-
-    monkeypatch.setattr(ap3.finder, "enumerate_bases", refused)
+    # 29,524 lines x 19,683 cosets of each, 4.6 GB of X: refused before
+    # anything is enumerated
+    _refuse_estimate_allocation(monkeypatch)
     code, out, err = run_cli(
         capsys, "estimate", "--p", "3", "--n", "10", "--k", "2", "--exhaustive"
     )
     assert code == 1
     assert out == ""
-    assert "29524 subspaces x 19683 cosets exceeds the budget" in err
+    assert "29524 subspaces x 19683 cosets x 3 members" in err
+
+
+@pytest.mark.parametrize(
+    "argv,sample",
+    [
+        # the 9,841 hyperplanes of F_3^9, 3 cosets each: 28.5 s when unpriced
+        (["--p", "3", "--n", "9", "--k", "50", "--exhaustive"],
+         "9841 subspaces x 3 cosets x 6561"),
+        # 100,000 draws of W = F_3^8 entire: 74 s when unpriced
+        (["--p", "3", "--n", "8", "--k", "50", "--trials", "100000"],
+         "100000 subspaces x 1 cosets x 6561"),
+        # 10^11 trials: X alone would hold 745 GiB
+        (["--p", "3", "--n", "3", "--k", "2", "--trials", "100000000000"],
+         "100000000000 subspaces x 1 cosets x 3"),
+    ],
+    ids=["exhaustive-p3-n9-k50", "sampled-p3-n8-k50", "sampled-1e11-trials"],
+)
+def test_estimate_over_budget_allocates_nothing(capsys, monkeypatch, argv, sample):
+    _refuse_estimate_allocation(monkeypatch)
+    code, out, err = run_cli(capsys, "estimate", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"ap3 estimate: error: estimate of {sample} members = ")
+    assert err.endswith(" coset-table entries exceeds the budget of 33554432\n")
 
 
 def test_estimate_k_grid_deterministic(capsys):
@@ -768,20 +796,12 @@ def test_estimate_lemma_columns_read_one_sample(capsys, sampling):
                 assert value == separation[key] == moments[key]
 
 
-@pytest.mark.parametrize(
-    "flag,value",
-    [
-        pytest.param("--trials", "0", id="0"),
-        pytest.param("--trials", "-5", id="-5"),
-        pytest.param("--cap", "0", id="cap-0"),
-        pytest.param("--cap", "-5", id="cap--5"),
-    ],
-)
-def test_estimate_rejects_nonpositive_trials(capsys, flag, value):
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_estimate_rejects_nonpositive_trials(capsys, value):
     with pytest.raises(SystemExit) as exc:
-        main(["estimate", "--p", "3", "--n", "3", "--k", "2", flag, value])
+        main(["estimate", "--p", "3", "--n", "3", "--k", "2", "--trials", value])
     assert exc.value.code == 64
-    assert f"argument {flag}: must be a positive integer" in capsys.readouterr().err
+    assert "argument --trials: must be a positive integer" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

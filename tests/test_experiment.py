@@ -50,12 +50,13 @@ def cfg(**overrides):
     return ExperimentConfig.from_dict(base)
 
 
-def test_exit_codes_rise_with_severity():
+def test_exit_codes_rise_with_severity(monkeypatch):
     assert EXIT_PASS < EXIT_ERROR < EXIT_REFUSED < EXIT_BUDGET < EXIT_ASSERTION
     # a multi-entry config exits with its worst entry's code, wherever that entry sits
+    monkeypatch.setattr(ap3.finder, "MAX_ATTEMPTS", 48)
     refused = cfg(g={"kind": "constant", "value": 0.0})
-    budget = cfg(g={"kind": "mask", "members": [0]}, max_attempts=48)
-    error = cfg(exhaustive=True, enumeration_cap=3, trials=10)
+    budget = cfg(g={"kind": "mask", "members": [0]})
+    error = cfg(trials=2**25)
     report, code = run_config([refused, budget, cfg(), error])
     assert code == EXIT_BUDGET
     assert [entry["passed"] for entry in report["entries"]] == [False, False, True, False]
@@ -283,12 +284,12 @@ def test_run_experiment_refusal():
 
 
 @pytest.mark.parametrize("ordering", ["fgf", "both"])
-def test_run_experiment_budget(ordering):
+def test_run_experiment_budget(ordering, monkeypatch):
     # the orderings share one depletion, so a spent budget is one failure
+    monkeypatch.setattr(ap3.finder, "MAX_ATTEMPTS", 48)
     config = cfg(
         f={"kind": "constant", "value": 1.0},
         g={"kind": "mask", "members": [0]},
-        max_attempts=48,
         ordering=ordering,
     )
     report, code = run_experiment(config)
@@ -301,20 +302,24 @@ def test_run_experiment_budget(ordering):
 
 
 def test_run_experiment_config_error_exit():
-    config = cfg(exhaustive=True, enumeration_cap=3, trials=10)
+    # 2^25 trials x |W| = 3 members each is over the estimator's work budget
+    config = cfg(trials=2**25)
     report, code = run_experiment(config)
     assert code == EXIT_ERROR
     assert any(f["type"] == "cap" for f in report["failures"])
 
 
 def test_exhaustive_x_budget_is_a_cap_failure(monkeypatch):
-    # 13 lines x 9 cosets of each: 117 coset sums against a budget of 10
-    monkeypatch.setattr(ap3.finder, "EXHAUSTIVE_X_FLOATS", 10)
+    # 13 lines x 9 cosets x 3 members: 351 entries against a budget of 10
+    monkeypatch.setattr(ap3.finder, "ESTIMATE_WORK_LIMIT", 10)
     report, code = run_experiment(cfg(exhaustive=True))
     assert code == EXIT_ERROR
     [failure] = report["failures"]
     assert failure["type"] == "cap"
-    assert "13 subspaces x 9 cosets exceeds the budget of 10 floats" in failure["detail"]
+    assert failure["detail"] == (
+        "estimate of 13 subspaces x 9 cosets x 3 members = 351 coset-table entries "
+        "exceeds the budget of 10"
+    )
     assert "estimates" not in report
 
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ap3.field import (
-    EnumerationCapError,
     FieldParams,
     ParameterError,
     Subspace,
@@ -168,11 +167,6 @@ def test_enumerate_matches_gaussian_binomial():
         for W in spaces:
             assert W.dim == d
             assert Subspace.from_rows(params, W.basis) == W  # each basis is its own RREF
-
-
-def test_enumeration_cap():
-    with pytest.raises(EnumerationCapError):
-        enumerate_bases(FieldParams(3, 4), 2, cap=100)
 
 
 def test_sampling_covers_all_lines(rng):

@@ -13,7 +13,6 @@ import ap3.midpoint
 from ap3.bounds import density_floor
 from ap3.experiment import load_config_file, run_experiment
 from ap3.field import (
-    EnumerationCapError,
     FieldParams,
     gaussian_binomial,
     InfeasibleError,
@@ -27,6 +26,7 @@ from ap3.field import (
 )
 from ap3.finder import (
     CandidateStream,
+    EstimateBudgetError,
     FinderBudgetError,
     chebyshev_moments,
     choose_dimension,
@@ -184,9 +184,9 @@ def test_direct_sum_matches_isotropy_oracle(p, n):
     assert isotropic > 0
 
 
-def find(A, g, rng, nprime=None, max_attempts=256):
+def find(A, g, rng, nprime=None):
     """find_good_subspace on a stream of its own."""
-    return find_good_subspace(CandidateStream(g.params, A, rng, nprime), g.values, max_attempts)
+    return find_good_subspace(CandidateStream(g.params, A, rng, nprime), g.values)
 
 
 def test_find_good_subspace_labels_only_candidates_that_pass(p33, monkeypatch):
@@ -274,8 +274,10 @@ def test_a_budget_spent_mid_block_leaves_the_stream_in_step(p33, monkeypatch):
     A, point, ones = np.array([0]), indicator(p33, [0]), DenseFunction.constant(p33, 1.0)
     stream = CandidateStream(p33, A, np.random.default_rng(11), nprime=1)
     reference_rng = np.random.default_rng(11)
-    with pytest.raises(FinderBudgetError) as spent:
-        find_good_subspace(stream, point.values, max_attempts=5)
+    with monkeypatch.context() as patch:
+        patch.setattr(ap3.finder, "MAX_ATTEMPTS", 5)
+        with pytest.raises(FinderBudgetError) as spent:
+            find_good_subspace(stream, point.values)
     with pytest.raises(FinderBudgetError) as oracle:
         reference_find(A, point, reference_rng, 1, max_attempts=5)
     assert spent.value.rejections == oracle.value.rejections
@@ -346,8 +348,9 @@ def test_find_good_subspace_singleton(p33, rng):
     _verify_good(found, np.array([0]), g, p33)
 
 
-def test_find_good_subspace_success_rate(p33):
+def test_find_good_subspace_success_rate(p33, monkeypatch):
     # random g with mean about 1/2 succeeds within 10 attempts almost surely
+    monkeypatch.setattr(ap3.finder, "MAX_ATTEMPTS", 10)
     master = np.random.default_rng(515)
     successes = 0
     runs = 1000
@@ -358,7 +361,7 @@ def test_find_good_subspace_success_rate(p33):
         g = DenseFunction.make(p33, vals)
         A = rng.choice(p33.F, size=2, replace=False).astype(np.int64)
         try:
-            find(A, g, rng, max_attempts=10)
+            find(A, g, rng)
             successes += 1
         except FinderBudgetError:
             pass
@@ -371,10 +374,11 @@ def test_find_good_subspace_success_rate(p33):
 @pytest.mark.parametrize(
     "n,members", [(3, [0]), (4, [3, 21, 24, 39, 49, 64])], ids=["point_mass", "six_points"]
 )
-def test_find_good_subspace_budget_error(rng, n, members):
+def test_find_good_subspace_budget_error(rng, monkeypatch, n, members):
     g = indicator(FieldParams(3, n), members)
+    monkeypatch.setattr(ap3.finder, "MAX_ATTEMPTS", 16)
     with pytest.raises(FinderBudgetError) as exc:
-        find(np.array([0]), g, rng, nprime=1, max_attempts=16)
+        find(np.array([0]), g, rng, nprime=1)
     # every attempt is rejected; isotropic draws fall to direct_sum first
     assert sum(exc.value.rejections.values()) == 16
     assert exc.value.rejections["separation"] == 0
@@ -619,13 +623,25 @@ def test_chebyshev_sampled_needs_rng(p33):
         estimate_condition_probabilities(1, A=np.array([0, 1]), g=g, trials=10)
 
 
-def test_enumeration_cap_propagates():
-    params = FieldParams(3, 2)
-    g = DenseFunction.constant(params, 1.0)
-    with pytest.raises(EnumerationCapError):
-        estimate_condition_probabilities(
-            1, A=np.array([0, 1]), g=g, exhaustive=True, cap=2
+@pytest.mark.parametrize("exhaustive", [True, False], ids=["exhaustive", "sampled"])
+def test_estimate_budget_boundary(monkeypatch, exhaustive):
+    # p=3, n=2, nprime=1: 4 lines x 3 cosets x 3 members exhaustive, 10 trials
+    # x 3 members sampled; work equal to the limit runs, one over is refused
+    g = DenseFunction.constant(FieldParams(3, 2), 0.5)
+    work = 36 if exhaustive else 30
+
+    def estimate():
+        return estimate_condition_probabilities(
+            1, A=np.array([0, 1]), g=g, trials=10, rng=np.random.default_rng(0),
+            exhaustive=exhaustive,
         )
+
+    monkeypatch.setattr(ap3.finder, "ESTIMATE_WORK_LIMIT", work)
+    assert estimate().trials == (4 if exhaustive else 10)
+    monkeypatch.setattr(ap3.finder, "ESTIMATE_WORK_LIMIT", work - 1)
+    message = f"= {work} coset-table entries exceeds the budget of {work - 1}$"
+    with pytest.raises(EstimateBudgetError, match=message):
+        estimate()
 
 
 def test_enumerate_bases_matches_trials():

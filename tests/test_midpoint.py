@@ -16,7 +16,6 @@ from ap3.bounds import HypothesisRefusal, delta_from_sigma, density_floor
 from ap3.experiment import ExperimentConfig, load_config_file, run_experiment
 from ap3.field import FieldParams, Subspace, sample_uniform_subspace
 from ap3.finder import (
-    DEFAULT_MAX_ATTEMPTS,
     CandidateStream,
     FinderBudgetError,
     GoodSubspace,
@@ -496,10 +495,11 @@ def test_depletion_argument_validation(p33, rng):
         run_depletion(one, one, k=2, delta=-0.1, rng=rng)
 
 
-def test_depletion_partial_on_finder_failure(p33):
+def test_depletion_partial_on_finder_failure(p33, monkeypatch):
     one = DenseFunction.constant(p33, 1.0)
     g = indicator(p33, [0])
-    (run,) = run_depletion(one, g, k=2, delta=0.0, max_attempts=32, rng=np.random.default_rng(3))
+    monkeypatch.setattr(ap3.finder, "MAX_ATTEMPTS", 32)
+    (run,) = run_depletion(one, g, k=2, delta=0.0, rng=np.random.default_rng(3))
     assert run.partial
     assert len(run.steps) == 0
     assert run.lambda_lower == 0.0
@@ -555,10 +555,7 @@ def test_tie_breaks_are_explicit_and_deterministic(pair, seed):
     assert again.steps == run.steps
 
 
-def reference_depletion(
-    f, g, k, delta, ordering="fgf", nprime=None, max_attempts=DEFAULT_MAX_ATTEMPTS, rng=None,
-    refresh="always",
-):
+def reference_depletion(f, g, k, delta, ordering="fgf", nprime=None, rng=None, refresh="always"):
     """The per-step depletion loop, an oracle for run_depletion's windows.
 
     One step per pass: m is the first largest g_i on the coset (argmax), a
@@ -603,9 +600,7 @@ def reference_depletion(
             if dense is None:
                 calls += 1
                 try:
-                    good = reference_find(
-                        A, DenseFunction.make(params, gi), rng, dim, max_attempts
-                    )
+                    good = reference_find(A, DenseFunction.make(params, gi), rng, dim)
                 except FinderBudgetError:
                     partial = True
                     break

@@ -150,8 +150,7 @@ def test_depletion_without_table(name, monkeypatch):
         g = derive_minorant(f, config.g_recipe, rng)
         delta, _ = resolve_delta(config, f.spectrum)
         runs = run_depletion(
-            f, g, config.k, delta, config.orderings, config.nprime, config.max_attempts, rng,
-            config.refresh,
+            f, g, config.k, delta, config.orderings, config.nprime, rng, config.refresh,
         )
     for run in runs:
         brute = lambda3_brute(f, g, f) if run.ordering == "fgf" else lambda3_brute(g, f, f)
