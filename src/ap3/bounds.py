@@ -69,8 +69,8 @@ def delta_from_sigma(sigma_k: float, F: int) -> float:
 def quasinorm_regime_bound(p: int, F: int, theta: float, gamma: float) -> float:
     """The stated headline floor 1e-10 p^-8 F^(-12 theta - 4 gamma).
 
-    Note this stated constant is slightly stronger than what the stepwise
-    floor yields at the paper's k = 2025 p^4 F^(4 theta + 2 gamma) for p >= 5.
+    Stronger than the stepwise floor at every odd p: at the paper's k = ceil(2025 p^4
+    F^(4 theta + 2 gamma)) and the plug-in delta it is 0.1312 p^2 times the exact floor.
     """
     return 1e-10 * p**-8.0 * F ** (-12.0 * theta - 4.0 * gamma)
 

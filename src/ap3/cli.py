@@ -3,8 +3,9 @@
 Subcommands: transform (function -> spectrum CSV), lambda3 (progression
 density with oracle cross-check), verify (config-driven end-to-end runs),
 estimate (lemma frequency sweeps over k).
+verify prices every config entry, and estimate every k, before any runs.
 
-Exit codes: 0 pass, 1 cap/IO/guardrail error, 2 hypothesis refusal,
+Exit codes: 0 pass, 1 config/IO/limit error, 2 hypothesis refusal,
 3 finder budget exhausted, 4 assertion failure, 64 usage error.
 """
 
@@ -35,7 +36,7 @@ from .experiment import (
     run_config,
 )
 from .field import FieldParams
-from .finder import EstimateBudgetError, choose_dimension, estimate_condition_probabilities
+from .finder import check_estimate_budget, choose_dimension, estimate_condition_probabilities
 from .lambda3 import (
     AGREEMENT_TOLERANCE,
     check_brute_budget,
@@ -251,13 +252,13 @@ def cmd_verify(args) -> int:
 def _estimate_row(
     params: FieldParams,
     k: int,
+    nprime: int,
     lemma: str,
     trials: int,
     exhaustive: bool,
     child: np.random.SeedSequence,
 ) -> dict:
     rng = np.random.default_rng(child)
-    nprime = choose_dimension(k, params)
     g = DenseFunction.make(params, rng.uniform(0.0, 1.0, params.F))
     A = rng.choice(params.F, size=k, replace=False).astype(np.int64)
     est = estimate_condition_probabilities(
@@ -279,10 +280,13 @@ def _estimate_row(
 
 def cmd_estimate(args) -> int:
     params = FieldParams(args.p, args.n)
+    nprimes = [choose_dimension(k, params) for k in args.k]
+    for nprime in nprimes:  # every row is priced before the first runs
+        check_estimate_budget(params, nprime, args.trials, args.exhaustive)
     children = np.random.SeedSequence(args.seed).spawn(len(args.k))
     rows = [
-        _estimate_row(params, k, args.lemma, args.trials, args.exhaustive, child)
-        for k, child in zip(args.k, children)
+        _estimate_row(params, k, nprime, args.lemma, args.trials, args.exhaustive, child)
+        for k, nprime, child in zip(args.k, nprimes, children)
     ]
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
@@ -311,8 +315,8 @@ def main(argv=None) -> int:
         if made:  # an unusable --out fails before any command runs
             os.makedirs(args.out)
         return handlers[args.command](args)
-    except (ValueError, EstimateBudgetError, OSError, MemoryError) as exc:
-        # ValueError covers ConfigError and InfeasibleError
+    except (ValueError, OSError, MemoryError) as exc:
+        # ValueError covers ConfigError, InfeasibleError and every budget refusal
         print(f"ap3 {args.command}: error: {exc}", file=sys.stderr)
         for path in made:  # a refused command leaves no empty directory it made
             with contextlib.suppress(OSError):

@@ -7,8 +7,11 @@ requested ordering, and returns a report dict whose JSON serialization is
 byte-stable for a fixed config and seed (only the "timing" key varies
 between runs).
 
-Exit codes: 0 all assertions passed, 1 cap or config error, 2 hypothesis
-refusal, 3 finder budget exhausted, 4 assertion failure.
+ExperimentConfig.from_dict refuses every limit a config decides on its own
+(brute and estimate budgets, nprime > n), so no entry of a refused config runs.
+
+Exit codes: 0 all assertions passed, 1 config error, 2 hypothesis refusal,
+3 finder budget exhausted, 4 assertion failure.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .bounds import (
     quasinorm_regime_bound,
 )
 from .field import FieldParams, Subspace, is_integral
-from .finder import EstimateBudgetError, choose_dimension, estimate_condition_probabilities
+from .finder import check_estimate_budget, choose_dimension, estimate_condition_probabilities
 from .functions import indicator, normalized_conv_power, random_set
 from .lambda3 import (
     AGREEMENT_TOLERANCE,
@@ -246,7 +249,8 @@ class ExperimentConfig:
             raise ConfigError(f"field 'delta' must be nonnegative, got {delta}")
         p, n, k, seed = (_integer(raw, key) for key in ("p", "n", "k", "seed"))
         try:
-            FieldParams(p, n)
+            params = FieldParams(p, n)
+            check_brute_budget(params)  # bounds F, so no recipe is too large to build
         except ValueError as exc:
             raise ConfigError(f"fields 'p' and 'n': {exc}") from None
         if not 0 <= seed < 2**64:
@@ -267,6 +271,15 @@ class ExperimentConfig:
         exhaustive = raw.get("exhaustive", False)
         if not isinstance(exhaustive, bool):
             raise ConfigError(f"field 'exhaustive' must be true or false, got {exhaustive!r}")
+        try:
+            dimension = choose_dimension(k, params) if nprime is None else nprime
+        except ValueError as exc:
+            raise ConfigError(f"field 'k': {exc}") from None
+        if trials > 0 or exhaustive:
+            try:
+                check_estimate_budget(params, dimension, trials, exhaustive)
+            except ValueError as exc:
+                raise ConfigError(f"fields 'trials' and 'exhaustive': {exc}") from None
         label = "" if raw.get("label") is None else raw["label"]
         if not isinstance(label, str):
             raise ConfigError(f"field 'label' must be a string, got {label!r}")
@@ -387,19 +400,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
         return report, max(codes)
 
     try:
-        check_brute_budget(params)  # before build_recipe allocates an F-sized array
-    except ValueError as exc:
-        fail("guardrail", str(exc), EXIT_ERROR)
-        return finish()
-
-    try:
         f = build_recipe(params, config.f_recipe, rng_corpus)
         g = derive_minorant(f, config.g_recipe, rng_corpus)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError is one
         fail("config", str(exc), EXIT_ERROR)
-        return finish()
-    except MemoryError as exc:
-        fail("cap", str(exc), EXIT_ERROR)
         return finish()
 
     spectrum = f.spectrum
@@ -417,12 +421,8 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
     report["delta_mode"] = delta_mode
     report["theta"] = theta
     report["hypotheses"] = hypotheses.as_dict()
-    try:
-        nprime = config.nprime if config.nprime is not None else choose_dimension(config.k, params)
-        report["nprime"] = nprime
-    except ValueError as exc:
-        fail("config", str(exc), EXIT_ERROR)
-        return finish()
+    nprime = config.nprime if config.nprime is not None else choose_dimension(config.k, params)
+    report["nprime"] = nprime
     report["density_floor"] = density_floor(params, config.k)
 
     if theta is not None:
@@ -437,18 +437,11 @@ def run_experiment(config: ExperimentConfig) -> tuple[dict, int]:
         report["spectrum"]["quasinorm_benchmark"] = params.F ** (1.0 + config.gamma)
 
     if config.trials > 0 or config.exhaustive:
-        try:
-            est = estimate_condition_probabilities(
-                nprime,
-                A=spectrum.top_places(config.k),
-                g=g,
-                trials=config.trials,
-                rng=rng_est,
-                exhaustive=config.exhaustive,
-            )
-            report["estimates"] = asdict(est)
-        except (EstimateBudgetError, MemoryError) as exc:
-            fail("cap", str(exc), EXIT_ERROR)
+        A = spectrum.top_places(config.k)
+        est = estimate_condition_probabilities(
+            nprime, A=A, g=g, trials=config.trials, rng=rng_est, exhaustive=config.exhaustive
+        )
+        report["estimates"] = asdict(est)
 
     oracles: dict = {}
 

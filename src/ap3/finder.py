@@ -28,6 +28,9 @@ per run and every finder call reads from it, so the W sequence, the attempts
 and the rejections are those of drawing one W per attempt.
 Subspace.is_direct, separates (the one-subspace case of separating) and
 Subspace.complement().labels() are the per-subspace oracles of the stream.
+
+check_estimate_budget prices the lemma estimator's sample from p, n, nprime,
+trials and exhaustive alone, so a config or a k grid is priced before it runs.
 """
 
 from __future__ import annotations
@@ -58,16 +61,10 @@ MAX_ATTEMPTS = 256
 # members, so a block's tables stay small and only X grows with the sample;
 # a CandidateStream labels at most this many elements (or one W) per block.
 BLOCK_ENTRIES = 2**14
-# The lemma estimator's work is the coset-table entries it fills, one per
-# member of each coset it sums; it refuses a sample above this before
-# enumerating or drawing anything.  X then holds at most this many floats
-# (256 MB); at the limit one sampled call took 8.6 s on a 2-core VM.
+# The lemma estimator's work is the coset-table entries it fills, one per member
+# of each coset it sums, so X holds at most this many floats (256 MB); at the
+# limit one sampled call took 8.6 s on a 2-core VM.
 ESTIMATE_WORK_LIMIT = 2**25
-
-
-class EstimateBudgetError(RuntimeError):
-    """A lemma estimate would fill more coset-table entries than
-    ESTIMATE_WORK_LIMIT."""
 
 
 class FinderBudgetError(RuntimeError):
@@ -98,6 +95,23 @@ def choose_dimension(k: int, params: FieldParams) -> int:
             f"k={k} needs dimension {nprime} > n={params.n}; the field is too small"
         )
     return nprime
+
+
+def check_estimate_budget(
+    params: FieldParams, nprime: int, trials: int, exhaustive: bool
+) -> tuple[int, int]:
+    """A lemma estimate's sample, (subspaces, cosets of each), or ValueError, allocating
+    nothing, when its subspaces x cosets x |W| coset-table entries exceed ESTIMATE_WORK_LIMIT."""
+    size = params.p**nprime
+    count = gaussian_binomial(params.n, nprime, params.p) if exhaustive else trials
+    cosets = params.F // size if exhaustive else 1
+    work = count * cosets * size
+    if work > ESTIMATE_WORK_LIMIT:
+        raise ValueError(
+            f"estimate of {count} subspaces x {cosets} cosets x {size} members = {work} "
+            f"coset-table entries exceeds the budget of {ESTIMATE_WORK_LIMIT}"
+        )
+    return count, cosets
 
 
 def coset_sum(values: np.ndarray, cosets: np.ndarray):
@@ -270,27 +284,15 @@ def estimate_condition_probabilities(
     its cosets t + W once, W-major, t over the span of the unit vectors off
     W's pivot columns, so its frequencies are exact.  Both work a block of W at
     a time: one table of the block's cosets gives X and one table of the
-    labels of A gives separation.  Before either enumerates or draws, it
-    raises EstimateBudgetError when the sample's coset-table entries, count x
-    cosets x |W| (count x F exhaustive, trials x |W| sampled), exceed
-    ESTIMATE_WORK_LIMIT.
+    labels of A gives separation.  check_estimate_budget prices the sample first.
     """
     params = g.params
     size = params.p**nprime
-    if exhaustive:
-        count, cosets = gaussian_binomial(params.n, nprime, params.p), params.F // size
-    elif rng is None:
+    if not exhaustive and rng is None:
         raise ValueError("sampled mode needs an rng")
-    elif trials < 1:
+    if not exhaustive and trials < 1:
         raise ValueError(f"trials must be a positive integer in sampled mode, got {trials}")
-    else:
-        count, cosets = trials, 1
-    work = count * cosets * size
-    if work > ESTIMATE_WORK_LIMIT:
-        raise EstimateBudgetError(
-            f"estimate of {count} subspaces x {cosets} cosets x {size} members = {work} "
-            f"coset-table entries exceeds the budget of {ESTIMATE_WORK_LIMIT}"
-        )
+    count, cosets = check_estimate_budget(params, nprime, trials, exhaustive)
     if exhaustive:
         spaces = enumerate_bases(params, nprime)
     X, hits = np.empty(count * cosets), 0

@@ -79,6 +79,19 @@ def test_quasinorm_regime_bound():
     assert quasinorm_regime_bound(3, 27, 0.0, 0.1) < base
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("n,theta,gamma", [(2, 0.0, 0.0), (4, 0.1, 0.05), (6, 0.3, 0.2)])
+def test_stated_headline_over_the_stepwise_floor(p, n, theta, gamma):
+    # at the paper's k and the plug-in delta, the delta loss takes 4/5 of the
+    # exact floor's main term, so the stated constant exceeds what is left by
+    # 5 * 64 * 2025^2 * 1e-10 * p^2 = 0.13122 p^2, more than 1 at every odd p
+    F = p**n
+    k = math.ceil(2025 * p**4 * F ** (4 * theta + 2 * gamma))
+    exact = lambda3_floors(p, F, k, theta, plugin_delta(F, gamma, k))["exact"]
+    ratio = quasinorm_regime_bound(p, F, theta, gamma) / exact
+    assert ratio == pytest.approx(0.1312 * p**2, rel=1e-3)
+
+
 def test_derived_theta():
     assert derived_theta(1.0, 27) == 0.0
     assert derived_theta(1.0 / 27.0, 27) == pytest.approx(1.0)

@@ -393,14 +393,6 @@ def test_verify_bundled_budget_config(capsys):
     assert "FAIL(exit 3)" in err
 
 
-def test_verify_bundled_cap_config(capsys):
-    code, _, err = run_cli(
-        capsys, "verify", "--config", "configs/cap_estimate_demo.json"
-    )
-    assert code == 1
-    assert "FAIL(exit 1)" in err
-
-
 def _out_of_memory(*args, **kwargs):
     raise MemoryError("Unable to allocate 745. GiB for an array")
 
@@ -411,13 +403,11 @@ HALF = '{"kind": "constant", "value": 0.5}'
 @pytest.mark.parametrize(
     "argv,name",
     [
-        (["estimate", "--p", "3", "--n", "3", "--k", "2", "--trials", "100000000000"],
-         "estimate_condition_probabilities"),
         (["transform", "--recipe", HALF, "--p", "3", "--n", "30"], "build_recipe"),
         (["lambda3", "--method", "spectral", "--recipe", HALF, "--p", "3", "--n", "30"],
          "build_recipe"),
     ],
-    ids=["estimate", "transform", "lambda3"],
+    ids=["transform", "lambda3"],
 )
 def test_request_too_large_to_allocate_exits_error(capsys, monkeypatch, argv, name):
     monkeypatch.setattr(ap3.cli, name, _out_of_memory)
@@ -425,50 +415,6 @@ def test_request_too_large_to_allocate_exits_error(capsys, monkeypatch, argv, na
     assert code == 1
     assert out == ""
     assert err == f"ap3 {argv[0]}: error: Unable to allocate 745. GiB for an array\n"
-
-
-def test_verify_estimate_too_large_to_allocate_is_a_cap_failure(capsys, monkeypatch, tmp_path):
-    monkeypatch.setattr(ap3.experiment, "estimate_condition_probabilities", _out_of_memory)
-    config = {
-        "p": 3, "n": 3, "seed": 5, "k": 2, "delta": 0.0,
-        "f": {"kind": "constant", "value": 1.0}, "trials": 100000000000,
-    }
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    out_dir = tmp_path / "out"
-    code, _, err = run_cli(capsys, "verify", "--config", str(path), "--out", str(out_dir))
-    assert code == 1
-    assert err == "verify: FAIL(exit 1)\n"
-    report = json.loads((out_dir / "report.json").read_text())
-    assert report["failures"] == [
-        {"type": "cap", "detail": "Unable to allocate 745. GiB for an array"}
-    ]
-    assert "estimates" not in report
-    assert report["runs"] and all(a["passed"] for a in report["assertions"])
-
-
-def test_verify_recipe_too_large_to_allocate_keeps_the_other_entries(
-    capsys, monkeypatch, tmp_path
-):
-    original = ap3.experiment.build_recipe
-
-    def build_recipe(params, spec, rng):
-        return _out_of_memory() if params.n == 3 else original(params, spec, rng)
-
-    monkeypatch.setattr(ap3.experiment, "build_recipe", build_recipe)
-    entry = {"p": 3, "seed": 5, "k": 2, "delta": 0.0, "f": {"kind": "constant", "value": 1.0}}
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"experiments": [{**entry, "n": 2}, {**entry, "n": 3}]}))
-    out_dir = tmp_path / "out"
-    code, _, err = run_cli(capsys, "verify", "--config", str(path), "--out", str(out_dir))
-    assert code == 1
-    assert err == "verify: FAIL(exit 1)\n"
-    passing, refused = json.loads((out_dir / "report.json").read_text())["entries"]
-    assert passing["passed"] and passing["runs"] and not passing["failures"]
-    assert refused["failures"] == [
-        {"type": "cap", "detail": "Unable to allocate 745. GiB for an array"}
-    ]
-    assert not refused["runs"]
 
 
 def test_verify_missing_config(capsys):
@@ -545,6 +491,11 @@ def test_verify_non_object_config(capsys, tmp_path, raw):
         # W's p**nprime labels cannot separate k places
         ({"nprime": 0}, [], "'nprime'"),
         ({"k": 5, "nprime": 1}, [], "'nprime'"),
+        # the limits a config decides on its own: nprime 5 > n = 3 for k = 10,
+        # 2^25 draws x |W| = 3, and the 9,841 hyperplanes of F_3^9 x 3 cosets x 6,561
+        ({"n": 3, "k": 10}, [], "'k'"),
+        ({"trials": 2**25}, [], "'trials'"),
+        ({"n": 9, "k": 50, "exhaustive": True}, ["--out", "out"], "'exhaustive'"),
     ],
 )
 def test_verify_rejects_out_of_range_config(
@@ -647,17 +598,50 @@ def test_verify_rejects_bad_entry_before_any_run(capsys, tmp_path, monkeypatch):
     assert calls == []
 
 
+def _refuse_run_experiment(monkeypatch):
+    """Make run_experiment fail the test if it is called."""
+
+    def refused(config):
+        raise AssertionError(f"an entry ran before the config was refused: {config}")
+
+    monkeypatch.setattr(ap3.experiment, "run_experiment", refused)
+
+
+@pytest.mark.parametrize(
+    "second,message",
+    [
+        ({"n": 13}, "brute-force limit"),
+        ({"trials": 2**25}, "coset-table entries exceeds the budget"),
+        ({"k": 10}, "k=10 needs dimension 5 > n=3"),
+    ],
+    ids=["brute", "estimate", "nprime"],
+)
+def test_verify_refuses_an_entry_over_a_limit_before_any_runs(
+    capsys, tmp_path, monkeypatch, second, message
+):
+    _refuse_run_experiment(monkeypatch)
+    good = {"p": 3, "n": 3, "seed": 1, "k": 2, "f": {"kind": "constant", "value": 1.0}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"experiments": [good, {**good, **second}]}))
+    code, out, err = run_cli(capsys, "verify", "--config", str(path), "--out", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert message in err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_verify_refuses_huge_prime_field_quickly(tmp_path):
     # p = 2^61 - 1 is prime and passes the size check: its primality test
-    # must be quick, and the guardrail must refuse the entry before a recipe
-    # allocates F values
+    # must be quick, and the brute-force limit must refuse the config when it
+    # is read, before a recipe allocates F values
     config = {"p": 2**61 - 1, "n": 1, "seed": 1, "k": 2, "f": {"kind": "constant", "value": 1.0}}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     proc = run_cli_process("verify", "--config", str(path))
     assert proc.returncode == 1
-    assert "brute-force limit" in proc.stdout
-    assert "Traceback" not in proc.stdout + proc.stderr
+    assert proc.stdout == ""
+    assert "brute-force limit" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_estimate_exhaustive_csv(capsys):
@@ -724,6 +708,27 @@ def test_estimate_over_budget_allocates_nothing(capsys, monkeypatch, argv, sampl
     assert out == ""
     assert err.startswith(f"ap3 estimate: error: estimate of {sample} members = ")
     assert err.endswith(" coset-table entries exceeds the budget of 33554432\n")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # k=50 needs nprime 8 at n=7: refused before the k=2 row draws anything
+        (["--p", "3", "--n", "7", "--k", "2,50"], "k=50 needs dimension 8 > n=7"),
+        (["--p", "3", "--n", "8", "--k", "2,50", "--trials", "100000"],
+         "100000 subspaces x 1 cosets x 6561 members"),
+    ],
+    ids=["nprime", "budget"],
+)
+def test_estimate_grid_is_priced_before_any_row_runs(capsys, monkeypatch, argv, message):
+    def refused(*args, **kwargs):
+        raise AssertionError("a row ran before the grid was priced")
+
+    monkeypatch.setattr(ap3.cli, "estimate_condition_probabilities", refused)
+    code, out, err = run_cli(capsys, "estimate", *argv)
+    assert code == 1
+    assert out == ""
+    assert message in err
 
 
 def test_estimate_k_grid_deterministic(capsys):

@@ -56,7 +56,7 @@ def test_exit_codes_rise_with_severity(monkeypatch):
     monkeypatch.setattr(ap3.finder, "MAX_ATTEMPTS", 48)
     refused = cfg(g={"kind": "constant", "value": 0.0})
     budget = cfg(g={"kind": "mask", "members": [0]})
-    error = cfg(trials=2**25)
+    error = cfg(g={"kind": "mask", "members": [99]})  # outside the field: a config failure
     report, code = run_config([refused, budget, cfg(), error])
     assert code == EXIT_BUDGET
     assert [entry["passed"] for entry in report["entries"]] == [False, False, True, False]
@@ -302,33 +302,33 @@ def test_run_experiment_budget(ordering, monkeypatch):
 
 
 def test_run_experiment_config_error_exit():
-    # 2^25 trials x |W| = 3 members each is over the estimator's work budget
-    config = cfg(trials=2**25)
-    report, code = run_experiment(config)
-    assert code == EXIT_ERROR
-    assert any(f["type"] == "cap" for f in report["failures"])
+    # 2^25 trials x |W| = 3 members each is over the estimator's work budget,
+    # refused when the config is read, so no run can meet it
+    message = (
+        "fields 'trials' and 'exhaustive': estimate of 33554432 subspaces x 1 cosets x 3 "
+        "members = 100663296 coset-table entries exceeds the budget of 33554432"
+    )
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        cfg(trials=2**25)
+    cfg(trials=2**25 // 3)  # 33,554,430 entries: within the budget
 
 
-def test_exhaustive_x_budget_is_a_cap_failure(monkeypatch):
+def test_exhaustive_x_budget_is_refused_when_read(monkeypatch):
     # 13 lines x 9 cosets x 3 members: 351 entries against a budget of 10
     monkeypatch.setattr(ap3.finder, "ESTIMATE_WORK_LIMIT", 10)
-    report, code = run_experiment(cfg(exhaustive=True))
-    assert code == EXIT_ERROR
-    [failure] = report["failures"]
-    assert failure["type"] == "cap"
-    assert failure["detail"] == (
-        "estimate of 13 subspaces x 9 cosets x 3 members = 351 coset-table entries "
-        "exceeds the budget of 10"
-    )
-    assert "estimates" not in report
+    with pytest.raises(ConfigError, match="13 subspaces x 9 cosets x 3 members = 351 "):
+        cfg(exhaustive=True)
+    cfg(exhaustive=False)  # trials 0: nothing is estimated, so nothing is priced
+    monkeypatch.setattr(ap3.finder, "ESTIMATE_WORK_LIMIT", 351)
+    assert run_experiment(cfg(exhaustive=True))[0]["estimates"]["trials"] == 13
 
 
 def test_run_experiment_guardrail():
-    config = cfg(p=3, n=13, delta=1.0)
-    report, code = run_experiment(config)
-    assert code == EXIT_ERROR
-    [failure] = report["failures"]
-    assert failure["type"] == "guardrail" and "brute-force limit" in failure["detail"]
+    # the brute oracle's budget is refused when the config is read, before
+    # any recipe is built
+    with pytest.raises(ConfigError, match="^fields 'p' and 'n': .*brute-force limit"):
+        cfg(p=3, n=13, delta=1.0)
+    cfg(p=3, n=12, delta=1.0)
 
 
 def test_sevenfold_p3_n10_verifies_without_a_flag():

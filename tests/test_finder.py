@@ -26,7 +26,6 @@ from ap3.field import (
 )
 from ap3.finder import (
     CandidateStream,
-    EstimateBudgetError,
     FinderBudgetError,
     chebyshev_moments,
     choose_dimension,
@@ -640,7 +639,7 @@ def test_estimate_budget_boundary(monkeypatch, exhaustive):
     assert estimate().trials == (4 if exhaustive else 10)
     monkeypatch.setattr(ap3.finder, "ESTIMATE_WORK_LIMIT", work - 1)
     message = f"= {work} coset-table entries exceeds the budget of {work - 1}$"
-    with pytest.raises(EstimateBudgetError, match=message):
+    with pytest.raises(ValueError, match=message):
         estimate()
 
 

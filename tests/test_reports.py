@@ -45,7 +45,6 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # below the density floor)
 PINNED = [
     ("budget_point_mass.json", 3, (None,)),
-    ("cap_estimate_demo.json", 1, (1,)),
     ("dense_theorem_p5_n4.json", 0, (30, 30)),
     ("dense_theorem_p5_n4_lazy.json", 0, (31, 31)),
     ("refusal_empty_minorant.json", 2, ()),
